@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import bem as bem_mod
-from . import jn_reference, solver
+from . import jn_reference, quadrature, solver, spaces
 from .dpg_assembly import ProblemData
 from .errors import ConfigError, MeshError, NumericalError
 from .mesh import boundary_loop, make_lshape_mesh, make_square_mesh, refine_uniform
@@ -38,7 +38,7 @@ CSV_HEADER = ("level,N,h,dim_trial,dim_test,err_energy_sq,err_u_l2_sq,"
 AGREEMENT_HEADER = ("level,N,agree_trace_l2,agree_flux_l2,"
                     "dpg_err_trace_l2,jn_err_trace_l2")
 
-MAX_LEVELS = 9  # memory guard
+MAX_LEVELS = 9  # largest accepted --levels; a fixed cap, not a memory check
 
 
 @dataclass
@@ -59,7 +59,7 @@ class ExperimentConfig:
             raise ConfigError("levels must be an integer >= 2")
         if self.levels > MAX_LEVELS:
             raise ConfigError(
-                "levels > {} exceeds the memory guard".format(MAX_LEVELS))
+                "levels > {} exceeds the level cap".format(MAX_LEVELS))
         if self.quad_order_boundary < 2:
             raise ConfigError("quad-order must be >= 2")
 
@@ -167,8 +167,6 @@ def probe_points(domain):
 
 def compatibility_residual(mesh, data, loop=None):
     """Quadrature value of int_Omega f + int_Gamma phi0 (must be ~0)."""
-    from . import quadrature
-
     pts, w = quadrature.triangle_duffy(6)
     phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
     fv = np.broadcast_to(data.f(phys[..., 0], phys[..., 1]),
@@ -176,12 +174,10 @@ def compatibility_residual(mesh, data, loop=None):
     vol = float((fv @ w * 2.0 * mesh.areas()).sum())
     if loop is None:
         loop = boundary_loop(mesh)
-    t, wt = quadrature.graded01_both(8, 40)
-    pa, pb = loop.points_a, loop.points_b
-    bpts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
+    bpts, wl, _ = spaces.boundary_quadrature(loop, 8, 40)
     ph = data.phi0(bpts[..., 0], bpts[..., 1], loop.normals[:, None, 0],
                    loop.normals[:, None, 1])
-    bnd = float(((loop.lengths[:, None] * wt[None, :]) * ph).sum())
+    bnd = float((wl * ph).sum())
     return vol + bnd
 
 
@@ -226,8 +222,8 @@ def run_convergence(config, progress=None):
             u_n, phi = jn_reference.solve_jn(system)
             eu_j, es_j = jn_reference.jn_errors(mesh, u_n, exact.u, exact.grad,
                                                 singular_vertex=sv)
-            etr_j, efl_j = jn_reference.jn_boundary_errors(
-                mesh, loop, u_n, phi, data)
+            etr_j, efl_j = jn_reference.jn_boundary_errors(loop, u_n, phi,
+                                                           data)
             if rec is None:
                 dim = mesh.num_vertices + loop.num_panels
                 rec = ConvergenceRecord(

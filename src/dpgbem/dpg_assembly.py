@@ -163,12 +163,6 @@ _VOL_PTS, _VOL_W = quadrature.triangle_degree4()
 _EDGE_T, _EDGE_W = quadrature.gauss01(4)
 
 
-def _volume_basis():
-    bary = np.stack([1.0 - _VOL_PTS[:, 0] - _VOL_PTS[:, 1],
-                     _VOL_PTS[:, 0], _VOL_PTS[:, 1]], axis=-1)
-    return spaces.eval_p2_basis(bary)
-
-
 def _edge_basis():
     vals = np.empty((3, _EDGE_T.size, 6))
     hats = np.zeros((3, _EDGE_T.size, 3))
@@ -180,30 +174,22 @@ def _edge_basis():
     return vals, hats
 
 
-_P2_VALS, _P2_GRADS = _volume_basis()
+_P2_VALS, _P2_GRADS = spaces.eval_p2_basis(quadrature.barycentric(_VOL_PTS))
 _P2_EDGE, _HAT_EDGE = _edge_basis()
 
 
-def _geometry(mesh):
-    verts = mesh.triangle_vertices()
-    J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
-                 axis=-1)
-    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    Jinv = np.empty_like(J)
-    Jinv[:, 0, 0] = J[:, 1, 1] / detJ
-    Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
-    Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
-    Jinv[:, 1, 1] = J[:, 0, 0] / detJ
-    # physical gradients: grad_phys[t, q, i, c] = sum_d gref[q, i, d] Jinv[t, d, c]
-    gphys = np.einsum("qid,tdc->tqic", _P2_GRADS, Jinv)
-    return verts, detJ, gphys
+def _p2_gradients(mesh):
+    """det J (T,) and the physical P2 gradients at the volume nodes,
+    grad_phys[t, q, i, c] = sum_d gref[q, i, d] Jinv[t, d, c]."""
+    _, detJ, Jinv = mesh.element_map()
+    return detJ, np.einsum("qid,tdc->tqic", _P2_GRADS, Jinv)
 
 
 def _element_b_locals(mesh):
     """Local B blocks (T, 18, 9); trial columns ordered
     [sigma_x, sigma_y, u, uhat(3 vertices), sighat(3 edges)]."""
     ntri = mesh.num_triangles
-    _, detJ, gphys = _geometry(mesh)
+    detJ, gphys = _p2_gradients(mesh)
     loc = np.zeros((ntri, 18, 9))
 
     # integrals of physical gradients and values over each element
@@ -298,7 +284,7 @@ def assemble_gram(mesh, test_layout, bem_mats):
     boundary block from the bem module."""
     if test_layout.n_tri != mesh.num_triangles:
         raise ValueError("test layout does not match mesh")
-    _, detJ, gphys = _geometry(mesh)
+    detJ, gphys = _p2_gradients(mesh)
     w = _VOL_W
     vals = _P2_VALS
     Gv = (np.einsum("q,tqic,tqjc->tij", w, gphys, gphys)
@@ -329,14 +315,9 @@ def assemble_load(mesh, test_layout, data, bem_mats, volume_rule=None,
     if volume_rule is None:
         volume_rule = quadrature.triangle_duffy(5)
     pts, w = volume_rule
-    bary = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]],
-                    axis=-1)
-    vals = spaces.eval_p2_basis(bary)[0]
-    verts = mesh.triangle_vertices()
-    J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
-                 axis=-1)
-    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    phys = quadrature.map_to_physical(verts, pts)
+    vals = spaces.eval_p2_basis(quadrature.barycentric(pts))[0]
+    detJ = mesh.element_map()[1]
+    phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
     fv = data.f(phys[..., 0], phys[..., 1])
     fv = np.broadcast_to(fv, phys[..., 0].shape)
     ell = np.zeros(test_layout.dim)
@@ -351,11 +332,9 @@ def assemble_load(mesh, test_layout, data, bem_mats, volume_rule=None,
                                               order=boundary_order,
                                               levels=boundary_levels)
     # direct quadrature of u0 against the boundary test functions
-    t, wt = quadrature.graded01_both(boundary_order, boundary_levels)
-    pa, pb = loop.points_a, loop.points_b
-    bpts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
+    bpts, wl, t = spaces.boundary_quadrature(loop, boundary_order,
+                                             boundary_levels)
     u0v = data.u0(bpts[..., 0], bpts[..., 1])
-    wl = loop.lengths[:, None] * wt[None, :]
     m0 = (wl * u0v * (1.0 - t)[None, :]).sum(axis=1)
     m1 = (wl * u0v * t[None, :]).sum(axis=1)
     mass_u0 = np.stack([m0, m1], axis=1).ravel()

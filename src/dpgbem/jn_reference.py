@@ -28,6 +28,7 @@ from . import bem as bem_mod
 from . import quadrature, spaces
 from .errors import NumericalError
 from .mesh import boundary_loop
+from .solver import field_errors
 
 
 @dataclass
@@ -49,18 +50,8 @@ def p0_test_rows(matrix_2p):
 
 
 def _p1_stiffness(mesh):
-    verts = mesh.triangle_vertices()
-    J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
-                 axis=-1)
-    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    Jinv = np.empty_like(J)
-    Jinv[:, 0, 0] = J[:, 1, 1] / detJ
-    Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
-    Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
-    Jinv[:, 1, 1] = J[:, 0, 0] / detJ
-    gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    g = np.einsum("id,tdc->tic", gref, Jinv)
-    loc = np.einsum("tic,tjc->tij", g, g) * (0.5 * detJ)[:, None, None]
+    g = mesh.hat_gradients()
+    loc = np.einsum("tic,tjc->tij", g, g) * mesh.areas()[:, None, None]
     rows = np.repeat(mesh.triangles[:, :, None], 3, axis=2).ravel()
     cols = np.repeat(mesh.triangles[:, None, :], 3, axis=1).ravel()
     return scipy.sparse.coo_matrix(
@@ -70,8 +61,7 @@ def _p1_stiffness(mesh):
 
 def _p1_load(mesh, f):
     pts, w = quadrature.triangle_duffy(5)
-    bary = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]],
-                    axis=-1)
+    bary = quadrature.barycentric(pts)
     phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
     fv = np.broadcast_to(f(phys[..., 0], phys[..., 1]), phys[..., 0].shape)
     areas2 = 2.0 * mesh.areas()
@@ -109,15 +99,12 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8,
     D = scipy.sparse.coo_matrix(
         (D_bd.ravel(), (rr, np.tile(loop.vertex_ids, P))), shape=(P, nv))
 
-    mat = scipy.sparse.bmat([[A_uu, C], [D, V00]], format="lil")
+    mat = scipy.sparse.bmat([[A_uu, C], [D, V00]], format="csr")
 
     rhs = np.zeros(nv + P)
     rhs[:nv] = _p1_load(mesh, data.f)
     # <phi0, v>_Gamma against the boundary hats
-    t, wt = quadrature.graded01_both(quad_order, boundary_levels)
-    pa, pb = loop.points_a, loop.points_b
-    pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-    wl = loop.lengths[:, None] * wt[None, :]
+    pts, wl, t = spaces.boundary_quadrature(loop, quad_order, boundary_levels)
     ph = data.phi0(pts[..., 0], pts[..., 1], loop.normals[:, None, 0],
                    loop.normals[:, None, 1])
     np.add.at(rhs[:nv], loop.vertex_ids, (wl * ph * (1 - t)[None, :]).sum(axis=1))
@@ -136,11 +123,13 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8,
         np.add.at(g[:nv], loop.vertex_ids, g_u)
         g[nv:] = V00.sum(axis=0)                      # <1, V chi_q>
         lam_total = rhs[nv:].sum()                    # <1, (1/2-K) u0>
-        mat = (mat.tocsr() + scipy.sparse.csr_matrix(
-            np.outer(g, g)))
+        # g g^T on the support of g (boundary vertices and panels only)
+        idx = np.flatnonzero(g)
+        mat = mat + scipy.sparse.coo_matrix(
+            (np.outer(g[idx], g[idx]).ravel(),
+             (np.repeat(idx, idx.size), np.tile(idx, idx.size))),
+            shape=mat.shape).tocsr()
         rhs = rhs + lam_total * g
-    else:
-        mat = mat.tocsr()
     return JnSystem(matrix=mat, rhs=rhs, n_vert=nv, loop=loop,
                     stabilized=stabilized)
 
@@ -160,55 +149,17 @@ def solve_jn(system):
 def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex=None):
     """L2 error of the P1 interior solution and of its elementwise
     gradient; companion of the coupled solver's field errors."""
-    from .solver import _error_rules
-    base, special = _error_rules(singular_vertex, mesh)
-    verts = mesh.triangle_vertices()
-    areas2 = 2.0 * mesh.areas()
-    J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
-                 axis=-1)
-    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    Jinv = np.empty_like(J)
-    Jinv[:, 0, 0] = J[:, 1, 1] / detJ
-    Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
-    Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
-    Jinv[:, 1, 1] = J[:, 0, 0] / detJ
-    gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    g = np.einsum("id,tdc->tic", gref, Jinv)
     uloc = u_nodal[mesh.triangles]
-    grad_h = np.einsum("ti,tic->tc", uloc, g)
-
-    def accumulate(tri_idx, rule):
-        pts, w = rule
-        bary = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]],
-                        axis=-1)
-        phys = quadrature.map_to_physical(verts[tri_idx], pts)
-        x, y = phys[..., 0], phys[..., 1]
-        uh = uloc[tri_idx] @ bary.T
-        du = exact_u(x, y) - uh
-        gx, gy = exact_grad(x, y)
-        dgx = np.broadcast_to(gx, x.shape) - grad_h[tri_idx, 0][:, None]
-        dgy = np.broadcast_to(gy, x.shape) - grad_h[tri_idx, 1][:, None]
-        eu = (du ** 2) @ w * areas2[tri_idx]
-        es = (dgx ** 2 + dgy ** 2) @ w * areas2[tri_idx]
-        return eu.sum(), es.sum()
-
-    regular = np.array([t for t in range(mesh.num_triangles)
-                        if t not in special], dtype=int)
-    eu, es = accumulate(regular, base)
-    for t, rule in special.items():
-        a, b = accumulate(np.array([t]), rule)
-        eu += a
-        es += b
-    return float(np.sqrt(eu)), float(np.sqrt(es))
+    grad_h = np.einsum("ti,tic->tc", uloc, mesh.hat_gradients())
+    return field_errors(mesh, exact_u, exact_grad,
+                        lambda tri, bary: uloc[tri] @ bary.T, grad_h,
+                        singular_vertex)
 
 
-def jn_boundary_errors(mesh, loop, u_nodal, phi, data, order=8, levels=24):
+def jn_boundary_errors(loop, u_nodal, phi, data, order=8, levels=24):
     """L2(Gamma) norms of the exterior Cauchy data of a coupling solution:
     (u|_Gamma - u0, phi).  Both vanish for data with u^c = 0."""
-    t, wt = quadrature.graded01_both(order, levels)
-    pa, pb = loop.points_a, loop.points_b
-    pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-    wl = loop.lengths[:, None] * wt[None, :]
+    pts, wl, t = spaces.boundary_quadrature(loop, order, levels)
     nxt = (np.arange(loop.num_panels) + 1) % loop.num_panels
     uv = u_nodal[loop.vertex_ids]
     lin = uv[:, None] * (1 - t)[None, :] + uv[nxt][:, None] * t[None, :]

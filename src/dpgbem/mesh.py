@@ -14,6 +14,29 @@ import numpy as np
 
 from .errors import MeshError
 
+# Reference gradients of the barycentric coordinates
+# lambda = (1 - xi - eta, xi, eta), i.e. of the three P1 vertex hats.
+REF_HAT_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def element_map(verts):
+    """Affine maps x = v0 + J xi from the reference triangle onto the
+    triangles with corners verts (T, 3, 2).
+
+    Returns (J, detJ, Jinv) of shapes (T, 2, 2), (T,) and (T, 2, 2); the
+    columns of J are the edge vectors v1 - v0 and v2 - v0, and detJ is
+    twice the signed area.
+    """
+    J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
+                 axis=-1)
+    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    Jinv = np.empty_like(J)
+    Jinv[:, 0, 0] = J[:, 1, 1] / detJ
+    Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
+    Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
+    Jinv[:, 1, 1] = J[:, 0, 0] / detJ
+    return J, detJ, Jinv
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -77,12 +100,19 @@ class Mesh:
         """Coordinates of all triangle corners, shape (T, 3, 2)."""
         return self.vertices[self.triangles]
 
+    def element_map(self):
+        """Affine element maps, see :func:`element_map`."""
+        return element_map(self.triangle_vertices())
+
+    def hat_gradients(self):
+        """Physical gradients of the three vertex hat functions of every
+        element, shape (T, 3, 2); row i belongs to local vertex i."""
+        _, _, Jinv = self.element_map()
+        return np.einsum("id,tdc->tic", REF_HAT_GRADS, Jinv)
+
     def areas(self):
         """Signed triangle areas (positive by construction), shape (T,)."""
-        v = self.triangle_vertices()
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * self.element_map()[1]
 
     def mesh_size(self):
         """Global mesh size h = longest edge."""
@@ -110,12 +140,9 @@ def build_mesh(vertices, triangles):
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError("triangles must have shape (T, 3)")
 
-    v = vertices[triangles]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    if np.any(areas <= 0.0):
-        bad = int(np.argmin(areas))
+    detJ = element_map(vertices[triangles])[1]
+    if np.any(detJ <= 0.0):
+        bad = int(np.argmin(detJ))
         raise MeshError("triangle {} has non-positive area".format(bad))
 
     span = vertices.max(axis=0) - vertices.min(axis=0)
@@ -124,39 +151,40 @@ def build_mesh(vertices, triangles):
             "domain diameter {:.6g} >= 1; the single-layer operator "
             "loses ellipticity".format(float(np.hypot(*span))))
 
-    ntri = triangles.shape[0]
-    edge_index = {}
-    edges = []
-    tri_edges = np.empty((ntri, 3), dtype=int)
-    tri_edge_signs = np.empty((ntri, 3), dtype=int)
-    edge_tris = []
-    for t in range(ntri):
-        for s in range(3):
-            a = int(triangles[t, s])
-            b = int(triangles[t, (s + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_index:
-                edge_index[key] = len(edges)
-                edges.append(key)
-                edge_tris.append([t, -1])
-            else:
-                e = edge_index[key]
-                if edge_tris[e][1] != -1:
-                    raise MeshError("edge {} shared by >2 triangles".format(key))
-                edge_tris[e][1] = t
-            e = edge_index[key]
-            tri_edges[t, s] = e
-            tri_edge_signs[t, s] = 1 if (a, b) == key else -1
+    # side k = 3 t + s of triangle t runs from its local vertex s to s+1
+    tails = triangles.ravel()
+    heads = np.roll(triangles, -1, axis=1).ravel()
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    _, first, inverse, counts = np.unique(
+        lo * vertices.shape[0] + hi, return_index=True,
+        return_inverse=True, return_counts=True)
+    if np.any(counts > 2):
+        k = first[np.argmax(counts > 2)]
+        raise MeshError("edge {} shared by >2 triangles"
+                        .format((int(lo[k]), int(hi[k]))))
+    # edges are numbered in the order their first side is met
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    side_edge = rank[inverse]
+    first = first[order]
 
-    edges = np.array(edges, dtype=int)
-    edge_tris = np.array(edge_tris, dtype=int)
+    edges = np.stack([lo[first], hi[first]], axis=1)
+    tri_edges = side_edge.reshape(-1, 3)
+    tri_edge_signs = np.where(tails == lo, 1, -1).reshape(-1, 3)
+    edge_tris = np.full((first.size, 2), -1)
+    edge_tris[:, 0] = first // 3
+    second = np.nonzero(first[side_edge] != np.arange(side_edge.size))[0]
+    edge_tris[side_edge[second], 1] = second // 3
+
     tang = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
     tang = tang / edge_lengths[:, None]
     edge_normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
 
+    bnd = first[edge_tris[:, 1] < 0]
     boundary_edges, boundary_tails, boundary_signs = _walk_boundary(
-        triangles, edges, edge_tris, tri_edges, tri_edge_signs)
+        side_edge[bnd], tails[bnd], heads[bnd], tri_edge_signs.ravel()[bnd])
 
     return Mesh(vertices=vertices, triangles=triangles, edges=edges,
                 edge_normals=edge_normals, edge_lengths=edge_lengths,
@@ -165,43 +193,27 @@ def build_mesh(vertices, triangles):
                 boundary_tails=boundary_tails, boundary_signs=boundary_signs)
 
 
-def _walk_boundary(triangles, edges, edge_tris, tri_edges, tri_edge_signs):
-    # Each boundary edge is traversed by its unique element in the element's
-    # counterclockwise order, which chains the edges counterclockwise
-    # around the domain (the domain lies to the left).
-    bnd = np.nonzero(edge_tris[:, 1] < 0)[0]
+def _walk_boundary(bnd, tails, heads, signs):
+    # bnd: boundary edges in ascending order, with the tail, head and sign
+    # of their only side.  Each boundary edge is traversed by its element
+    # in the element's counterclockwise order, which chains the edges
+    # counterclockwise around the domain (the domain lies to the left).
     if bnd.size == 0:
         raise MeshError("mesh has no boundary")
-    tail_of = {}
-    head_of = {}
-    sign_of = {}
-    for e in bnd:
-        t = int(edge_tris[e, 0])
-        s = int(np.nonzero(tri_edges[t] == e)[0][0])
-        a = int(triangles[t, s])
-        b = int(triangles[t, (s + 1) % 3])
-        tail_of[e] = a
-        head_of[e] = b
-        sign_of[e] = int(tri_edge_signs[t, s])
-    start_at = {tail_of[e]: e for e in bnd}
-    if len(start_at) != len(bnd):
+    start_at = dict(zip(tails.tolist(), range(bnd.size)))
+    if len(start_at) != bnd.size:
         raise MeshError("boundary is not a simple closed loop")
 
-    first = int(bnd.min())
-    order = [first]
-    cur = head_of[first]
-    while cur != tail_of[first]:
+    order = [0]
+    cur = int(heads[0])
+    while cur != tails[0]:
         if cur not in start_at:
             raise MeshError("boundary loop is not closed")
-        e = start_at[cur]
-        order.append(e)
-        cur = head_of[e]
-    if len(order) != len(bnd):
+        order.append(start_at[cur])
+        cur = int(heads[order[-1]])
+    if len(order) != bnd.size:
         raise MeshError("boundary has more than one loop")
-    order = np.array(order, dtype=int)
-    tails = np.array([tail_of[e] for e in order], dtype=int)
-    signs = np.array([sign_of[e] for e in order], dtype=int)
-    return order, tails, signs
+    return bnd[order], tails[order], signs[order]
 
 
 def make_square_mesh(half_width, n):
@@ -274,28 +286,14 @@ def refine_uniform(mesh):
     """Red refinement: split every triangle into 4 congruent children by
     connecting the edge midpoints.  Preserves shape regularity exactly and
     halves every edge length."""
-    vertices = [tuple(p) for p in mesh.vertices]
-    nvert = len(vertices)
-    mid_index = {}
-
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        m = mid_index.get(key)
-        if m is None:
-            m = len(vertices)
-            mid_index[key] = m
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            vertices.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
-        return m
-
-    tris = []
-    for (a, b, c) in mesh.triangles:
-        mab = midpoint(a, b)
-        mbc = midpoint(b, c)
-        mca = midpoint(c, a)
-        tris += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
-    del nvert
-    return build_mesh(np.array(vertices, dtype=float), np.array(tris, dtype=int))
+    # the midpoint of edge e becomes vertex V + e
+    mids = (mesh.vertices[mesh.edges[:, 0]]
+            + mesh.vertices[mesh.edges[:, 1]]) / 2.0
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = (mesh.num_vertices + mesh.tri_edges).T
+    tris = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
+                    axis=1).reshape(-1, 3)
+    return build_mesh(np.concatenate([mesh.vertices, mids]), tris)
 
 
 @dataclass(frozen=True)
@@ -324,10 +322,6 @@ class BoundaryLoop:
     @property
     def total_length(self):
         return float(self.lengths.sum())
-
-    def point_at(self, panel, t):
-        """Point at parameter t in [0, 1] along a panel."""
-        return (1.0 - t) * self.points_a[panel] + t * self.points_b[panel]
 
 
 def boundary_loop(mesh):

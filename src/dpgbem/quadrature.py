@@ -86,6 +86,13 @@ def triangle_corner_rule(order=8, levels=16, collapse=2):
     return _move_collapse(x, y, w, collapse)
 
 
+def barycentric(pts):
+    """Barycentric coordinates (1 - x - y, x, y) of reference points
+    (q, 2); shape (q, 3)."""
+    return np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]],
+                    axis=-1)
+
+
 def _move_collapse(x, y, w, collapse):
     # permute barycentric coordinates so the clustered vertex is `collapse`
     lam = np.stack([1.0 - x - y, x, y], axis=-1)

@@ -117,18 +117,45 @@ def energy_error(blocks, solution):
 
 
 def _error_rules(singular_vertex, mesh):
+    """Field-error quadrature as (triangle indices, rule) groups: degree 6
+    on every element, except that elements touching singular_vertex (if
+    given) use a rule graded toward it, which resolves fractional-power
+    gradient singularities there."""
     base = quadrature.triangle_duffy(4)  # degree 6
-    special = {}
-    if singular_vertex is not None:
-        sv = np.asarray(singular_vertex, dtype=float)
-        verts = mesh.triangle_vertices()
-        for local in range(3):
-            hit = np.nonzero(np.hypot(verts[:, local, 0] - sv[0],
-                                      verts[:, local, 1] - sv[1]) < 1e-13)[0]
-            for t in hit:
-                special[int(t)] = quadrature.triangle_corner_rule(
-                    order=12, levels=20, collapse=local)
-    return base, special
+    if singular_vertex is None:
+        return [(np.arange(mesh.num_triangles), base)]
+    d = mesh.triangle_vertices() - np.asarray(singular_vertex, dtype=float)
+    hit = np.hypot(d[..., 0], d[..., 1]) < 1e-13           # (T, 3)
+    groups = [(np.nonzero(~hit.any(axis=1))[0], base)]
+    for local in range(3):
+        groups.append((np.nonzero(hit[:, local])[0],
+                       quadrature.triangle_corner_rule(
+                           order=12, levels=20, collapse=local)))
+    return groups
+
+
+def field_errors(mesh, exact_u, exact_grad, u_h, grad_h,
+                 singular_vertex=None):
+    """L2(Omega) errors (err_u, err_grad) of a discrete scalar field and a
+    piecewise-constant vector field against an exact solution.
+
+    u_h(tri, bary) evaluates the discrete scalar on the triangles tri at
+    barycentric points bary (q, 3) and returns shape (len(tri), q);
+    grad_h (T, 2) holds the vector field per element.
+    """
+    verts = mesh.triangle_vertices()
+    detJ = mesh.element_map()[1]
+    err_u = err_g = 0.0
+    for tri, (pts, w) in _error_rules(singular_vertex, mesh):
+        phys = quadrature.map_to_physical(verts[tri], pts)
+        x, y = phys[..., 0], phys[..., 1]
+        du = exact_u(x, y) - u_h(tri, quadrature.barycentric(pts))
+        gx, gy = exact_grad(x, y)
+        dgx = np.broadcast_to(gx, x.shape) - grad_h[tri, 0][:, None]
+        dgy = np.broadcast_to(gy, x.shape) - grad_h[tri, 1][:, None]
+        err_u += ((du ** 2) @ w * detJ[tri]).sum()
+        err_g += ((dgx ** 2 + dgy ** 2) @ w * detJ[tri]).sum()
+    return float(np.sqrt(err_u)), float(np.sqrt(err_g))
 
 
 def l2_errors(solution, exact_u, exact_grad, mesh, singular_vertex=None):
@@ -138,43 +165,17 @@ def l2_errors(solution, exact_u, exact_grad, mesh, singular_vertex=None):
     singular_vertex (if given) use a graded rule that resolves
     fractional-power gradient singularities there.
     """
-    base, special = _error_rules(singular_vertex, mesh)
-    verts = mesh.triangle_vertices()
-    areas2 = 2.0 * mesh.areas()
-    u_h = solution.u
-    sig_h = solution.sigma
-
-    def accumulate(tri_idx, rule):
-        pts, w = rule
-        phys = quadrature.map_to_physical(verts[tri_idx], pts)
-        x, y = phys[..., 0], phys[..., 1]
-        du = exact_u(x, y) - u_h[tri_idx, None]
-        gx, gy = exact_grad(x, y)
-        dgx = np.broadcast_to(gx, x.shape) - sig_h[tri_idx, 0][:, None]
-        dgy = np.broadcast_to(gy, x.shape) - sig_h[tri_idx, 1][:, None]
-        eu = (du ** 2) @ w * areas2[tri_idx]
-        es = (dgx ** 2 + dgy ** 2) @ w * areas2[tri_idx]
-        return eu.sum(), es.sum()
-
-    regular = np.array([t for t in range(mesh.num_triangles)
-                        if t not in special], dtype=int)
-    err_u, err_sig = accumulate(regular, base)
-    for t, rule in special.items():
-        eu, es = accumulate(np.array([t]), rule)
-        err_u += eu
-        err_sig += es
-    return float(np.sqrt(err_u)), float(np.sqrt(err_sig))
+    u = solution.u
+    return field_errors(mesh, exact_u, exact_grad,
+                        lambda tri, bary: u[tri, None], solution.sigma,
+                        singular_vertex)
 
 
-def boundary_cauchy_errors(solution, mesh=None, order=8, levels=24):
+def boundary_cauchy_errors(solution, order=8, levels=24):
     """L2(Gamma) norms of the exterior Cauchy data
     (uhat|_Gamma - u0, outward sighat|_Gamma - phi0)."""
-    # mesh is accepted for interface symmetry; the loop carries everything
     loop = solution.loop
-    t, wt = quadrature.graded01_both(order, levels)
-    pa, pb = loop.points_a, loop.points_b
-    pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-    wl = loop.lengths[:, None] * wt[None, :]
+    pts, wl, t = spaces.boundary_quadrature(loop, order, levels)
 
     uh = solution.uhat[loop.vertex_ids]
     nxt = (np.arange(loop.num_panels) + 1) % loop.num_panels

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import quadrature
+from .mesh import REF_HAT_GRADS
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def eval_p2_basis(bary):
     l0, l1, l2 = bary[..., 0], bary[..., 1], bary[..., 2]
     vals = np.stack([l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
                      4 * l0 * l1, 4 * l1 * l2, 4 * l2 * l0], axis=-1)
-    dl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    dl = REF_HAT_GRADS
     g = [
         (4 * l0 - 1)[..., None] * dl[0],
         (4 * l1 - 1)[..., None] * dl[1],
@@ -130,8 +131,10 @@ def side_bary(side, t):
 def boundary_quadrature(loop, order=8, levels=0):
     """Quadrature nodes on all panels of a boundary loop.
 
-    Returns physical points (P, q, 2) and arc-length weights (P, q).
-    With levels > 0 a composite rule graded toward both panel endpoints is
+    Returns physical points (P, q, 2), arc-length weights (P, q) and the
+    panel parameters t (q,) of the nodes, so that the hat functions of a
+    panel's tail and head take the values 1 - t and t there.  With
+    levels > 0 a composite rule graded toward both panel endpoints is
     used, which integrates data with endpoint singularities accurately.
     """
     if levels > 0:
@@ -141,12 +144,12 @@ def boundary_quadrature(loop, order=8, levels=0):
     pa, pb = loop.points_a, loop.points_b
     pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
     wts = loop.lengths[:, None] * w[None, :]
-    return pts, wts
+    return pts, wts, t
 
 
 def project_boundary_p0(loop, fn, order=8, levels=24):
     """Panelwise means of a scalar boundary function fn(x, y)."""
-    pts, wts = boundary_quadrature(loop, order, levels)
+    pts, wts, _ = boundary_quadrature(loop, order, levels)
     vals = fn(pts[..., 0], pts[..., 1])
     return (wts * vals).sum(axis=1) / loop.lengths
 
@@ -154,7 +157,7 @@ def project_boundary_p0(loop, fn, order=8, levels=24):
 def project_boundary_p0_flux(loop, fn, order=8, levels=24):
     """Panelwise means of a normal-flux function fn(x, y, nx, ny), taken
     with the outward panel normal."""
-    pts, wts = boundary_quadrature(loop, order, levels)
+    pts, wts, _ = boundary_quadrature(loop, order, levels)
     nx = loop.normals[:, None, 0]
     ny = loop.normals[:, None, 1]
     vals = fn(pts[..., 0], pts[..., 1], nx, ny)
@@ -165,14 +168,8 @@ def project_boundary_p1(loop, fn, order=8, levels=24):
     """L2 projection of fn(x, y) onto the continuous piecewise linears on
     the boundary loop; returns one coefficient per loop vertex."""
     npan = loop.num_panels
-    if levels > 0:
-        t, w = quadrature.graded01_both(order, levels)
-    else:
-        t, w = quadrature.gauss01(order)
-    pa, pb = loop.points_a, loop.points_b
-    pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
+    pts, wts, t = boundary_quadrature(loop, order, levels)
     vals = fn(pts[..., 0], pts[..., 1])
-    wts = loop.lengths[:, None] * w[None, :]
     rhs = np.zeros(npan)
     np.add.at(rhs, np.arange(npan), (wts * vals * (1.0 - t)[None, :]).sum(axis=1))
     np.add.at(rhs, (np.arange(npan) + 1) % npan, (wts * vals * t[None, :]).sum(axis=1))

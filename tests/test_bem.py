@@ -286,19 +286,16 @@ def dipole(x0, d):
 def dipole_residual_norm(loop, value, gradient):
     """L2(Gamma) norm of V(P0 flux) + (1/2 - K)(P1 trace) for projected
     dipole Cauchy data."""
-    from dpgbem import quadrature as quadr
-
     flux = spaces.project_boundary_p0_flux(
         loop, lambda x, y, nx, ny: sum(g * n for g, n in
                                        zip(gradient(x, y), (nx, ny))))
     trace_v = spaces.project_boundary_p1(loop, value)
     trace = bem.hat_trace_coefs(loop, trace_v)
-    pts, wts = spaces.boundary_quadrature(loop, order=8, levels=12)
+    pts, wts, t = spaces.boundary_quadrature(loop, order=8, levels=12)
     flat = pts.reshape(-1, 2)
     vals = (bem.eval_single_layer(loop, flux, flat)
             - bem.eval_double_layer(loop, trace, flat)).reshape(pts.shape[:2])
     # pointwise (1/2) * trace, interpolated at the same panel parameters
-    t, _ = quadr.graded01_both(8, 12)
     lin = trace[:, 0][:, None] * (1 - t)[None, :] + trace[:, 1][:, None] * t[None, :]
     vals = vals + 0.5 * lin
     return np.sqrt((wts * vals ** 2).sum())

@@ -1,4 +1,6 @@
+import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -142,3 +144,39 @@ def test_main_writes_stdout_when_no_out(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == cli.CSV_HEADER
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
+INT_COLUMNS = ("level", "N", "dim_trial", "dim_test")
+
+
+def read_columns(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_csv_matches_golden_files(domain, tmp_path):
+    # tests/data holds the CLI output of --solver both --levels 4 as written
+    # before the element-geometry / quadrature / error-integrator refactor;
+    # any change that moves the numbers past 1e-12 relative shows here.
+    out = tmp_path / "{}_both_4.csv".format(domain)
+    assert cli.main(["--domain", domain, "--solver", "both", "--levels", "4",
+                     "--out", str(out)]) == 0
+    for suffix in ("", "_agreement"):
+        name = "{}_both_4{}.csv".format(domain, suffix)
+        header, rows = read_columns(tmp_path / name)
+        want_header, want_rows = read_columns(os.path.join(GOLDEN_DIR, name))
+        assert header == want_header
+        assert len(rows) == len(want_rows)
+        for row, want in zip(rows, want_rows):
+            for col, got, ref in zip(header, row, want):
+                if col in INT_COLUMNS:
+                    assert got == ref, (name, col)
+                elif math.isnan(float(ref)):
+                    assert math.isnan(float(got)), (name, col)
+                else:
+                    assert math.isclose(float(got), float(ref),
+                                        rel_tol=1e-12, abs_tol=0.0), \
+                        (name, col, got, ref)

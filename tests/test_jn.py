@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,24 @@ def test_stabilization_is_rank_one_from_column_sums():
               jn.p0_test_rows(mats.half_minus_k()).sum(axis=0))
     g[nv:] = jn.p0_test_rows(mats.V_ps).sum(axis=0)
     assert np.allclose(diff, np.outer(g, g), atol=1e-14)
+
+
+def test_stabilization_assembled_without_dense_outer_product():
+    # the rank-one term lives on the boundary vertices and panels only; a
+    # dense (V+P)^2 temporary would dominate the assembly's peak memory
+    data, _ = cli.manufacture_data("lshape")
+    mesh = cli.initial_mesh("lshape")
+    for _ in range(4):
+        mesh = refine_uniform(mesh)
+    mats = bem.assemble_bem(boundary_loop(mesh))
+    n = mesh.num_vertices + mats.loop.num_panels
+    tracemalloc.start()
+    try:
+        jn.assemble_jn(mesh, data, stabilized=True, bem_mats=mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n * n * 8
 
 
 def test_constant_solution():
@@ -92,7 +112,7 @@ def test_cross_method_agreement_decreases():
         d = solver.piecewise_linear_boundary_norm(
             loop, sol.uhat[loop.vertex_ids] - u_n[loop.vertex_ids])
         et_dpg, ef_dpg = solver.boundary_cauchy_errors(sol)
-        et_jn, ef_jn = jn.jn_boundary_errors(mesh, loop, u_n, phi, data)
+        et_jn, ef_jn = jn.jn_boundary_errors(loop, u_n, phi, data)
         diffs.append(d)
         bounds.append(et_dpg + et_jn)
         # flux agreement: both methods approximate the same exterior flux,
@@ -111,7 +131,7 @@ def test_boundary_errors_decrease():
     for _ in range(3):
         loop = boundary_loop(mesh)
         u_n, phi = jn.solve_jn(jn.assemble_jn(mesh, data))
-        et, ef = jn.jn_boundary_errors(mesh, loop, u_n, phi, data)
+        et, ef = jn.jn_boundary_errors(loop, u_n, phi, data)
         traces.append(et)
         fluxes.append(ef)
         mesh = refine_uniform(mesh)

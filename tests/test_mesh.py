@@ -3,8 +3,10 @@ import io
 import numpy as np
 import pytest
 
+import _oracles
 from dpgbem import (MeshError, boundary_loop, build_mesh, dump_mesh,
                     make_lshape_mesh, make_square_mesh, refine_uniform)
+from dpgbem.cli import initial_mesh
 
 
 def check_invariants(mesh):
@@ -152,3 +154,44 @@ def test_lshape_rejects_bad_arguments():
         make_lshape_mesh(0.5, 1)  # diameter sqrt(2) >= 1
     with pytest.raises(MeshError):
         make_lshape_mesh(-0.25, 2)
+
+
+MESH_ARRAYS = ("vertices", "triangles", "edges", "edge_normals",
+               "edge_lengths", "tri_edges", "tri_edge_signs", "edge_tris",
+               "boundary_edges", "boundary_tails", "boundary_signs")
+
+
+def assert_same_mesh(mesh, ref):
+    for name in MESH_ARRAYS:
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_topology_matches_loop_oracle(domain):
+    mesh = initial_mesh(domain)
+    ref = _oracles.build_mesh(mesh.vertices, mesh.triangles)
+    for _ in range(5):
+        assert_same_mesh(mesh, ref)
+        mesh, ref = refine_uniform(mesh), _oracles.refine_uniform(ref)
+
+
+def test_topology_matches_loop_oracle_on_permuted_triangles():
+    mesh = refine_uniform(make_lshape_mesh(0.25, 2))
+    rng = np.random.default_rng(3)
+    tris = mesh.triangles[rng.permutation(mesh.num_triangles)]
+    # rotate each triangle's corners; keeps them counterclockwise
+    shift = rng.integers(0, 3, size=tris.shape[0])
+    tris = tris[np.arange(tris.shape[0])[:, None],
+                (np.arange(3)[None, :] + shift[:, None]) % 3]
+    assert_same_mesh(build_mesh(mesh.vertices, tris),
+                     _oracles.build_mesh(mesh.vertices, tris))
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    verts = np.array([[0.0, 0.0], [0.1, 0.0], [0.05, 0.1],
+                      [0.05, -0.1], [0.05, 0.2]])
+    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(MeshError, match="shared by >2"):
+        build_mesh(verts, tris)
