@@ -45,7 +45,7 @@ class ProblemData:
 
 
 class BlockGram:
-    """Block-diagonal test-space Gram matrix with per-block factorizations.
+    """Block-diagonal test-space Gram matrix, applied and inverted blockwise.
 
     Blocks: per element the H1 Gram on scalar P2 and the H(div) Gram on
     vector P2, then one global boundary block, the single-layer Gram of
@@ -59,8 +59,8 @@ class BlockGram:
         self.n_tri = Gv.shape[0]
         self.n_psi = bem_mats.G_psi.shape[0]
         try:
-            self._Lv = np.linalg.cholesky(Gv)
-            self._Ltau = np.linalg.cholesky(Gtau)
+            np.linalg.cholesky(Gv)
+            np.linalg.cholesky(Gtau)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("test Gram block not SPD; assembly bug") from exc
 
@@ -81,18 +81,21 @@ class BlockGram:
     def apply(self, vec):
         """G @ vec."""
         rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
-        out = np.concatenate([
+        return np.concatenate([
             np.einsum("tij,tj->ti", self.Gv, rv).ravel(),
             np.einsum("tij,tj->ti", self.Gtau, rt).ravel(),
             self.bem.G_psi @ rp])
-        return out
+
+    def _solve_blocks(self, rv, rt, rp):
+        """Apply the three block inverses to right-hand sides shaped
+        (T, 6, m), (T, 12, m) and (n_psi, ...)."""
+        return (np.linalg.solve(self.Gv, rv), np.linalg.solve(self.Gtau, rt),
+                self.bem.solve_gpsi(rp))
 
     def solve_vec(self, vec):
         """G^{-1} @ vec, applied blockwise."""
         rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
-        sv = np.linalg.solve(self.Gv, rv[..., None])[..., 0]
-        st = np.linalg.solve(self.Gtau, rt[..., None])[..., 0]
-        sp = self.bem.solve_gpsi(rp)
+        sv, st, sp = self._solve_blocks(rv[..., None], rt[..., None], rp)
         return np.concatenate([sv.ravel(), st.ravel(), sp])
 
     def quadratic(self, vec):
@@ -100,50 +103,35 @@ class BlockGram:
         return float(np.dot(vec, self.solve_vec(vec)))
 
     def solve_matrix(self, B):
-        """G^{-1} @ B for a sparse matrix with this row layout."""
+        """G^{-1} @ B for a sparse matrix with this row layout, computed on
+        B's own sparsity pattern.  All rows of one block family must store
+        the same number of columns and the rows of one block the same
+        columns, as assemble_B stores them (explicit zeros included)."""
+        if B.shape[0] != self.dim:
+            raise ValueError("B does not have the test-space row layout")
         B = B.tocsr()
+        if not B.has_sorted_indices:
+            B = B.sorted_indices()
         nt = self.n_tri
-        rows, cols, data = [], [], []
+        sv, st, sp = self._solve_blocks(
+            _block_values(B, 0, nt, 6), _block_values(B, 6 * nt, nt, 12),
+            _block_values(B, 18 * nt, 1, self.n_psi)[0])
+        data = np.concatenate([sv.ravel(), st.ravel(), sp.ravel()])
+        return scipy.sparse.csr_matrix(
+            (data, B.indices.copy(), B.indptr.copy()), shape=B.shape)
 
-        def run_blocks(blocks, start, bs):
-            for t in range(blocks.shape[0]):
-                r0 = start + bs * t
-                i0, i1 = B.indptr[r0], B.indptr[r0 + bs]
-                if i0 == i1:
-                    continue
-                sub_cols = B.indices[i0:i1]
-                uniq, inv = np.unique(sub_cols, return_inverse=True)
-                loc = np.zeros((bs, uniq.size))
-                rep = np.repeat(np.arange(bs), np.diff(B.indptr[r0:r0 + bs + 1]))
-                loc[rep, inv] = B.data[i0:i1]
-                sol = np.linalg.solve(blocks[t], loc)
-                rr, cc = np.meshgrid(np.arange(r0, r0 + bs), uniq, indexing="ij")
-                rows.append(rr.ravel())
-                cols.append(cc.ravel())
-                data.append(sol.ravel())
 
-        run_blocks(self.Gv, 0, 6)
-        run_blocks(self.Gtau, 6 * nt, 12)
-
-        r0 = 18 * nt
-        i0, i1 = B.indptr[r0], B.indptr[-1]
-        if i1 > i0:
-            sub_cols = B.indices[i0:i1]
-            uniq, inv = np.unique(sub_cols, return_inverse=True)
-            loc = np.zeros((self.n_psi, uniq.size))
-            rep = np.repeat(np.arange(self.n_psi), np.diff(B.indptr[r0:]))
-            loc[rep, inv] = B.data[i0:i1]
-            sol = self.bem.solve_gpsi(loc)
-            rr, cc = np.meshgrid(np.arange(r0, r0 + self.n_psi), uniq,
-                                 indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            data.append(sol.ravel())
-
-        W = scipy.sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=B.shape)
-        return W.tocsr()
+def _block_values(B, start, n, bs):
+    """Stored values of the n blocks of bs rows of a CSR matrix B with
+    sorted indices from row start on, shaped (n, bs, k)."""
+    ptr = B.indptr[start:start + n * bs + 1]
+    k = ptr[1] - ptr[0]
+    if np.all(np.diff(ptr) == k):
+        cols = B.indices[ptr[0]:ptr[-1]].reshape(n, bs, k)
+        if np.all(cols == cols[:, :1]):
+            return B.data[ptr[0]:ptr[-1]].reshape(n, bs, k)
+    raise ValueError("rows {}..{} of B do not store one column set per "
+                     "Gram block".format(start, start + n * bs - 1))
 
 
 @dataclass
@@ -160,22 +148,15 @@ class OperatorBlocks:
 # ----------------------------------------------------------------------
 
 _VOL_PTS, _VOL_W = quadrature.triangle_degree4()
+_LOAD_PTS, _LOAD_W = quadrature.triangle_duffy(5)
+_LOAD_VALS = spaces.eval_p2_basis(quadrature.barycentric(_LOAD_PTS))[0]
 _EDGE_T, _EDGE_W = quadrature.gauss01(4)
 
 
-def _edge_basis():
-    vals = np.empty((3, _EDGE_T.size, 6))
-    hats = np.zeros((3, _EDGE_T.size, 3))
-    for s in range(3):
-        b = spaces.side_bary(s, _EDGE_T)
-        vals[s] = spaces.eval_p2_basis(b)[0]
-        hats[s, :, s] = 1.0 - _EDGE_T
-        hats[s, :, (s + 1) % 3] = _EDGE_T
-    return vals, hats
-
-
 _P2_VALS, _P2_GRADS = spaces.eval_p2_basis(quadrature.barycentric(_VOL_PTS))
-_P2_EDGE, _HAT_EDGE = _edge_basis()
+# vertex hats (the barycentrics) and P2 basis at the edge nodes of each side
+_HAT_EDGE = np.stack([spaces.side_bary(s, _EDGE_T) for s in range(3)])
+_P2_EDGE = spaces.eval_p2_basis(_HAT_EDGE)[0]
 
 
 def _p2_gradients(mesh):
@@ -200,12 +181,11 @@ def _element_b_locals(mesh):
     loc[:, 0:6, 0] = int_grad[:, :, 0]
     loc[:, 0:6, 1] = int_grad[:, :, 1]
 
-    # rows 6..17: test tau = e_c N_k; (sigma, tau) and (u, div tau)
-    for k in range(6):
-        for c in range(2):
-            r = 6 + 2 * k + c
-            loc[:, r, c] = int_val[:, k]
-            loc[:, r, 2] = int_grad[:, k, c]
+    # rows 6..17: test tau = e_c N_k in row 6 + 2k + c; (sigma, tau) and
+    # (u, div tau)
+    loc[:, 6:18:2, 0] = int_val
+    loc[:, 7:18:2, 1] = int_val
+    loc[:, 6:18, 2] = int_grad.reshape(ntri, 12)
 
     h_e = mesh.edge_lengths[mesh.tri_edges]            # (T, 3)
     n_e = mesh.edge_normals[mesh.tri_edges]            # (T, 3, 2)
@@ -217,16 +197,13 @@ def _element_b_locals(mesh):
     mom_hv = np.einsum("q,sqj,sqi->sji", _EDGE_W, _HAT_EDGE, _P2_EDGE)  # (3,3,6)
 
     # - <sighat, v>: column 6+s gets -sign * h * int_e N_i
-    for s in range(3):
-        loc[:, 0:6, 6 + s] = -(sgn[:, s] * h_e[:, s])[:, None] * mom_v[s][None, :]
+    loc[:, 0:6, 6:9] = -(sgn * h_e)[:, None, :] * mom_v.T[None]
 
     # - <uhat, tau.n>: column 3+j gets -sum_s h_s (n_out)_c int_e hat_j N_k
     for s in range(3):
-        for j in range(3):
-            contrib = h_e[:, s, None] * mom_hv[s, j][None, :]  # (T, 6)
-            for c in range(2):
-                loc[:, 6 + 2 * np.arange(6) + c, 3 + j] -= \
-                    contrib * n_out[:, s, c][:, None]
+        contrib = h_e[:, s, None, None] * mom_hv[s].T[None]  # (T, 6 k, 3 j)
+        loc[:, 6:18, 3:6] -= (contrib[:, :, None, :]
+                              * n_out[:, s, None, :, None]).reshape(ntri, 12, 3)
     return loc
 
 
@@ -260,20 +237,17 @@ def assemble_B(mesh, trial_layout, test_layout, bem_mats):
 
     loop = bem_mats.loop
     P = loop.num_panels
-    psi_rows = 18 * mesh.num_triangles + np.arange(2 * P)
-    # <V sighat, psi>: global flux dof s_e restricts to sign * s_e on Gamma
-    vb = bem_mats.V_ps * loop.signs[None, :].astype(float)
-    rb_v = np.repeat(psi_rows, P)
-    cb_v = np.tile(trial_layout.sighat(loop.edge_ids), 2 * P)
-    # <(1/2 - K) uhat, psi>: boundary vertex hats
-    kb = bem_mats.half_minus_k()
-    rb_k = np.repeat(psi_rows, P)
-    cb_k = np.tile(trial_layout.uhat(loop.vertex_ids), 2 * P)
+    # <V sighat, psi> (global flux dof s_e restricts to sign * s_e on
+    # Gamma) next to <(1/2 - K) uhat, psi> on the boundary vertex hats
+    gb = np.hstack([bem_mats.V_ps * loop.signs[None, :].astype(float),
+                    bem_mats.half_minus_k()])
+    gcols = np.concatenate([trial_layout.sighat(loop.edge_ids),
+                            trial_layout.uhat(loop.vertex_ids)])
+    rb = np.repeat(18 * mesh.num_triangles + np.arange(2 * P), 2 * P)
 
     B = scipy.sparse.coo_matrix(
-        (np.concatenate([loc.ravel(), vb.ravel(), kb.ravel()]),
-         (np.concatenate([r, rb_v, rb_k]),
-          np.concatenate([c, cb_v, cb_k]))),
+        (np.concatenate([loc.ravel(), gb.ravel()]),
+         (np.concatenate([r, rb]), np.concatenate([c, np.tile(gcols, 2 * P)]))),
         shape=(test_layout.dim, trial_layout.dim))
     return B.tocsr()
 
@@ -286,25 +260,18 @@ def assemble_gram(mesh, test_layout, bem_mats):
         raise ValueError("test layout does not match mesh")
     detJ, gphys = _p2_gradients(mesh)
     w = _VOL_W
-    vals = _P2_VALS
+    mass = np.einsum("q,qi,qj->ij", w, _P2_VALS, _P2_VALS)
     Gv = (np.einsum("q,tqic,tqjc->tij", w, gphys, gphys)
-          + np.einsum("q,qi,qj->ij", w, vals, vals)[None]) * detJ[:, None, None]
+          + mass[None]) * detJ[:, None, None]
 
-    ntri = mesh.num_triangles
-    Gtau = np.zeros((ntri, 12, 12))
-    mass = np.einsum("q,qi,qj->ij", w, vals, vals)
-    for k in range(6):
-        for m in range(6):
-            for c in range(2):
-                Gtau[:, 2 * k + c, 2 * m + c] += mass[k, m] * detJ
-    div = gphys.reshape(ntri, w.size, 12)[:, :, :]  # grad components interleave
     # div(e_c N_k) = d N_k / d x_c lines up with the (k, c) interleaving
-    Gtau += np.einsum("q,tqa,tqb->tab", w, div, div) * detJ[:, None, None]
+    div = gphys.reshape(mesh.num_triangles, w.size, 12)
+    Gtau = (np.kron(mass, np.eye(2))[None] * detJ[:, None, None]
+            + np.einsum("q,tqa,tqb->tab", w, div, div) * detJ[:, None, None])
     return BlockGram(Gv, Gtau, bem_mats)
 
 
-def assemble_load(mesh, test_layout, data, bem_mats, volume_rule=None,
-                  boundary_order=8, boundary_levels=30):
+def assemble_load(mesh, test_layout, data, bem_mats, boundary_order=8):
     """Assemble the load vector: (f, v) per element plus the boundary data
     term <(1/2 - K) u0 + V phi0, psi>.
 
@@ -312,28 +279,24 @@ def assemble_load(mesh, test_layout, data, bem_mats, volume_rule=None,
     of u0 (onto the boundary hats) and phi0 (onto panel constants); the
     mass part integrates u0 directly against the test functions.
     """
-    if volume_rule is None:
-        volume_rule = quadrature.triangle_duffy(5)
-    pts, w = volume_rule
-    vals = spaces.eval_p2_basis(quadrature.barycentric(pts))[0]
     detJ = mesh.element_map()[1]
-    phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
+    phys = quadrature.map_to_physical(mesh.triangle_vertices(), _LOAD_PTS)
     fv = data.f(phys[..., 0], phys[..., 1])
     fv = np.broadcast_to(fv, phys[..., 0].shape)
     ell = np.zeros(test_layout.dim)
     ell[:6 * mesh.num_triangles] = (
-        np.einsum("q,tq,qi->ti", w, fv, vals) * detJ[:, None]).ravel()
+        np.einsum("q,tq,qi->ti", _LOAD_W, fv, _LOAD_VALS) * detJ[:, None]).ravel()
 
     loop = bem_mats.loop
     u0_hat = spaces.project_boundary_p1(loop, data.u0,
                                         order=boundary_order,
-                                        levels=boundary_levels)
+                                        levels=spaces.DATA_LEVELS)
     phi0_p0 = spaces.project_boundary_p0_flux(loop, data.phi0,
                                               order=boundary_order,
-                                              levels=boundary_levels)
+                                              levels=spaces.DATA_LEVELS)
     # direct quadrature of u0 against the boundary test functions
     bpts, wl, t = spaces.boundary_quadrature(loop, boundary_order,
-                                             boundary_levels)
+                                             spaces.DATA_LEVELS)
     u0v = data.u0(bpts[..., 0], bpts[..., 1])
     m0 = (wl * u0v * (1.0 - t)[None, :]).sum(axis=1)
     m1 = (wl * u0v * t[None, :]).sum(axis=1)

@@ -71,8 +71,7 @@ def _p1_load(mesh, f):
     return out
 
 
-def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8,
-                boundary_levels=30):
+def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8):
     """Assemble the coupling system for the given transmission data
     (mapped as in the equivalence with the ultra-weak formulation:
     volume source f, boundary terms phi0 and (1/2 - K)u0)."""
@@ -104,7 +103,7 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8,
     rhs = np.zeros(nv + P)
     rhs[:nv] = _p1_load(mesh, data.f)
     # <phi0, v>_Gamma against the boundary hats
-    pts, wl, t = spaces.boundary_quadrature(loop, quad_order, boundary_levels)
+    pts, wl, t = spaces.boundary_quadrature(loop, quad_order, spaces.DATA_LEVELS)
     ph = data.phi0(pts[..., 0], pts[..., 1], loop.normals[:, None, 0],
                    loop.normals[:, None, 1])
     np.add.at(rhs[:nv], loop.vertex_ids, (wl * ph * (1 - t)[None, :]).sum(axis=1))
@@ -113,7 +112,7 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8,
     u0v = data.u0(pts[..., 0], pts[..., 1])
     mass_u0 = (wl * u0v).sum(axis=1)
     u0_hat = spaces.project_boundary_p1(loop, data.u0, order=quad_order,
-                                        levels=boundary_levels)
+                                        levels=spaces.DATA_LEVELS)
     K00 = p0_test_rows(bem_mats.K_up)
     rhs[nv:] = 0.5 * mass_u0 - K00 @ u0_hat
 
@@ -156,10 +155,11 @@ def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex=None):
                         singular_vertex)
 
 
-def jn_boundary_errors(loop, u_nodal, phi, data, order=8, levels=24):
+def jn_boundary_errors(loop, u_nodal, phi, data):
     """L2(Gamma) norms of the exterior Cauchy data of a coupling solution:
     (u|_Gamma - u0, phi).  Both vanish for data with u^c = 0."""
-    pts, wl, t = spaces.boundary_quadrature(loop, order, levels)
+    pts, wl, t = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
+                                            spaces.ERROR_LEVELS)
     nxt = (np.arange(loop.num_panels) + 1) % loop.num_panels
     uv = u_nodal[loop.vertex_ids]
     lin = uv[:, None] * (1 - t)[None, :] + uv[nxt][:, None] * t[None, :]

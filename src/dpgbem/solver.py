@@ -171,11 +171,12 @@ def l2_errors(solution, exact_u, exact_grad, mesh, singular_vertex=None):
                         singular_vertex)
 
 
-def boundary_cauchy_errors(solution, order=8, levels=24):
+def boundary_cauchy_errors(solution):
     """L2(Gamma) norms of the exterior Cauchy data
     (uhat|_Gamma - u0, outward sighat|_Gamma - phi0)."""
     loop = solution.loop
-    pts, wl, t = spaces.boundary_quadrature(loop, order, levels)
+    pts, wl, t = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
+                                            spaces.ERROR_LEVELS)
 
     uh = solution.uhat[loop.vertex_ids]
     nxt = (np.arange(loop.num_panels) + 1) % loop.num_panels

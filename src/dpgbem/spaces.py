@@ -128,6 +128,12 @@ def side_bary(side, t):
     return np.stack(cols, axis=-1)
 
 
+# graded levels of the panel rule that integrates the transmission data into
+# both solvers' load vectors, and the rule of the boundary error norms
+DATA_LEVELS = 30
+ERROR_ORDER, ERROR_LEVELS = 8, 24
+
+
 def boundary_quadrature(loop, order=8, levels=0):
     """Quadrature nodes on all panels of a boundary loop.
 

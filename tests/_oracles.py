@@ -4,9 +4,15 @@
 loops that derive the edge topology one triangle at a time.  They are
 slow but obviously right, and the vectorized versions in `dpgbem.mesh`
 must reproduce their arrays exactly.
+
+`gram_solve_matrix` is the original per-block loop for G^{-1} B: it
+gathers each Gram block's rows of B into a dense matrix over the union
+of their columns, solves, and scatters back.  The batched
+`BlockGram.solve_matrix` must reproduce its CSR arrays exactly.
 """
 
 import numpy as np
+import scipy.sparse
 
 from dpgbem.errors import MeshError
 from dpgbem.mesh import Mesh
@@ -119,3 +125,33 @@ def refine_uniform(mesh):
                  (mab, mbc, mca)]
     return build_mesh(np.array(vertices, dtype=float),
                       np.array(tris, dtype=int))
+
+
+def gram_solve_matrix(G, B):
+    B = B.tocsr()
+    nt = G.n_tri
+    rows, cols, data = [], [], []
+
+    def solve_block(solve, r0, bs):
+        i0, i1 = B.indptr[r0], B.indptr[r0 + bs]
+        if i0 == i1:
+            return
+        uniq, inv = np.unique(B.indices[i0:i1], return_inverse=True)
+        loc = np.zeros((bs, uniq.size))
+        rep = np.repeat(np.arange(bs), np.diff(B.indptr[r0:r0 + bs + 1]))
+        loc[rep, inv] = B.data[i0:i1]
+        rr, cc = np.meshgrid(np.arange(r0, r0 + bs), uniq, indexing="ij")
+        rows.append(rr.ravel())
+        cols.append(cc.ravel())
+        data.append(solve(loc).ravel())
+
+    for t in range(nt):
+        solve_block(lambda loc: np.linalg.solve(G.Gv[t], loc), 6 * t, 6)
+    for t in range(nt):
+        solve_block(lambda loc: np.linalg.solve(G.Gtau[t], loc),
+                    6 * nt + 12 * t, 12)
+    solve_block(G.bem.solve_gpsi, 18 * nt, G.n_psi)
+    W = scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=B.shape)
+    return W.tocsr()

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import _oracles
 from dpgbem import boundary_loop, make_lshape_mesh, make_square_mesh, refine_uniform
-from dpgbem import bem, dpg_assembly, jn_reference, spaces
+from dpgbem import bem, cli, dpg_assembly, jn_reference, spaces
 from dpgbem.dpg_assembly import ProblemData
 
 
@@ -117,6 +118,66 @@ def test_gram_solve_matrix_matches_dense():
     for j in range(Bd.shape[1]):
         ref[:, j] = blocks.G.solve_vec(Bd[:, j])
     assert np.allclose(W, ref, atol=1e-12)
+
+
+def cli_level_mesh(domain, level):
+    mesh = cli.initial_mesh(domain)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_gram_solve_matrix_matches_loop_oracle(domain):
+    data, _ = cli.manufacture_data(domain)
+    _, _, _, blocks = assemble_all(cli_level_mesh(domain, 2), data)
+    W = blocks.G.solve_matrix(blocks.B)
+    ref = _oracles.gram_solve_matrix(blocks.G, blocks.B)
+    assert np.array_equal(W.data, ref.data)
+    assert np.array_equal(W.indices, ref.indices)
+    assert np.array_equal(W.indptr, ref.indptr)
+
+
+def test_gram_solve_matrix_leaves_argument_unchanged():
+    _, _, _, blocks = assemble_all(cli_level_mesh("square", 1), constant_data())
+    B = blocks.B
+    # the same matrix with the stored entries of every odd row reversed
+    row = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+    perm = np.where(row % 2 == 1,
+                    B.indptr[row + 1] - 1 - (np.arange(B.nnz) - B.indptr[row]),
+                    np.arange(B.nnz))
+    Bu = scipy.sparse.csr_matrix((B.data[perm], B.indices[perm], B.indptr),
+                                 shape=B.shape)
+    assert not Bu.has_sorted_indices
+    before = [Bu.data.copy(), Bu.indices.copy(), Bu.indptr.copy()]
+    W = blocks.G.solve_matrix(Bu)
+    for got, want in zip([Bu.data, Bu.indices, Bu.indptr], before):
+        assert np.array_equal(got, want)
+    assert not Bu.has_sorted_indices
+    assert (W != blocks.G.solve_matrix(B)).nnz == 0
+
+
+@pytest.mark.parametrize("drop", [True, False])
+def test_gram_solve_matrix_rejects_rows_with_other_columns(drop):
+    # row 1 is in element 0's H1 block; give it a column that row 0 of the
+    # block does not store, with (drop) or without removing one of its own
+    _, _, _, blocks = assemble_all(make_square_mesh(0.1, 1), constant_data())
+    B = blocks.B.tolil()
+    own = B.rows[1]
+    new = next(c for c in range(B.shape[1]) if c not in own)
+    if drop:
+        B[1, own[0]] = 0.0
+    B[1, new] = 1.0
+    B = B.tocsr()
+    assert B.indptr[2] - B.indptr[1] == 9 + (not drop)
+    with pytest.raises(ValueError):
+        blocks.G.solve_matrix(B)
+
+
+def test_gram_solve_matrix_rejects_other_row_count():
+    _, _, _, blocks = assemble_all(make_square_mesh(0.1, 1), constant_data())
+    with pytest.raises(ValueError, match="row layout"):
+        blocks.G.solve_matrix(blocks.B[:-1])
 
 
 def test_load_zero_data():
