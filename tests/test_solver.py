@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from dpgbem import NumericalError, boundary_loop, make_lshape_mesh, make_square_mesh
+from dpgbem import (NumericalError, make_lshape_mesh, make_square_mesh,
+                    refine_uniform)
 from dpgbem import bem, cli, dpg_assembly, solver, spaces
 
 
@@ -231,3 +232,66 @@ def test_nonzero_exterior_solution_reconstructed():
         mesh = refine_uniform(mesh)
     assert errs[0] > 2.5 * errs[1] > 2.5 ** 2 * errs[2]
     assert errs[2] < 1e-3
+
+
+def cli_level_mesh(domain, level):
+    mesh = cli.initial_mesh(domain)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_condensed_solve_matches_full_solve(domain, level, monkeypatch):
+    mesh = cli_level_mesh(domain, level)
+    data, _ = cli.manufacture_data(domain)
+    full_solve = solver.solve_spd
+    dims = []
+
+    def spy(A, b):
+        dims.append(A.shape[0])
+        return full_solve(A, b)
+
+    monkeypatch.setattr(solver, "solve_spd", spy)
+    sol, blocks = solver.solve_dpg(mesh, data)
+    assert dims == [mesh.num_vertices + mesh.num_edges]
+    A, b = dpg_assembly.build_normal_equations(blocks.B, blocks.G, blocks.ell)
+    x = full_solve(A, b)
+    assert np.abs(sol.x - x).max() <= 1e-10 * np.abs(x).max()
+
+
+def small_normal_equations():
+    mesh = make_square_mesh(0.1, 1)
+    data, _ = cli.manufacture_data("square")
+    sol, blocks = solver.solve_dpg(mesh, data)
+    A, b = dpg_assembly.build_normal_equations(blocks.B, blocks.G, blocks.ell)
+    return A.tolil(), b, sol.trial_layout
+
+
+@pytest.mark.parametrize("replace", [True, False])
+def test_condensed_solve_rejects_field_row_with_other_columns(replace):
+    # row 0 (sigma_x of element 0) gets a trace column of a vertex that
+    # element 0 does not touch, in place of (replace) or next to one of
+    # its own trace columns
+    A, b, trial = small_normal_equations()
+    own = list(A.rows[0])
+    foreign = next(trial.uhat(v) for v in range(trial.n_vert)
+                   if trial.uhat(v) not in own)
+    if replace:
+        A[0, own[3]] = 0.0
+    A[0, foreign] = 1.0
+    A = A.tocsr()
+    assert A.indptr[1] - A.indptr[0] == 9 + (not replace)
+    with pytest.raises(ValueError, match="9 columns"):
+        solver._solve_condensed(A, b, trial)
+
+
+def test_condensed_solve_rejects_indefinite_field_block():
+    # positive diagonal, but the (sigma_x, sigma_y) minor of element 0 is
+    # indefinite
+    A, b, trial = small_normal_equations()
+    i, j = trial.sigma(0, 0), trial.sigma(0, 1)
+    A[i, j] = A[j, i] = 2.0 * np.sqrt(A[i, i] * A[j, j])
+    with pytest.raises(NumericalError, match="field block"):
+        solver._solve_condensed(A.tocsr(), b, trial)
