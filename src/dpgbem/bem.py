@@ -5,7 +5,10 @@ All panels are straight, so the inner integral of both kernels against a
 P0 or P1 density has a closed form (log / arctangent antiderivatives);
 only the outer (test) integration is numerical.  Coincident panels use the
 fully closed form of the double log integral, and panels sharing a vertex
-use an outer rule graded toward the shared vertex.
+use an outer rule graded toward the shared vertex.  `assemble_bem` runs
+the far field over chunks of target panels because the full
+(target x node x source) kernel arrays would outgrow the dense matrices
+they feed: the chunk size is a memory bound, not a tuning option.
 
 Convention: the double-layer operator is assembled as the plain principal
 value integral (for x on a flat panel the own-panel kernel vanishes
@@ -24,6 +27,10 @@ from . import quadrature
 from .errors import NumericalError
 
 TWO_PI = 2.0 * np.pi
+
+# entries (target panels x outer nodes x source panels) of one far-field
+# chunk in assemble_bem
+FAR_CHUNK_ENTRIES = 1 << 15
 
 
 # ----------------------------------------------------------------------
@@ -114,25 +121,15 @@ def _dlp_inner_basis(points, pa, pb, lengths):
 # closed forms
 # ----------------------------------------------------------------------
 
-def _coincident_slp_block(h, order_a, order_b):
+def _coincident_slp_block(h):
+    """Single-layer blocks of the P1 panel basis against itself for panel
+    lengths h; shape h.shape + (2, 2)."""
     # from int_0^1 int_0^1 log|s-t| s^m t^n = -3/2, -3/4, -3/4, -7/16
     L = np.log(h)
     c = h * h / TWO_PI
-    if order_a == 0 and order_b == 0:
-        return np.array([[c * (1.5 - L)]])
-    if order_a == 0 and order_b == 1:
-        return np.full((1, 2), c * (0.75 - 0.5 * L))
-    if order_a == 1 and order_b == 0:
-        return np.full((2, 1), c * (0.75 - 0.5 * L))
     diag = c * (7.0 / 16.0 - 0.25 * L)
     off = c * (5.0 / 16.0 - 0.25 * L)
-    return np.array([[diag, off], [off, diag]])
-
-
-def _test_weights(order, t, w, h):
-    if order == 0:
-        return np.ones((1, t.size)) * (w * h)
-    return np.stack([1.0 - t, t]) * (w * h)
+    return np.stack([np.stack([diag, off], -1), np.stack([off, diag], -1)], -2)
 
 
 # ----------------------------------------------------------------------
@@ -175,50 +172,56 @@ def assemble_bem(loop, quad_order=8):
     P = loop.num_panels
     pa, pb = loop.points_a, loop.points_b
     lengths = loop.lengths
-    order_far = max(16, 2 * quad_order)
-    t_far, w_far = quadrature.gauss01(order_far)
+    t_far, w_far = quadrature.gauss01(max(16, 2 * quad_order))
     t_gr, w_gr = quadrature.graded01(quad_order, 30, end=0)
+    idx = np.arange(P)
+    nxt = (idx + 1) % P
+    near = np.stack([(idx - 1) % P, nxt], axis=1)   # sharing tail / head
+    t_near = np.stack([t_gr, 1.0 - t_gr])            # (side, q)
+    basis_near = np.stack([1.0 - t_near, t_near], axis=1)
+    basis_far = np.stack([1.0 - t_far, t_far])
+    G_own = _coincident_slp_block(lengths)
+    d = pb - pa
 
-    G = np.zeros((2 * P, 2 * P))
-    K = np.zeros((2 * P, P))
-    M = np.zeros((2 * P, P))
-    nb = np.arange(P)
-    prev = (nb - 1) % P
-    nxt = (nb + 1) % P
+    G = np.empty((P, 2, P, 2))
+    K = np.empty((2 * P, P))
+    step = max(1, FAR_CHUNK_ENTRIES // (t_far.size * P))
+    for i0 in range(0, P, step):
+        i = idx[i0:i0 + step]
+        r = np.arange(i.size)
 
-    for i in range(P):
-        # far-field pass for all source panels at the target's Gauss nodes
-        xs = pa[i] + t_far[:, None] * (pb[i] - pa[i])
-        Sb = _slp_inner_basis(xs, pa, pb, lengths)       # (q, P, 2)
-        Db = _dlp_inner_basis(xs, pa, pb, lengths)
-        tw = _test_weights(1, t_far, w_far, lengths[i])  # (2, q)
-        Gblk = np.einsum("aq,qjb->ajb", tw, Sb)
-        Kblk = np.einsum("aq,qjb->ajb", tw, Db)
+        # far field: all source panels at the targets' Gauss nodes
+        xs = pa[i, None] + t_far[:, None] * d[i, None]           # (c, q, 2)
+        tw = basis_far * (w_far * lengths[i, None])[:, None]     # (c, 2, q)
+        Gc = np.einsum("caq,cqjb->cajb", tw,
+                       _slp_inner_basis(xs, pa, pb, lengths))
+        Dc = np.einsum("caq,cqjb->cajb", tw,
+                       _dlp_inner_basis(xs, pa, pb, lengths))
 
-        # graded fix-up for the neighbours sharing a vertex with panel i
-        for j, end in ((int(prev[i]), 0), (int(nxt[i]), 1)):
-            tt = t_gr if end == 0 else 1.0 - t_gr
-            xs_n = pa[i] + tt[:, None] * (pb[i] - pa[i])
-            Sn = _slp_inner_basis(xs_n, pa[j][None], pb[j][None],
-                                  lengths[j][None])[:, 0, :]
-            Dn = _dlp_inner_basis(xs_n, pa[j][None], pb[j][None],
-                                  lengths[j][None])[:, 0, :]
-            twn = _test_weights(1, tt, w_gr, lengths[i])
-            Gblk[:, j, :] = twn @ Sn
-            Kblk[:, j, :] = twn @ Dn
+        # vertex-sharing neighbours: outer rule graded toward the shared
+        # vertex, one source panel per (target, side)
+        j = near[i]
+        xs = pa[i, None, None] + t_near[..., None] * d[i, None, None]
+        src = (pa[j][:, :, None, None], pb[j][:, :, None, None],
+               lengths[j][:, :, None, None])
+        tw = basis_near * (w_gr * lengths[i, None])[:, None, None]
+        Gc[r[:, None], :, j] = tw @ _slp_inner_basis(xs, *src)[..., 0, :]
+        Dc[r[:, None], :, j] = tw @ _dlp_inner_basis(xs, *src)[..., 0, :]
 
         # closed form on the panel itself; own double layer vanishes
-        Gblk[:, i, :] = _coincident_slp_block(lengths[i], 1, 1)
-        Kblk[:, i, :] = 0.0
+        Gc[r, :, i] = G_own[i]
+        Dc[r, :, i] = 0.0
+        G[i] = Gc
+        # hat j collects the tail end of panel j and the head end of j-1
+        K[2 * i0:2 * (i0 + i.size)] = (
+            Dc[..., 0] + np.roll(Dc[..., 1], 1, axis=-1)).reshape(-1, P)
+    G = G.reshape(2 * P, 2 * P)
 
-        rows = slice(2 * i, 2 * i + 2)
-        G[rows, :] = Gblk.reshape(2, 2 * P)
-        np.add.at(K[rows, :], (slice(None), nb), Kblk[:, :, 0])
-        np.add.at(K[rows, :], (slice(None), nxt), Kblk[:, :, 1])
-        M[2 * i, i] = lengths[i] / 3.0
-        M[2 * i, int(nxt[i])] = lengths[i] / 6.0
-        M[2 * i + 1, i] = lengths[i] / 6.0
-        M[2 * i + 1, int(nxt[i])] = lengths[i] / 3.0
+    M = np.zeros((2 * P, P))
+    M[2 * idx, idx] = lengths / 3.0
+    M[2 * idx, nxt] = lengths / 6.0
+    M[2 * idx + 1, idx] = lengths / 6.0
+    M[2 * idx + 1, nxt] = lengths / 3.0
 
     Vps = G[:, 0::2] + G[:, 1::2]
     try:

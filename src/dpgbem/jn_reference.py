@@ -28,7 +28,7 @@ from . import bem as bem_mod
 from . import quadrature, spaces
 from .errors import NumericalError
 from .mesh import boundary_loop
-from .solver import field_errors
+from .solver import field_errors, trace_error
 
 
 @dataclass
@@ -158,12 +158,6 @@ def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex=None):
 def jn_boundary_errors(loop, u_nodal, phi, data):
     """L2(Gamma) norms of the exterior Cauchy data of a coupling solution:
     (u|_Gamma - u0, phi).  Both vanish for data with u^c = 0."""
-    pts, wl, t = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                            spaces.ERROR_LEVELS)
-    nxt = (np.arange(loop.num_panels) + 1) % loop.num_panels
-    uv = u_nodal[loop.vertex_ids]
-    lin = uv[:, None] * (1 - t)[None, :] + uv[nxt][:, None] * t[None, :]
-    dtr = lin - data.u0(pts[..., 0], pts[..., 1])
-    err_trace = float(np.sqrt((wl * dtr ** 2).sum()))
+    err_trace = trace_error(loop, u_nodal[loop.vertex_ids], data.u0)
     err_flux = float(np.sqrt((loop.lengths * phi ** 2).sum()))
     return err_trace, err_flux

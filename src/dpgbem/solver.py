@@ -208,6 +208,17 @@ def field_errors(mesh, exact_u, exact_grad, u_h, grad_h,
     return float(np.sqrt(err_u)), float(np.sqrt(err_g))
 
 
+def trace_error(loop, vertex_vals, exact_u):
+    """L2(Gamma) error of the piecewise-linear boundary function with the
+    given loop-vertex values against exact_u(x, y)."""
+    pts, wl, t = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
+                                            spaces.ERROR_LEVELS)
+    ends = bem_mod.hat_trace_coefs(loop, vertex_vals)
+    lin = ends[:, 0, None] * (1.0 - t)[None, :] + ends[:, 1, None] * t[None, :]
+    d = lin - exact_u(pts[..., 0], pts[..., 1])
+    return float(np.sqrt((wl * d ** 2).sum()))
+
+
 def l2_errors(solution, exact_u, exact_grad, mesh, singular_vertex=None):
     """L2(Omega) errors of the field variables: (err_u, err_sigma).
 
@@ -225,21 +236,16 @@ def boundary_cauchy_errors(solution):
     """L2(Gamma) norms of the exterior Cauchy data
     (uhat|_Gamma - u0, outward sighat|_Gamma - phi0)."""
     loop = solution.loop
-    pts, wl, t = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
+    err_trace = trace_error(loop, solution.uhat[loop.vertex_ids],
+                            solution.data.u0)
+    pts, wl, _ = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
                                             spaces.ERROR_LEVELS)
-
-    uh = solution.uhat[loop.vertex_ids]
-    nxt = (np.arange(loop.num_panels) + 1) % loop.num_panels
-    lin = uh[:, None] * (1.0 - t)[None, :] + uh[nxt][:, None] * t[None, :]
-    dtrace = lin - solution.data.u0(pts[..., 0], pts[..., 1])
-    err_trace = np.sqrt((wl * dtrace ** 2).sum())
-
     sig = (loop.signs * solution.sighat[loop.edge_ids])[:, None]
     phi0 = solution.data.phi0(pts[..., 0], pts[..., 1],
                               loop.normals[:, None, 0],
                               loop.normals[:, None, 1])
     err_flux = np.sqrt((wl * (sig - phi0) ** 2).sum())
-    return float(err_trace), float(err_flux)
+    return err_trace, float(err_flux)
 
 
 def eval_exterior_field(solution, points):
@@ -260,8 +266,7 @@ def eval_exterior_field(solution, points):
 def piecewise_linear_boundary_norm(loop, vertex_vals):
     """Exact L2(Gamma) norm of the piecewise-linear boundary function with
     the given loop-vertex values."""
-    a = np.asarray(vertex_vals, dtype=float)
-    b = a[(np.arange(loop.num_panels) + 1) % loop.num_panels]
+    a, b = bem_mod.hat_trace_coefs(loop, vertex_vals).T
     return float(np.sqrt((loop.lengths * (a * a + a * b + b * b) / 3.0).sum()))
 
 

@@ -113,12 +113,6 @@ def eval_p2_basis(bary):
     return vals, np.stack(g, axis=-2)
 
 
-def eval_trace_p1(t):
-    """Linear Lagrange basis on an edge, parameter t in [0, 1]: (1-t, t)."""
-    t = np.asarray(t, dtype=float)
-    return np.stack([1.0 - t, t], axis=-1)
-
-
 def side_bary(side, t):
     """Barycentric coordinates along local side s (from local vertex s to
     s+1 mod 3) at edge parameter t."""
@@ -187,47 +181,3 @@ def project_boundary_p1(loop, fn, order=8, levels=24):
     mass[(k + 1) % npan, k] += h / 6.0
     mass[(k + 1) % npan, (k + 1) % npan] += h / 3.0
     return scipy.linalg.solve(mass, rhs, assume_a="pos")
-
-
-def interpolate_trial(exact_u, exact_grad_u, exact_flux, mesh, layout,
-                      volume_rule=None, edge_order=6, edge_levels=24):
-    """Interpolate an exact solution into the trial space.
-
-    sigma and u are elementwise mean values (sigma from exact_flux), uhat
-    interpolates exact_u at the vertices, and sighat is the edge mean of
-    exact_grad_u dotted with the global edge normal.
-
-    exact_u(x, y) -> scalar, exact_grad_u(x, y) and exact_flux(x, y) ->
-    pair of arrays (gx, gy); all numpy-vectorized.
-    """
-    if volume_rule is None:
-        volume_rule = quadrature.triangle_duffy(6)
-    pts, w = volume_rule
-    coeffs = np.zeros(layout.dim)
-
-    phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
-    x, y = phys[..., 0], phys[..., 1]
-    wsum = w.sum()
-    uvals = exact_u(x, y)
-    coeffs[2 * layout.n_tri:3 * layout.n_tri] = uvals @ w / wsum
-    gx, gy = exact_flux(x, y)
-    gx = np.broadcast_to(gx, x.shape)
-    gy = np.broadcast_to(gy, x.shape)
-    sig = np.stack([gx @ w, gy @ w], axis=1) / wsum
-    coeffs[:2 * layout.n_tri] = sig.ravel()
-
-    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    off = 3 * layout.n_tri
-    coeffs[off:off + layout.n_vert] = exact_u(vx, vy)
-
-    t, wt = quadrature.graded01_both(edge_order, edge_levels)
-    pa = mesh.vertices[mesh.edges[:, 0]]
-    pb = mesh.vertices[mesh.edges[:, 1]]
-    epts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-    gx, gy = exact_grad_u(epts[..., 0], epts[..., 1])
-    gx = np.broadcast_to(gx, epts[..., 0].shape)
-    gy = np.broadcast_to(gy, epts[..., 0].shape)
-    gn = gx * mesh.edge_normals[:, None, 0] + gy * mesh.edge_normals[:, None, 1]
-    off = 3 * layout.n_tri + layout.n_vert
-    coeffs[off:] = gn @ wt
-    return coeffs

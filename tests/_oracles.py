@@ -19,11 +19,20 @@ The pairwise panel-integral API (`BoundaryPanel`, `slp_panel_integral`,
 panel pair, and `eval_potentials` evaluates layer potentials of callable
 densities by adaptive panel subdivision.  Tests check the analytic
 formulas and the assembled matrices of `dpgbem.bem` against them.
+
+`assemble_bem` is the original per-panel loop over target panels, with a
+second loop over the two vertex-sharing neighbours; the batched
+`dpgbem.bem.assemble_bem` must reproduce its matrices exactly.
+
+`interpolate_trial` puts an exact solution into the trial space
+(element means, vertex values, edge-mean fluxes), and `eval_trace_p1` is
+the linear Lagrange basis on an edge.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from dpgbem import bem, quadrature
@@ -259,6 +268,82 @@ def _panel_gap(p, q):
     return float(np.sqrt((d ** 2).sum(-1)).min())
 
 
+def coincident_slp_block(h, order_a, order_b):
+    # from int_0^1 int_0^1 log|s-t| s^m t^n = -3/2, -3/4, -3/4, -7/16
+    L = np.log(h)
+    c = h * h / bem.TWO_PI
+    if order_a == 0 and order_b == 0:
+        return np.array([[c * (1.5 - L)]])
+    if order_a == 0 and order_b == 1:
+        return np.full((1, 2), c * (0.75 - 0.5 * L))
+    if order_a == 1 and order_b == 0:
+        return np.full((2, 1), c * (0.75 - 0.5 * L))
+    diag = c * (7.0 / 16.0 - 0.25 * L)
+    off = c * (5.0 / 16.0 - 0.25 * L)
+    return np.array([[diag, off], [off, diag]])
+
+
+def _test_weights(order, t, w, h):
+    if order == 0:
+        return np.ones((1, t.size)) * (w * h)
+    return np.stack([1.0 - t, t]) * (w * h)
+
+
+def assemble_bem(loop, quad_order=8):
+    P = loop.num_panels
+    pa, pb = loop.points_a, loop.points_b
+    lengths = loop.lengths
+    order_far = max(16, 2 * quad_order)
+    t_far, w_far = quadrature.gauss01(order_far)
+    t_gr, w_gr = quadrature.graded01(quad_order, 30, end=0)
+
+    G = np.zeros((2 * P, 2 * P))
+    K = np.zeros((2 * P, P))
+    M = np.zeros((2 * P, P))
+    nb = np.arange(P)
+    prev = (nb - 1) % P
+    nxt = (nb + 1) % P
+
+    for i in range(P):
+        # far-field pass for all source panels at the target's Gauss nodes
+        xs = pa[i] + t_far[:, None] * (pb[i] - pa[i])
+        Sb = bem._slp_inner_basis(xs, pa, pb, lengths)   # (q, P, 2)
+        Db = bem._dlp_inner_basis(xs, pa, pb, lengths)
+        tw = _test_weights(1, t_far, w_far, lengths[i])  # (2, q)
+        Gblk = np.einsum("aq,qjb->ajb", tw, Sb)
+        Kblk = np.einsum("aq,qjb->ajb", tw, Db)
+
+        # graded fix-up for the neighbours sharing a vertex with panel i
+        for j, end in ((int(prev[i]), 0), (int(nxt[i]), 1)):
+            tt = t_gr if end == 0 else 1.0 - t_gr
+            xs_n = pa[i] + tt[:, None] * (pb[i] - pa[i])
+            Sn = bem._slp_inner_basis(xs_n, pa[j][None], pb[j][None],
+                                      lengths[j][None])[:, 0, :]
+            Dn = bem._dlp_inner_basis(xs_n, pa[j][None], pb[j][None],
+                                      lengths[j][None])[:, 0, :]
+            twn = _test_weights(1, tt, w_gr, lengths[i])
+            Gblk[:, j, :] = twn @ Sn
+            Kblk[:, j, :] = twn @ Dn
+
+        # closed form on the panel itself; own double layer vanishes
+        Gblk[:, i, :] = coincident_slp_block(lengths[i], 1, 1)
+        Kblk[:, i, :] = 0.0
+
+        rows = slice(2 * i, 2 * i + 2)
+        G[rows, :] = Gblk.reshape(2, 2 * P)
+        np.add.at(K[rows, :], (slice(None), nb), Kblk[:, :, 0])
+        np.add.at(K[rows, :], (slice(None), nxt), Kblk[:, :, 1])
+        M[2 * i, i] = lengths[i] / 3.0
+        M[2 * i, int(nxt[i])] = lengths[i] / 6.0
+        M[2 * i + 1, i] = lengths[i] / 6.0
+        M[2 * i + 1, int(nxt[i])] = lengths[i] / 3.0
+
+    Vps = G[:, 0::2] + G[:, 1::2]
+    chol = scipy.linalg.cholesky(0.5 * (G + G.T), lower=True)
+    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G,
+                           G_psi_chol=chol)
+
+
 def slp_panel_integral(panel_a, panel_b, order_a, order_b):
     """Galerkin single-layer block between two panels,
     entries int_a int_b G(x - y) test_i(x) trial_j(y).
@@ -268,14 +353,14 @@ def slp_panel_integral(panel_a, panel_b, order_a, order_b):
     """
     relation, end = _panel_relation(panel_a, panel_b)
     if relation == "coincident":
-        return bem._coincident_slp_block(panel_a.length, order_a, order_b)
+        return coincident_slp_block(panel_a.length, order_a, order_b)
     t, w = _outer_rule(relation, end, panel_a, panel_b, 8)
     xs = panel_a.a + t[:, None] * (panel_a.b - panel_a.a)
     inner = bem._slp_inner_basis(xs, panel_b.a[None, :], panel_b.b[None, :],
                              np.array([panel_b.length]))[:, 0, :]
     if order_b == 0:
         inner = inner.sum(axis=1, keepdims=True)
-    tw = bem._test_weights(order_a, t, w, panel_a.length)
+    tw = _test_weights(order_a, t, w, panel_a.length)
     return tw @ inner
 
 
@@ -296,7 +381,7 @@ def dlp_panel_integral(panel_x, panel_y, order_x=1, order_y=1):
                              np.array([panel_y.length]))[:, 0, :]
     if order_y == 0:
         inner = inner.sum(axis=1, keepdims=True)
-    tw = bem._test_weights(order_x, t, w, panel_x.length)
+    tw = _test_weights(order_x, t, w, panel_x.length)
     return tw @ inner
 
 
@@ -370,3 +455,53 @@ def _numeric_layer_eval(loop, fn, point, kind, order):
                 ker = (d @ nrm) / (bem.TWO_PI * r2)
             total += ln * np.dot(w, vals * ker)
     return total
+
+
+def eval_trace_p1(t):
+    """Linear Lagrange basis on an edge, parameter t in [0, 1]: (1-t, t)."""
+    t = np.asarray(t, dtype=float)
+    return np.stack([1.0 - t, t], axis=-1)
+
+
+def interpolate_trial(exact_u, exact_grad_u, exact_flux, mesh, layout,
+                      volume_rule=None, edge_order=6, edge_levels=24):
+    """Interpolate an exact solution into the trial space.
+
+    sigma and u are elementwise mean values (sigma from exact_flux), uhat
+    interpolates exact_u at the vertices, and sighat is the edge mean of
+    exact_grad_u dotted with the global edge normal.
+
+    exact_u(x, y) -> scalar, exact_grad_u(x, y) and exact_flux(x, y) ->
+    pair of arrays (gx, gy); all numpy-vectorized.
+    """
+    if volume_rule is None:
+        volume_rule = quadrature.triangle_duffy(6)
+    pts, w = volume_rule
+    coeffs = np.zeros(layout.dim)
+
+    phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
+    x, y = phys[..., 0], phys[..., 1]
+    wsum = w.sum()
+    uvals = exact_u(x, y)
+    coeffs[2 * layout.n_tri:3 * layout.n_tri] = uvals @ w / wsum
+    gx, gy = exact_flux(x, y)
+    gx = np.broadcast_to(gx, x.shape)
+    gy = np.broadcast_to(gy, x.shape)
+    sig = np.stack([gx @ w, gy @ w], axis=1) / wsum
+    coeffs[:2 * layout.n_tri] = sig.ravel()
+
+    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    off = 3 * layout.n_tri
+    coeffs[off:off + layout.n_vert] = exact_u(vx, vy)
+
+    t, wt = quadrature.graded01_both(edge_order, edge_levels)
+    pa = mesh.vertices[mesh.edges[:, 0]]
+    pb = mesh.vertices[mesh.edges[:, 1]]
+    epts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
+    gx, gy = exact_grad_u(epts[..., 0], epts[..., 1])
+    gx = np.broadcast_to(gx, epts[..., 0].shape)
+    gy = np.broadcast_to(gy, epts[..., 0].shape)
+    gn = gx * mesh.edge_normals[:, None, 0] + gy * mesh.edge_normals[:, None, 1]
+    off = 3 * layout.n_tri + layout.n_vert
+    coeffs[off:] = gn @ wt
+    return coeffs

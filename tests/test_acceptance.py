@@ -136,8 +136,8 @@ def test_criterion_6_dpg_algebra_suite():
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
         sol = solver.Solution(mesh=mesh, trial_layout=trial, data=data_i,
                               loop=mats.loop, x=x)
-        c = spaces.interpolate_trial(exact_i.u, exact_i.grad, exact_i.grad,
-                                     mesh, trial)
+        c = _oracles.interpolate_trial(exact_i.u, exact_i.grad,
+                                       exact_i.grad, mesh, trial)
         assert solver.energy_error(blocks, sol) <= solver.energy_error(blocks, c)
 
     # constant-data consistency solved exactly

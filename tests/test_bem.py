@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import nquad, quad
 
 import _oracles
-from dpgbem import (MeshError, boundary_loop, make_lshape_mesh,
+from dpgbem import (MeshError, boundary_loop, build_mesh, make_lshape_mesh,
                     make_square_mesh, refine_uniform)
-from dpgbem import bem, spaces
+from dpgbem import bem, cli, spaces
 
 
 def panel(a, b):
@@ -231,6 +235,70 @@ def test_mass_matrix_values(square_loop, square_bem):
     assert square_bem.M_up[0, 0] == pytest.approx(h / 3.0)
     assert square_bem.M_up[1, 0] == pytest.approx(h / 6.0)
     assert square_bem.M_up.sum() == pytest.approx(square_loop.total_length)
+
+
+def level_loops(domain, levels):
+    """Boundary loops of the CLI meshes at levels 0 .. levels-1."""
+    mesh = cli.initial_mesh(domain)
+    loops = [boundary_loop(mesh)]
+    for _ in range(levels - 1):
+        mesh = refine_uniform(mesh)
+        loops.append(boundary_loop(mesh))
+    return loops
+
+
+BEM_FIELDS = ("V_ps", "K_up", "M_up", "G_psi", "G_psi_chol")
+
+
+@pytest.mark.parametrize("domain, levels", [("square", 5), ("lshape", 6)],
+                         ids=["square", "lshape"])
+def test_assemble_bem_matches_loop_oracle(domain, levels):
+    # P up to 256 on the square and 512 on the L-shape
+    for loop in level_loops(domain, levels):
+        got = bem.assemble_bem(loop)
+        ref = _oracles.assemble_bem(loop)
+        for name in BEM_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), \
+                (loop.num_panels, name)
+
+
+def test_assemble_bem_peak_memory_within_loop_oracle():
+    def peak_mb(assemble, loop):
+        tracemalloc.start()
+        try:
+            assemble(loop)
+            return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        finally:
+            tracemalloc.stop()
+
+    for domain, levels in (("lshape", 6), ("square", 5)):
+        loop = level_loops(domain, levels)[-1]
+        assert (peak_mb(bem.assemble_bem, loop)
+                <= peak_mb(_oracles.assemble_bem, loop) + 4.0), domain
+
+
+@pytest.fixture(scope="module")
+def level2_meshes():
+    meshes = []
+    for domain in ("square", "lshape"):
+        mesh = refine_uniform(refine_uniform(cli.initial_mesh(domain)))
+        meshes.append((mesh, bem.assemble_bem(boundary_loop(mesh))))
+    return meshes
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(0.0, 2.0 * np.pi),
+       shift=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)))
+def test_bem_matrices_invariant_under_rigid_motions(level2_meshes, theta,
+                                                    shift):
+    c, s = np.cos(theta), np.sin(theta)
+    for mesh, ref in level2_meshes:
+        verts = mesh.vertices @ np.array([[c, s], [-s, c]]) + np.array(shift)
+        moved = bem.assemble_bem(boundary_loop(build_mesh(verts,
+                                                          mesh.triangles)))
+        for name in BEM_FIELDS[:-1]:
+            a, b = getattr(moved, name), getattr(ref, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_constant_field_consistency():
     mats, trial, test, blocks = assemble_all(mesh, constant_data())
     ones = lambda x, y: np.ones_like(x)
     zg = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
-    c = spaces.interpolate_trial(ones, zg, zg, mesh, trial)
+    c = _oracles.interpolate_trial(ones, zg, zg, mesh, trial)
     res = blocks.B @ c - blocks.ell
     assert np.abs(res).max() < 1e-12
 
@@ -320,7 +320,7 @@ def test_consistency_decay_of_interpolant_residual():
     res = []
     for lvl in range(3):
         _, trial, _, blocks = assemble_all(mesh, data)
-        c = spaces.interpolate_trial(u, gradf, gradf, mesh, trial)
+        c = _oracles.interpolate_trial(u, gradf, gradf, mesh, trial)
         r = blocks.ell - blocks.B @ c
         res.append(np.sqrt(blocks.G.quadratic(r)))
         mesh = refine_uniform(mesh)
