@@ -3,12 +3,12 @@
 as an independent reference solver."""
 
 from .errors import ConfigError, MeshError, NumericalError
-from .mesh import (Mesh, BoundaryLoop, build_mesh, boundary_loop, dump_mesh,
+from .mesh import (Mesh, BoundaryLoop, build_mesh, boundary_loop,
                    make_lshape_mesh, make_square_mesh, refine_uniform)
 
 __all__ = [
     "ConfigError", "MeshError", "NumericalError",
-    "Mesh", "BoundaryLoop", "build_mesh", "boundary_loop", "dump_mesh",
+    "Mesh", "BoundaryLoop", "build_mesh", "boundary_loop",
     "make_lshape_mesh", "make_square_mesh", "refine_uniform",
 ]
 

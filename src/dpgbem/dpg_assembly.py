@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from . import quadrature, spaces
 from .errors import NumericalError
@@ -102,62 +101,39 @@ class BlockGram:
         """vec . G^{-1} vec (the dual-norm square of a residual)."""
         return float(np.dot(vec, self.solve_vec(vec)))
 
-    def _solve_stored(self, B, ell=None):
-        """G^{-1} [B | ell] on B's stored values, one block family at a
-        time (H1, H(div), boundary).  B is a CSR matrix with sorted indices
-        in which all rows of one block family store the same number of
-        columns and the rows of one block the same columns, as assemble_B
-        stores them (explicit zeros included).
 
-        Returns, per family, B's column set per block (n, k), B's values
-        (n, bs, k) and the solved values (n, bs, k), or (n, bs, k + 1) with
-        G^{-1} ell in the last column."""
-        if B.shape[0] != self.dim:
-            raise ValueError("B does not have the test-space row layout")
-        nt = self.n_tri
-        fams = [_block_values(B, 0, nt, 6), _block_values(B, 6 * nt, nt, 12),
-                _block_values(B, 18 * nt, 1, self.n_psi)]
-        rhs = [v for _, v in fams]
-        if ell is not None:
-            rhs = [np.concatenate([v, e.reshape(v.shape[:2] + (1,))], axis=2)
-                   for v, e in zip(rhs, self._parts(np.asarray(ell, float)))]
-        sv, st, sp = self._solve_blocks(rhs[0], rhs[1], rhs[2][0])
-        return [(c, v, s) for (c, v), s in zip(fams, (sv, st, sp[None]))]
+@dataclass
+class BlockOperator:
+    """The coupled operator B, kept per Gram block as it is assembled:
+    local (T, 18, 9) maps element t's trial columns cols[t] (sigma_x,
+    sigma_y, u, uhat at its vertices, sighat on its edges) to its 6 H1
+    and 12 H(div) test rows, and gamma (2P, 2P) maps the trial columns
+    gamma_cols (sighat on the loop edges, uhat at the loop vertices) to
+    the boundary rows.  shape is (test dim, trial dim)."""
 
-    def solve_matrix(self, B):
-        """G^{-1} @ B for a sparse matrix with this row layout, computed on
-        B's own sparsity pattern (see _solve_stored for the layout)."""
-        B = _sorted_csr(B)
-        data = np.concatenate([s.ravel() for _, _, s in self._solve_stored(B)])
-        return scipy.sparse.csr_matrix(
-            (data, B.indices.copy(), B.indptr.copy()), shape=B.shape)
+    local: np.ndarray
+    cols: np.ndarray
+    gamma: np.ndarray
+    gamma_cols: np.ndarray
+    shape: tuple
 
+    @property
+    def nnz(self):
+        """Stored entries, explicit zeros included."""
+        return self.local.size + self.gamma.size
 
-def _sorted_csr(B):
-    """B as CSR with sorted indices; a copy if B had to be converted or
-    sorted, so the argument is never modified."""
-    B = B.tocsr()
-    return B if B.has_sorted_indices else B.sorted_indices()
-
-
-def _block_values(B, start, n, bs):
-    """Column set (n, k) and stored values (n, bs, k) of the n blocks of
-    bs rows of a CSR matrix B with sorted indices, from row start on."""
-    ptr = B.indptr[start:start + n * bs + 1]
-    k = ptr[1] - ptr[0]
-    if np.all(np.diff(ptr) == k):
-        cols = B.indices[ptr[0]:ptr[-1]].reshape(n, bs, k)
-        if np.all(cols == cols[:, :1]):
-            return cols[:, 0], B.data[ptr[0]:ptr[-1]].reshape(n, bs, k)
-    raise ValueError("rows {}..{} of B do not store one column set per "
-                     "Gram block".format(start, start + n * bs - 1))
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        y = np.einsum("tij,tj->ti", self.local, x[self.cols])
+        return np.concatenate([y[:, :6].ravel(), y[:, 6:].ravel(),
+                               self.gamma @ x[self.gamma_cols]])
 
 
 @dataclass
 class OperatorBlocks:
     """Assembled trial-to-test operator B, test Gram G and load vector."""
 
-    B: scipy.sparse.csr_matrix
+    B: BlockOperator
     G: BlockGram
     ell: np.ndarray
 
@@ -226,49 +202,30 @@ def _element_b_locals(mesh):
     return loc
 
 
-def _element_maps(mesh, trial, test):
-    ntri = mesh.num_triangles
-    tri = np.arange(ntri)
-    cols = np.empty((ntri, 9), dtype=int)
-    cols[:, 0] = trial.sigma(tri, 0)
-    cols[:, 1] = trial.sigma(tri, 1)
-    cols[:, 2] = trial.u(tri)
-    cols[:, 3:6] = trial.uhat(mesh.triangles)
-    cols[:, 6:9] = trial.sighat(mesh.tri_edges)
-    rows = np.empty((ntri, 18), dtype=int)
-    rows[:, 0:6] = 6 * tri[:, None] + np.arange(6)[None, :]
-    rows[:, 6:18] = (6 * ntri + 12 * tri[:, None]
-                     + np.arange(12)[None, :])
-    return rows, cols
-
-
 def assemble_B(mesh, trial_layout, test_layout, bem_mats):
-    """Assemble the rectangular coupled operator as a sparse matrix
-    (rows: test dofs, columns: trial dofs)."""
+    """Assemble the coupled operator (rows: test dofs, columns: trial
+    dofs) per Gram block, as a BlockOperator."""
     if trial_layout.n_tri != mesh.num_triangles:
         raise ValueError("trial layout does not match mesh")
     if test_layout.n_bedge != mesh.num_boundary_edges:
         raise ValueError("test layout does not match mesh")
-    loc = _element_b_locals(mesh)
-    rows, cols = _element_maps(mesh, trial_layout, test_layout)
-    r = np.repeat(rows[:, :, None], 9, axis=2).ravel()
-    c = np.repeat(cols[:, None, :], 18, axis=1).ravel()
-
     loop = bem_mats.loop
     P = loop.num_panels
     # <V sighat, psi> (global flux dof s_e restricts to sign * s_e on
     # Gamma) next to <(1/2 - K) uhat, psi> on the boundary vertex hats
-    gb = np.hstack([bem_mats.V_ps * loop.signs[None, :].astype(float),
-                    bem_mats.half_minus_k()])
-    gcols = np.concatenate([trial_layout.sighat(loop.edge_ids),
-                            trial_layout.uhat(loop.vertex_ids)])
-    rb = np.repeat(18 * mesh.num_triangles + np.arange(2 * P), 2 * P)
-
-    B = scipy.sparse.coo_matrix(
-        (np.concatenate([loc.ravel(), gb.ravel()]),
-         (np.concatenate([r, rb]), np.concatenate([c, np.tile(gcols, 2 * P)]))),
+    gamma = np.empty((2 * P, 2 * P))
+    np.multiply(bem_mats.V_ps, loop.signs[None, :], out=gamma[:, :P])
+    gamma[:, P:] = bem_mats.half_minus_k()
+    tri = np.arange(mesh.num_triangles)
+    cols = np.column_stack([
+        trial_layout.sigma(tri, 0), trial_layout.sigma(tri, 1),
+        trial_layout.u(tri), trial_layout.uhat(mesh.triangles),
+        trial_layout.sighat(mesh.tri_edges)])
+    return BlockOperator(
+        local=_element_b_locals(mesh), cols=cols, gamma=gamma,
+        gamma_cols=np.concatenate([trial_layout.sighat(loop.edge_ids),
+                                   trial_layout.uhat(loop.vertex_ids)]),
         shape=(test_layout.dim, trial_layout.dim))
-    return B.tocsr()
 
 
 def assemble_gram(mesh, test_layout, bem_mats):
@@ -335,34 +292,65 @@ def assemble_operator_blocks(mesh, trial_layout, test_layout, bem_mats, data,
     return OperatorBlocks(B=B, G=G, ell=ell)
 
 
-def build_normal_equations(B, G, ell):
-    """Form the practical-DPG normal equations A = B^T G^{-1} B and
-    b = B^T G^{-1} ell.
+def _gram_products(B, G, ell):
+    """B_k^T G_k^{-1} [B_k | ell_k] per Gram block k: (T, 9, 10) per
+    element, its H1 and H(div) blocks summed, and (2P, 2P + 1) for the
+    boundary."""
+    ev, et, eg = G._parts(np.asarray(ell, dtype=float))
+    bv, bt = B.local[:, :6], B.local[:, 6:]
+    sv, st, sg = G._solve_blocks(np.concatenate([bv, ev[..., None]], axis=2),
+                                 np.concatenate([bt, et[..., None]], axis=2),
+                                 np.column_stack([B.gamma, eg]))
+    a = np.swapaxes(bv, 1, 2) @ sv
+    a += np.swapaxes(bt, 1, 2) @ st
+    return a, B.gamma.T @ sg
 
-    A is symmetric positive definite on the trial space.  G is block
-    diagonal, so A is a sum of dense products B_k^T G_k^{-1} B_k over the
-    Gram blocks k, each on the columns its rows of B store: a 9x9 block
-    per element (its H1 and H(div) rows must store the same columns) and
-    one (2P)x(2P) block for the boundary.  G^{-1} is applied blockwise,
-    never formed densely.
+
+def build_normal_equations(B, G, ell):
+    """Form the practical-DPG normal equations B^T G^{-1} B x =
+    B^T G^{-1} ell, with the field unknowns condensed out.
+
+    G is block diagonal, so they are a sum of dense products
+    B_k^T G_k^{-1} B_k over the Gram blocks k, with G^{-1} applied
+    blockwise: a 9x9 block per element and one (2P)x(2P) block on the
+    skeleton dofs for the boundary.  So each element's 3 field dofs
+    (sigma, u) are eliminated in its own block, and the 6x6 Schur
+    complements and the boundary block sum to the SPD skeleton system
+    S y = c in (uhat, sighat), of dimension V + E.
+
+    Returns (S, c, recover); recover(y) is the full trial vector, with
+    the fields from back-substitution.
     """
-    B = _sorted_csr(B)
-    (cv, bv, sv), (ct, bt, st), (cg, bg, sg) = G._solve_stored(B, ell)
-    if not np.array_equal(cv, ct):
-        raise ValueError("H1 and H(div) rows of an element of B store "
-                         "different columns")
-    b = B.T @ np.concatenate([sv[..., -1].ravel(), st[..., -1].ravel(),
-                              sg[0, :, -1]])
-    a = np.swapaxes(bv, 1, 2) @ sv[..., :-1]
-    a += np.swapaxes(bt, 1, 2) @ st[..., :-1]
-    ke, kg = cv.shape[1], cg.shape[1]
-    n = B.shape[1]
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate([a.ravel(), (bg[0].T @ sg[0, :, :-1]).ravel()]),
-         (np.concatenate([np.repeat(cv, ke, axis=1).ravel(),
-                          np.repeat(cg[0], kg)]),
-          np.concatenate([np.tile(cv, ke).ravel(), np.tile(cg[0], kg)]))),
-        shape=(n, n)).tocsr()
-    if np.any(A.diagonal() <= 0.0):
+    a, g = _gram_products(B, G, ell)
+    try:
+        np.linalg.cholesky(a[:, :3, :3])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("field block of the normal equations not SPD"
+                             ) from exc
+    # A_ff^{-1} [A_fs | b_f] (T, 3, 7); A_sf = A_fs^T by symmetry
+    Y = np.linalg.solve(a[:, :3, :3], a[:, :3, 3:])
+    loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:9], Y)
+    nf = 3 * G.n_tri
+    ns = B.shape[1] - nf
+    skel = B.cols[:, 3:] - nf
+    gcols = B.gamma_cols - nf
+    S = scipy.sparse.coo_matrix(
+        (np.concatenate([loc[..., :6].ravel(), g[:, :-1].ravel()]),
+         (np.concatenate([np.repeat(skel, 6, axis=1).ravel(),
+                          np.repeat(gcols, gcols.size)]),
+          np.concatenate([np.tile(skel, 6).ravel(),
+                          np.tile(gcols, gcols.size)]))),
+        shape=(ns, ns)).tocsr()
+    if np.any(S.diagonal() <= 0.0):
         raise NumericalError("normal equations indefinite: B rank deficient")
-    return A, b
+    c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
+                    weights=np.concatenate([loc[..., 6].ravel(), g[:, -1]]))
+    fld = B.cols[:, :3]
+
+    def recover(y):
+        x = np.empty(B.shape[1])
+        x[nf:] = y
+        x[fld] = Y[..., 6] - np.einsum("tfj,tj->tf", Y[..., :6], y[skel])
+        return x
+
+    return S, c, recover

@@ -345,12 +345,3 @@ def boundary_loop(mesh):
                         lengths=lengths, arc_start=arc, edge_ids=e.copy(),
                         signs=mesh.boundary_signs.copy(),
                         vertex_ids=tails.copy())
-
-
-def dump_mesh(mesh, stream):
-    """Write the mesh in the plain-text debug format: one 'v x y' line per
-    vertex, one 't i j k' line per triangle (0-based indices)."""
-    for p in mesh.vertices:
-        stream.write("v {:.17g} {:.17g}\n".format(p[0], p[1]))
-    for t in mesh.triangles:
-        stream.write("t {} {} {}\n".format(t[0], t[1], t[2]))

@@ -74,10 +74,13 @@ class Solution:
 def solve_spd(A, b):
     """Direct solve of a symmetric positive definite system.
 
-    Dense matrices go through a Cholesky factorization; sparse ones
-    through an LDL^T-style SuperLU factorization in symmetric mode.  One
-    step of iterative refinement keeps the relative residual below 1e-10;
-    failure to do so raises NumericalError ('system not SPD').
+    Dense matrices go through a Cholesky factorization, which rejects an
+    indefinite A ('system not SPD').  Sparse ones go through SuperLU in
+    symmetric mode, which does not check definiteness.  Both take one
+    step of iterative refinement; what is checked is the relative
+    residual, and above 1e-10 it raises NumericalError.  The DPG callers
+    pass Gram products B^T G^{-1} B, SPD by construction if B has full
+    rank.
     """
     b = np.asarray(b, dtype=float)
     if scipy.sparse.issparse(A):
@@ -105,56 +108,6 @@ def solve_spd(A, b):
         raise NumericalError(
             "system not SPD or too ill-conditioned: relative residual {:.3e}"
             .format(res / nb if nb > 0 else np.inf))
-    return x
-
-
-def _solve_condensed(A, b, trial):
-    """Solve the DPG normal equations A x = b by static condensation.
-
-    The field dofs (sigma, u) of an element couple only to each other and
-    to the element's 3 trace and 3 flux dofs, so each field row of A
-    stores exactly its element's 9 sorted columns: 3 field columns, then
-    6 skeleton columns.  The fields are eliminated element by element,
-    solve_spd solves the Schur complement
-    S = A_ss - sum_T A_sf A_ff^{-1} A_fs on the skeleton dofs (uhat,
-    sighat), and the fields are recovered by back-substitution.
-    """
-    A = dpg_assembly._sorted_csr(A)
-    nf = 3 * trial.n_tri
-    tri = np.arange(trial.n_tri)
-    fld = np.stack([trial.sigma(tri, 0), trial.sigma(tri, 1), trial.u(tri)],
-                   axis=1)                                     # (T, 3)
-    ok = np.all(np.diff(A.indptr[:nf + 1]) == 9)
-    if ok:
-        cols = A.indices[:9 * nf].reshape(nf, 9)[fld]          # (T, 3, 9)
-        skel = cols[:, 0, 3:]
-        ok = (np.all(cols[..., :3] == fld[:, None, :])
-              and np.all(cols[..., 3:] == skel[:, None, :])
-              and np.all(skel >= nf))
-    if not ok:
-        raise ValueError("field rows of A do not store exactly their "
-                         "element's 9 columns")
-    vals = A.data[:9 * nf].reshape(nf, 9)[fld]
-    A_ff, A_fs = vals[..., :3], vals[..., 3:]
-    try:
-        np.linalg.cholesky(A_ff)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("field block of the normal equations not SPD"
-                             ) from exc
-    # A_ff^{-1} [A_fs | b_f]; A_sf = A_fs^T by symmetry
-    Y = np.linalg.solve(A_ff, np.concatenate([A_fs, b[fld][..., None]],
-                                             axis=2))          # (T, 3, 7)
-    corr = np.einsum("tfi,tfj->tij", A_fs, Y[..., :6])        # (T, 6, 6)
-    skel = skel - nf
-    ns = A.shape[0] - nf
-    S = A[nf:, nf:] - scipy.sparse.coo_matrix(
-        (corr.ravel(), (np.repeat(skel, 6, axis=1).ravel(),
-                        np.tile(skel, 6).ravel())), shape=(ns, ns)).tocsr()
-    c = b[nf:] - np.bincount(skel.ravel(), minlength=ns, weights=np.einsum(
-        "tfi,tf->ti", A_fs, Y[..., 6]).ravel())
-    x = np.empty(A.shape[0])
-    x[nf:] = solve_spd(S, c)
-    x[fld] = Y[..., 6] - np.einsum("tfj,tj->tf", Y[..., :6], x[nf:][skel])
     return x
 
 
@@ -283,8 +236,9 @@ def solve_dpg(mesh, data, quad_order=8, bem_mats=None):
     test = spaces.TestDofLayout.from_mesh(mesh)
     blocks = dpg_assembly.assemble_operator_blocks(
         mesh, trial, test, bem_mats, data, boundary_order=quad_order)
-    A, b = dpg_assembly.build_normal_equations(blocks.B, blocks.G, blocks.ell)
-    x = _solve_condensed(A, b, trial)
+    S, c, recover = dpg_assembly.build_normal_equations(blocks.B, blocks.G,
+                                                        blocks.ell)
+    x = recover(solve_spd(S, c))
     sol = Solution(mesh=mesh, trial_layout=trial, data=data,
                    loop=bem_mats.loop, x=x)
     return sol, blocks

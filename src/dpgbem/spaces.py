@@ -147,13 +147,6 @@ def boundary_quadrature(loop, order=8, levels=0):
     return pts, wts, t
 
 
-def project_boundary_p0(loop, fn, order=8, levels=24):
-    """Panelwise means of a scalar boundary function fn(x, y)."""
-    pts, wts, _ = boundary_quadrature(loop, order, levels)
-    vals = fn(pts[..., 0], pts[..., 1])
-    return (wts * vals).sum(axis=1) / loop.lengths
-
-
 def project_boundary_p0_flux(loop, fn, order=8, levels=24):
     """Panelwise means of a normal-flux function fn(x, y, nx, ny), taken
     with the outward panel normal."""

