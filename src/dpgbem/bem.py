@@ -293,11 +293,14 @@ def distance_to_boundary(loop, points):
     return d.min(axis=-1)
 
 
-def point_location(loop, point, tol=1e-12):
-    """Classify a point as 'interior', 'exterior' or 'boundary'."""
-    point = np.asarray(point, dtype=float)
-    scale = float(loop.lengths.max())
-    if distance_to_boundary(loop, point[None, :])[0] <= tol * scale:
-        return "boundary"
-    w = winding_number(loop, point[None, :])[0]
-    return "interior" if abs(w - 1.0) < 0.5 else "exterior"
+def point_location(loop, points, tol=1e-12):
+    """Classify points as 'interior', 'exterior' or 'boundary'.
+
+    points is one point (2,), which gives a str, or (n, 2), which gives
+    an (n,) array of labels."""
+    points = np.asarray(points, dtype=float)
+    pts = np.atleast_2d(points)
+    on = distance_to_boundary(loop, pts) <= tol * float(loop.lengths.max())
+    inside = np.abs(winding_number(loop, pts) - 1.0) < 0.5
+    loc = np.where(on, "boundary", np.where(inside, "interior", "exterior"))
+    return str(loc[0]) if points.ndim == 1 else loc

@@ -28,17 +28,19 @@ from . import bem as bem_mod
 from . import quadrature, spaces
 from .errors import NumericalError
 from .mesh import boundary_loop
-from .solver import field_errors, trace_error
+from .solver import field_errors, nested_dissection, trace_error
 
 
 @dataclass
 class JnSystem:
     """Assembled coupling system; unknowns ordered (u at all vertices,
-    phi on the boundary panels in loop order)."""
+    phi on the boundary panels in loop order).  vertices holds the mesh
+    vertex coordinates, which order the direct solve."""
 
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
     n_vert: int
+    vertices: np.ndarray
     loop: object
     stabilized: bool
 
@@ -129,20 +131,36 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8):
              (np.repeat(idx, idx.size), np.tile(idx, idx.size))),
             shape=mat.shape).tocsr()
         rhs = rhs + lam_total * g
-    return JnSystem(matrix=mat, rhs=rhs, n_vert=nv, loop=loop,
-                    stabilized=stabilized)
+    return JnSystem(matrix=mat, rhs=rhs, n_vert=nv, vertices=mesh.vertices,
+                    loop=loop, stabilized=stabilized)
 
 
 def solve_jn(system):
-    """Direct solve; returns (u at vertices, phi per boundary panel)."""
+    """Direct solve; returns (u at vertices, phi per boundary panel).
+
+    The unknowns go in solver.nested_dissection order, with the boundary
+    vertices and the panels, which the boundary integral operators
+    couple densely, last.  SuperLU factors in that order
+    (permc_spec="NATURAL") with its default threshold partial pivoting,
+    which may exchange rows for stability.  The system is not symmetric,
+    so definiteness is not checked; a singular factor or a non-finite
+    solution raises NumericalError.
+    """
+    loop, nv = system.loop, system.n_vert
+    xy = np.concatenate([system.vertices,
+                         (loop.points_a + loop.points_b) / 2.0])
+    perm = nested_dissection(system.matrix, xy, np.concatenate(
+        [loop.vertex_ids, nv + np.arange(loop.num_panels)]))
+    x = np.empty_like(system.rhs)
     try:
-        lu = scipy.sparse.linalg.splu(system.matrix.tocsc())
-        x = lu.solve(system.rhs)
+        lu = scipy.sparse.linalg.splu(
+            system.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL")
+        x[perm] = lu.solve(system.rhs[perm])
     except RuntimeError as exc:
         raise NumericalError("coupling system singular: {}".format(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise NumericalError("coupling solve produced non-finite values")
-    return x[:system.n_vert], x[system.n_vert:]
+    return x[:nv], x[nv:]
 
 
 def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex=None):

@@ -114,6 +114,10 @@ class Mesh:
         """Signed triangle areas (positive by construction), shape (T,)."""
         return 0.5 * self.element_map()[1]
 
+    def edge_midpoints(self):
+        """Midpoint of every edge, shape (E, 2)."""
+        return self.vertices[self.edges].mean(axis=1)
+
     def mesh_size(self):
         """Global mesh size h = longest edge."""
         return float(self.edge_lengths.max())
@@ -200,19 +204,29 @@ def _walk_boundary(bnd, tails, heads, signs):
     # counterclockwise around the domain (the domain lies to the left).
     if bnd.size == 0:
         raise MeshError("mesh has no boundary")
-    start_at = dict(zip(tails.tolist(), range(bnd.size)))
-    if len(start_at) != bnd.size:
+    by_tail = np.argsort(tails)
+    sorted_tails = tails[by_tail]
+    if np.any(sorted_tails[1:] == sorted_tails[:-1]):
         raise MeshError("boundary is not a simple closed loop")
-
-    order = [0]
-    cur = int(heads[0])
-    while cur != tails[0]:
-        if cur not in start_at:
-            raise MeshError("boundary loop is not closed")
-        order.append(start_at[cur])
-        cur = int(heads[order[-1]])
-    if len(order) != bnd.size:
+    at = np.minimum(np.searchsorted(sorted_tails, heads), bnd.size - 1)
+    if np.any(sorted_tails[at] != heads):
+        raise MeshError("boundary loop is not closed")
+    # every vertex is as often a head as a tail, so with unique tails
+    # the successors are a permutation
+    succ = by_tail[at]                       # edge whose tail is my head
+    # pointer doubling on the predecessor links, cut at edge 0: after the
+    # loop, dist[k] is the number of steps from edge 0 to edge k, and jump
+    # reaches edge 0 from every edge on its loop
+    jump = np.empty_like(succ)
+    jump[succ] = np.arange(bnd.size)
+    jump[0] = 0
+    dist = (np.arange(bnd.size) != 0).astype(int)
+    for _ in range(bnd.size.bit_length()):
+        dist = dist + dist[jump]
+        jump = jump[jump]
+    if np.any(jump != 0):
         raise MeshError("boundary has more than one loop")
+    order = np.argsort(dist)
     return bnd[order], tails[order], signs[order]
 
 
@@ -287,8 +301,7 @@ def refine_uniform(mesh):
     connecting the edge midpoints.  Preserves shape regularity exactly and
     halves every edge length."""
     # the midpoint of edge e becomes vertex V + e
-    mids = (mesh.vertices[mesh.edges[:, 0]]
-            + mesh.vertices[mesh.edges[:, 1]]) / 2.0
+    mids = mesh.edge_midpoints()
     a, b, c = mesh.triangles.T
     mab, mbc, mca = (mesh.num_vertices + mesh.tri_edges).T
     tris = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],

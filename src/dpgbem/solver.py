@@ -19,6 +19,9 @@ from . import dpg_assembly, quadrature, spaces
 from .errors import NumericalError
 from .mesh import boundary_loop
 
+# nested_dissection stops bisecting parts of at most this many dofs
+ND_LEAF_SIZE = 32
+
 
 @dataclass
 class Solution:
@@ -71,14 +74,101 @@ class Solution:
         return self.x[off:]
 
 
+def nested_dissection(pattern, coords, last):
+    """Fill-reducing elimination order for a sparse system on a 2-D mesh.
+
+    Geometric nested dissection (George, "Nested dissection of a regular
+    finite element mesh", SIAM J. Numer. Anal. 1973).  The dofs not in
+    `last` are bisected at the median of the longer axis of their
+    bounding box, with coords (n, 2) the position of each dof.  Dofs on
+    the median's coordinate line go left, unless that leaves the right
+    empty; then the part splits by rank.  A left dof with a right
+    neighbour in the symmetrized pattern joins the separator, so on a
+    structured mesh the separator is that line.  Each part is ordered
+    [left, right, separator], and parts of at most ND_LEAF_SIZE dofs
+    stay whole, swept along their longer axis.  The dofs in `last` (a
+    dense block such as the boundary-integral clique) come at the end,
+    in the given order.  All parts of one level are split by one sort.
+
+    Returns perm, so that A[perm][:, perm] is the reordered matrix.
+    """
+    n = pattern.shape[0]
+    last = np.asarray(last, dtype=int)
+    coords = np.asarray(coords, dtype=float)
+    rest = np.ones(n, dtype=bool)
+    rest[last] = False
+    # each coupling of two dofs not in `last`, once, as an edge (ei < ej)
+    A = pattern.tocoo()
+    lo, hi = np.minimum(A.row, A.col), np.maximum(A.row, A.col)
+    keep = (lo != hi) & rest[lo] & rest[hi]
+    edges = scipy.sparse.csr_matrix(
+        (np.ones(keep.sum(), dtype=np.int8), (lo[keep], hi[keep])),
+        shape=(n, n)).tocoo()
+    ei, ej = edges.row.astype(np.int32), edges.col.astype(np.int32)
+
+    # code: 2 * part + side while a dof is being split, then -1 - dof
+    code = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)  # tree depth of the dof's part
+    path = np.zeros(n, dtype=np.int64)   # tree path of the dof's part
+    seq = np.zeros(n, dtype=np.int64)    # position within its part
+    active = np.flatnonzero(rest)        # kept sorted by part
+    level = 0
+    while active.size:
+        part = path[active]
+        start = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
+        size = np.diff(np.r_[start, active.size])
+        seg = np.repeat(np.arange(start.size), size)
+        xy = coords[active]
+        span = (np.maximum.reduceat(xy, start)
+                - np.minimum.reduceat(xy, start))
+        axis = (span[:, 1] > span[:, 0]).astype(int)[seg]
+        at = np.arange(active.size)
+        order = np.lexsort((xy[at, 1 - axis], xy[at, axis], part))
+        active = active[order]
+        depth[active] = level
+        seq[active] = at
+        # the median's whole coordinate line goes left, so that the
+        # separator is that line; a part that is one line splits by rank
+        xa = xy[order, axis]
+        right = xa > xa[start + np.maximum(size // 2 - 1, 0)][seg]
+        line = np.bincount(seg, right, minlength=start.size) == 0
+        right |= line[seg] & (at - start[seg] >= size[seg] // 2)
+        code[active] = 2 * part + right
+        # a left dof with a right neighbour in its own part: separator
+        a, b = code[ei], code[ej]
+        sep = np.zeros(n, dtype=bool)
+        sep[ei[(a + 1 == b) & ((a & 1) == 0)]] = True
+        sep[ej[(b + 1 == a) & ((b & 1) == 0)]] = True
+        go_on = (size > ND_LEAF_SIZE)[seg] & ~sep[active]
+        done = active[~go_on]
+        code[done] = -1 - done
+        active = active[go_on]
+        path[active] = code[active]
+        # keep only the couplings inside a part that is split further
+        stay = code[ei] == code[ej]
+        ei, ej = ei[stay], ej[stay]
+        level += 1
+    # post-order of the dissection tree: the part with path q at depth d
+    # comes after every part below it and before the next subtree
+    node = np.flatnonzero(rest)
+    top = int(depth.max()) + 1
+    key = ((path[node] + 1) << (top - depth[node])) - 1
+    perm = node[np.lexsort((seq[node], -depth[node], key))]
+    return np.concatenate([perm, last])
+
+
 def solve_spd(A, b):
     """Direct solve of a symmetric positive definite system.
 
     Dense matrices go through a Cholesky factorization, which rejects an
     indefinite A ('system not SPD').  Sparse ones go through SuperLU in
-    symmetric mode, which does not check definiteness.  Both take one
-    step of iterative refinement; what is checked is the relative
-    residual, and above 1e-10 it raises NumericalError.  The DPG callers
+    symmetric mode: diagonal pivots only, and no column reordering
+    (permc_spec="NATURAL"), so A must come in a fill-reducing order;
+    solve_dpg orders it with nested_dissection.  Both take one step
+    of iterative refinement; a relative residual above 1e-10 raises
+    NumericalError.  So does b^T x <= 0 for b != 0: an SPD A has
+    b^T A^{-1} b > 0, so this rejects some indefinite systems.  It is a
+    necessary condition, not a proof of definiteness.  The DPG callers
     pass Gram products B^T G^{-1} B, SPD by construction if B has full
     rank.
     """
@@ -86,7 +176,7 @@ def solve_spd(A, b):
     if scipy.sparse.issparse(A):
         try:
             lu = scipy.sparse.linalg.splu(
-                A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True))
             solve = lu.solve
         except RuntimeError as exc:
@@ -108,6 +198,9 @@ def solve_spd(A, b):
         raise NumericalError(
             "system not SPD or too ill-conditioned: relative residual {:.3e}"
             .format(res / nb if nb > 0 else np.inf))
+    if nb > 0 and not np.dot(b, x) > 0.0:
+        raise NumericalError("system not SPD: b^T x = {:.3e} <= 0"
+                             .format(np.dot(b, x)))
     return x
 
 
@@ -206,10 +299,11 @@ def eval_exterior_field(solution, points):
     u^c(x) = D(trace_c)(x) - S(flux_c)(x) for points in the exterior."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     loop = solution.loop
-    for p in points:
-        loc = bem_mod.point_location(loop, p)
-        if loc != "exterior":
-            raise ValueError("point {} is {} (need exterior)".format(p, loc))
+    loc = bem_mod.point_location(loop, points)
+    bad = np.flatnonzero(loc != "exterior")
+    if bad.size:
+        raise ValueError("point {} is {} (need exterior)"
+                         .format(points[bad[0]], loc[bad[0]]))
     trace = bem_mod.hat_trace_coefs(loop, solution.trace_c)
     vals = (bem_mod.eval_double_layer(loop, trace, points)
             - bem_mod.eval_single_layer(loop, solution.flux_c, points))
@@ -225,7 +319,8 @@ def piecewise_linear_boundary_norm(loop, vertex_vals):
 
 def solve_dpg(mesh, data, quad_order=8, bem_mats=None):
     """Assemble and solve the coupled DPG system on a mesh, with the field
-    unknowns condensed out element by element.
+    unknowns condensed out element by element.  The skeleton system is
+    solved in nested-dissection order, its boundary dofs last.
 
     Returns (solution, blocks); blocks are needed for the energy error.
     """
@@ -238,7 +333,12 @@ def solve_dpg(mesh, data, quad_order=8, bem_mats=None):
         mesh, trial, test, bem_mats, data, boundary_order=quad_order)
     S, c, recover = dpg_assembly.build_normal_equations(blocks.B, blocks.G,
                                                         blocks.ell)
-    x = recover(solve_spd(S, c))
+    skeleton_xy = np.concatenate([mesh.vertices, mesh.edge_midpoints()])
+    perm = nested_dissection(S, skeleton_xy,
+                             blocks.B.gamma_cols - 3 * mesh.num_triangles)
+    y = np.empty_like(c)
+    y[perm] = solve_spd(S[perm][:, perm], c[perm])
+    x = recover(y)
     sol = Solution(mesh=mesh, trial_layout=trial, data=data,
                    loop=bem_mats.loop, x=x)
     return sol, blocks

@@ -406,3 +406,6 @@ def test_winding_and_location(square_loop):
     assert bem.point_location(square_loop, np.array([0.0, 0.0])) == "interior"
     assert bem.point_location(square_loop, np.array([0.5, 0.5])) == "exterior"
     assert bem.point_location(square_loop, np.array([0.1, 0.05])) == "boundary"
+    pts = np.array([[0.5, 0.5], [0.1, 0.05], [0.0, 0.0]])
+    assert list(bem.point_location(square_loop, pts)) == [
+        "exterior", "boundary", "interior"]

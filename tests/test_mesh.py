@@ -6,6 +6,7 @@ import pytest
 import _oracles
 from dpgbem import (MeshError, boundary_loop, build_mesh, make_lshape_mesh,
                     make_square_mesh, refine_uniform)
+from dpgbem import mesh as mesh_mod
 from dpgbem.cli import initial_mesh
 
 
@@ -195,3 +196,32 @@ def test_edge_shared_by_three_triangles_rejected():
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
     with pytest.raises(MeshError, match="shared by >2"):
         build_mesh(verts, tris)
+
+
+@pytest.mark.parametrize("tails, heads, message", [
+    ([], [], "no boundary"),
+    ([0, 1, 0], [1, 0, 2], "not a simple closed loop"),
+    ([0, 1], [1, 2], "not closed"),
+    ([0, 1, 2, 3], [1, 0, 3, 2], "more than one loop"),
+])
+def test_walk_boundary_rejects(tails, heads, message):
+    n = len(tails)
+    with pytest.raises(MeshError, match=message):
+        mesh_mod._walk_boundary(np.arange(n), np.array(tails, dtype=int),
+                                np.array(heads, dtype=int), np.ones(n, int))
+
+
+def test_two_separate_triangles_rejected():
+    verts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1],
+                      [0.3, 0.0], [0.4, 0.0], [0.3, 0.1]])
+    with pytest.raises(MeshError, match="more than one loop"):
+        build_mesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+
+
+def test_walk_boundary_starts_at_first_edge_and_chains():
+    # a loop 0 -> 3 -> 1 -> 2 -> 0 given out of order
+    bnd = np.array([4, 5, 6, 7])
+    got = mesh_mod._walk_boundary(bnd, np.array([0, 1, 2, 3]),
+                                  np.array([3, 2, 0, 1]), np.array([1, -1, 1, -1]))
+    assert [a.tolist() for a in got] == [[4, 7, 5, 6], [0, 3, 1, 2],
+                                         [1, -1, -1, 1]]

@@ -1,0 +1,133 @@
+"""Nested-dissection order of the two direct solves."""
+
+import numpy as np
+import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+
+from dpgbem import bem, cli, dpg_assembly, jn_reference, solver, spaces
+from dpgbem import refine_uniform
+from dpgbem.mesh import boundary_loop
+from dpgbem.solver import ND_LEAF_SIZE, nested_dissection
+
+
+def cli_level_mesh(domain, level):
+    mesh = cli.initial_mesh(domain)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+def skeleton_system(mesh, data):
+    """The condensed DPG system, the coordinates of its dofs and its
+    boundary dofs, as solve_dpg orders them."""
+    mats = bem.assemble_bem(boundary_loop(mesh))
+    blocks = dpg_assembly.assemble_operator_blocks(
+        mesh, spaces.TrialDofLayout.from_mesh(mesh),
+        spaces.TestDofLayout.from_mesh(mesh), mats, data)
+    S, c, recover = dpg_assembly.build_normal_equations(
+        blocks.B, blocks.G, blocks.ell)
+    xy = np.concatenate([mesh.vertices, mesh.edge_midpoints()])
+    return S, c, recover, xy, blocks.B.gamma_cols - 3 * mesh.num_triangles
+
+
+def jn_system(mesh, data):
+    system = jn_reference.assemble_jn(mesh, data)
+    loop, nv = system.loop, system.n_vert
+    xy = np.concatenate([mesh.vertices, (loop.points_a + loop.points_b) / 2])
+    last = np.concatenate([loop.vertex_ids, nv + np.arange(loop.num_panels)])
+    return system, xy, last
+
+
+@pytest.fixture(scope="module", params=["square", "lshape"])
+def level3(request):
+    mesh = cli_level_mesh(request.param, 3)
+    data, _ = cli.manufacture_data(request.param)
+    return mesh, data
+
+
+def orders(mesh, data):
+    S, _, _, xy, last = skeleton_system(mesh, data)
+    system, jxy, jlast = jn_system(mesh, data)
+    return [(S, xy, last), (system.matrix, jxy, jlast)]
+
+
+def test_order_is_bijection_with_last_dofs_at_end(level3):
+    for A, xy, last in orders(*level3):
+        perm = nested_dissection(A, xy, last)
+        n = A.shape[0]
+        assert np.array_equal(np.sort(perm), np.arange(n))
+        assert np.array_equal(perm[n - last.size:], last)
+
+
+def top_split(A, xy, last):
+    """The top-level bisection by the documented rule: the longer axis,
+    the median with its whole coordinate line on the left, and the left
+    dofs with a right neighbour as separator."""
+    rest = np.ones(A.shape[0], dtype=bool)
+    rest[last] = False
+    node = np.flatnonzero(rest)
+    span = np.ptp(xy[node], axis=0)
+    x = xy[:, int(span[1] > span[0])]
+    median = np.sort(x[node])[node.size // 2 - 1]
+    left = rest & (x <= median)
+    right = rest & (x > median)
+    pattern = scipy.sparse.csr_matrix(A, copy=True)
+    pattern.data[:] = 1.0
+    sep = left & ((pattern + pattern.T) @ right.astype(float) > 0)
+    return left & ~sep, right, sep
+
+
+def test_top_split_separates_the_halves(level3):
+    for A, xy, last in orders(*level3):
+        perm = nested_dissection(A, xy, last)
+        left, right, sep = top_split(A, xy, last)
+        nl, nr, ns = left.sum(), right.sum(), sep.sum()
+        n_int = A.shape[0] - last.size
+        assert nl + nr + ns == n_int
+        assert min(nl, nr) > 0.4 * n_int and ns < 0.05 * n_int
+        # ordered [left, right, separator], then the last dofs
+        assert np.all(left[perm[:nl]])
+        assert np.all(right[perm[nl:nl + nr]])
+        assert np.all(sep[perm[nl + nr:n_int]])
+        # and no entry of the pattern couples the two halves
+        Ap = scipy.sparse.csr_matrix(A)[perm][:, perm]
+        assert Ap[:nl, nl:nl + nr].nnz == 0
+        assert Ap[nl:nl + nr, :nl].nnz == 0
+
+
+def test_small_system_is_one_leaf():
+    n = ND_LEAF_SIZE
+    A = scipy.sparse.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)],
+                           [-1, 0, 1])
+    xy = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
+    perm = nested_dissection(A, xy, [0, n - 1])
+    assert np.array_equal(perm, np.r_[np.arange(1, n - 1), 0, n - 1])
+
+
+def test_dpg_solve_matches_mmd_order(level3):
+    mesh, data = level3
+    S, c, recover, _, _ = skeleton_system(mesh, data)
+    lu = scipy.sparse.linalg.splu(
+        S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True))
+    y = lu.solve(c)
+    want = recover(y + lu.solve(c - S @ y))
+    got = solver.solve_dpg(mesh, data)[0].x
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_jn_solve_matches_colamd_order(level3):
+    system = jn_reference.assemble_jn(*level3)
+    want = scipy.sparse.linalg.splu(system.matrix.tocsc()).solve(system.rhs)
+    got = np.concatenate(jn_reference.solve_jn(system))
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_jn_fill_below_colamd(level3):
+    system, xy, last = jn_system(*level3)
+    perm = nested_dissection(system.matrix, xy, last)
+    nd = scipy.sparse.linalg.splu(system.matrix[perm][:, perm].tocsc(),
+                                  permc_spec="NATURAL")
+    colamd = scipy.sparse.linalg.splu(system.matrix.tocsc())
+    assert nd.L.nnz < colamd.L.nnz

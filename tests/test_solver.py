@@ -35,6 +35,10 @@ def test_solve_spd_sparse_path():
 def test_solve_spd_rejects_indefinite():
     with pytest.raises(NumericalError):
         solver.solve_spd(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
+    # SuperLU factors this one without a zero pivot; b^T x = -1/3
+    with pytest.raises(NumericalError, match="not SPD"):
+        solver.solve_spd(scipy.sparse.csr_matrix([[1.0, 2.0], [2.0, 1.0]]),
+                         np.array([1.0, 0.0]))
 
 
 def test_constant_data_solved_exactly():
@@ -171,6 +175,10 @@ def test_eval_exterior_field_validation_and_zero(smooth_square):
     assert np.all(solver.eval_exterior_field(zero_sol, pts) == 0.0)
     with pytest.raises(ValueError):
         solver.eval_exterior_field(sol, np.array([[0.0, 0.0]]))
+    # the first point that is not exterior is named
+    pts = np.array([[1.1, 0.0], [0.1, 0.05], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"point \[0\.1 +0\.05\] is boundary"):
+        solver.eval_exterior_field(sol, pts)
 
 
 def test_exterior_field_decay_under_refinement():
