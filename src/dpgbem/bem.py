@@ -227,24 +227,27 @@ def _as_p1_coefs(density, P):
     raise ValueError("density must have shape (P,) or (P, 2)")
 
 
-def _eval_layer(layer, loop, density, points):
+def eval_layers(loop, slp_density, dlp_density, points):
+    """Single-layer potential of slp_density and double-layer potential
+    of dlp_density at the same points, from one pass of the fused
+    kernel.  A density is (P,) panel constants or (P, 2) panelwise-linear
+    endpoint values.  On the boundary itself both are principal values
+    (own / collinear panels drop out of the double layer)."""
     inner = _layer_basis(np.asarray(points, dtype=float), loop.points_a,
-                         loop.points_b, loop.lengths)[layer]
-    coefs = _as_p1_coefs(density, loop.num_panels)
-    return np.einsum("...jb,jb->...", inner, coefs)
+                         loop.points_b, loop.lengths)
+    return tuple(np.einsum("...jb,jb->...", k,
+                           _as_p1_coefs(d, loop.num_panels))
+                 for k, d in zip(inner, (slp_density, dlp_density)))
 
 
 def eval_single_layer(loop, density, points):
-    """Single-layer potential of a panelwise density at arbitrary points
-    (principal value on the boundary itself).  density: (P,) panel
-    constants or (P, 2) panelwise-linear endpoint values."""
-    return _eval_layer(0, loop, density, points)
+    """Single-layer potential of a panelwise density, see eval_layers."""
+    return eval_layers(loop, density, density, points)[0]
 
 
 def eval_double_layer(loop, density, points):
-    """Double-layer potential of a panelwise density at arbitrary points
-    (principal value on the boundary: own / collinear panels drop out)."""
-    return _eval_layer(1, loop, density, points)
+    """Double-layer potential of a panelwise density, see eval_layers."""
+    return eval_layers(loop, density, density, points)[1]
 
 
 def hat_trace_coefs(loop, vertex_values):

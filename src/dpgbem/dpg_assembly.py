@@ -25,6 +25,7 @@ import scipy.sparse
 
 from . import quadrature, spaces
 from .errors import NumericalError
+from .mesh import element_map
 
 
 @dataclass
@@ -48,14 +49,17 @@ class BlockGram:
 
     Blocks: per element the H1 Gram on scalar P2 and the H(div) Gram on
     vector P2, then one global boundary block, the single-layer Gram of
-    the bem module (realizing the H^{-1/2}(Gamma) inner product).
+    the bem module (realizing the H^{-1/2}(Gamma) inner product).  The
+    element blocks are kept once per geometry class (Mesh.element_classes):
+    element t has the blocks Gv[cls[t]] and Gtau[cls[t]].
     """
 
-    def __init__(self, Gv, Gtau, bem_mats):
+    def __init__(self, Gv, Gtau, cls, bem_mats):
         self.Gv = Gv
         self.Gtau = Gtau
+        self.cls = cls
         self.bem = bem_mats
-        self.n_tri = Gv.shape[0]
+        self.n_tri = cls.size
         self.n_psi = bem_mats.G_psi.shape[0]
         try:
             np.linalg.cholesky(Gv)
@@ -81,21 +85,17 @@ class BlockGram:
         """G @ vec."""
         rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
         return np.concatenate([
-            np.einsum("tij,tj->ti", self.Gv, rv).ravel(),
-            np.einsum("tij,tj->ti", self.Gtau, rt).ravel(),
+            np.einsum("tij,tj->ti", self.Gv[self.cls], rv).ravel(),
+            np.einsum("tij,tj->ti", self.Gtau[self.cls], rt).ravel(),
             self.bem.G_psi @ rp])
-
-    def _solve_blocks(self, rv, rt, rp):
-        """Apply the three block inverses to right-hand sides shaped
-        (T, 6, m), (T, 12, m) and (n_psi, ...)."""
-        return (np.linalg.solve(self.Gv, rv), np.linalg.solve(self.Gtau, rt),
-                self.bem.solve_gpsi(rp))
 
     def solve_vec(self, vec):
         """G^{-1} @ vec, applied blockwise."""
         rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
-        sv, st, sp = self._solve_blocks(rv[..., None], rt[..., None], rp)
-        return np.concatenate([sv.ravel(), st.ravel(), sp])
+        return np.concatenate([
+            np.linalg.solve(self.Gv[self.cls], rv[..., None]).ravel(),
+            np.linalg.solve(self.Gtau[self.cls], rt[..., None]).ravel(),
+            self.bem.solve_gpsi(rp)])
 
     def quadratic(self, vec):
         """vec . G^{-1} vec (the dual-norm square of a residual)."""
@@ -104,14 +104,18 @@ class BlockGram:
 
 @dataclass
 class BlockOperator:
-    """The coupled operator B, kept per Gram block as it is assembled:
-    local (T, 18, 9) maps element t's trial columns cols[t] (sigma_x,
-    sigma_y, u, uhat at its vertices, sighat on its edges) to its 6 H1
-    and 12 H(div) test rows, and gamma (2P, 2P) maps the trial columns
-    gamma_cols (sighat on the loop edges, uhat at the loop vertices) to
-    the boundary rows.  shape is (test dim, trial dim)."""
+    """The coupled operator B, kept per Gram block and geometry class:
+    element t maps its trial columns cols[t] (sigma_x, sigma_y, u, uhat
+    at its vertices, sighat on its edges) to its 6 H1 and 12 H(div) test
+    rows by local[cls[t]] (C, 18, 9) with column j times signs[t, j],
+    the edge sign on the sighat columns and +1 elsewhere; gamma (2P, 2P)
+    maps the trial columns gamma_cols (sighat on the loop edges, uhat at
+    the loop vertices) to the boundary rows.  shape is (test dim, trial
+    dim)."""
 
     local: np.ndarray
+    cls: np.ndarray
+    signs: np.ndarray
     cols: np.ndarray
     gamma: np.ndarray
     gamma_cols: np.ndarray
@@ -119,12 +123,14 @@ class BlockOperator:
 
     @property
     def nnz(self):
-        """Stored entries, explicit zeros included."""
-        return self.local.size + self.gamma.size
+        """Entries of the element blocks and the boundary block, explicit
+        zeros included."""
+        return self.cls.size * self.local[0].size + self.gamma.size
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
-        y = np.einsum("tij,tj->ti", self.local, x[self.cols])
+        y = np.einsum("tij,tj->ti", self.local[self.cls],
+                      x[self.cols] * self.signs)
         return np.concatenate([y[:, :6].ravel(), y[:, 6:].ravel(),
                                self.gamma @ x[self.gamma_cols]])
 
@@ -154,18 +160,19 @@ _HAT_EDGE = np.stack([spaces.side_bary(s, _EDGE_T) for s in range(3)])
 _P2_EDGE = spaces.eval_p2_basis(_HAT_EDGE)[0]
 
 
-def _p2_gradients(mesh):
-    """det J (T,) and the physical P2 gradients at the volume nodes,
-    grad_phys[t, q, i, c] = sum_d gref[q, i, d] Jinv[t, d, c]."""
-    _, detJ, Jinv = mesh.element_map()
+def _p2_gradients(mesh, tri):
+    """det J and the physical P2 gradients at the volume nodes of the
+    triangles tri, grad_phys[t, q, i, c] = sum_d gref[q, i, d] Jinv[t, d, c]."""
+    _, detJ, Jinv = element_map(mesh.vertices[mesh.triangles[tri]])
     return detJ, np.einsum("qid,tdc->tqic", _P2_GRADS, Jinv)
 
 
-def _element_b_locals(mesh):
-    """Local B blocks (T, 18, 9); trial columns ordered
+def _element_b_locals(mesh, rep):
+    """Local B blocks (C, 18, 9) of the elements rep, with the sighat
+    columns for edge sign +1; trial columns ordered
     [sigma_x, sigma_y, u, uhat(3 vertices), sighat(3 edges)]."""
-    ntri = mesh.num_triangles
-    detJ, gphys = _p2_gradients(mesh)
+    ntri = rep.size
+    detJ, gphys = _p2_gradients(mesh, rep)
     loc = np.zeros((ntri, 18, 9))
 
     # integrals of physical gradients and values over each element
@@ -182,29 +189,31 @@ def _element_b_locals(mesh):
     loc[:, 7:18:2, 1] = int_val
     loc[:, 6:18, 2] = int_grad.reshape(ntri, 12)
 
-    h_e = mesh.edge_lengths[mesh.tri_edges]            # (T, 3)
-    n_e = mesh.edge_normals[mesh.tri_edges]            # (T, 3, 2)
-    sgn = mesh.tri_edge_signs.astype(float)            # (T, 3)
-    n_out = sgn[:, :, None] * n_e                      # element outward normals
+    edges = mesh.tri_edges[rep]
+    h_e = mesh.edge_lengths[edges]                     # (C, 3)
+    n_out = (mesh.tri_edge_signs[rep][:, :, None]      # element outward
+             * mesh.edge_normals[edges])               # normals (C, 3, 2)
 
     # edge moments of the P2 traces and of the vertex hats
     mom_v = np.einsum("q,sqi->si", _EDGE_W, _P2_EDGE)       # (3, 6)
     mom_hv = np.einsum("q,sqj,sqi->sji", _EDGE_W, _HAT_EDGE, _P2_EDGE)  # (3,3,6)
 
-    # - <sighat, v>: column 6+s gets -sign * h * int_e N_i
-    loc[:, 0:6, 6:9] = -(sgn * h_e)[:, None, :] * mom_v.T[None]
+    # - <sighat, v>: column 6+s gets -h * int_e N_i (times the edge sign
+    # of each element, which BlockOperator.signs holds)
+    loc[:, 0:6, 6:9] = -h_e[:, None, :] * mom_v.T[None]
 
     # - <uhat, tau.n>: column 3+j gets -sum_s h_s (n_out)_c int_e hat_j N_k
     for s in range(3):
-        contrib = h_e[:, s, None, None] * mom_hv[s].T[None]  # (T, 6 k, 3 j)
+        contrib = h_e[:, s, None, None] * mom_hv[s].T[None]  # (C, 6 k, 3 j)
         loc[:, 6:18, 3:6] -= (contrib[:, :, None, :]
                               * n_out[:, s, None, :, None]).reshape(ntri, 12, 3)
     return loc
 
 
-def assemble_B(mesh, trial_layout, test_layout, bem_mats):
+def assemble_B(mesh, trial_layout, test_layout, bem_mats, classes):
     """Assemble the coupled operator (rows: test dofs, columns: trial
-    dofs) per Gram block, as a BlockOperator."""
+    dofs) per Gram block and per geometry class, as a BlockOperator;
+    classes is mesh.element_classes()."""
     if trial_layout.n_tri != mesh.num_triangles:
         raise ValueError("trial layout does not match mesh")
     if test_layout.n_bedge != mesh.num_boundary_edges:
@@ -221,30 +230,36 @@ def assemble_B(mesh, trial_layout, test_layout, bem_mats):
         trial_layout.sigma(tri, 0), trial_layout.sigma(tri, 1),
         trial_layout.u(tri), trial_layout.uhat(mesh.triangles),
         trial_layout.sighat(mesh.tri_edges)])
+    cls, rep = classes
+    signs = np.ones((mesh.num_triangles, 9))
+    signs[:, 6:] = mesh.tri_edge_signs
     return BlockOperator(
-        local=_element_b_locals(mesh), cols=cols, gamma=gamma,
+        local=_element_b_locals(mesh, rep), cls=cls, signs=signs, cols=cols,
+        gamma=gamma,
         gamma_cols=np.concatenate([trial_layout.sighat(loop.edge_ids),
                                    trial_layout.uhat(loop.vertex_ids)]),
         shape=(test_layout.dim, trial_layout.dim))
 
 
-def assemble_gram(mesh, test_layout, bem_mats):
-    """Assemble the block-diagonal test Gram: per element
+def assemble_gram(mesh, test_layout, bem_mats, classes):
+    """Assemble the block-diagonal test Gram: per geometry class
     int grad v . grad v' + v v' and int tau . tau' + div tau div tau',
-    boundary block from the bem module."""
+    boundary block from the bem module; classes is
+    mesh.element_classes()."""
     if test_layout.n_tri != mesh.num_triangles:
         raise ValueError("test layout does not match mesh")
-    detJ, gphys = _p2_gradients(mesh)
+    cls, rep = classes
+    detJ, gphys = _p2_gradients(mesh, rep)
     w = _VOL_W
     mass = np.einsum("q,qi,qj->ij", w, _P2_VALS, _P2_VALS)
     Gv = (np.einsum("q,tqic,tqjc->tij", w, gphys, gphys)
           + mass[None]) * detJ[:, None, None]
 
     # div(e_c N_k) = d N_k / d x_c lines up with the (k, c) interleaving
-    div = gphys.reshape(mesh.num_triangles, w.size, 12)
+    div = gphys.reshape(rep.size, w.size, 12)
     Gtau = (np.kron(mass, np.eye(2))[None] * detJ[:, None, None]
             + np.einsum("q,tqa,tqb->tab", w, div, div) * detJ[:, None, None])
-    return BlockGram(Gv, Gtau, bem_mats)
+    return BlockGram(Gv, Gtau, cls, bem_mats)
 
 
 def assemble_load(mesh, test_layout, data, bem_mats, boundary_order=8):
@@ -286,24 +301,39 @@ def assemble_load(mesh, test_layout, data, bem_mats, boundary_order=8):
 def assemble_operator_blocks(mesh, trial_layout, test_layout, bem_mats, data,
                              **load_kwargs):
     """Assemble B, G and ell together."""
-    B = assemble_B(mesh, trial_layout, test_layout, bem_mats)
-    G = assemble_gram(mesh, test_layout, bem_mats)
+    classes = mesh.element_classes()
+    B = assemble_B(mesh, trial_layout, test_layout, bem_mats, classes)
+    G = assemble_gram(mesh, test_layout, bem_mats, classes)
     ell = assemble_load(mesh, test_layout, data, bem_mats, **load_kwargs)
     return OperatorBlocks(B=B, G=G, ell=ell)
 
 
+def _two_columns(rhs):
+    """rhs (..., n) as two equal columns (..., n, 2).  LAPACK and BLAS
+    round a lone right-hand side otherwise than one of several columns."""
+    return np.stack([rhs, rhs], axis=-1)
+
+
 def _gram_products(B, G, ell):
-    """B_k^T G_k^{-1} [B_k | ell_k] per Gram block k: (T, 9, 10) per
-    element, its H1 and H(div) blocks summed, and (2P, 2P + 1) for the
-    boundary."""
+    """B_k^T G_k^{-1} B_k per Gram block k: (C, 9, 9) per geometry class,
+    its H1 and H(div) blocks summed, with the sighat columns for edge sign
+    +1; the load columns B_T^T G_T^{-1} ell_T (T, 9) per element; and
+    B_G^T G_G^{-1} [B_G | ell_G] (2P, 2P + 1) for the boundary."""
     ev, et, eg = G._parts(np.asarray(ell, dtype=float))
     bv, bt = B.local[:, :6], B.local[:, 6:]
-    sv, st, sg = G._solve_blocks(np.concatenate([bv, ev[..., None]], axis=2),
-                                 np.concatenate([bt, et[..., None]], axis=2),
-                                 np.column_stack([B.gamma, eg]))
-    a = np.swapaxes(bv, 1, 2) @ sv
-    a += np.swapaxes(bt, 1, 2) @ st
-    return a, B.gamma.T @ sg
+    bvT, btT = np.swapaxes(bv, 1, 2), np.swapaxes(bt, 1, 2)
+    a = bvT @ np.linalg.solve(G.Gv, bv)
+    a += btT @ np.linalg.solve(G.Gtau, bt)
+    # the load columns, on the elements whose block of ell is not zero
+    # (the H(div) block always is: the second equation has no load)
+    b = np.zeros((B.cls.size, 9))
+    for blkT, gram, e in ((bvT, G.Gv, ev), (btT, G.Gtau, et)):
+        t = np.flatnonzero(e.any(axis=1))
+        z = np.linalg.solve(gram[G.cls[t]], _two_columns(e[t]))
+        b[t] += (blkT[B.cls[t]] @ z)[..., 0]
+    b *= B.signs
+    sg = G.bem.solve_gpsi(np.column_stack([B.gamma, eg]))
+    return a, b, B.gamma.T @ sg
 
 
 def build_normal_equations(B, G, ell):
@@ -316,26 +346,35 @@ def build_normal_equations(B, G, ell):
     skeleton dofs for the boundary.  So each element's 3 field dofs
     (sigma, u) are eliminated in its own block, and the 6x6 Schur
     complements and the boundary block sum to the SPD skeleton system
-    S y = c in (uhat, sighat), of dimension V + E.
+    S y = c in (uhat, sighat), of dimension V + E.  The element blocks
+    and their condensation are formed once per geometry class and
+    signed per element; only the load terms are formed per element.
 
     Returns (S, c, recover); recover(y) is the full trial vector, with
     the fields from back-substitution.
     """
-    a, g = _gram_products(B, G, ell)
+    a, b, g = _gram_products(B, G, ell)
     try:
         np.linalg.cholesky(a[:, :3, :3])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("field block of the normal equations not SPD"
                              ) from exc
-    # A_ff^{-1} [A_fs | b_f] (T, 3, 7); A_sf = A_fs^T by symmetry
+    # A_ff^{-1} A_fs (C, 3, 6) and the Schur complement per class;
+    # A_sf = A_fs^T by symmetry
     Y = np.linalg.solve(a[:, :3, :3], a[:, :3, 3:])
-    loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:9], Y)
+    loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:], Y)
+    # per element: A_ff^{-1} b_f and the condensed load
+    s = B.signs[:, 3:]
+    yf = np.linalg.solve(a[B.cls, :3, :3], _two_columns(b[:, :3]))[..., 0]
+    cf = b[:, 3:] - np.einsum("tfi,tf->ti", a[B.cls, :3, 3:] * s[:, None],
+                              yf)
     nf = 3 * G.n_tri
     ns = B.shape[1] - nf
     skel = B.cols[:, 3:] - nf
     gcols = B.gamma_cols - nf
     S = scipy.sparse.coo_matrix(
-        (np.concatenate([loc[..., :6].ravel(), g[:, :-1].ravel()]),
+        (np.concatenate([(loc[B.cls] * s[:, :, None] * s[:, None, :]).ravel(),
+                         g[:, :-1].ravel()]),
          (np.concatenate([np.repeat(skel, 6, axis=1).ravel(),
                           np.repeat(gcols, gcols.size)]),
           np.concatenate([np.tile(skel, 6).ravel(),
@@ -344,13 +383,13 @@ def build_normal_equations(B, G, ell):
     if np.any(S.diagonal() <= 0.0):
         raise NumericalError("normal equations indefinite: B rank deficient")
     c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
-                    weights=np.concatenate([loc[..., 6].ravel(), g[:, -1]]))
+                    weights=np.concatenate([cf.ravel(), g[:, -1]]))
     fld = B.cols[:, :3]
 
     def recover(y):
         x = np.empty(B.shape[1])
         x[nf:] = y
-        x[fld] = Y[..., 6] - np.einsum("tfj,tj->tf", Y[..., :6], y[skel])
+        x[fld] = yf - np.einsum("tfj,tj->tf", Y[B.cls], y[skel] * s)
         return x
 
     return S, c, recover

@@ -27,7 +27,7 @@ import scipy.sparse.linalg
 from . import bem as bem_mod
 from . import quadrature, spaces
 from .errors import NumericalError
-from .mesh import boundary_loop
+from .mesh import REF_HAT_GRADS, boundary_loop, element_map
 from .solver import field_errors, nested_dissection, trace_error
 
 
@@ -52,8 +52,12 @@ def p0_test_rows(matrix_2p):
 
 
 def _p1_stiffness(mesh):
-    g = mesh.hat_gradients()
-    loc = np.einsum("tic,tjc->tij", g, g) * mesh.areas()[:, None, None]
+    """P1 stiffness matrix; its 3x3 element blocks are formed once per
+    geometry class (Mesh.element_classes)."""
+    cls, rep = mesh.element_classes()
+    _, detJ, Jinv = element_map(mesh.vertices[mesh.triangles[rep]])
+    g = np.einsum("id,tdc->tic", REF_HAT_GRADS, Jinv)
+    loc = (np.einsum("tic,tjc->tij", g, g) * (0.5 * detJ)[:, None, None])[cls]
     rows = np.repeat(mesh.triangles[:, :, None], 3, axis=2).ravel()
     cols = np.repeat(mesh.triangles[:, None, :], 3, axis=1).ravel()
     return scipy.sparse.coo_matrix(

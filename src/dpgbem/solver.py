@@ -291,9 +291,8 @@ def eval_exterior_field(solution, points):
         raise ValueError("point {} is {} (need exterior)"
                          .format(points[bad[0]], loc[bad[0]]))
     trace = bem_mod.hat_trace_coefs(loop, solution.trace_c)
-    vals = (bem_mod.eval_double_layer(loop, trace, points)
-            - bem_mod.eval_single_layer(loop, solution.flux_c, points))
-    return vals
+    single, double = bem_mod.eval_layers(loop, solution.flux_c, trace, points)
+    return double - single
 
 
 def piecewise_linear_boundary_norm(loop, vertex_vals):

@@ -17,6 +17,16 @@ it; the per-block products and the condensed skeleton system of
 `solve_spd_dense` is the dense Cholesky solve that `solver.solve_spd`
 had before it took sparse systems only.
 
+`dpg_assembly` forms the element blocks once per geometry class
+(`Mesh.element_classes`) and signs them per element.
+`ElementPipeline` is the same DPG operator computed element by element,
+as it was before the classes: the signed B blocks, the test Grams, the
+products B_T^T G_T^{-1} [B_T | ell_T], the field condensation, B @ x and
+the energy error.  The class path must reproduce it exactly.
+`signed_blocks` and `expand_products` expand class blocks and class
+products to one per element, and `p1_stiffness` is the classical
+coupling's stiffness matrix formed element by element.
+
 The pairwise panel-integral API (`BoundaryPanel`, `slp_panel_integral`,
 `dlp_panel_integral` and their helpers) computes one Galerkin block per
 panel pair, and `eval_potentials` evaluates layer potentials of callable
@@ -44,7 +54,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from dpgbem import bem, quadrature, spaces
+from dpgbem import bem, dpg_assembly as da, quadrature, spaces
 from dpgbem.errors import MeshError, NumericalError
 from dpgbem.mesh import Mesh
 
@@ -161,7 +171,8 @@ def refine_uniform(mesh):
 def sparse_B(B):
     """The global CSR matrix of a BlockOperator (rows: test dofs,
     columns: trial dofs), explicit zeros included."""
-    ntri = B.local.shape[0]
+    local = signed_blocks(B)
+    ntri = local.shape[0]
     tri = np.arange(ntri)
     rows = np.empty((ntri, 18), dtype=int)
     rows[:, 0:6] = 6 * tri[:, None] + np.arange(6)[None, :]
@@ -171,7 +182,7 @@ def sparse_B(B):
     n = B.gamma_cols.size
     rb = np.repeat(18 * ntri + np.arange(n), n)
     return scipy.sparse.coo_matrix(
-        (np.concatenate([B.local.ravel(), B.gamma.ravel()]),
+        (np.concatenate([local.ravel(), B.gamma.ravel()]),
          (np.concatenate([r, rb]),
           np.concatenate([c, np.tile(B.gamma_cols, n)]))),
         shape=B.shape).tocsr()
@@ -196,9 +207,10 @@ def gram_solve_matrix(G, B):
         data.append(solve(loc).ravel())
 
     for t in range(nt):
-        solve_block(lambda loc: np.linalg.solve(G.Gv[t], loc), 6 * t, 6)
+        solve_block(lambda loc: np.linalg.solve(G.Gv[G.cls[t]], loc),
+                    6 * t, 6)
     for t in range(nt):
-        solve_block(lambda loc: np.linalg.solve(G.Gtau[t], loc),
+        solve_block(lambda loc: np.linalg.solve(G.Gtau[G.cls[t]], loc),
                     6 * nt + 12 * t, 12)
     solve_block(G.bem.solve_gpsi, 18 * nt, G.n_psi)
     W = scipy.sparse.coo_matrix(
@@ -241,6 +253,162 @@ def scatter_products(B, a, g):
     b = np.bincount(np.concatenate([B.cols.ravel(), gc]), minlength=n,
                     weights=np.concatenate([a[..., 9].ravel(), g[:, -1]]))
     return A, b
+
+
+def signed_blocks(B):
+    """The (T, 18, 9) B block of every element of a BlockOperator: its
+    class block with the sighat columns times the element's edge signs."""
+    return B.local[B.cls] * B.signs[:, None, :]
+
+
+def expand_products(B, a, b):
+    """Per-element products (T, 9, 10) of B_T^T G_T^{-1} [B_T | ell_T]
+    from the class products a (C, 9, 9) and the load columns b (T, 9)."""
+    s = B.signs
+    return np.concatenate([a[B.cls] * s[:, :, None] * s[:, None, :],
+                           b[..., None]], axis=2)
+
+
+# ----------------------------------------------------------------------
+# the DPG element pipeline, element by element
+# ----------------------------------------------------------------------
+
+@dataclass
+class ElementPipeline:
+    """The DPG operator kept per element, as `dpg_assembly` computed it
+    before it grouped the elements into geometry classes: the signed B
+    block of every element (T, 18, 9), its test Grams (T, 6, 6) and
+    (T, 12, 12), and the trial columns and boundary block of the
+    BlockOperator B it stands for."""
+
+    local: np.ndarray
+    Gv: np.ndarray
+    Gtau: np.ndarray
+    B: object
+    bem: object
+
+    @classmethod
+    def from_mesh(cls, mesh, B, G):
+        detJ, Jinv = mesh.element_map()[1:]
+        gphys = np.einsum("qid,tdc->tqic", da._P2_GRADS, Jinv)
+        ntri = mesh.num_triangles
+        loc = np.zeros((ntri, 18, 9))
+        int_grad = (np.einsum("q,tqic->tic", da._VOL_W, gphys)
+                    * detJ[:, None, None])
+        int_val = (np.einsum("q,qi->i", da._VOL_W, da._P2_VALS)[None, :]
+                   * detJ[:, None])
+        loc[:, 0:6, 0] = int_grad[:, :, 0]
+        loc[:, 0:6, 1] = int_grad[:, :, 1]
+        loc[:, 6:18:2, 0] = int_val
+        loc[:, 7:18:2, 1] = int_val
+        loc[:, 6:18, 2] = int_grad.reshape(ntri, 12)
+        h_e = mesh.edge_lengths[mesh.tri_edges]
+        n_e = mesh.edge_normals[mesh.tri_edges]
+        sgn = mesh.tri_edge_signs.astype(float)
+        n_out = sgn[:, :, None] * n_e
+        mom_v = np.einsum("q,sqi->si", da._EDGE_W, da._P2_EDGE)
+        mom_hv = np.einsum("q,sqj,sqi->sji", da._EDGE_W, da._HAT_EDGE,
+                           da._P2_EDGE)
+        loc[:, 0:6, 6:9] = -(sgn * h_e)[:, None, :] * mom_v.T[None]
+        for s in range(3):
+            contrib = h_e[:, s, None, None] * mom_hv[s].T[None]
+            loc[:, 6:18, 3:6] -= (contrib[:, :, None, :]
+                                  * n_out[:, s, None, :, None]
+                                  ).reshape(ntri, 12, 3)
+
+        w = da._VOL_W
+        mass = np.einsum("q,qi,qj->ij", w, da._P2_VALS, da._P2_VALS)
+        Gv = (np.einsum("q,tqic,tqjc->tij", w, gphys, gphys)
+              + mass[None]) * detJ[:, None, None]
+        div = gphys.reshape(ntri, w.size, 12)
+        Gtau = (np.kron(mass, np.eye(2))[None] * detJ[:, None, None]
+                + np.einsum("q,tqa,tqb->tab", w, div, div)
+                * detJ[:, None, None])
+        return cls(local=loc, Gv=Gv, Gtau=Gtau, B=B, bem=G.bem)
+
+    def _parts(self, vec):
+        nt = self.local.shape[0]
+        return (vec[:6 * nt].reshape(nt, 6),
+                vec[6 * nt:18 * nt].reshape(nt, 12),
+                vec[18 * nt:])
+
+    def _solve_blocks(self, rv, rt, rp):
+        return (np.linalg.solve(self.Gv, rv), np.linalg.solve(self.Gtau, rt),
+                self.bem.solve_gpsi(rp))
+
+    def apply_B(self, x):
+        """B @ x."""
+        x = np.asarray(x, dtype=float)
+        y = np.einsum("tij,tj->ti", self.local, x[self.B.cols])
+        return np.concatenate([y[:, :6].ravel(), y[:, 6:].ravel(),
+                               self.B.gamma @ x[self.B.gamma_cols]])
+
+    def quadratic(self, vec):
+        """vec . G^{-1} vec."""
+        rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
+        sv, st, sp = self._solve_blocks(rv[..., None], rt[..., None], rp)
+        return float(np.dot(vec, np.concatenate([sv.ravel(), st.ravel(),
+                                                 sp])))
+
+    def energy_error(self, ell, x):
+        r = ell - self.apply_B(x)
+        return float(np.sqrt(max(self.quadratic(r), 0.0)))
+
+    def gram_products(self, ell):
+        """B_k^T G_k^{-1} [B_k | ell_k]: (T, 9, 10) per element and
+        (2P, 2P + 1) for the boundary."""
+        ev, et, eg = self._parts(np.asarray(ell, dtype=float))
+        bv, bt = self.local[:, :6], self.local[:, 6:]
+        sv, st, sg = self._solve_blocks(
+            np.concatenate([bv, ev[..., None]], axis=2),
+            np.concatenate([bt, et[..., None]], axis=2),
+            np.column_stack([self.B.gamma, eg]))
+        a = np.swapaxes(bv, 1, 2) @ sv
+        a += np.swapaxes(bt, 1, 2) @ st
+        return a, self.B.gamma.T @ sg
+
+    def normal_equations(self, ell):
+        """(S, c, recover) as `build_normal_equations` returns them, with
+        the field condensation done per element."""
+        B = self.B
+        a, g = self.gram_products(ell)
+        Y = np.linalg.solve(a[:, :3, :3], a[:, :3, 3:])
+        loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:9], Y)
+        nf = 3 * self.local.shape[0]
+        ns = B.shape[1] - nf
+        skel = B.cols[:, 3:] - nf
+        gcols = B.gamma_cols - nf
+        S = scipy.sparse.coo_matrix(
+            (np.concatenate([loc[..., :6].ravel(), g[:, :-1].ravel()]),
+             (np.concatenate([np.repeat(skel, 6, axis=1).ravel(),
+                              np.repeat(gcols, gcols.size)]),
+              np.concatenate([np.tile(skel, 6).ravel(),
+                              np.tile(gcols, gcols.size)]))),
+            shape=(ns, ns)).tocsr()
+        c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
+                        weights=np.concatenate([loc[..., 6].ravel(),
+                                                g[:, -1]]))
+        fld = B.cols[:, :3]
+
+        def recover(y):
+            x = np.empty(B.shape[1])
+            x[nf:] = y
+            x[fld] = Y[..., 6] - np.einsum("tfj,tj->tf", Y[..., :6], y[skel])
+            return x
+
+        return S, c, recover
+
+
+def p1_stiffness(mesh):
+    """P1 stiffness matrix with its 3x3 blocks formed element by element,
+    as `jn_reference._p1_stiffness` did before the geometry classes."""
+    g = mesh.hat_gradients()
+    loc = np.einsum("tic,tjc->tij", g, g) * mesh.areas()[:, None, None]
+    rows = np.repeat(mesh.triangles[:, :, None], 3, axis=2).ravel()
+    cols = np.repeat(mesh.triangles[:, None, :], 3, axis=1).ravel()
+    return scipy.sparse.coo_matrix(
+        (loc.ravel(), (rows, cols)),
+        shape=(mesh.num_vertices, mesh.num_vertices))
 
 
 @dataclass(frozen=True)

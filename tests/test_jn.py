@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import _oracles
 from dpgbem import boundary_loop, make_square_mesh, refine_uniform
 from dpgbem import bem, cli, jn_reference as jn, solver
 from dpgbem.dpg_assembly import ProblemData
@@ -137,3 +138,19 @@ def test_boundary_errors_decrease():
         mesh = refine_uniform(mesh)
     assert traces[0] > traces[1] > traces[2]
     assert fluxes[0] > fluxes[1] > fluxes[2]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
+def test_coupling_matrix_unchanged_by_geometry_classes(level, monkeypatch):
+    # stiffness blocks per geometry class against blocks per element
+    mesh = cli.initial_mesh("lshape")
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    data, _ = cli.manufacture_data("lshape")
+    mats = bem.assemble_bem(boundary_loop(mesh))
+    got = jn.assemble_jn(mesh, data, bem_mats=mats).matrix
+    monkeypatch.setattr(jn, "_p1_stiffness", _oracles.p1_stiffness)
+    ref = jn.assemble_jn(mesh, data, bem_mats=mats).matrix
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)

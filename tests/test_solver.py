@@ -181,6 +181,17 @@ def test_eval_exterior_field_validation_and_zero(smooth_square):
         solver.eval_exterior_field(sol, pts)
 
 
+def test_eval_exterior_field_one_kernel_pass_matches_separate_calls(
+        smooth_square):
+    _, _, _, sol, _ = smooth_square
+    pts = np.random.default_rng(2).uniform(0.15, 2.0, (40, 2))
+    pts *= np.where(np.arange(40) % 2, 1.0, -1.0)[:, None]
+    trace = bem.hat_trace_coefs(sol.loop, sol.trace_c)
+    separate = (bem.eval_double_layer(sol.loop, trace, pts)
+                - bem.eval_single_layer(sol.loop, sol.flux_c, pts))
+    assert np.array_equal(solver.eval_exterior_field(sol, pts), separate)
+
+
 def test_exterior_field_decay_under_refinement():
     data, exact = cli.manufacture_data("square")
     mesh = make_square_mesh(0.1, 2)
@@ -271,12 +282,12 @@ def test_condensed_solve_matches_full_solve(domain, level, monkeypatch):
 
 
 def test_condensed_solve_rejects_indefinite_field_block():
-    # the sigma_x column of element 0 is zero, so its field block is
-    # singular; matched on the message, so that a later failure of the
-    # skeleton solve does not count
+    # the sigma_x column of element 0 (and of its geometry class) is zero,
+    # so its field block is singular; matched on the message, so that a
+    # later failure of the skeleton solve does not count
     mesh = make_square_mesh(0.1, 1)
     data, _ = cli.manufacture_data("square")
     _, blocks = solver.solve_dpg(mesh, data)
-    blocks.B.local[0, :, 0] = 0.0
+    blocks.B.local[blocks.B.cls[0], :, 0] = 0.0
     with pytest.raises(NumericalError, match="field block"):
         dpg_assembly.build_normal_equations(blocks.B, blocks.G, blocks.ell)
