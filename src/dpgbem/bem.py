@@ -28,12 +28,17 @@ import scipy.linalg
 
 from . import quadrature
 from .errors import NumericalError
+from .spaces import PANEL_ORDER
 
 TWO_PI = 2.0 * np.pi
 
 # entries (target panels x outer nodes x source panels) of one far-field
 # chunk in assemble_bem
 FAR_CHUNK_ENTRIES = 1 << 15
+
+# point_location: points within this fraction of the longest panel of the
+# boundary lie on it
+ON_BOUNDARY_TOL = 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +148,7 @@ class BemMatrices:
         return 0.5 * self.M_up - self.K_up
 
 
-def assemble_bem(loop, quad_order=8):
+def assemble_bem(loop):
     """Assemble all boundary matrices for a loop.
 
     The single-layer Gram G_psi is factorized here; failure indicates a
@@ -152,8 +157,8 @@ def assemble_bem(loop, quad_order=8):
     P = loop.num_panels
     pa, pb = loop.points_a, loop.points_b
     lengths = loop.lengths
-    t_far, w_far = quadrature.gauss01(max(16, 2 * quad_order))
-    t_gr, w_gr = quadrature.graded01(quad_order, 30, end=0)
+    t_far, w_far = quadrature.gauss01(2 * PANEL_ORDER)
+    t_gr, w_gr = quadrature.graded01(PANEL_ORDER, 30, end=0)
     idx = np.arange(P)
     nxt = (idx + 1) % P
     near = np.stack([(idx - 1) % P, nxt], axis=1)   # sharing tail / head
@@ -240,16 +245,6 @@ def eval_layers(loop, slp_density, dlp_density, points):
                  for k, d in zip(inner, (slp_density, dlp_density)))
 
 
-def eval_single_layer(loop, density, points):
-    """Single-layer potential of a panelwise density, see eval_layers."""
-    return eval_layers(loop, density, density, points)[0]
-
-
-def eval_double_layer(loop, density, points):
-    """Double-layer potential of a panelwise density, see eval_layers."""
-    return eval_layers(loop, density, density, points)[1]
-
-
 def hat_trace_coefs(loop, vertex_values):
     """Panelwise-linear endpoint values of the piecewise-linear boundary
     function with the given loop-vertex values."""
@@ -258,40 +253,18 @@ def hat_trace_coefs(loop, vertex_values):
     return np.stack([vals, vals[nxt]], axis=1)
 
 
-def _loop_coords(loop, points):
-    """Local coordinates (u, v) of points against every panel of the
-    loop, and the panel lengths."""
-    u, v = _local_coords(np.asarray(points, dtype=float), loop.points_a,
-                         loop.points_b, loop.lengths)
-    return u, v, loop.lengths
-
-
-def _winding(u, v, h):
-    return -_panel_angle(u, v, h).sum(axis=-1) / TWO_PI
-
-
-def _distance(u, v, h):
-    uc = np.clip(u, 0.0, h)
-    return np.sqrt((u - uc) ** 2 + v ** 2).min(axis=-1)
-
-
-def winding_number(loop, points):
-    """Winding number of the loop around each point (1 inside, 0 outside)."""
-    return _winding(*_loop_coords(loop, points))
-
-
-def distance_to_boundary(loop, points):
-    return _distance(*_loop_coords(loop, points))
-
-
-def point_location(loop, points, tol=1e-12):
+def point_location(loop, points):
     """Classify points as 'interior', 'exterior' or 'boundary'.
 
     points is one point (2,), which gives a str, or (n, 2), which gives
     an (n,) array of labels."""
     points = np.asarray(points, dtype=float)
-    coords = _loop_coords(loop, np.atleast_2d(points))
-    on = _distance(*coords) <= tol * float(loop.lengths.max())
-    inside = np.abs(_winding(*coords) - 1.0) < 0.5
+    u, v = _local_coords(np.atleast_2d(points), loop.points_a, loop.points_b,
+                         loop.lengths)
+    h = loop.lengths
+    dist = np.sqrt((u - np.clip(u, 0.0, h)) ** 2 + v ** 2).min(axis=-1)
+    winding = -_panel_angle(u, v, h).sum(axis=-1) / TWO_PI
+    on = dist <= ON_BOUNDARY_TOL * float(h.max())
+    inside = np.abs(winding - 1.0) < 0.5
     loc = np.where(on, "boundary", np.where(inside, "interior", "exterior"))
     return str(loc[0]) if points.ndim == 1 else loc

@@ -46,8 +46,6 @@ class ExperimentConfig:
     domain: str
     levels: int = 5
     solver: str = "dpg"
-    quad_order_boundary: int = 8
-    stabilize_jn: bool = True
     output_path: Optional[str] = None
 
     def validate(self):
@@ -60,8 +58,6 @@ class ExperimentConfig:
         if self.levels > MAX_LEVELS:
             raise ConfigError(
                 "levels > {} exceeds the level cap".format(MAX_LEVELS))
-        if self.quad_order_boundary < 2:
-            raise ConfigError("quad-order must be >= 2")
 
 
 @dataclass
@@ -83,7 +79,6 @@ class ConvergenceRecord:
     agree_trace_l2: float = math.nan
     agree_flux_l2: float = math.nan
     jn_err_trace_l2: float = math.nan
-    jn_err_flux_l2: float = math.nan
 
 
 @dataclass
@@ -165,15 +160,14 @@ def probe_points(domain):
                      [0.0, q + 1.0], [0.0, -(q + 1.0)]])
 
 
-def compatibility_residual(mesh, data, loop=None):
+def compatibility_residual(mesh, data):
     """Quadrature value of int_Omega f + int_Gamma phi0 (must be ~0)."""
     pts, w = quadrature.triangle_duffy(6)
     phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
     fv = np.broadcast_to(data.f(phys[..., 0], phys[..., 1]),
                          phys[..., 0].shape)
     vol = float((fv @ w * 2.0 * mesh.areas()).sum())
-    if loop is None:
-        loop = boundary_loop(mesh)
+    loop = boundary_loop(mesh)
     bpts, wl, _ = spaces.boundary_quadrature(loop, 8, 40)
     ph = data.phi0(bpts[..., 0], bpts[..., 1], loop.normals[:, None, 0],
                    loop.normals[:, None, 1])
@@ -192,16 +186,13 @@ def run_convergence(config, progress=None):
     records = []
     for level in range(config.levels):
         loop = boundary_loop(mesh)
-        bem_mats = bem_mod.assemble_bem(loop,
-                                        quad_order=config.quad_order_boundary)
+        bem_mats = bem_mod.assemble_bem(loop)
         rec = None
         run_dpg = config.solver in ("dpg", "both")
         run_jn = config.solver in ("jn", "both")
         sol = None
         if run_dpg:
-            sol, blocks = solver.solve_dpg(mesh, data,
-                                           quad_order=config.quad_order_boundary,
-                                           bem_mats=bem_mats)
+            sol, blocks = solver.solve_dpg(mesh, data, bem_mats=bem_mats)
             ee = solver.energy_error(blocks, sol)
             eu, es = solver.l2_errors(sol, exact.u, exact.grad, mesh,
                                       singular_vertex=sv)
@@ -216,9 +207,7 @@ def run_convergence(config, progress=None):
                 err_sigma_l2_sq=es ** 2, err_trace_l2=etr, err_flux_l2=efl,
                 probe_values=pv)
         if run_jn:
-            system = jn_reference.assemble_jn(
-                mesh, data, stabilized=config.stabilize_jn,
-                bem_mats=bem_mats, quad_order=config.quad_order_boundary)
+            system = jn_reference.assemble_jn(mesh, data, bem_mats=bem_mats)
             u_n, phi = jn_reference.solve_jn(system)
             eu_j, es_j = jn_reference.jn_errors(mesh, u_n, exact.u, exact.grad,
                                                 singular_vertex=sv)
@@ -233,7 +222,6 @@ def run_convergence(config, progress=None):
                     err_sigma_l2_sq=es_j ** 2, err_trace_l2=etr_j,
                     err_flux_l2=efl_j)
             rec.jn_err_trace_l2 = etr_j
-            rec.jn_err_flux_l2 = efl_j
             if sol is not None:
                 diff = sol.uhat[loop.vertex_ids] - u_n[loop.vertex_ids]
                 rec.agree_trace_l2 = solver.piecewise_linear_boundary_norm(
@@ -307,18 +295,10 @@ def main(argv=None):
                         default="dpg")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="CSV output path (default: stdout)")
-    parser.add_argument("--quad-order", type=int, default=8, dest="quad_order",
-                        help="Gauss order for boundary quadrature")
-    parser.add_argument("--no-stabilize", action="store_true",
-                        help="disable the rank-one stabilization of the "
-                             "reference coupling")
     args = parser.parse_args(argv)
 
     config = ExperimentConfig(domain=args.domain, levels=args.levels,
-                              solver=args.solver,
-                              quad_order_boundary=args.quad_order,
-                              stabilize_jn=not args.no_stabilize,
-                              output_path=args.out)
+                              solver=args.solver, output_path=args.out)
     try:
         records = run_convergence(
             config, progress=lambda msg: print(msg, file=sys.stderr))

@@ -60,34 +60,17 @@ class BlockGram:
         self.cls = cls
         self.bem = bem_mats
         self.n_tri = cls.size
-        self.n_psi = bem_mats.G_psi.shape[0]
         try:
             np.linalg.cholesky(Gv)
             np.linalg.cholesky(Gtau)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("test Gram block not SPD; assembly bug") from exc
 
-    @property
-    def dim(self):
-        return 18 * self.n_tri + self.n_psi
-
-    @property
-    def num_blocks(self):
-        return 2 * self.n_tri + 1
-
     def _parts(self, vec):
         nt = self.n_tri
         return (vec[:6 * nt].reshape(nt, 6),
                 vec[6 * nt:18 * nt].reshape(nt, 12),
                 vec[18 * nt:])
-
-    def apply(self, vec):
-        """G @ vec."""
-        rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
-        return np.concatenate([
-            np.einsum("tij,tj->ti", self.Gv[self.cls], rv).ravel(),
-            np.einsum("tij,tj->ti", self.Gtau[self.cls], rt).ravel(),
-            self.bem.G_psi @ rp])
 
     def solve_vec(self, vec):
         """G^{-1} @ vec, applied blockwise."""
@@ -210,14 +193,12 @@ def _element_b_locals(mesh, rep):
     return loc
 
 
-def assemble_B(mesh, trial_layout, test_layout, bem_mats, classes):
+def assemble_B(mesh, bem_mats, classes):
     """Assemble the coupled operator (rows: test dofs, columns: trial
     dofs) per Gram block and per geometry class, as a BlockOperator;
-    classes is mesh.element_classes()."""
-    if trial_layout.n_tri != mesh.num_triangles:
-        raise ValueError("trial layout does not match mesh")
-    if test_layout.n_bedge != mesh.num_boundary_edges:
-        raise ValueError("test layout does not match mesh")
+    classes is mesh.element_classes().  The test space has 6 H1 and 12
+    H(div) dofs per element and 2 per boundary panel, 18T + 2P in all."""
+    trial = spaces.TrialDofLayout.from_mesh(mesh)
     loop = bem_mats.loop
     P = loop.num_panels
     # <V sighat, psi> (global flux dof s_e restricts to sign * s_e on
@@ -227,27 +208,24 @@ def assemble_B(mesh, trial_layout, test_layout, bem_mats, classes):
     gamma[:, P:] = bem_mats.half_minus_k()
     tri = np.arange(mesh.num_triangles)
     cols = np.column_stack([
-        trial_layout.sigma(tri, 0), trial_layout.sigma(tri, 1),
-        trial_layout.u(tri), trial_layout.uhat(mesh.triangles),
-        trial_layout.sighat(mesh.tri_edges)])
+        trial.sigma(tri, 0), trial.sigma(tri, 1), trial.u(tri),
+        trial.uhat(mesh.triangles), trial.sighat(mesh.tri_edges)])
     cls, rep = classes
     signs = np.ones((mesh.num_triangles, 9))
     signs[:, 6:] = mesh.tri_edge_signs
     return BlockOperator(
         local=_element_b_locals(mesh, rep), cls=cls, signs=signs, cols=cols,
         gamma=gamma,
-        gamma_cols=np.concatenate([trial_layout.sighat(loop.edge_ids),
-                                   trial_layout.uhat(loop.vertex_ids)]),
-        shape=(test_layout.dim, trial_layout.dim))
+        gamma_cols=np.concatenate([trial.sighat(loop.edge_ids),
+                                   trial.uhat(loop.vertex_ids)]),
+        shape=(18 * mesh.num_triangles + 2 * P, trial.dim))
 
 
-def assemble_gram(mesh, test_layout, bem_mats, classes):
+def assemble_gram(mesh, bem_mats, classes):
     """Assemble the block-diagonal test Gram: per geometry class
     int grad v . grad v' + v v' and int tau . tau' + div tau div tau',
     boundary block from the bem module; classes is
     mesh.element_classes()."""
-    if test_layout.n_tri != mesh.num_triangles:
-        raise ValueError("test layout does not match mesh")
     cls, rep = classes
     detJ, gphys = _p2_gradients(mesh, rep)
     w = _VOL_W
@@ -262,7 +240,7 @@ def assemble_gram(mesh, test_layout, bem_mats, classes):
     return BlockGram(Gv, Gtau, cls, bem_mats)
 
 
-def assemble_load(mesh, test_layout, data, bem_mats, boundary_order=8):
+def assemble_load(mesh, data, bem_mats):
     """Assemble the load vector: (f, v) per element plus the boundary data
     term <(1/2 - K) u0 + V phi0, psi>.
 
@@ -274,37 +252,31 @@ def assemble_load(mesh, test_layout, data, bem_mats, boundary_order=8):
     phys = quadrature.map_to_physical(mesh.triangle_vertices(), _LOAD_PTS)
     fv = data.f(phys[..., 0], phys[..., 1])
     fv = np.broadcast_to(fv, phys[..., 0].shape)
-    ell = np.zeros(test_layout.dim)
-    ell[:6 * mesh.num_triangles] = (
-        np.einsum("q,tq,qi->ti", _LOAD_W, fv, _LOAD_VALS) * detJ[:, None]).ravel()
+    ell_v = np.einsum("q,tq,qi->ti", _LOAD_W, fv, _LOAD_VALS) * detJ[:, None]
 
     loop = bem_mats.loop
-    u0_hat = spaces.project_boundary_p1(loop, data.u0,
-                                        order=boundary_order,
-                                        levels=spaces.DATA_LEVELS)
-    phi0_p0 = spaces.project_boundary_p0_flux(loop, data.phi0,
-                                              order=boundary_order,
-                                              levels=spaces.DATA_LEVELS)
+    order, levels = spaces.PANEL_ORDER, spaces.DATA_LEVELS
+    u0_hat = spaces.project_boundary_p1(loop, data.u0, order, levels)
+    phi0_p0 = spaces.project_boundary_p0_flux(loop, data.phi0, order, levels)
     # direct quadrature of u0 against the boundary test functions
-    bpts, wl, t = spaces.boundary_quadrature(loop, boundary_order,
-                                             spaces.DATA_LEVELS)
+    bpts, wl, t = spaces.boundary_quadrature(loop, order, levels)
     u0v = data.u0(bpts[..., 0], bpts[..., 1])
     m0 = (wl * u0v * (1.0 - t)[None, :]).sum(axis=1)
     m1 = (wl * u0v * t[None, :]).sum(axis=1)
     mass_u0 = np.stack([m0, m1], axis=1).ravel()
 
-    ell[6 * mesh.num_triangles + 12 * mesh.num_triangles:] = (
-        0.5 * mass_u0 - bem_mats.K_up @ u0_hat + bem_mats.V_ps @ phi0_p0)
-    return ell
+    # the H(div) block is zero: the second equation has no load
+    return np.concatenate([
+        ell_v.ravel(), np.zeros(12 * mesh.num_triangles),
+        0.5 * mass_u0 - bem_mats.K_up @ u0_hat + bem_mats.V_ps @ phi0_p0])
 
 
-def assemble_operator_blocks(mesh, trial_layout, test_layout, bem_mats, data,
-                             **load_kwargs):
+def assemble_operator_blocks(mesh, bem_mats, data):
     """Assemble B, G and ell together."""
     classes = mesh.element_classes()
-    B = assemble_B(mesh, trial_layout, test_layout, bem_mats, classes)
-    G = assemble_gram(mesh, test_layout, bem_mats, classes)
-    ell = assemble_load(mesh, test_layout, data, bem_mats, **load_kwargs)
+    B = assemble_B(mesh, bem_mats, classes)
+    G = assemble_gram(mesh, bem_mats, classes)
+    ell = assemble_load(mesh, data, bem_mats)
     return OperatorBlocks(B=B, G=G, ell=ell)
 
 
@@ -318,19 +290,19 @@ def _gram_products(B, G, ell):
     """B_k^T G_k^{-1} B_k per Gram block k: (C, 9, 9) per geometry class,
     its H1 and H(div) blocks summed, with the sighat columns for edge sign
     +1; the load columns B_T^T G_T^{-1} ell_T (T, 9) per element; and
-    B_G^T G_G^{-1} [B_G | ell_G] (2P, 2P + 1) for the boundary."""
-    ev, et, eg = G._parts(np.asarray(ell, dtype=float))
+    B_G^T G_G^{-1} [B_G | ell_G] (2P, 2P + 1) for the boundary.  The
+    H(div) block of ell is zero, so the load columns come from the H1
+    block alone."""
+    ev, _, eg = G._parts(np.asarray(ell, dtype=float))
     bv, bt = B.local[:, :6], B.local[:, 6:]
     bvT, btT = np.swapaxes(bv, 1, 2), np.swapaxes(bt, 1, 2)
     a = bvT @ np.linalg.solve(G.Gv, bv)
     a += btT @ np.linalg.solve(G.Gtau, bt)
     # the load columns, on the elements whose block of ell is not zero
-    # (the H(div) block always is: the second equation has no load)
     b = np.zeros((B.cls.size, 9))
-    for blkT, gram, e in ((bvT, G.Gv, ev), (btT, G.Gtau, et)):
-        t = np.flatnonzero(e.any(axis=1))
-        z = np.linalg.solve(gram[G.cls[t]], _two_columns(e[t]))
-        b[t] += (blkT[B.cls[t]] @ z)[..., 0]
+    t = np.flatnonzero(ev.any(axis=1))
+    z = np.linalg.solve(G.Gv[G.cls[t]], _two_columns(ev[t]))
+    b[t] = (bvT[B.cls[t]] @ z)[..., 0]
     b *= B.signs
     sg = G.bem.solve_gpsi(np.column_stack([B.gamma, eg]))
     return a, b, B.gamma.T @ sg

@@ -42,7 +42,6 @@ class JnSystem:
     n_vert: int
     vertices: np.ndarray
     loop: object
-    stabilized: bool
 
 
 def p0_test_rows(matrix_2p):
@@ -77,13 +76,12 @@ def _p1_load(mesh, f):
     return out
 
 
-def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8):
+def assemble_jn(mesh, data, stabilized=True, bem_mats=None):
     """Assemble the coupling system for the given transmission data
     (mapped as in the equivalence with the ultra-weak formulation:
     volume source f, boundary terms phi0 and (1/2 - K)u0)."""
     if bem_mats is None:
-        bem_mats = bem_mod.assemble_bem(boundary_loop(mesh),
-                                        quad_order=quad_order)
+        bem_mats = bem_mod.assemble_bem(boundary_loop(mesh))
     loop = bem_mats.loop
     P = loop.num_panels
     nv = mesh.num_vertices
@@ -109,7 +107,8 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8):
     rhs = np.zeros(nv + P)
     rhs[:nv] = _p1_load(mesh, data.f)
     # <phi0, v>_Gamma against the boundary hats
-    pts, wl, t = spaces.boundary_quadrature(loop, quad_order, spaces.DATA_LEVELS)
+    order, levels = spaces.PANEL_ORDER, spaces.DATA_LEVELS
+    pts, wl, t = spaces.boundary_quadrature(loop, order, levels)
     ph = data.phi0(pts[..., 0], pts[..., 1], loop.normals[:, None, 0],
                    loop.normals[:, None, 1])
     np.add.at(rhs[:nv], loop.vertex_ids, (wl * ph * (1 - t)[None, :]).sum(axis=1))
@@ -117,8 +116,7 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8):
     # <(1/2 - K) u0, psi>: mass part directly, kernel part via projection
     u0v = data.u0(pts[..., 0], pts[..., 1])
     mass_u0 = (wl * u0v).sum(axis=1)
-    u0_hat = spaces.project_boundary_p1(loop, data.u0, order=quad_order,
-                                        levels=spaces.DATA_LEVELS)
+    u0_hat = spaces.project_boundary_p1(loop, data.u0, order, levels)
     K00 = p0_test_rows(bem_mats.K_up)
     rhs[nv:] = 0.5 * mass_u0 - K00 @ u0_hat
 
@@ -136,7 +134,7 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None, quad_order=8):
             shape=mat.shape).tocsr()
         rhs = rhs + lam_total * g
     return JnSystem(matrix=mat, rhs=rhs, n_vert=nv, vertices=mesh.vertices,
-                    loop=loop, stabilized=stabilized)
+                    loop=loop)
 
 
 def solve_jn(system):

@@ -302,7 +302,7 @@ def piecewise_linear_boundary_norm(loop, vertex_vals):
     return float(np.sqrt((loop.lengths * (a * a + a * b + b * b) / 3.0).sum()))
 
 
-def solve_dpg(mesh, data, quad_order=8, bem_mats=None):
+def solve_dpg(mesh, data, bem_mats=None):
     """Assemble and solve the coupled DPG system on a mesh, with the field
     unknowns condensed out element by element.  The skeleton system is
     solved in nested-dissection order, its boundary dofs last.
@@ -310,12 +310,8 @@ def solve_dpg(mesh, data, quad_order=8, bem_mats=None):
     Returns (solution, blocks); blocks are needed for the energy error.
     """
     if bem_mats is None:
-        bem_mats = bem_mod.assemble_bem(boundary_loop(mesh),
-                                        quad_order=quad_order)
-    trial = spaces.TrialDofLayout.from_mesh(mesh)
-    test = spaces.TestDofLayout.from_mesh(mesh)
-    blocks = dpg_assembly.assemble_operator_blocks(
-        mesh, trial, test, bem_mats, data, boundary_order=quad_order)
+        bem_mats = bem_mod.assemble_bem(boundary_loop(mesh))
+    blocks = dpg_assembly.assemble_operator_blocks(mesh, bem_mats, data)
     S, c, recover = dpg_assembly.build_normal_equations(blocks.B, blocks.G,
                                                         blocks.ell)
     skeleton_xy = np.concatenate([mesh.vertices, mesh.edge_midpoints()])
@@ -323,7 +319,7 @@ def solve_dpg(mesh, data, quad_order=8, bem_mats=None):
                              blocks.B.gamma_cols - 3 * mesh.num_triangles)
     y = np.empty_like(c)
     y[perm] = solve_spd(S[perm][:, perm], c[perm])
-    x = recover(y)
-    sol = Solution(mesh=mesh, trial_layout=trial, data=data,
-                   loop=bem_mats.loop, x=x)
+    sol = Solution(mesh=mesh,
+                   trial_layout=spaces.TrialDofLayout.from_mesh(mesh),
+                   data=data, loop=bem_mats.loop, x=recover(y))
     return sol, blocks

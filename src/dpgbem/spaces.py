@@ -51,36 +51,6 @@ class TrialDofLayout:
         return 3 * self.n_tri + self.n_vert + edge
 
 
-@dataclass(frozen=True)
-class TestDofLayout:
-    """Index map for the enriched test space (v, tau, psi).
-
-    Global ordering: 6 scalar P2 dofs per triangle, then 12 vector P2 dofs
-    per triangle (node-major, components interleaved), then 2 boundary-trace
-    dofs per boundary panel in loop order.
-    """
-
-    n_tri: int
-    n_bedge: int
-
-    @classmethod
-    def from_mesh(cls, mesh):
-        return cls(mesh.num_triangles, mesh.num_boundary_edges)
-
-    @property
-    def dim(self):
-        return 18 * self.n_tri + 2 * self.n_bedge
-
-    def v(self, tri, node):
-        return 6 * tri + node
-
-    def tau(self, tri, node, comp):
-        return 6 * self.n_tri + 12 * tri + 2 * node + comp
-
-    def psi(self, panel, node):
-        return 18 * self.n_tri + 2 * panel + node
-
-
 def eval_p2_basis(bary):
     """Quadratic Lagrange basis on the reference triangle.
 
@@ -122,8 +92,11 @@ def side_bary(side, t):
     return np.stack(cols, axis=-1)
 
 
-# graded levels of the panel rule that integrates the transmission data into
-# both solvers' load vectors, and the rule of the boundary error norms
+# Gauss order of the panel rules of the boundary matrices and of both
+# solvers' load vectors; the graded levels of the rule that integrates the
+# transmission data into the load vectors; and the rule of the boundary
+# error norms
+PANEL_ORDER = 8
 DATA_LEVELS = 30
 ERROR_ORDER, ERROR_LEVELS = 8, 24
 

@@ -17,6 +17,9 @@ it; the per-block products and the condensed skeleton system of
 `solve_spd_dense` is the dense Cholesky solve that `solver.solve_spd`
 had before it took sparse systems only.
 
+`TestDofLayout` indexes the enriched test space, in the order of the
+rows of B, and `gram_apply` multiplies a vector by the block test Gram.
+
 `dpg_assembly` forms the element blocks once per geometry class
 (`Mesh.element_classes`) and signs them per element.
 `ElementPipeline` is the same DPG operator computed element by element,
@@ -35,6 +38,9 @@ formulas and the assembled matrices of `dpgbem.bem` against them.
 `slp_inner` and `dlp_inner` are the separate single- and double-layer
 panel integrals (five logarithms and three angles per point and panel)
 that the fused `dpgbem.bem._layer_inner` must match to rounding.
+`eval_single_layer` and `eval_double_layer` take one layer each from
+`dpgbem.bem.eval_layers`, and `distance_to_boundary` measures the
+distance of points from a loop panel by panel.
 
 `assemble_bem` is the original per-panel loop over target panels, with a
 second loop over the two vertex-sharing neighbours; the batched
@@ -188,6 +194,45 @@ def sparse_B(B):
         shape=B.shape).tocsr()
 
 
+@dataclass(frozen=True)
+class TestDofLayout:
+    """Index map for the enriched test space (v, tau, psi).
+
+    Global ordering: 6 scalar P2 dofs per triangle, then 12 vector P2 dofs
+    per triangle (node-major, components interleaved), then 2 boundary-trace
+    dofs per boundary panel in loop order.
+    """
+
+    n_tri: int
+    n_bedge: int
+
+    @classmethod
+    def from_mesh(cls, mesh):
+        return cls(mesh.num_triangles, mesh.num_boundary_edges)
+
+    @property
+    def dim(self):
+        return 18 * self.n_tri + 2 * self.n_bedge
+
+    def v(self, tri, node):
+        return 6 * tri + node
+
+    def tau(self, tri, node, comp):
+        return 6 * self.n_tri + 12 * tri + 2 * node + comp
+
+    def psi(self, panel, node):
+        return 18 * self.n_tri + 2 * panel + node
+
+
+def gram_apply(G, vec):
+    """G @ vec for a dpg_assembly.BlockGram."""
+    rv, rt, rp = G._parts(np.asarray(vec, dtype=float))
+    return np.concatenate([
+        np.einsum("tij,tj->ti", G.Gv[G.cls], rv).ravel(),
+        np.einsum("tij,tj->ti", G.Gtau[G.cls], rt).ravel(),
+        G.bem.G_psi @ rp])
+
+
 def gram_solve_matrix(G, B):
     B = B.tocsr()
     nt = G.n_tri
@@ -212,7 +257,7 @@ def gram_solve_matrix(G, B):
     for t in range(nt):
         solve_block(lambda loc: np.linalg.solve(G.Gtau[G.cls[t]], loc),
                     6 * nt + 12 * t, 12)
-    solve_block(G.bem.solve_gpsi, 18 * nt, G.n_psi)
+    solve_block(G.bem.solve_gpsi, 18 * nt, G.bem.G_psi.shape[0])
     W = scipy.sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=B.shape)
@@ -686,9 +731,29 @@ def eval_potentials(loop, density_slp, density_dlp, point, side,
         if callable(density):
             total += _numeric_layer_eval(loop, density, point, kind, quad_order)
         else:
-            fn = bem.eval_single_layer if kind == "slp" else bem.eval_double_layer
+            fn = eval_single_layer if kind == "slp" else eval_double_layer
             total += float(fn(loop, density, point[None, :])[0])
     return float(total)
+
+
+def eval_single_layer(loop, density, points):
+    """Single-layer potential of a panelwise density, see bem.eval_layers."""
+    return bem.eval_layers(loop, density, density, points)[0]
+
+
+def eval_double_layer(loop, density, points):
+    """Double-layer potential of a panelwise density, see bem.eval_layers."""
+    return bem.eval_layers(loop, density, density, points)[1]
+
+
+def distance_to_boundary(loop, points):
+    """Distance of each point (n, 2) from the loop: the nearest point of
+    each panel segment, the closest of them."""
+    points = np.asarray(points, dtype=float)
+    pa, d = loop.points_a, loop.points_b - loop.points_a
+    r = points[:, None, :] - pa[None]
+    s = np.clip((r * d).sum(axis=-1) / (d * d).sum(axis=-1), 0.0, 1.0)
+    return np.linalg.norm(r - s[..., None] * d, axis=-1).min(axis=1)
 
 
 def _numeric_layer_eval(loop, fn, point, kind, order):

@@ -123,10 +123,8 @@ def test_criterion_6_dpg_algebra_suite():
     datas = [data, data, cli.manufacture_data("lshape")[0]]
     for mesh, data_i, exact_i in zip(meshes, datas, exacts):
         trial = spaces.TrialDofLayout.from_mesh(mesh)
-        test = spaces.TestDofLayout.from_mesh(mesh)
         mats = bem.assemble_bem(boundary_loop(mesh))
-        blocks = dpg_assembly.assemble_operator_blocks(mesh, trial, test,
-                                                       mats, data_i)
+        blocks = dpg_assembly.assemble_operator_blocks(mesh, mats, data_i)
         A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
         Ad = A.toarray()
         assert np.abs(Ad - Ad.T).max() <= 1e-12 * np.abs(Ad).max()

@@ -407,8 +407,9 @@ def dipole_residual_norm(loop, value, gradient):
     trace = bem.hat_trace_coefs(loop, trace_v)
     pts, wts, t = spaces.boundary_quadrature(loop, order=8, levels=12)
     flat = pts.reshape(-1, 2)
-    vals = (bem.eval_single_layer(loop, flux, flat)
-            - bem.eval_double_layer(loop, trace, flat)).reshape(pts.shape[:2])
+    vals = (_oracles.eval_single_layer(loop, flux, flat)
+            - _oracles.eval_double_layer(loop, trace, flat)
+            ).reshape(pts.shape[:2])
     # pointwise (1/2) * trace, interpolated at the same panel parameters
     lin = trace[:, 0][:, None] * (1 - t)[None, :] + trace[:, 1][:, None] * t[None, :]
     vals = vals + 0.5 * lin

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+import _oracles
 import dpgbem
 from dpgbem import ConfigError, NumericalError, boundary_loop, make_lshape_mesh
-from dpgbem import bem, cli
+from dpgbem import cli
 
 
 def test_manufactured_square_values():
@@ -68,7 +69,7 @@ def test_initial_mesh_sizes():
 def test_probe_points_at_unit_distance():
     for domain in ("square", "lshape"):
         loop = boundary_loop(cli.initial_mesh(domain))
-        d = bem.distance_to_boundary(loop, cli.probe_points(domain))
+        d = _oracles.distance_to_boundary(loop, cli.probe_points(domain))
         assert np.allclose(d, 1.0, atol=1e-12)
 
 
@@ -132,6 +133,12 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
 
     code = cli.main(["--domain", "square", "--levels", "1"])
     assert code == 2
+
+    # the boundary quadrature order and the stabilization are fixed
+    for extra in (["--quad-order", "4"], ["--no-stabilize"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--domain", "square", "--levels", "2"] + extra)
+        assert exc.value.code == 2
 
     def boom(*args, **kwargs):
         raise NumericalError("synthetic failure")

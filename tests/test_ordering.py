@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from dpgbem import bem, cli, dpg_assembly, jn_reference, solver, spaces
+from dpgbem import bem, cli, dpg_assembly, jn_reference, solver
 from dpgbem import refine_uniform
 from dpgbem.mesh import boundary_loop
 from dpgbem.solver import ND_LEAF_SIZE, nested_dissection
@@ -22,9 +22,7 @@ def skeleton_system(mesh, data):
     """The condensed DPG system, the coordinates of its dofs and its
     boundary dofs, as solve_dpg orders them."""
     mats = bem.assemble_bem(boundary_loop(mesh))
-    blocks = dpg_assembly.assemble_operator_blocks(
-        mesh, spaces.TrialDofLayout.from_mesh(mesh),
-        spaces.TestDofLayout.from_mesh(mesh), mats, data)
+    blocks = dpg_assembly.assemble_operator_blocks(mesh, mats, data)
     S, c, recover = dpg_assembly.build_normal_equations(
         blocks.B, blocks.G, blocks.ell)
     xy = np.concatenate([mesh.vertices, mesh.edge_midpoints()])

@@ -187,8 +187,8 @@ def test_eval_exterior_field_one_kernel_pass_matches_separate_calls(
     pts = np.random.default_rng(2).uniform(0.15, 2.0, (40, 2))
     pts *= np.where(np.arange(40) % 2, 1.0, -1.0)[:, None]
     trace = bem.hat_trace_coefs(sol.loop, sol.trace_c)
-    separate = (bem.eval_double_layer(sol.loop, trace, pts)
-                - bem.eval_single_layer(sol.loop, sol.flux_c, pts))
+    separate = (_oracles.eval_double_layer(sol.loop, trace, pts)
+                - _oracles.eval_single_layer(sol.loop, sol.flux_c, pts))
     assert np.array_equal(solver.eval_exterior_field(sol, pts), separate)
 
 
