@@ -2,16 +2,22 @@
 Laplace kernel G(z) = -log|z| / (2 pi) on polygonal boundaries.
 
 All panels are straight, so the inner integral of both kernels against a
-P0 or P1 density has a closed form (log / arctangent antiderivatives);
-only the outer (test) integration is numerical.  One kernel evaluation,
-`_layer_inner`, gives both layers from the same local coordinates: two
-logarithms and one angle per (point, panel) pair.  Coincident panels use
-the fully closed form of the double log integral, and panels sharing a
-vertex use an outer rule graded toward the shared vertex.
-`assemble_bem` runs the far field over chunks of target panels because
-the full (target x node x source) kernel arrays would outgrow the dense
-matrices they feed: the chunk size is a memory bound, not a tuning
-option.
+P0 or P1 density has a closed form (log / arctangent antiderivatives).
+One kernel evaluation, `_layer_inner`, gives both layers from the same
+local coordinates: two logarithms and one angle per (point, panel) pair.
+
+`assemble_bem` gives each panel pair one of four rules by its separation
+ratio s (`_separation`):
+- the panel itself: the closed form of the double log integral (the
+  double layer vanishes);
+- its two vertex-sharing neighbours: the analytic inner integral with an
+  outer rule graded toward the shared vertex;
+- the other pairs with s < FAR_RATIO: the analytic inner integral with a
+  2 PANEL_ORDER Gauss outer rule;
+- the pairs with s >= FAR_RATIO: the FAR_ORDER x FAR_ORDER tensor Gauss
+  rule with point kernels, once per unordered pair.
+Every pass runs over chunks of at most FAR_CHUNK_ENTRIES node pairs: the
+chunk size is a memory bound, not a tuning option.
 
 Convention: the double-layer operator is assembled as the plain principal
 value integral (for x on a flat panel the own-panel kernel vanishes
@@ -32,9 +38,22 @@ from .spaces import PANEL_ORDER
 
 TWO_PI = 2.0 * np.pi
 
-# entries (target panels x outer nodes x source panels) of one far-field
-# chunk in assemble_bem
+# kernel evaluations (pairs x outer nodes, or pairs x node pairs of the
+# tensor rule) in one chunk of the pair passes of assemble_bem
 FAR_CHUNK_ENTRIES = 1 << 15
+
+# panel pairs with separation ratio s >= FAR_RATIO get the FAR_ORDER x
+# FAR_ORDER tensor Gauss rule with point kernels.  Max entry error over
+# max |entry| against a 12 x 12 tensor reference, both layers, CLI levels
+# 0-5 of both domains (P <= 512):
+#   q = 4, s >= 16:       <= 7.6e-15 (<= 2.5e-16 beyond s = 32)
+#   q = 5, s >= 8:        <= 6.5e-16
+#   q = 4, s in [8, 16):  7.8e-13, too coarse
+#   analytic inner integral, 16-node outer rule, s >= 16: up to 8.5e-13,
+#   from cancellation in J0 that grows with the separation
+# (4, 16) assembles about 10% faster than (5, 8) at P = 512.
+FAR_ORDER = 4
+FAR_RATIO = 16.0
 
 # point_location: points within this fraction of the longest panel of the
 # boundary lie on it
@@ -76,15 +95,14 @@ def _layer_inner(u, v, h):
     Ra, Rb to the panel ends, their logarithms, and the angle
     theta = arctan((h - u)/v) + arctan(u/v) that the panel subtends at x.
     On the panel's line (v == 0) theta is set to zero, and with it the
-    double-layer principal value.  Few temporaries stay alive at once, so
-    a far-field chunk of assemble_bem needs about eleven arrays of its
-    size.
+    double-layer principal value.
     """
     theta = np.where(v != 0.0, _panel_angle(u, v, h), 0.0)
-    Ra, Rb = u * u + v * v, (h - u) ** 2 + v * v
+    hu, vv = h - u, v * v
+    Ra, Rb = u * u + vv, hu * hu + vv
     la = np.log(np.where(Ra > 0.0, Ra, 1.0))
     lb = np.log(np.where(Rb > 0.0, Rb, 1.0))
-    J0 = 0.5 * ((h - u) * lb + u * la) - h + v * theta
+    J0 = 0.5 * (hu * lb + u * la) - h + v * theta
     J1 = 0.25 * (Rb * (lb - 1.0) - Ra * (la - 1.0)) + u * J0
     D1 = (0.5 * v * (lb - la) + u * theta) / TWO_PI
     return J0, J1, theta / TWO_PI, D1
@@ -148,59 +166,200 @@ class BemMatrices:
         return 0.5 * self.M_up - self.K_up
 
 
-def assemble_bem(loop):
-    """Assemble all boundary matrices for a loop.
+def _separation(mid, half, lengths, i, j):
+    """Separation ratio of panel pairs (i, j), broadcast: the midpoint
+    distance minus both half lengths, over the longer length.  A lower
+    bound of their distance over max(h_i, h_j), and symmetric in i, j to
+    the last bit."""
+    d = mid[j] - mid[i]
+    return ((np.hypot(d[..., 0], d[..., 1]) - (half[i] + half[j]))
+            / np.maximum(lengths[i], lengths[j]))
 
-    The single-layer Gram G_psi is factorized here; failure indicates a
-    geometry/scaling violation (the domain must have diameter < 1).
+
+def _basis_weights(t, w):
+    """The P1 panel basis (1 - t, t) times the weights w, shape (2, q)."""
+    return np.stack([1.0 - t, t]) * w
+
+
+def _node_sums(BW, T):
+    """sum_k BW[:, k] T[k] for basis weights BW (2, q) and the nodes on
+    the first axis of T.  The terms are added in node order, whatever the
+    other axes, so no entry depends on the size of the batch (a BLAS
+    product may sum in another order at the edge of its blocks)."""
+    out = np.empty((2,) + T.shape[1:])
+    term = np.empty(T.shape[1:])
+    for a in range(2):
+        np.multiply(T[0], BW[a, 0], out=out[a])
+        for k in range(1, BW.shape[1]):
+            out[a] += np.multiply(T[k], BW[a, k], out=term)
+    return out
+
+
+def _far_blocks(nodes, BW, loop, i, j):
+    """Galerkin blocks of the panel pairs (i, j) from the tensor Gauss
+    rule with point kernels; both double-layer orientations come from the
+    same differences x - y.
+
+    nodes (2, q, P) holds the rule's nodes on every panel and BW (2, q)
+    its basis weights; i and j index c target and m source panels.
+    Returns, each (2, 2, c, m) with i's basis first: the single layer,
+    the double layer with target i and source j, and the double layer
+    with target j and source i.
+    """
+    pa, nrm = loop.points_a, loop.normals
+    X, Y = nodes[:, :, i], nodes[:, :, j]
+    dx = X[0, None, :, :, None] - Y[0, :, None, None, :]   # (b, a, c, m)
+    dy = X[1, None, :, :, None] - Y[1, :, None, None, :]
+    r2 = dx * dx
+    r2 += dy * dy
+    del dx, dy
+    # (x - y).n(y) is the normal coordinate of x over the line of j, and
+    # (y - x).n(x) that of y over the line of i
+    vx = ((X[0, :, :, None] - pa[j, 0]) * nrm[j, 0]
+          + (X[1, :, :, None] - pa[j, 1]) * nrm[j, 1])
+    vy = ((Y[0, :, None] - pa[i, 0, None]) * nrm[i, 0, None]
+          + (Y[1, :, None] - pa[i, 1, None]) * nrm[i, 1, None])
+    T = np.empty(r2.shape[:2] + (3,) + r2.shape[2:])
+    np.log(r2, out=T[:, :, 0])
+    np.reciprocal(r2, out=r2)
+    np.multiply(vx[None], r2, out=T[:, :, 1])
+    np.multiply(vy[:, None], r2, out=T[:, :, 2])
+    del r2
+    # source nodes b, then target nodes a
+    out = _node_sums(BW, _node_sums(BW, T).swapaxes(0, 1))
+    hh = loop.lengths[i, None] * loop.lengths[j]
+    return (out[:, :, 0] * (hh * (-0.5 / TWO_PI)),
+            out[:, :, 1] * (hh / TWO_PI), out[:, :, 2] * (hh / TWO_PI))
+
+
+def _inner_blocks(t, BW, loop, i, j):
+    """Galerkin blocks of the panel pairs (i, j), the inner integral over
+    source j analytic and the outer one over target i by the rule with
+    nodes t and basis weights BW.  Returns the single- and the
+    double-layer blocks, each (n, 2, 2) with i's basis first."""
+    pa, pb = loop.points_a, loop.points_b
+    ai, aj = pa.take(i, axis=0), pa.take(j, axis=0)
+    dx, dy = (pb.take(i, axis=0) - ai).T
+    h = loop.lengths[j]
+    tx, ty = (pb.take(j, axis=0) - aj).T / h
+    rx, ry = (ai - aj).T
+    # local coordinates of target i's nodes over the line of source j
+    u = (rx * tx + ry * ty) + t[:, None] * (dx * tx + dy * ty)
+    v = (rx * ty - ry * tx) + t[:, None] * (dx * ty - dy * tx)
+    M = np.stack(_layer_inner(u, v, h), axis=-1)               # (q, n, 4)
+    # one (2, q) x (q, 4) product per pair, the same for every batch
+    out = BW @ M.transpose(1, 0, 2)
+    out[..., 1::2] /= h[:, None, None]
+    out[..., 0::2] -= out[..., 1::2]
+    out *= loop.lengths[i, None, None]
+    return out[..., :2] * (-1.0 / TWO_PI), out[..., 2:]
+
+
+def _mirror_upper(A):
+    """Copy the strict upper triangle of the square array A onto the
+    lower one, 128 rows at a time."""
+    for r0 in range(0, A.shape[0], 128):
+        r1 = min(r0 + 128, A.shape[0])
+        A[r0:r1, :r0] = A[:r0, r0:r1].T
+        lo, hi = np.tril_indices(r1 - r0, -1)
+        A[r0 + lo, r0 + hi] = A[r0 + hi, r0 + lo]
+
+
+def assemble_bem(loop):
+    """Assemble all boundary matrices for a loop, each panel pair by the
+    rule of its separation ratio (see the module docstring).
+
+    The separated pairs are evaluated once per unordered pair, and the
+    single-layer blocks of the other pairs are the mean of both
+    orientations, so G_psi is symmetric to the last bit.  It is
+    factorized here; failure indicates a geometry/scaling violation (the
+    domain must have diameter < 1).
     """
     P = loop.num_panels
     pa, pb = loop.points_a, loop.points_b
     lengths = loop.lengths
-    t_far, w_far = quadrature.gauss01(2 * PANEL_ORDER)
-    t_gr, w_gr = quadrature.graded01(PANEL_ORDER, 30, end=0)
     idx = np.arange(P)
-    nxt = (idx + 1) % P
-    near = np.stack([(idx - 1) % P, nxt], axis=1)   # sharing tail / head
-    t_near = np.stack([t_gr, 1.0 - t_gr])            # (side, q)
-    basis_near = np.stack([1.0 - t_near, t_near], axis=1)
-    basis_far = np.stack([1.0 - t_far, t_far])
-    G_own = _coincident_slp_block(lengths)
-    d = pb - pa
+    prev, nxt = (idx - 1) % P, (idx + 1) % P
+    mid, half = 0.5 * (pa + pb), 0.5 * lengths
 
     G = np.empty((P, 2, P, 2))
-    K = np.empty((2 * P, P))
-    step = max(1, FAR_CHUNK_ENTRIES // (t_far.size * P))
-    for i0 in range(0, P, step):
-        i = idx[i0:i0 + step]
-        r = np.arange(i.size)
+    # the double layer goes straight into its hat columns: hat j collects
+    # the tail end of panel j and the head end of panel j - 1, and the
+    # extra column P is hat 0 again.  Kt takes the terms of the targets
+    # below the diagonal, transposed, so that both are filled row by row.
+    # Every entry gets one term of each end.
+    K = np.zeros((P, 2, P + 1))
+    Kt = np.zeros((P + 1, 2, P))
 
-        # far field: all source panels at the targets' Gauss nodes
-        xs = pa[i, None] + t_far[:, None] * d[i, None]           # (c, q, 2)
-        tw = basis_far * (w_far * lengths[i, None])[:, None]     # (c, 2, q)
-        S, D = _layer_basis(xs, pa, pb, lengths)
-        Gc = np.einsum("caq,cqjb->cajb", tw, S)
-        Dc = np.einsum("caq,cqjb->cajb", tw, D)
+    # the tensor rule on every pair (i, j >= i), each once with the lower
+    # index as target, in chunks of c target rows.  The single layer of
+    # the pairs that are not separated is overwritten below; their double
+    # layer is masked out here and added below.
+    t, w = quadrature.gauss01(FAR_ORDER)
+    BW = _basis_weights(t, w)
+    nodes = pa.T[:, None] + t[:, None] * (pb - pa).T[:, None]
+    block = max(1, FAR_CHUNK_ENTRIES // P)
+    near = []
+    for r0 in range(0, P, block):
+        r1 = min(r0 + block, P)
+        rows, cols = idx[r0:r1, None], idx[r0:]
+        sep = _separation(mid, half, lengths, rows, cols) >= FAR_RATIO
+        upper = cols > rows
+        far = sep & upper
+        # the other pairs (i, j > i), bar each panel's neighbours, go to
+        # the near list in both orientations
+        ni, nj = np.nonzero(~sep & upper & (cols != prev[rows])
+                            & (cols != nxt[rows]))
+        near += [(ni + r0, nj + r0), (nj + r0, ni + r0)]
+        i0 = r0
+        while i0 < r1:
+            c = min(r1 - i0, max(1, FAR_CHUNK_ENTRIES
+                                 // (t.size ** 2 * (P - i0))))
+            i, i1, j = slice(i0, i0 + c), i0 + c, slice(i0, P)
+            mask = far[i0 - r0:i1 - r0, i0 - r0:]
+            # the panel itself (log 0 at its nodes) is overwritten below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g, dij, dji = _far_blocks(nodes, BW, loop, i, j)
+            G[i, :, j] = g.transpose(2, 0, 3, 1)
+            dij = np.where(mask, dij, 0.0)
+            K[i, :, j] += dij[:, 0].transpose(1, 0, 2)
+            K[i, :, i0 + 1:] += dij[:, 1].transpose(1, 0, 2)
+            dji = np.where(mask, dji, 0.0)
+            Kt[i, :, j] += dji[0].transpose(1, 0, 2)
+            Kt[i0 + 1:i1 + 1, :, j] += dji[1].transpose(1, 0, 2)
+            i0 = i1
+    K += Kt.transpose(2, 1, 0)
+    del Kt
+    # the single layer below the diagonal is the mirror of the one above
+    _mirror_upper(G.reshape(2 * P, 2 * P))
+    I = np.concatenate([ni for ni, _ in near])
+    J = np.concatenate([nj for _, nj in near])
 
-        # vertex-sharing neighbours: outer rule graded toward the shared
-        # vertex, one source panel per (target, side)
-        j = near[i]
-        xs = pa[i, None, None] + t_near[..., None] * d[i, None, None]
-        src = (pa[j][:, :, None, None], pb[j][:, :, None, None],
-               lengths[j][:, :, None, None])
-        tw = basis_near * (w_gr * lengths[i, None])[:, None, None]
-        S, D = _layer_basis(xs, *src)
-        Gc[r[:, None], :, j] = tw @ S[..., 0, :]
-        Dc[r[:, None], :, j] = tw @ D[..., 0, :]
+    # near pairs: Gauss outer rule; vertex-sharing neighbours: outer rule
+    # graded toward the shared vertex (the tail for prev, the head for nxt)
+    t_gr, w_gr = quadrature.graded01(PANEL_ORDER, 30, end=0)
+    for (t, w), targets, sources in (
+            (quadrature.gauss01(2 * PANEL_ORDER), I, J),
+            ((t_gr, w_gr), idx, prev), ((1.0 - t_gr, w_gr), idx, nxt)):
+        BW = _basis_weights(t, w)
+        per_chunk = max(1, FAR_CHUNK_ENTRIES // t.size)
+        for k in range(0, targets.size, per_chunk):
+            i, j = targets[k:k + per_chunk], sources[k:k + per_chunk]
+            g, dl = _inner_blocks(t, BW, loop, i, j)
+            G[i, :, j] = g
+            K[i, :, j] += dl[..., 0]
+            K[i, :, j + 1] += dl[..., 1]
 
-        # closed form on the panel itself; own double layer vanishes
-        Gc[r, :, i] = G_own[i]
-        Dc[r, :, i] = 0.0
-        G[i] = Gc
-        # hat j collects the tail end of panel j and the head end of j-1
-        K[2 * i0:2 * (i0 + i.size)] = (
-            Dc[..., 0] + np.roll(Dc[..., 1], 1, axis=-1)).reshape(-1, P)
+    # the mean of both orientations makes the near blocks symmetric
+    I = np.concatenate([I, idx, idx])
+    J = np.concatenate([J, prev, nxt])
+    G[I, :, J] = 0.5 * (G[I, :, J] + G[J, :, I].transpose(0, 2, 1))
+
+    # closed form on the panel itself; own double layer vanishes
+    G[idx, :, idx] = _coincident_slp_block(lengths)
     G = G.reshape(2 * P, 2 * P)
+    K[:, :, 0] += K[:, :, P]
+    K = K[:, :, :P].reshape(2 * P, P)
 
     M = np.zeros((2 * P, P))
     M[2 * idx, idx] = lengths / 3.0
@@ -210,7 +369,7 @@ def assemble_bem(loop):
 
     Vps = G[:, 0::2] + G[:, 1::2]
     try:
-        chol = scipy.linalg.cholesky(0.5 * (G + G.T), lower=True)
+        chol = scipy.linalg.cholesky(G, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(
             "single-layer Gram not positive definite; check that the "

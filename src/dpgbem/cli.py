@@ -168,7 +168,8 @@ def compatibility_residual(mesh, data):
                          phys[..., 0].shape)
     vol = float((fv @ w * 2.0 * mesh.areas()).sum())
     loop = boundary_loop(mesh)
-    bpts, wl, _ = spaces.boundary_quadrature(loop, 8, 40)
+    bpts, wl, _ = spaces.boundary_quadrature(loop, spaces.COMPAT_ORDER,
+                                             spaces.COMPAT_LEVELS)
     ph = data.phi0(bpts[..., 0], bpts[..., 1], loop.normals[:, None, 0],
                    loop.normals[:, None, 1])
     bnd = float((wl * ph).sum())

@@ -246,7 +246,9 @@ def assemble_load(mesh, data, bem_mats):
 
     The kernel parts apply the assembled operators to the L2 projections
     of u0 (onto the boundary hats) and phi0 (onto panel constants); the
-    mass part integrates u0 directly against the test functions.
+    mass part integrates u0 directly against the test functions.  u0 is
+    evaluated once, and its projection and mass part share its hat
+    moments.
     """
     detJ = mesh.element_map()[1]
     phys = quadrature.map_to_physical(mesh.triangle_vertices(), _LOAD_PTS)
@@ -254,16 +256,15 @@ def assemble_load(mesh, data, bem_mats):
     fv = np.broadcast_to(fv, phys[..., 0].shape)
     ell_v = np.einsum("q,tq,qi->ti", _LOAD_W, fv, _LOAD_VALS) * detJ[:, None]
 
+    # u0 and phi0 at the nodes of one boundary rule
     loop = bem_mats.loop
-    order, levels = spaces.PANEL_ORDER, spaces.DATA_LEVELS
-    u0_hat = spaces.project_boundary_p1(loop, data.u0, order, levels)
-    phi0_p0 = spaces.project_boundary_p0_flux(loop, data.phi0, order, levels)
-    # direct quadrature of u0 against the boundary test functions
-    bpts, wl, t = spaces.boundary_quadrature(loop, order, levels)
-    u0v = data.u0(bpts[..., 0], bpts[..., 1])
-    m0 = (wl * u0v * (1.0 - t)[None, :]).sum(axis=1)
-    m1 = (wl * u0v * t[None, :]).sum(axis=1)
-    mass_u0 = np.stack([m0, m1], axis=1).ravel()
+    rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
+                                      spaces.DATA_LEVELS)
+    pts = rule[0]
+    tail, head = spaces.hat_moments(rule, data.u0(pts[..., 0], pts[..., 1]))
+    u0_hat = spaces.project_boundary_p1(loop, tail, head)
+    phi0_p0 = spaces.project_boundary_p0_flux(loop, data.phi0, rule)
+    mass_u0 = np.stack([tail, head], axis=1).ravel()
 
     # the H(div) block is zero: the second equation has no load
     return np.concatenate([

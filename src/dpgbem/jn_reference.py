@@ -13,6 +13,13 @@ not elliptic; by default a rank-one stabilization term
 <1, (1/2-K)u + V phi> <1, (1/2-K)v + V psi> is added, which leaves the
 solution unchanged but makes the form elliptic.
 
+The panel unknowns phi couple only to each other and to the boundary
+vertices, through dense blocks.  Their block W = <V chi_p, chi_q> (plus
+the stabilization's g_phi g_phi^T) is symmetric positive definite, so
+assemble_jn eliminates phi with a LAPACK Cholesky factorization of W.
+What SuperLU factors is the vertex system: the sparse P1 stiffness plus
+the dense Schur complement on the boundary vertices.
+
 All boundary operator matrices are derived from the same BemMatrices
 instance the coupled solver consumes: the panelwise-constant test rows
 are the pairwise sums of the discontinuous-P1 rows.
@@ -21,6 +28,7 @@ are the pairwise sums of the discontinuous-P1 rows.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -33,13 +41,20 @@ from .solver import field_errors, nested_dissection, trace_error
 
 @dataclass
 class JnSystem:
-    """Assembled coupling system; unknowns ordered (u at all vertices,
-    phi on the boundary panels in loop order).  vertices holds the mesh
-    vertex coordinates, which order the direct solve."""
+    """Coupling system with the panel unknowns eliminated.
+
+    matrix and rhs are the vertex system for u at all mesh vertices: the
+    P1 stiffness plus, on the boundary vertices (loop.vertex_ids), the
+    dense Schur complement of the panel block W.  phi follows from u on
+    the boundary as W^{-1} (rhs_phi - B u_b), with W_chol the lower
+    Cholesky factor of W.  vertices holds the mesh vertex coordinates,
+    which order the direct solve."""
 
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
-    n_vert: int
+    W_chol: np.ndarray
+    B: np.ndarray
+    rhs_phi: np.ndarray
     vertices: np.ndarray
     loop: object
 
@@ -76,93 +91,99 @@ def _p1_load(mesh, f):
     return out
 
 
+def _panels_to_hats(h, X):
+    """-<phi, v>_Gamma of panel values X (P, ...) on the boundary hats in
+    loop order: each panel loads its two endpoint hats with -h/2."""
+    Y = (X.T * (-0.5 * h)).T
+    return Y + np.roll(Y, 1, axis=0)
+
+
 def assemble_jn(mesh, data, stabilized=True, bem_mats=None):
     """Assemble the coupling system for the given transmission data
     (mapped as in the equivalence with the ultra-weak formulation:
-    volume source f, boundary terms phi0 and (1/2 - K)u0)."""
+    volume source f, boundary terms phi0 and (1/2 - K)u0), with phi
+    eliminated.  An indefinite panel block raises NumericalError."""
     if bem_mats is None:
         bem_mats = bem_mod.assemble_bem(boundary_loop(mesh))
     loop = bem_mats.loop
-    P = loop.num_panels
+    P, h, vid = loop.num_panels, loop.lengths, loop.vertex_ids
     nv = mesh.num_vertices
-    nxt = (np.arange(P) + 1) % P
-
-    A_uu = _p1_stiffness(mesh)
-
-    # -<phi, v>_Gamma: each panel loads its two endpoint hats with h/2
-    rows = np.concatenate([loop.vertex_ids, loop.vertex_ids[nxt]])
-    cols = np.concatenate([np.arange(P), np.arange(P)])
-    vals = np.concatenate([loop.lengths, loop.lengths]) * (-0.5)
-    C = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nv, P))
 
     # <(1/2 - K) u, psi> and <V phi, psi> with panelwise-constant tests
-    D_bd = p0_test_rows(bem_mats.half_minus_k())     # (P, P) vertex cols
-    V00 = p0_test_rows(bem_mats.V_ps)                # (P, P)
-    rr = np.repeat(np.arange(P), P)
-    D = scipy.sparse.coo_matrix(
-        (D_bd.ravel(), (rr, np.tile(loop.vertex_ids, P))), shape=(P, nv))
+    B = p0_test_rows(bem_mats.half_minus_k())        # (P, P) vertex cols
+    W = p0_test_rows(bem_mats.V_ps)                  # (P, P)
 
-    mat = scipy.sparse.bmat([[A_uu, C], [D, V00]], format="csr")
-
-    rhs = np.zeros(nv + P)
-    rhs[:nv] = _p1_load(mesh, data.f)
+    rhs = _p1_load(mesh, data.f)
+    rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
+                                      spaces.DATA_LEVELS)
+    x, y = rule[0][..., 0], rule[0][..., 1]
     # <phi0, v>_Gamma against the boundary hats
-    order, levels = spaces.PANEL_ORDER, spaces.DATA_LEVELS
-    pts, wl, t = spaces.boundary_quadrature(loop, order, levels)
-    ph = data.phi0(pts[..., 0], pts[..., 1], loop.normals[:, None, 0],
-                   loop.normals[:, None, 1])
-    np.add.at(rhs[:nv], loop.vertex_ids, (wl * ph * (1 - t)[None, :]).sum(axis=1))
-    np.add.at(rhs[:nv], loop.vertex_ids[nxt], (wl * ph * t[None, :]).sum(axis=1))
+    tail, head = spaces.hat_moments(rule, data.phi0(
+        x, y, loop.normals[:, None, 0], loop.normals[:, None, 1]))
+    np.add.at(rhs, vid, tail)
+    np.add.at(rhs, np.roll(vid, -1), head)
     # <(1/2 - K) u0, psi>: mass part directly, kernel part via projection
-    u0v = data.u0(pts[..., 0], pts[..., 1])
-    mass_u0 = (wl * u0v).sum(axis=1)
-    u0_hat = spaces.project_boundary_p1(loop, data.u0, order, levels)
-    K00 = p0_test_rows(bem_mats.K_up)
-    rhs[nv:] = 0.5 * mass_u0 - K00 @ u0_hat
+    u0v = data.u0(x, y)
+    u0_hat = spaces.project_boundary_p1(loop, *spaces.hat_moments(rule, u0v))
+    rhs_phi = (0.5 * (rule[1] * u0v).sum(axis=1)
+               - p0_test_rows(bem_mats.K_up) @ u0_hat)
 
+    # g g^T with g = (<1, (1/2-K) hat_j>, <1, V chi_q>) lives on the
+    # boundary vertices and the panels only
+    g_u, g_phi = np.zeros(P), np.zeros(P)
     if stabilized:
-        g = np.zeros(nv + P)
-        g_u = D_bd.sum(axis=0)                        # <1, (1/2-K) hat_j>
-        np.add.at(g[:nv], loop.vertex_ids, g_u)
-        g[nv:] = V00.sum(axis=0)                      # <1, V chi_q>
-        lam_total = rhs[nv:].sum()                    # <1, (1/2-K) u0>
-        # g g^T on the support of g (boundary vertices and panels only)
-        idx = np.flatnonzero(g)
-        mat = mat + scipy.sparse.coo_matrix(
-            (np.outer(g[idx], g[idx]).ravel(),
-             (np.repeat(idx, idx.size), np.tile(idx, idx.size))),
-            shape=mat.shape).tocsr()
-        rhs = rhs + lam_total * g
-    return JnSystem(matrix=mat, rhs=rhs, n_vert=nv, vertices=mesh.vertices,
-                    loop=loop)
+        g_u, g_phi = B.sum(axis=0), W.sum(axis=0)
+        lam_total = rhs_phi.sum()                    # <1, (1/2-K) u0>
+        rhs[vid] += lam_total * g_u
+        rhs_phi = rhs_phi + lam_total * g_phi
+        B = B + np.outer(g_phi, g_u)
+        W = W + np.outer(g_phi, g_phi)
+    try:
+        W_chol = scipy.linalg.cholesky(W, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError("panel block of the coupling system not "
+                             "positive definite") from exc
+    # the Schur complement of W on the boundary vertices,
+    # g_u g_u^T - C W^{-1} B with C = -<phi, v>_Gamma + g_u g_phi^T
+    WiB, Wir = (scipy.linalg.cho_solve((W_chol, True), X)
+                for X in (B, rhs_phi))
+    S = np.outer(g_u, g_u - g_phi @ WiB) - _panels_to_hats(h, WiB)
+    rhs[vid] -= _panels_to_hats(h, Wir) + g_u * (g_phi @ Wir)
+
+    A = _p1_stiffness(mesh)
+    matrix = scipy.sparse.coo_matrix(
+        (np.concatenate([A.data, S.ravel()]),
+         (np.concatenate([A.row, np.repeat(vid, P)]),
+          np.concatenate([A.col, np.tile(vid, P)]))),
+        shape=(nv, nv)).tocsr()
+    return JnSystem(matrix=matrix, rhs=rhs, W_chol=W_chol, B=B,
+                    rhs_phi=rhs_phi, vertices=mesh.vertices, loop=loop)
 
 
 def solve_jn(system):
     """Direct solve; returns (u at vertices, phi per boundary panel).
 
-    The unknowns go in solver.nested_dissection order, with the boundary
-    vertices and the panels, which the boundary integral operators
-    couple densely, last.  SuperLU factors in that order
-    (permc_spec="NATURAL") with its default threshold partial pivoting,
-    which may exchange rows for stability.  The system is not symmetric,
-    so definiteness is not checked; a singular factor or a non-finite
-    solution raises NumericalError.
+    The vertices go in solver.nested_dissection order, with the boundary
+    vertices, which the Schur complement couples densely, last.  SuperLU
+    factors in that order (permc_spec="NATURAL") with its default
+    threshold partial pivoting, which may exchange rows for stability.
+    The system is not symmetric, so definiteness is not checked; a
+    singular factor or a non-finite solution raises NumericalError.
     """
-    loop, nv = system.loop, system.n_vert
-    xy = np.concatenate([system.vertices,
-                         (loop.points_a + loop.points_b) / 2.0])
-    perm = nested_dissection(system.matrix, xy, np.concatenate(
-        [loop.vertex_ids, nv + np.arange(loop.num_panels)]))
-    x = np.empty_like(system.rhs)
+    vid = system.loop.vertex_ids
+    perm = nested_dissection(system.matrix, system.vertices, vid)
+    u = np.empty_like(system.rhs)
     try:
         lu = scipy.sparse.linalg.splu(
             system.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL")
-        x[perm] = lu.solve(system.rhs[perm])
+        u[perm] = lu.solve(system.rhs[perm])
     except RuntimeError as exc:
         raise NumericalError("coupling system singular: {}".format(exc)) from exc
-    if not np.all(np.isfinite(x)):
+    phi = scipy.linalg.cho_solve((system.W_chol, True),
+                                 system.rhs_phi - system.B @ u[vid])
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(phi))):
         raise NumericalError("coupling solve produced non-finite values")
-    return x[:nv], x[nv:]
+    return u, phi
 
 
 def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex=None):

@@ -48,7 +48,9 @@ class Solution:
             self.trace_c = (self.uhat[self.loop.vertex_ids]
                             - self.data.u0(verts[:, 0], verts[:, 1]))
         if self.flux_c is None:
-            phi0 = spaces.project_boundary_p0_flux(self.loop, self.data.phi0)
+            phi0 = spaces.project_boundary_p0_flux(
+                self.loop, self.data.phi0, spaces.boundary_quadrature(
+                    self.loop, spaces.ERROR_ORDER, spaces.ERROR_LEVELS))
             self.flux_c = (self.loop.signs * self.sighat[self.loop.edge_ids]
                            - phi0)
 

@@ -94,14 +94,16 @@ def side_bary(side, t):
 
 # Gauss order of the panel rules of the boundary matrices and of both
 # solvers' load vectors; the graded levels of the rule that integrates the
-# transmission data into the load vectors; and the rule of the boundary
-# error norms
+# transmission data into the load vectors; the rule of the boundary error
+# norms and of the exterior flux of a coupled solution; and the rule of
+# the data-compatibility residual
 PANEL_ORDER = 8
 DATA_LEVELS = 30
 ERROR_ORDER, ERROR_LEVELS = 8, 24
+COMPAT_ORDER, COMPAT_LEVELS = 8, 40
 
 
-def boundary_quadrature(loop, order=8, levels=0):
+def boundary_quadrature(loop, order, levels):
     """Quadrature nodes on all panels of a boundary loop.
 
     Returns physical points (P, q, 2), arc-length weights (P, q) and the
@@ -120,30 +122,45 @@ def boundary_quadrature(loop, order=8, levels=0):
     return pts, wts, t
 
 
-def project_boundary_p0_flux(loop, fn, order=8, levels=24):
+def project_boundary_p0_flux(loop, fn, rule):
     """Panelwise means of a normal-flux function fn(x, y, nx, ny), taken
-    with the outward panel normal."""
-    pts, wts, _ = boundary_quadrature(loop, order, levels)
+    with the outward panel normal, by the rule of boundary_quadrature."""
+    pts, wts, _ = rule
     nx = loop.normals[:, None, 0]
     ny = loop.normals[:, None, 1]
     vals = fn(pts[..., 0], pts[..., 1], nx, ny)
     return (wts * vals).sum(axis=1) / loop.lengths
 
 
-def project_boundary_p1(loop, fn, order=8, levels=24):
-    """L2 projection of fn(x, y) onto the continuous piecewise linears on
-    the boundary loop; returns one coefficient per loop vertex."""
-    npan = loop.num_panels
-    pts, wts, t = boundary_quadrature(loop, order, levels)
-    vals = fn(pts[..., 0], pts[..., 1])
-    rhs = np.zeros(npan)
-    np.add.at(rhs, np.arange(npan), (wts * vals * (1.0 - t)[None, :]).sum(axis=1))
-    np.add.at(rhs, (np.arange(npan) + 1) % npan, (wts * vals * t[None, :]).sum(axis=1))
+def hat_moments(rule, vals):
+    """Integrals of values at the nodes of a boundary_quadrature rule
+    against the tail and the head hat of each panel, each (P,)."""
+    _, wts, t = rule
+    return ((wts * vals * (1.0 - t)[None, :]).sum(axis=1),
+            (wts * vals * t[None, :]).sum(axis=1))
+
+
+def project_boundary_p1(loop, tail, head):
+    """L2 projection onto the continuous piecewise linears on the boundary
+    loop, from the hat moments (tail, head) of the projected function;
+    returns one coefficient per loop vertex.
+
+    The P1 mass matrix is cyclic tridiagonal.  It is the tridiagonal
+    matrix T with corners changed by the rank one u v^T, u = (g, 0, ...,
+    0, c), v = (1, 0, ..., 0, c/g), where c is the corner entry and g
+    minus the first diagonal entry; T is solved banded and the corners
+    restored by one Sherman-Morrison step, O(P) in all.
+    """
     h = loop.lengths
-    mass = np.zeros((npan, npan))
-    k = np.arange(npan)
-    mass[k, k] += h / 3.0
-    mass[k, (k + 1) % npan] += h / 6.0
-    mass[(k + 1) % npan, k] += h / 6.0
-    mass[(k + 1) % npan, (k + 1) % npan] += h / 3.0
-    return scipy.linalg.solve(mass, rhs, assume_a="pos")
+    rhs = tail + np.roll(head, 1)        # vertex k: tail of k, head of k-1
+    diag = (h + np.roll(h, 1)) / 3.0
+    c, g = h[-1] / 6.0, -diag[0]
+    ab = np.zeros((2, h.size))
+    ab[0, 1:] = h[:-1] / 6.0
+    ab[1] = diag
+    ab[1, 0] -= g
+    ab[1, -1] -= c * c / g
+    u = np.zeros(h.size)
+    u[0], u[-1] = g, c
+    y, z = scipy.linalg.solveh_banded(ab, np.stack([rhs, u], axis=1)).T
+    return y - z * ((y[0] + y[-1] * c / g) / (1.0 + z[0] + z[-1] * c / g))

@@ -42,9 +42,17 @@ that the fused `dpgbem.bem._layer_inner` must match to rounding.
 `dpgbem.bem.eval_layers`, and `distance_to_boundary` measures the
 distance of points from a loop panel by panel.
 
-`assemble_bem` is the original per-panel loop over target panels, with a
-second loop over the two vertex-sharing neighbours; the batched
-`dpgbem.bem.assemble_bem` must reproduce its matrices exactly.
+`assemble_bem` applies the pair rule of `dpgbem.bem.assemble_bem` one
+target panel at a time (the tensor rule on the separated pairs above the
+diagonal, mirrored; the analytic inner integral on the near pairs and
+the two neighbours); the batched version must reproduce its matrices
+exactly.  `assemble_bem_analytic` is the loop it replaced, the analytic
+inner integral on every pair, and `tensor_gauss_blocks` the blocks of
+every pair by a tensor Gauss rule of any order with the point kernels.
+
+`jn_full_system` is the classical coupling's full (nv + P) system, as
+`dpgbem.jn_reference.assemble_jn` built it before it eliminated the
+panel unknowns.
 
 `interpolate_trial` puts an exact solution into the trial space
 (element means, vertex values, edge-mean fluxes), and `eval_trace_p1` is
@@ -61,8 +69,9 @@ import scipy.linalg
 import scipy.sparse
 
 from dpgbem import bem, dpg_assembly as da, quadrature, spaces
+from dpgbem import jn_reference as jn
 from dpgbem.errors import MeshError, NumericalError
-from dpgbem.mesh import Mesh
+from dpgbem.mesh import Mesh, boundary_loop
 
 
 def build_mesh(vertices, triangles):
@@ -609,7 +618,7 @@ def dlp_inner(u, v, h):
     return D0, D1
 
 
-def assemble_bem(loop, quad_order=8):
+def assemble_bem_analytic(loop, quad_order=8):
     P = loop.num_panels
     pa, pb = loop.points_a, loop.points_b
     lengths = loop.lengths
@@ -659,6 +668,96 @@ def assemble_bem(loop, quad_order=8):
     chol = scipy.linalg.cholesky(0.5 * (G + G.T), lower=True)
     return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G,
                            G_psi_chol=chol)
+
+
+def assemble_bem(loop):
+    """The pair rule of `dpgbem.bem.assemble_bem`, one target panel at a
+    time: the tensor rule on the separated pairs (j > i, mirrored), the
+    analytic inner integral on the near pairs and on the two neighbours,
+    the closed form on the panel itself; then the mean of both
+    orientations on the near and neighbour single-layer blocks."""
+    P = loop.num_panels
+    pa, pb, lengths = loop.points_a, loop.points_b, loop.lengths
+    idx = np.arange(P)
+    prev, nxt = (idx - 1) % P, (idx + 1) % P
+    mid, half = 0.5 * (pa + pb), 0.5 * lengths
+    t4, w4 = quadrature.gauss01(bem.FAR_ORDER)
+    nodes = pa.T[:, None] + t4[:, None] * (pb - pa).T[:, None]
+    t16, w16 = quadrature.gauss01(2 * spaces.PANEL_ORDER)
+    t_gr, w_gr = quadrature.graded01(spaces.PANEL_ORDER, 30, end=0)
+    rules = [(t, bem._basis_weights(t, w)) for t, w in
+             ((t4, w4), (t16, w16), (t_gr, w_gr), (1.0 - t_gr, w_gr))]
+
+    G = np.zeros((P, 2, P, 2))
+    D = np.zeros((P, 2, P, 2))
+    paired = np.zeros((P, P), dtype=bool)       # near pairs and neighbours
+    for i in range(P):
+        s = bem._separation(mid, half, lengths, i, idx)
+        far = np.flatnonzero((s >= bem.FAR_RATIO) & (idx > i))
+        if far.size:
+            g, dij, dji = bem._far_blocks(nodes, rules[0][1], loop,
+                                          slice(i, i + 1), far)
+            G[i, :, far] = g[:, :, 0].transpose(2, 0, 1)
+            G[far, :, i] = g[:, :, 0].transpose(2, 1, 0)
+            D[i, :, far] = dij[:, :, 0].transpose(2, 0, 1)
+            D[far, :, i] = dji[:, :, 0].transpose(2, 1, 0)
+        near = np.flatnonzero((s < bem.FAR_RATIO) & (idx != i)
+                              & (idx != prev[i]) & (idx != nxt[i]))
+        for (t, bw), j in ((rules[1], near), (rules[2], prev[i:i + 1]),
+                           (rules[3], nxt[i:i + 1])):
+            if j.size:
+                g, dl = bem._inner_blocks(t, bw, loop, np.full(j.size, i), j)
+                G[i, :, j] = g
+                D[i, :, j] = dl
+                paired[i, j] = True
+        G[i, :, i] = bem._coincident_slp_block(lengths[i])
+        D[i, :, i] = 0.0
+
+    A = G.copy()
+    for i, j in zip(*np.nonzero(paired)):
+        G[i, :, j] = 0.5 * (A[i, :, j] + A[j, :, i].T)
+    K = np.empty((2 * P, P))
+    for i in range(P):
+        for a in range(2):
+            K[2 * i + a] = D[i, a, :, 0] + D[i, a, prev, 1]
+    G = G.reshape(2 * P, 2 * P)
+
+    M = np.zeros((2 * P, P))
+    M[2 * idx, idx] = lengths / 3.0
+    M[2 * idx, nxt] = lengths / 6.0
+    M[2 * idx + 1, idx] = lengths / 6.0
+    M[2 * idx + 1, nxt] = lengths / 3.0
+    Vps = G[:, 0::2] + G[:, 1::2]
+    chol = scipy.linalg.cholesky(G, lower=True)
+    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G,
+                           G_psi_chol=chol)
+
+
+def tensor_gauss_blocks(loop, order):
+    """Single- and double-layer Galerkin blocks of every panel pair by the
+    order x order tensor Gauss rule with the point kernels, one target
+    panel at a time: G[i, a, j, b] and D[i, a, j, b] for target i with
+    basis a and source j with basis b.  Accurate for separated pairs only;
+    the coincident pairs come out infinite."""
+    P = loop.num_panels
+    pa, pb, lengths, normals = (loop.points_a, loop.points_b, loop.lengths,
+                                loop.normals)
+    t, w = quadrature.gauss01(order)
+    basis = np.stack([1.0 - t, t]) * w
+    ys = pa[:, None] + t[None, :, None] * (pb - pa)[:, None]     # (P, q, 2)
+    G = np.empty((P, 2, P, 2))
+    D = np.empty((P, 2, P, 2))
+    for i in range(P):
+        xs = pa[i] + t[:, None] * (pb[i] - pa[i])                 # (q, 2)
+        r = xs[:, None, None, :] - ys[None]                       # (q, P, q, 2)
+        r2 = (r * r).sum(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slp = -np.log(r2) / (2.0 * bem.TWO_PI)
+            dlp = (r * normals[None, :, None, :]).sum(axis=-1) / (bem.TWO_PI * r2)
+        hh = lengths[i] * lengths[None, :, None]
+        G[i] = np.einsum("ap,pjq,bq->ajb", basis, slp, basis) * hh
+        D[i] = np.einsum("ap,pjq,bq->ajb", basis, dlp, basis) * hh
+    return G, D
 
 
 def slp_panel_integral(panel_a, panel_b, order_a, order_b):
@@ -858,3 +957,77 @@ def project_boundary_p0(loop, fn, order=8, levels=24):
     pts, wts, _ = spaces.boundary_quadrature(loop, order, levels)
     vals = fn(pts[..., 0], pts[..., 1])
     return (wts * vals).sum(axis=1) / loop.lengths
+
+
+@dataclass
+class FullJnSystem:
+    """The classical coupling system with u at all vertices and phi on
+    the boundary panels as unknowns, in that order."""
+
+    matrix: scipy.sparse.csr_matrix
+    rhs: np.ndarray
+    n_vert: int
+    vertices: np.ndarray
+    loop: object
+
+
+def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
+    """The full (nv + P) coupling system as `jn_reference.assemble_jn`
+    assembled it before it eliminated phi: one CSR matrix from `bmat`,
+    with the stabilization as a COO outer product."""
+    if bem_mats is None:
+        bem_mats = bem.assemble_bem(boundary_loop(mesh))
+    loop = bem_mats.loop
+    P = loop.num_panels
+    nv = mesh.num_vertices
+    nxt = (np.arange(P) + 1) % P
+
+    A_uu = jn._p1_stiffness(mesh)
+
+    # -<phi, v>_Gamma: each panel loads its two endpoint hats with h/2
+    rows = np.concatenate([loop.vertex_ids, loop.vertex_ids[nxt]])
+    cols = np.concatenate([np.arange(P), np.arange(P)])
+    vals = np.concatenate([loop.lengths, loop.lengths]) * (-0.5)
+    C = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nv, P))
+
+    # <(1/2 - K) u, psi> and <V phi, psi> with panelwise-constant tests
+    D_bd = jn.p0_test_rows(bem_mats.half_minus_k())  # (P, P) vertex cols
+    V00 = jn.p0_test_rows(bem_mats.V_ps)             # (P, P)
+    rr = np.repeat(np.arange(P), P)
+    D = scipy.sparse.coo_matrix(
+        (D_bd.ravel(), (rr, np.tile(loop.vertex_ids, P))), shape=(P, nv))
+
+    mat = scipy.sparse.bmat([[A_uu, C], [D, V00]], format="csr")
+
+    rhs = np.zeros(nv + P)
+    rhs[:nv] = jn._p1_load(mesh, data.f)
+    # <phi0, v>_Gamma against the boundary hats
+    order, levels = spaces.PANEL_ORDER, spaces.DATA_LEVELS
+    pts, wl, t = spaces.boundary_quadrature(loop, order, levels)
+    ph = data.phi0(pts[..., 0], pts[..., 1], loop.normals[:, None, 0],
+                   loop.normals[:, None, 1])
+    np.add.at(rhs[:nv], loop.vertex_ids, (wl * ph * (1 - t)[None, :]).sum(axis=1))
+    np.add.at(rhs[:nv], loop.vertex_ids[nxt], (wl * ph * t[None, :]).sum(axis=1))
+    # <(1/2 - K) u0, psi>: mass part directly, kernel part via projection
+    u0v = data.u0(pts[..., 0], pts[..., 1])
+    mass_u0 = (wl * u0v).sum(axis=1)
+    u0_hat = spaces.project_boundary_p1(
+        loop, *spaces.hat_moments((pts, wl, t), u0v))
+    K00 = jn.p0_test_rows(bem_mats.K_up)
+    rhs[nv:] = 0.5 * mass_u0 - K00 @ u0_hat
+
+    if stabilized:
+        g = np.zeros(nv + P)
+        g_u = D_bd.sum(axis=0)                        # <1, (1/2-K) hat_j>
+        np.add.at(g[:nv], loop.vertex_ids, g_u)
+        g[nv:] = V00.sum(axis=0)                      # <1, V chi_q>
+        lam_total = rhs[nv:].sum()                    # <1, (1/2-K) u0>
+        # g g^T on the support of g (boundary vertices and panels only)
+        idx = np.flatnonzero(g)
+        mat = mat + scipy.sparse.coo_matrix(
+            (np.outer(g[idx], g[idx]).ravel(),
+             (np.repeat(idx, idx.size), np.tile(idx, idx.size))),
+            shape=mat.shape).tocsr()
+        rhs = rhs + lam_total * g
+    return FullJnSystem(matrix=mat, rhs=rhs, n_vert=nv,
+                        vertices=mesh.vertices, loop=loop)

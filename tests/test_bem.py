@@ -226,7 +226,7 @@ def square_bem(square_loop):
 
 def test_gpsi_symmetric_and_spd(square_bem):
     G = square_bem.G_psi
-    assert np.abs(G - G.T).max() < 1e-13
+    assert np.array_equal(G, G.T)
     assert np.linalg.eigvalsh(0.5 * (G + G.T)).min() > 0.0
 
 
@@ -305,6 +305,51 @@ def test_assemble_bem_matches_loop_oracle(domain, levels):
         for name in BEM_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(ref, name)), \
                 (loop.num_panels, name)
+
+
+def far_pairs(loop):
+    """(P, P) mask of the panel pairs that assemble_bem gives the tensor
+    rule."""
+    mid = 0.5 * (loop.points_a + loop.points_b)
+    idx = np.arange(loop.num_panels)
+    return bem._separation(mid, 0.5 * loop.lengths, loop.lengths,
+                           idx[:, None], idx) >= bem.FAR_RATIO
+
+
+def hat_columns(D):
+    """(P, 2, P, 2) panel-basis double-layer blocks summed into the hat
+    columns of K_up."""
+    return (D[..., 0] + np.roll(D[..., 1], 1, axis=-1)).reshape(
+        2 * D.shape[0], -1)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_far_pairs_match_high_order_tensor_rule(domain):
+    # the 4 x 4 rule on the separated pairs against a 12 x 12 one (found
+    # within 6.3e-15), and every other pair against the all-analytic
+    # assembly, whose inner integral loses up to 1.8e-14 to cancellation
+    # on these pairs (8.5e-13 on the separated ones), at CLI levels 0..5
+    # (P up to 512)
+    for loop in level_loops(domain, 6):
+        P = loop.num_panels
+        got = bem.assemble_bem(loop)
+        far = far_pairs(loop)
+        G_ref, D_ref = _oracles.tensor_gauss_blocks(loop, 12)
+        far_G = np.repeat(np.repeat(far, 2, axis=0), 2, axis=1)
+        # hat column j of row i is far if panels j and j - 1 both are
+        far_K = np.repeat(far & np.roll(far, 1, axis=1), 2, axis=0)
+        for mat, ref, mask in ((got.G_psi, G_ref.reshape(2 * P, 2 * P),
+                                far_G),
+                               (got.K_up, hat_columns(D_ref), far_K)):
+            err = np.abs(np.where(mask, mat - ref, 0.0)).max()
+            assert err <= 1e-14 * np.abs(mat).max(), (P, err)
+        ana = _oracles.assemble_bem_analytic(loop)
+        G_ana = 0.5 * (ana.G_psi + ana.G_psi.T)
+        err = np.abs(np.where(far_G, 0.0, got.G_psi - G_ana)).max()
+        assert err <= 1e-13 * np.abs(G_ana).max(), (P, err)
+        near_K = np.repeat(~far & ~np.roll(far, 1, axis=1), 2, axis=0)
+        err = np.abs(np.where(near_K, got.K_up - ana.K_up, 0.0)).max()
+        assert err <= 1e-13 * np.abs(ana.K_up).max(), (P, err)
 
 
 def test_assemble_bem_peak_memory_within_loop_oracle():
@@ -400,10 +445,13 @@ def dipole(x0, d):
 def dipole_residual_norm(loop, value, gradient):
     """L2(Gamma) norm of V(P0 flux) + (1/2 - K)(P1 trace) for projected
     dipole Cauchy data."""
+    rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
+                                      spaces.ERROR_LEVELS)
     flux = spaces.project_boundary_p0_flux(
         loop, lambda x, y, nx, ny: sum(g * n for g, n in
-                                       zip(gradient(x, y), (nx, ny))))
-    trace_v = spaces.project_boundary_p1(loop, value)
+                                       zip(gradient(x, y), (nx, ny))), rule)
+    trace_v = spaces.project_boundary_p1(loop, *spaces.hat_moments(
+        rule, value(rule[0][..., 0], rule[0][..., 1])))
     trace = bem.hat_trace_coefs(loop, trace_v)
     pts, wts, t = spaces.boundary_quadrature(loop, order=8, levels=12)
     flat = pts.reshape(-1, 2)

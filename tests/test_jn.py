@@ -1,12 +1,15 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import _oracles
 from dpgbem import boundary_loop, make_square_mesh, refine_uniform
 from dpgbem import bem, cli, jn_reference as jn, solver
 from dpgbem.dpg_assembly import ProblemData
+from dpgbem.errors import NumericalError
 
 
 def zero_data():
@@ -18,7 +21,7 @@ def zero_data():
 
 def test_system_size_coarsest_square():
     mesh = make_square_mesh(0.1, 1)
-    system = jn.assemble_jn(mesh, zero_data(), stabilized=False)
+    system = _oracles.jn_full_system(mesh, zero_data(), stabilized=False)
     assert system.matrix.shape == (8, 8)  # 4 vertices + 4 boundary panels
 
 
@@ -34,8 +37,8 @@ def test_stabilization_is_rank_one_from_column_sums():
     mesh = make_square_mesh(0.1, 2)
     mats = bem.assemble_bem(boundary_loop(mesh))
     data = zero_data()
-    s0 = jn.assemble_jn(mesh, data, stabilized=False, bem_mats=mats)
-    s1 = jn.assemble_jn(mesh, data, stabilized=True, bem_mats=mats)
+    s0 = _oracles.jn_full_system(mesh, data, stabilized=False, bem_mats=mats)
+    s1 = _oracles.jn_full_system(mesh, data, stabilized=True, bem_mats=mats)
     diff = (s1.matrix - s0.matrix).toarray()
     # reconstruct the functional vector entrywise from column sums
     loop = mats.loop
@@ -154,3 +157,35 @@ def test_coupling_matrix_unchanged_by_geometry_classes(level, monkeypatch):
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+@pytest.mark.parametrize("stabilized", [True, False])
+def test_solve_matches_superlu_on_full_system(domain, stabilized):
+    # phi eliminated by Cholesky of the panel block, against SuperLU on
+    # the full (nv + P) system, at CLI levels 0..4.  The plain SuperLU
+    # solve is off by up to 7e-9 of max |x| at level 4 (unstabilized), so
+    # the reference takes two steps of iterative refinement.
+    data, _ = cli.manufacture_data(domain)
+    mesh = cli.initial_mesh(domain)
+    for level in range(5):
+        mats = bem.assemble_bem(boundary_loop(mesh))
+        full = _oracles.jn_full_system(mesh, data, stabilized, mats)
+        A = full.matrix.tocsc()
+        lu = scipy.sparse.linalg.splu(A)
+        want = lu.solve(full.rhs)
+        for _ in range(2):
+            want += lu.solve(full.rhs - A @ want)
+        got = np.concatenate(jn.solve_jn(jn.assemble_jn(mesh, data,
+                                                        stabilized, mats)))
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), level
+        mesh = refine_uniform(mesh)
+
+
+def test_indefinite_panel_block_rejected():
+    mesh = make_square_mesh(0.1, 2)
+    mats = bem.assemble_bem(boundary_loop(mesh))
+    mats = dataclasses.replace(mats, V_ps=-mats.V_ps)
+    for stabilized in (True, False):
+        with pytest.raises(NumericalError):
+            jn.assemble_jn(mesh, zero_data(), stabilized, mats)

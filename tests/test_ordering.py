@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+import _oracles
 from dpgbem import bem, cli, dpg_assembly, jn_reference, solver
 from dpgbem import refine_uniform
 from dpgbem.mesh import boundary_loop
@@ -30,7 +31,9 @@ def skeleton_system(mesh, data):
 
 
 def jn_system(mesh, data):
-    system = jn_reference.assemble_jn(mesh, data)
+    """The full (nv + P) coupling system, the coordinates of its dofs and
+    its boundary dofs."""
+    system = _oracles.jn_full_system(mesh, data)
     loop, nv = system.loop, system.n_vert
     xy = np.concatenate([mesh.vertices, (loop.points_a + loop.points_b) / 2])
     last = np.concatenate([loop.vertex_ids, nv + np.arange(loop.num_panels)])
@@ -116,9 +119,10 @@ def test_dpg_solve_matches_mmd_order(level3):
 
 
 def test_jn_solve_matches_colamd_order(level3):
-    system = jn_reference.assemble_jn(*level3)
+    system = _oracles.jn_full_system(*level3)
     want = scipy.sparse.linalg.splu(system.matrix.tocsc()).solve(system.rhs)
-    got = np.concatenate(jn_reference.solve_jn(system))
+    got = np.concatenate(jn_reference.solve_jn(
+        jn_reference.assemble_jn(*level3)))
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 

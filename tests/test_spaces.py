@@ -4,7 +4,8 @@ from scipy.integrate import dblquad
 
 import _oracles
 from dpgbem import boundary_loop, make_lshape_mesh, make_square_mesh
-from dpgbem import bem, dpg_assembly, spaces
+from dpgbem import refine_uniform
+from dpgbem import bem, cli, dpg_assembly, spaces
 
 
 def test_layout_dimensions():
@@ -132,9 +133,33 @@ def test_projection_p1_reproduces_piecewise_linear():
     mesh = make_square_mesh(0.1, 2)
     loop = boundary_loop(mesh)
     fn = lambda x, y: 2.0 * x - 3.0 * y + 0.5
-    coefs = spaces.project_boundary_p1(loop, fn)
+    rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
+                                      spaces.ERROR_LEVELS)
+    pts = rule[0]
+    coefs = spaces.project_boundary_p1(
+        loop, *spaces.hat_moments(rule, fn(pts[..., 0], pts[..., 1])))
     verts = mesh.vertices[loop.vertex_ids]
     assert np.allclose(coefs, fn(verts[:, 0], verts[:, 1]), atol=1e-12)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_projection_p1_solves_cyclic_mass_system(domain):
+    # the banded solve with one Sherman-Morrison step against a dense
+    # solve of the cyclic tridiagonal P1 mass matrix
+    mesh = cli.initial_mesh(domain)
+    for _ in range(4):
+        loop = boundary_loop(mesh)
+        h, k = loop.lengths, np.arange(loop.num_panels)
+        nxt = (k + 1) % loop.num_panels
+        mass = np.zeros((k.size, k.size))
+        np.add.at(mass, (k, k), h / 3.0)
+        np.add.at(mass, (nxt, nxt), h / 3.0)
+        mass[k, nxt] = mass[nxt, k] = h / 6.0
+        tail, head = np.cos(7.0 * k), np.sin(5.0 * k) + 2.0
+        want = np.linalg.solve(mass, tail + head[k - 1])
+        got = spaces.project_boundary_p1(loop, tail, head)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        mesh = refine_uniform(mesh)
 
 
 def test_projection_p0_means():
@@ -151,7 +176,9 @@ def test_projection_p0_flux_constant_field():
     mesh = make_square_mesh(0.1, 1)
     loop = boundary_loop(mesh)
     fn = lambda x, y, nx, ny: 2.0 * nx - 1.0 * ny
-    means = spaces.project_boundary_p0_flux(loop, fn)
+    means = spaces.project_boundary_p0_flux(
+        loop, fn, spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
+                                             spaces.ERROR_LEVELS))
     assert np.allclose(means, 2.0 * loop.normals[:, 0] - loop.normals[:, 1],
                        atol=1e-13)
 
