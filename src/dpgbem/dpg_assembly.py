@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
 
 from . import quadrature, spaces
 from .errors import NumericalError
@@ -345,14 +344,8 @@ def build_normal_equations(B, G, ell):
     ns = B.shape[1] - nf
     skel = B.cols[:, 3:] - nf
     gcols = B.gamma_cols - nf
-    S = scipy.sparse.coo_matrix(
-        (np.concatenate([(loc[B.cls] * s[:, :, None] * s[:, None, :]).ravel(),
-                         g[:, :-1].ravel()]),
-         (np.concatenate([np.repeat(skel, 6, axis=1).ravel(),
-                          np.repeat(gcols, gcols.size)]),
-          np.concatenate([np.tile(skel, 6).ravel(),
-                          np.tile(gcols, gcols.size)]))),
-        shape=(ns, ns)).tocsr()
+    S = spaces.clique_matrix(skel, loc[B.cls] * s[:, :, None] * s[:, None, :],
+                             gcols, g[:, :-1], ns)
     if np.any(S.diagonal() <= 0.0):
         raise NumericalError("normal equations indefinite: B rank deficient")
     c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,

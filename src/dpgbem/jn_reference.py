@@ -47,15 +47,15 @@ class JnSystem:
     P1 stiffness plus, on the boundary vertices (loop.vertex_ids), the
     dense Schur complement of the panel block W.  phi follows from u on
     the boundary as W^{-1} (rhs_phi - B u_b), with W_chol the lower
-    Cholesky factor of W.  vertices holds the mesh vertex coordinates,
-    which order the direct solve."""
+    Cholesky factor of W.  mesh is the mesh, whose triangles and vertex
+    coordinates order the direct solve."""
 
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
     W_chol: np.ndarray
     B: np.ndarray
     rhs_phi: np.ndarray
-    vertices: np.ndarray
+    mesh: object
     loop: object
 
 
@@ -66,17 +66,12 @@ def p0_test_rows(matrix_2p):
 
 
 def _p1_stiffness(mesh):
-    """P1 stiffness matrix; its 3x3 element blocks are formed once per
+    """P1 stiffness blocks (T, 3, 3) on mesh.triangles, formed once per
     geometry class (Mesh.element_classes)."""
     cls, rep = mesh.element_classes()
     _, detJ, Jinv = element_map(mesh.vertices[mesh.triangles[rep]])
     g = np.einsum("id,tdc->tic", REF_HAT_GRADS, Jinv)
-    loc = (np.einsum("tic,tjc->tij", g, g) * (0.5 * detJ)[:, None, None])[cls]
-    rows = np.repeat(mesh.triangles[:, :, None], 3, axis=2).ravel()
-    cols = np.repeat(mesh.triangles[:, None, :], 3, axis=1).ravel()
-    return scipy.sparse.coo_matrix(
-        (loc.ravel(), (rows, cols)),
-        shape=(mesh.num_vertices, mesh.num_vertices))
+    return (np.einsum("tic,tjc->tij", g, g) * (0.5 * detJ)[:, None, None])[cls]
 
 
 def _p1_load(mesh, f):
@@ -107,7 +102,6 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None):
         bem_mats = bem_mod.assemble_bem(boundary_loop(mesh))
     loop = bem_mats.loop
     P, h, vid = loop.num_panels, loop.lengths, loop.vertex_ids
-    nv = mesh.num_vertices
 
     # <(1/2 - K) u, psi> and <V phi, psi> with panelwise-constant tests
     B = p0_test_rows(bem_mats.half_minus_k())        # (P, P) vertex cols
@@ -150,14 +144,10 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None):
     S = np.outer(g_u, g_u - g_phi @ WiB) - _panels_to_hats(h, WiB)
     rhs[vid] -= _panels_to_hats(h, Wir) + g_u * (g_phi @ Wir)
 
-    A = _p1_stiffness(mesh)
-    matrix = scipy.sparse.coo_matrix(
-        (np.concatenate([A.data, S.ravel()]),
-         (np.concatenate([A.row, np.repeat(vid, P)]),
-          np.concatenate([A.col, np.tile(vid, P)]))),
-        shape=(nv, nv)).tocsr()
+    matrix = spaces.clique_matrix(mesh.triangles, _p1_stiffness(mesh), vid, S,
+                                  mesh.num_vertices)
     return JnSystem(matrix=matrix, rhs=rhs, W_chol=W_chol, B=B,
-                    rhs_phi=rhs_phi, vertices=mesh.vertices, loop=loop)
+                    rhs_phi=rhs_phi, mesh=mesh, loop=loop)
 
 
 def solve_jn(system):
@@ -171,7 +161,8 @@ def solve_jn(system):
     singular factor or a non-finite solution raises NumericalError.
     """
     vid = system.loop.vertex_ids
-    perm = nested_dissection(system.matrix, system.vertices, vid)
+    perm = nested_dissection(system.mesh.triangles, system.mesh.vertices,
+                             vid)
     u = np.empty_like(system.rhs)
     try:
         lu = scipy.sparse.linalg.splu(

@@ -251,6 +251,33 @@ def _walk_boundary(bnd, tails, heads, signs):
     return bnd[order], tails[order], signs[order]
 
 
+def _check_grid(domain, name, size, n):
+    if n < 1 or int(n) != n:
+        raise MeshError("n must be a positive integer")
+    if size <= 0.0:
+        raise MeshError("{} must be positive".format(name))
+    if 2.0 * np.sqrt(2.0) * size >= 1.0:
+        raise MeshError("{} with {} {:.6g} has diameter >= 1"
+                        .format(domain, name, size))
+
+
+def _grid_mesh(line, keep):
+    """Mesh of the cells keep[j, i] of the grid with vertex lines x = line[i]
+    and y = line[j].  Vertices are numbered row by row, x fastest, with
+    those of no kept cell left out; each cell is split along its rising
+    diagonal."""
+    m = line.size
+    j, i = np.nonzero(keep)
+    p00 = j * m + i
+    corners = np.stack([p00, p00 + 1, p00 + m + 1, p00 + m], axis=1)
+    used = np.zeros(m * m, dtype=bool)
+    used[corners] = True
+    quads = (np.cumsum(used) - 1)[corners]
+    yy, xx = np.meshgrid(line, line, indexing="ij")
+    vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)[used]
+    return build_mesh(vertices, quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
+
+
 def make_square_mesh(half_width, n):
     """Structured mesh of the square (-w, w)^2 with n x n cells, each split
     into two triangles.
@@ -262,59 +289,22 @@ def make_square_mesh(half_width, n):
     n : int
         Subdivisions per side, at least 1.
     """
-    if n < 1 or int(n) != n:
-        raise MeshError("n must be a positive integer")
-    if half_width <= 0.0:
-        raise MeshError("half_width must be positive")
-    if 2.0 * np.sqrt(2.0) * half_width >= 1.0:
-        raise MeshError("square with half_width {:.6g} has diameter >= 1"
-                        .format(half_width))
+    _check_grid("square", "half_width", half_width, n)
     n = int(n)
-    coords = np.linspace(-half_width, half_width, n + 1)
-    idx = lambda i, j: j * (n + 1) + i
-    xx, yy = np.meshgrid(coords, coords, indexing="ij")
-    vertices = np.stack([xx.ravel(order="F"), yy.ravel(order="F")], axis=1)
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            p00, p10 = idx(i, j), idx(i + 1, j)
-            p11, p01 = idx(i + 1, j + 1), idx(i, j + 1)
-            tris.append((p00, p10, p11))
-            tris.append((p00, p11, p01))
-    return build_mesh(vertices, np.array(tris, dtype=int))
+    return _grid_mesh(np.linspace(-half_width, half_width, n + 1),
+                      np.ones((n, n), dtype=bool))
 
 
 def make_lshape_mesh(quarter, n):
     """Structured mesh of the L-shaped domain
     (-q, q)^2 minus the quadrant (0, q) x (-q, 0), with n x n cells per
     quarter square and the reentrant corner at the origin."""
-    if n < 1 or int(n) != n:
-        raise MeshError("n must be a positive integer")
-    if quarter <= 0.0:
-        raise MeshError("quarter must be positive")
-    if 2.0 * np.sqrt(2.0) * quarter >= 1.0:
-        raise MeshError("L-shape with quarter {:.6g} has diameter >= 1"
-                        .format(quarter))
+    _check_grid("L-shape", "quarter", quarter, n)
     n = int(n)
-    s = quarter / n
-    index = {}
-    vertices = []
-    for j in range(-n, n + 1):
-        for i in range(-n, n + 1):
-            if i > 0 and j < 0:
-                continue  # interior of the removed quadrant
-            index[(i, j)] = len(vertices)
-            vertices.append((i * s, j * s))
-    tris = []
-    for j in range(-n, n):
-        for i in range(-n, n):
-            if i >= 0 and j <= -1:
-                continue  # cell inside the removed quadrant
-            p00, p10 = index[(i, j)], index[(i + 1, j)]
-            p11, p01 = index[(i + 1, j + 1)], index[(i, j + 1)]
-            tris.append((p00, p10, p11))
-            tris.append((p00, p11, p01))
-    return build_mesh(np.array(vertices, dtype=float), np.array(tris, dtype=int))
+    k = np.arange(-n, n + 1)
+    # cell (i, j) has lower left corner (k[i], k[j]) in units of q / n
+    removed = (k[None, :-1] >= 0) & (k[:-1, None] <= -1)
+    return _grid_mesh(k * (quarter / n), ~removed)
 
 
 def refine_uniform(mesh):
@@ -336,15 +326,13 @@ class BoundaryLoop:
 
     Panel k runs from ``points_a[k]`` to ``points_b[k]``; its tail vertex is
     loop vertex k (global index ``vertex_ids[k]``) so that panel k-1 and k
-    share loop vertex k.  ``arc_start[k]`` is the accumulated arc length at
-    the panel tail.
+    share loop vertex k.
     """
 
     points_a: np.ndarray
     points_b: np.ndarray
     normals: np.ndarray
     lengths: np.ndarray
-    arc_start: np.ndarray
     edge_ids: np.ndarray
     signs: np.ndarray
     vertex_ids: np.ndarray
@@ -352,10 +340,6 @@ class BoundaryLoop:
     @property
     def num_panels(self):
         return self.points_a.shape[0]
-
-    @property
-    def total_length(self):
-        return float(self.lengths.sum())
 
 
 def boundary_loop(mesh):
@@ -374,8 +358,7 @@ def boundary_loop(mesh):
     lengths = np.hypot(tang[:, 0], tang[:, 1])
     tang = tang / lengths[:, None]
     normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
     return BoundaryLoop(points_a=pa, points_b=pb, normals=normals,
-                        lengths=lengths, arc_start=arc, edge_ids=e.copy(),
+                        lengths=lengths, edge_ids=e.copy(),
                         signs=mesh.boundary_signs.copy(),
                         vertex_ids=tails.copy())

@@ -75,7 +75,7 @@ class Solution:
         return self.x[off:]
 
 
-def nested_dissection(pattern, coords, last):
+def nested_dissection(cliques, coords, last):
     """Fill-reducing elimination order for a sparse system on a 2-D mesh.
 
     Geometric nested dissection (George, "Nested dissection of a regular
@@ -83,9 +83,11 @@ def nested_dissection(pattern, coords, last):
     `last` are bisected at the median of the longer axis of their
     bounding box, with coords (n, 2) the position of each dof.  Dofs on
     the median's coordinate line go left, unless that leaves the right
-    empty; then the part splits by rank.  A left dof with a right
-    neighbour in the symmetrized pattern joins the separator, so on a
-    structured mesh the separator is that line.  Each part is ordered
+    empty; then the part splits by rank.  Two dofs are neighbours if a
+    row of cliques (T, k), such as an element's dofs, holds both; the
+    pattern of a COO matrix is np.column_stack([A.row, A.col]).  A left
+    dof with a right neighbour joins the separator, so on a structured
+    mesh the separator is that line.  Each part is ordered
     [left, right, separator], and parts of at most ND_LEAF_SIZE dofs
     stay whole, swept along their longer axis.  The dofs in `last` (a
     dense block such as the boundary-integral clique) come at the end,
@@ -93,14 +95,15 @@ def nested_dissection(pattern, coords, last):
 
     Returns perm, so that A[perm][:, perm] is the reordered matrix.
     """
-    n = pattern.shape[0]
     last = np.asarray(last, dtype=int)
     coords = np.asarray(coords, dtype=float)
+    n = coords.shape[0]
     rest = np.ones(n, dtype=bool)
     rest[last] = False
     # each coupling of two dofs not in `last`, once, as an edge (ei < ej)
-    A = pattern.tocoo()
-    lo, hi = np.minimum(A.row, A.col), np.maximum(A.row, A.col)
+    i, j = np.triu_indices(cliques.shape[1], 1)
+    a, b = cliques[:, i].ravel(), cliques[:, j].ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     keep = (lo != hi) & rest[lo] & rest[hi]
     edges = scipy.sparse.csr_matrix(
         (np.ones(keep.sum(), dtype=np.int8), (lo[keep], hi[keep])),
@@ -316,11 +319,15 @@ def solve_dpg(mesh, data, bem_mats=None):
     blocks = dpg_assembly.assemble_operator_blocks(mesh, bem_mats, data)
     S, c, recover = dpg_assembly.build_normal_equations(blocks.B, blocks.G,
                                                         blocks.ell)
-    skeleton_xy = np.concatenate([mesh.vertices, mesh.edge_midpoints()])
-    perm = nested_dissection(S, skeleton_xy,
-                             blocks.B.gamma_cols - 3 * mesh.num_triangles)
+    nf = 3 * mesh.num_triangles
+    perm = nested_dissection(
+        blocks.B.cols[:, 3:] - nf,
+        np.concatenate([mesh.vertices, mesh.edge_midpoints()]),
+        blocks.B.gamma_cols - nf)
+    # the natural-order S is freed before the factorization
+    S = S[perm][:, perm]
     y = np.empty_like(c)
-    y[perm] = solve_spd(S[perm][:, perm], c[perm])
+    y[perm] = solve_spd(S, c[perm])
     sol = Solution(mesh=mesh,
                    trial_layout=spaces.TrialDofLayout.from_mesh(mesh),
                    data=data, loop=bem_mats.loop, x=recover(y))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import quadrature
 from .mesh import REF_HAT_GRADS
@@ -103,19 +104,41 @@ ERROR_ORDER, ERROR_LEVELS = 8, 24
 COMPAT_ORDER, COMPAT_LEVELS = 8, 40
 
 
+def clique_matrix(cliques, blocks, dense_dofs, dense, n):
+    """Sparse matrix of order n from element blocks and one dense block.
+
+    Element t adds its block blocks[t] (k, k) on its dofs cliques[t] (k,),
+    and dense (m, m) is added on the m dofs dense_dofs.  Both couplings
+    have this form: an element-local part plus a boundary-integral block.
+    Entries are summed in (t, i, j) order, then the dense block row-major.
+    Returns CSR.
+    """
+    # int32 indices (dof counts here are far below 2^31), which coo_matrix
+    # keeps without a copy; no name holds the triplets, so that tocsr runs
+    # with the COO alone
+    cliques = np.asarray(cliques, dtype=np.int32)
+    dense_dofs = np.asarray(dense_dofs, dtype=np.int32)
+    k, m = cliques.shape[1], dense_dofs.size
+    return scipy.sparse.coo_matrix(
+        (np.concatenate([blocks.ravel(), np.ravel(dense)]),
+         (np.concatenate([np.repeat(cliques, k, axis=1).ravel(),
+                          np.repeat(dense_dofs, m)]),
+          np.concatenate([np.tile(cliques, k).ravel(),
+                          np.tile(dense_dofs, m)]))),
+        shape=(n, n)).tocsr()
+
+
 def boundary_quadrature(loop, order, levels):
     """Quadrature nodes on all panels of a boundary loop.
 
     Returns physical points (P, q, 2), arc-length weights (P, q) and the
     panel parameters t (q,) of the nodes, so that the hat functions of a
-    panel's tail and head take the values 1 - t and t there.  With
-    levels > 0 a composite rule graded toward both panel endpoints is
-    used, which integrates data with endpoint singularities accurately.
+    panel's tail and head take the values 1 - t and t there.  The rule is
+    composite Gauss of the given order, graded toward both panel
+    endpoints over the given levels (> 0), which integrates data with
+    endpoint singularities accurately.
     """
-    if levels > 0:
-        t, w = quadrature.graded01_both(order, levels)
-    else:
-        t, w = quadrature.gauss01(order)
+    t, w = quadrature.graded01_both(order, levels)
     pa, pb = loop.points_a, loop.points_b
     pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
     wts = loop.lengths[:, None] * w[None, :]

@@ -3,7 +3,9 @@
 `build_mesh` and `refine_uniform` are the original per-side dictionary
 loops that derive the edge topology one triangle at a time.  They are
 slow but obviously right, and the vectorized versions in `dpgbem.mesh`
-must reproduce their arrays exactly.
+must reproduce their arrays exactly.  `square_grid` and `lshape_grid`
+are the per-cell loops that built the vertex and triangle arrays of
+`make_square_mesh` and `make_lshape_mesh`.
 
 `sparse_B` scatters a `dpg_assembly.BlockOperator` into the global CSR
 matrix B, as `assemble_B` once returned it.  `gram_solve_matrix` is the
@@ -27,8 +29,8 @@ as it was before the classes: the signed B blocks, the test Grams, the
 products B_T^T G_T^{-1} [B_T | ell_T], the field condensation, B @ x and
 the energy error.  The class path must reproduce it exactly.
 `signed_blocks` and `expand_products` expand class blocks and class
-products to one per element, and `p1_stiffness` is the classical
-coupling's stiffness matrix formed element by element.
+products to one per element, and `p1_stiffness` gives the classical
+coupling's stiffness blocks formed element by element.
 
 The pairwise panel-integral API (`BoundaryPanel`, `slp_panel_integral`,
 `dlp_panel_integral` and their helpers) computes one Galerkin block per
@@ -58,8 +60,7 @@ panel unknowns.
 (element means, vertex values, edge-mean fluxes), and `eval_trace_p1` is
 the linear Lagrange basis on an edge.
 
-`dump_mesh` writes a mesh as plain text, and `project_boundary_p0` gives
-the panelwise means of a boundary function.
+`dump_mesh` writes a mesh as plain text.
 """
 
 from dataclasses import dataclass
@@ -156,6 +157,46 @@ def _walk_boundary(triangles, edge_tris, tri_edges, tri_edge_signs):
     tails = np.array([tail_of[e] for e in order], dtype=int)
     signs = np.array([sign_of[e] for e in order], dtype=int)
     return order, tails, signs
+
+
+def square_grid(half_width, n):
+    """(vertices, triangles) of the n x n cell square mesh."""
+    coords = np.linspace(-half_width, half_width, n + 1)
+    idx = lambda i, j: j * (n + 1) + i
+    xx, yy = np.meshgrid(coords, coords, indexing="ij")
+    vertices = np.stack([xx.ravel(order="F"), yy.ravel(order="F")], axis=1)
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            p00, p10 = idx(i, j), idx(i + 1, j)
+            p11, p01 = idx(i + 1, j + 1), idx(i, j + 1)
+            tris.append((p00, p10, p11))
+            tris.append((p00, p11, p01))
+    return vertices, np.array(tris, dtype=int)
+
+
+def lshape_grid(quarter, n):
+    """(vertices, triangles) of the L-shape mesh, n x n cells per quarter
+    square."""
+    s = quarter / n
+    index = {}
+    vertices = []
+    for j in range(-n, n + 1):
+        for i in range(-n, n + 1):
+            if i > 0 and j < 0:
+                continue  # interior of the removed quadrant
+            index[(i, j)] = len(vertices)
+            vertices.append((i * s, j * s))
+    tris = []
+    for j in range(-n, n):
+        for i in range(-n, n):
+            if i >= 0 and j <= -1:
+                continue  # cell inside the removed quadrant
+            p00, p10 = index[(i, j)], index[(i + 1, j)]
+            p11, p01 = index[(i + 1, j + 1)], index[(i, j + 1)]
+            tris.append((p00, p10, p11))
+            tris.append((p00, p11, p01))
+    return np.array(vertices, dtype=float), np.array(tris, dtype=int)
 
 
 def refine_uniform(mesh):
@@ -454,15 +495,10 @@ class ElementPipeline:
 
 
 def p1_stiffness(mesh):
-    """P1 stiffness matrix with its 3x3 blocks formed element by element,
-    as `jn_reference._p1_stiffness` did before the geometry classes."""
+    """P1 stiffness blocks (T, 3, 3) formed element by element, as
+    `jn_reference._p1_stiffness` did before the geometry classes."""
     g = mesh.hat_gradients()
-    loc = np.einsum("tic,tjc->tij", g, g) * mesh.areas()[:, None, None]
-    rows = np.repeat(mesh.triangles[:, :, None], 3, axis=2).ravel()
-    cols = np.repeat(mesh.triangles[:, None, :], 3, axis=1).ravel()
-    return scipy.sparse.coo_matrix(
-        (loc.ravel(), (rows, cols)),
-        shape=(mesh.num_vertices, mesh.num_vertices))
+    return np.einsum("tic,tjc->tij", g, g) * mesh.areas()[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -952,13 +988,6 @@ def dump_mesh(mesh, stream):
         stream.write("t {} {} {}\n".format(t[0], t[1], t[2]))
 
 
-def project_boundary_p0(loop, fn, order=8, levels=24):
-    """Panelwise means of a scalar boundary function fn(x, y)."""
-    pts, wts, _ = spaces.boundary_quadrature(loop, order, levels)
-    vals = fn(pts[..., 0], pts[..., 1])
-    return (wts * vals).sum(axis=1) / loop.lengths
-
-
 @dataclass
 class FullJnSystem:
     """The classical coupling system with u at all vertices and phi on
@@ -982,7 +1011,8 @@ def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
     nv = mesh.num_vertices
     nxt = (np.arange(P) + 1) % P
 
-    A_uu = jn._p1_stiffness(mesh)
+    A_uu = spaces.clique_matrix(mesh.triangles, jn._p1_stiffness(mesh), [],
+                                [], nv)
 
     # -<phi, v>_Gamma: each panel loads its two endpoint hats with h/2
     rows = np.concatenate([loop.vertex_ids, loop.vertex_ids[nxt]])

@@ -279,7 +279,7 @@ def test_mass_matrix_values(square_loop, square_bem):
     h = square_loop.lengths[0]
     assert square_bem.M_up[0, 0] == pytest.approx(h / 3.0)
     assert square_bem.M_up[1, 0] == pytest.approx(h / 6.0)
-    assert square_bem.M_up.sum() == pytest.approx(square_loop.total_length)
+    assert square_bem.M_up.sum() == pytest.approx(square_loop.lengths.sum())
 
 
 def level_loops(domain, levels):

@@ -331,7 +331,9 @@ def test_boundedness_surrogate_regression():
         test = _oracles.TestDofLayout.from_mesh(mesh)
         blocks = dpg_assembly.assemble_operator_blocks(mesh, mats, data)
         areas = mesh.areas()
-        K1 = jn_reference._p1_stiffness(mesh).tocsr()
+        K1 = spaces.clique_matrix(mesh.triangles,
+                                  jn_reference._p1_stiffness(mesh), [], [],
+                                  mesh.num_vertices)
         T = mesh.triangles
         mloc = np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
         rows = np.repeat(T[:, :, None], 3, axis=2).ravel()

@@ -76,7 +76,7 @@ def test_lshape_boundary_perimeter():
     mesh = make_lshape_mesh(0.25, 1)
     loop = boundary_loop(mesh)
     assert loop.num_panels == 8
-    assert loop.total_length == pytest.approx(8 * 0.25)
+    assert loop.lengths.sum() == pytest.approx(8 * 0.25)
 
 
 @pytest.mark.parametrize("make,args", [(make_square_mesh, (0.1, 3)),
@@ -113,12 +113,11 @@ def test_boundary_loop_ccw_and_arclength():
     mesh = make_square_mesh(0.1, 1)
     loop = boundary_loop(mesh)
     assert loop.num_panels == 4
-    assert loop.total_length == pytest.approx(0.8)
+    assert loop.lengths.sum() == pytest.approx(0.8)
     # counterclockwise: shoelace area of the loop polygon is positive
     pa, pb = loop.points_a, loop.points_b
     area2 = np.sum(pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1])
     assert area2 > 0.0
-    assert np.allclose(loop.arc_start, np.array([0.0, 0.2, 0.4, 0.6]))
 
 
 def test_disconnected_boundary_rejected():
@@ -176,6 +175,17 @@ def test_topology_matches_loop_oracle(domain):
     for _ in range(5):
         assert_same_mesh(mesh, ref)
         mesh, ref = refine_uniform(mesh), _oracles.refine_uniform(ref)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("make,grid,size", [
+    (make_square_mesh, _oracles.square_grid, 0.1),
+    (make_lshape_mesh, _oracles.lshape_grid, 0.25)])
+def test_structured_mesh_matches_cell_loop(make, grid, size, n):
+    mesh = make(size, n)
+    vertices, triangles = grid(size, n)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.triangles, triangles)
 
 
 def test_topology_matches_loop_oracle_on_permuted_triangles():

@@ -12,6 +12,13 @@ from dpgbem.mesh import boundary_loop
 from dpgbem.solver import ND_LEAF_SIZE, nested_dissection
 
 
+def pairs(A):
+    """The stored entries of a matrix, explicit zeros included, as
+    2-cliques."""
+    A = scipy.sparse.coo_matrix(A)
+    return np.column_stack([A.row, A.col])
+
+
 def cli_level_mesh(domain, level):
     mesh = cli.initial_mesh(domain)
     for _ in range(level):
@@ -55,7 +62,7 @@ def orders(mesh, data):
 
 def test_order_is_bijection_with_last_dofs_at_end(level3):
     for A, xy, last in orders(*level3):
-        perm = nested_dissection(A, xy, last)
+        perm = nested_dissection(pairs(A), xy, last)
         n = A.shape[0]
         assert np.array_equal(np.sort(perm), np.arange(n))
         assert np.array_equal(perm[n - last.size:], last)
@@ -81,7 +88,7 @@ def top_split(A, xy, last):
 
 def test_top_split_separates_the_halves(level3):
     for A, xy, last in orders(*level3):
-        perm = nested_dissection(A, xy, last)
+        perm = nested_dissection(pairs(A), xy, last)
         left, right, sep = top_split(A, xy, last)
         nl, nr, ns = left.sum(), right.sum(), sep.sum()
         n_int = A.shape[0] - last.size
@@ -102,7 +109,7 @@ def test_small_system_is_one_leaf():
     A = scipy.sparse.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)],
                            [-1, 0, 1])
     xy = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
-    perm = nested_dissection(A, xy, [0, n - 1])
+    perm = nested_dissection(pairs(A), xy, [0, n - 1])
     assert np.array_equal(perm, np.r_[np.arange(1, n - 1), 0, n - 1])
 
 
@@ -128,8 +135,30 @@ def test_jn_solve_matches_colamd_order(level3):
 
 def test_jn_fill_below_colamd(level3):
     system, xy, last = jn_system(*level3)
-    perm = nested_dissection(system.matrix, xy, last)
+    perm = nested_dissection(pairs(system.matrix), xy, last)
     nd = scipy.sparse.linalg.splu(system.matrix[perm][:, perm].tocsc(),
                                   permc_spec="NATURAL")
     colamd = scipy.sparse.linalg.splu(system.matrix.tocsc())
     assert nd.L.nnz < colamd.L.nnz
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_element_cliques_order_as_assembled_pattern(domain):
+    # the element-to-dof map gives the order the assembled pattern gives
+    data, _ = cli.manufacture_data(domain)
+    for level in range(5):
+        mesh = cli_level_mesh(domain, level)
+        mats = bem.assemble_bem(boundary_loop(mesh))
+        blocks = dpg_assembly.assemble_operator_blocks(mesh, mats, data)
+        B = blocks.B
+        S = dpg_assembly.build_normal_equations(B, blocks.G, blocks.ell)[0]
+        nf = 3 * mesh.num_triangles
+        xy = np.concatenate([mesh.vertices, mesh.edge_midpoints()])
+        last = B.gamma_cols - nf
+        assert np.array_equal(nested_dissection(B.cols[:, 3:] - nf, xy, last),
+                              nested_dissection(pairs(S), xy, last)), level
+        system = jn_reference.assemble_jn(mesh, data, bem_mats=mats)
+        vid = system.loop.vertex_ids
+        assert np.array_equal(
+            nested_dissection(mesh.triangles, mesh.vertices, vid),
+            nested_dissection(pairs(system.matrix), mesh.vertices, vid)), level

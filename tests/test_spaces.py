@@ -162,12 +162,19 @@ def test_projection_p1_solves_cyclic_mass_system(domain):
         mesh = refine_uniform(mesh)
 
 
+def project_boundary_p0(loop, fn, levels=spaces.ERROR_LEVELS):
+    """Panelwise means of a scalar boundary function fn(x, y)."""
+    return spaces.project_boundary_p0_flux(
+        loop, lambda x, y, nx, ny: fn(x, y),
+        spaces.boundary_quadrature(loop, spaces.ERROR_ORDER, levels))
+
+
 def test_projection_p0_means():
     mesh = make_square_mesh(0.1, 1)
     loop = boundary_loop(mesh)
-    assert np.allclose(_oracles.project_boundary_p0(loop, constant_one), 1.0)
+    assert np.allclose(project_boundary_p0(loop, constant_one), 1.0)
     # mean of x over the bottom/top edges is 0, over left/right +-0.1
-    means = _oracles.project_boundary_p0(loop, lambda x, y: x)
+    means = project_boundary_p0(loop, lambda x, y: x)
     mids = 0.5 * (loop.points_a + loop.points_b)
     assert np.allclose(means, mids[:, 0], atol=1e-13)
 
@@ -191,7 +198,34 @@ def test_projection_handles_endpoint_singularity():
     k = int(np.nonzero((np.abs(loop.points_a) < 1e-14).all(axis=1))[0][0])
     fn = lambda x, y: np.where(np.hypot(x, y) > 0,
                                np.hypot(x, y) ** (-1.0 / 3.0), 0.0)
-    means = _oracles.project_boundary_p0(loop, fn, order=8, levels=40)
+    means = project_boundary_p0(loop, fn, levels=40)
     h = loop.lengths[k]
     exact = 1.5 * h ** (2.0 / 3.0) / h
     assert means[k] == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_clique_matrix_sums_blocks_and_dense_block(dense):
+    # random cliques with repeated dofs within and across elements,
+    # against an entrywise accumulation
+    rng = np.random.default_rng(7)
+    n, k = 60, 4
+    cliques = rng.integers(0, n, size=(50, k))
+    cliques[0, 1] = cliques[0, 0]
+    blocks = rng.standard_normal((50, k, k))
+    dofs = rng.choice(n, size=6, replace=False) if dense else []
+    block = rng.standard_normal((len(dofs), len(dofs)))
+    got = spaces.clique_matrix(cliques, blocks, dofs, block, n)
+    want = np.zeros((n, n))
+    covered = np.zeros((n, n), dtype=bool)
+    rows = np.repeat(cliques[:, :, None], k, axis=2)
+    cols = np.repeat(cliques[:, None, :], k, axis=1)
+    np.add.at(want, (rows, cols), blocks)
+    covered[rows, cols] = True
+    if dense:
+        np.add.at(want, np.ix_(dofs, dofs), block)
+        covered[np.ix_(dofs, dofs)] = True
+    assert got.format == "csr" and got.has_sorted_indices
+    assert np.array_equal(got.indptr, np.r_[0, np.cumsum(covered.sum(1))])
+    assert np.array_equal(got.indices, np.nonzero(covered)[1])
+    assert np.abs(got.toarray() - want).max() <= 1e-15 * np.abs(want).max()
