@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import bem as bem_mod
-from . import jn_reference, quadrature, solver, spaces
+from . import jn_reference, solver
 from .dpg_assembly import ProblemData
 from .errors import ConfigError, MeshError, NumericalError
 from .mesh import boundary_loop, make_lshape_mesh, make_square_mesh, refine_uniform
@@ -53,7 +53,8 @@ class ExperimentConfig:
             raise ConfigError("domain must be 'square' or 'lshape'")
         if self.solver not in ("dpg", "jn", "both"):
             raise ConfigError("solver must be 'dpg', 'jn' or 'both'")
-        if int(self.levels) != self.levels or self.levels < 2:
+        if (not isinstance(self.levels, (int, np.integer))
+                or isinstance(self.levels, bool) or self.levels < 2):
             raise ConfigError("levels must be an integer >= 2")
         if self.levels > MAX_LEVELS:
             raise ConfigError(
@@ -158,22 +159,6 @@ def probe_points(domain):
     q = 0.25
     return np.array([[q + 1.0, q / 2.0], [-(q + 1.0), 0.0],
                      [0.0, q + 1.0], [0.0, -(q + 1.0)]])
-
-
-def compatibility_residual(mesh, data):
-    """Quadrature value of int_Omega f + int_Gamma phi0 (must be ~0)."""
-    pts, w = quadrature.triangle_duffy(6)
-    phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
-    fv = np.broadcast_to(data.f(phys[..., 0], phys[..., 1]),
-                         phys[..., 0].shape)
-    vol = float((fv @ w * 2.0 * mesh.areas()).sum())
-    loop = boundary_loop(mesh)
-    bpts, wl, _ = spaces.boundary_quadrature(loop, spaces.COMPAT_ORDER,
-                                             spaces.COMPAT_LEVELS)
-    ph = data.phi0(bpts[..., 0], bpts[..., 1], loop.normals[:, None, 0],
-                   loop.normals[:, None, 1])
-    bnd = float((wl * ph).sum())
-    return vol + bnd
 
 
 def run_convergence(config, progress=None):

@@ -131,8 +131,6 @@ class OperatorBlocks:
 # ----------------------------------------------------------------------
 
 _VOL_PTS, _VOL_W = quadrature.triangle_degree4()
-_LOAD_PTS, _LOAD_W = quadrature.triangle_duffy(5)
-_LOAD_VALS = spaces.eval_p2_basis(quadrature.barycentric(_LOAD_PTS))[0]
 _EDGE_T, _EDGE_W = quadrature.gauss01(4)
 
 
@@ -249,11 +247,8 @@ def assemble_load(mesh, data, bem_mats):
     evaluated once, and its projection and mass part share its hat
     moments.
     """
-    detJ = mesh.element_map()[1]
-    phys = quadrature.map_to_physical(mesh.triangle_vertices(), _LOAD_PTS)
-    fv = data.f(phys[..., 0], phys[..., 1])
-    fv = np.broadcast_to(fv, phys[..., 0].shape)
-    ell_v = np.einsum("q,tq,qi->ti", _LOAD_W, fv, _LOAD_VALS) * detJ[:, None]
+    ell_v = spaces.element_load(mesh, data.f,
+                                lambda bary: spaces.eval_p2_basis(bary)[0])
 
     # u0 and phi0 at the nodes of one boundary rule
     loop = bem_mats.loop

@@ -9,7 +9,7 @@ The system solved is
 
 whose solution relates to the coupled ultra-weak one by u = uhat and
 phi = outward sighat - phi0 on the boundary.  The plain bilinear form is
-not elliptic; by default a rank-one stabilization term
+not elliptic; the rank-one stabilization term
 <1, (1/2-K)u + V phi> <1, (1/2-K)v + V psi> is added, which leaves the
 solution unchanged but makes the form elliptic.
 
@@ -17,8 +17,8 @@ The panel unknowns phi couple only to each other and to the boundary
 vertices, through dense blocks.  Their block W = <V chi_p, chi_q> (plus
 the stabilization's g_phi g_phi^T) is symmetric positive definite, so
 assemble_jn eliminates phi with a LAPACK Cholesky factorization of W.
-What SuperLU factors is the vertex system: the sparse P1 stiffness plus
-the dense Schur complement on the boundary vertices.
+What solver.direct_solve factors is the vertex system: the sparse P1
+stiffness plus the dense Schur complement on the boundary vertices.
 
 All boundary operator matrices are derived from the same BemMatrices
 instance the coupled solver consumes: the panelwise-constant test rows
@@ -30,13 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from . import bem as bem_mod
-from . import quadrature, spaces
+from . import spaces
 from .errors import NumericalError
 from .mesh import REF_HAT_GRADS, boundary_loop, element_map
-from .solver import field_errors, nested_dissection, trace_error
+from .solver import (direct_solve, field_errors, nested_dissection,
+                     trace_error)
 
 
 @dataclass
@@ -75,14 +75,10 @@ def _p1_stiffness(mesh):
 
 
 def _p1_load(mesh, f):
-    pts, w = quadrature.triangle_duffy(5)
-    bary = quadrature.barycentric(pts)
-    phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
-    fv = np.broadcast_to(f(phys[..., 0], phys[..., 1]), phys[..., 0].shape)
-    areas2 = 2.0 * mesh.areas()
-    loc = np.einsum("q,tq,qj->tj", w, fv, bary) * areas2[:, None]
+    """(f, hat_i) at every mesh vertex."""
     out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.triangles.ravel(), loc.ravel())
+    np.add.at(out, mesh.triangles.ravel(),
+              spaces.element_load(mesh, f, lambda bary: bary).ravel())
     return out
 
 
@@ -93,7 +89,7 @@ def _panels_to_hats(h, X):
     return Y + np.roll(Y, 1, axis=0)
 
 
-def assemble_jn(mesh, data, stabilized=True, bem_mats=None):
+def assemble_jn(mesh, data, bem_mats=None):
     """Assemble the coupling system for the given transmission data
     (mapped as in the equivalence with the ultra-weak formulation:
     volume source f, boundary terms phi0 and (1/2 - K)u0), with phi
@@ -101,7 +97,7 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None):
     if bem_mats is None:
         bem_mats = bem_mod.assemble_bem(boundary_loop(mesh))
     loop = bem_mats.loop
-    P, h, vid = loop.num_panels, loop.lengths, loop.vertex_ids
+    h, vid = loop.lengths, loop.vertex_ids
 
     # <(1/2 - K) u, psi> and <V phi, psi> with panelwise-constant tests
     B = p0_test_rows(bem_mats.half_minus_k())        # (P, P) vertex cols
@@ -124,14 +120,12 @@ def assemble_jn(mesh, data, stabilized=True, bem_mats=None):
 
     # g g^T with g = (<1, (1/2-K) hat_j>, <1, V chi_q>) lives on the
     # boundary vertices and the panels only
-    g_u, g_phi = np.zeros(P), np.zeros(P)
-    if stabilized:
-        g_u, g_phi = B.sum(axis=0), W.sum(axis=0)
-        lam_total = rhs_phi.sum()                    # <1, (1/2-K) u0>
-        rhs[vid] += lam_total * g_u
-        rhs_phi = rhs_phi + lam_total * g_phi
-        B = B + np.outer(g_phi, g_u)
-        W = W + np.outer(g_phi, g_phi)
+    g_u, g_phi = B.sum(axis=0), W.sum(axis=0)
+    lam_total = rhs_phi.sum()                        # <1, (1/2-K) u0>
+    rhs[vid] += lam_total * g_u
+    rhs_phi = rhs_phi + lam_total * g_phi
+    B = B + np.outer(g_phi, g_u)
+    W = W + np.outer(g_phi, g_phi)
     try:
         W_chol = scipy.linalg.cholesky(W, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -154,26 +148,20 @@ def solve_jn(system):
     """Direct solve; returns (u at vertices, phi per boundary panel).
 
     The vertices go in solver.nested_dissection order, with the boundary
-    vertices, which the Schur complement couples densely, last.  SuperLU
-    factors in that order (permc_spec="NATURAL") with its default
-    threshold partial pivoting, which may exchange rows for stability.
-    The system is not symmetric, so definiteness is not checked; a
-    singular factor or a non-finite solution raises NumericalError.
+    vertices, which the Schur complement couples densely, last, and
+    solver.direct_solve factors the vertex system in that order with
+    diagonal pivots and one step of iterative refinement.  The vertex
+    system is not symmetric, but its symmetric part is positive definite:
+    it is a Schur complement of the stabilized, elliptic form.  A singular
+    system or a relative residual above 1e-10 raises NumericalError.
     """
     vid = system.loop.vertex_ids
     perm = nested_dissection(system.mesh.triangles, system.mesh.vertices,
                              vid)
     u = np.empty_like(system.rhs)
-    try:
-        lu = scipy.sparse.linalg.splu(
-            system.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL")
-        u[perm] = lu.solve(system.rhs[perm])
-    except RuntimeError as exc:
-        raise NumericalError("coupling system singular: {}".format(exc)) from exc
+    u[perm] = direct_solve(system.matrix[perm][:, perm], system.rhs[perm])
     phi = scipy.linalg.cho_solve((system.W_chol, True),
                                  system.rhs_phi - system.B @ u[vid])
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(phi))):
-        raise NumericalError("coupling solve produced non-finite values")
     return u, phi
 
 

@@ -161,18 +161,20 @@ def nested_dissection(cliques, coords, last):
     return np.concatenate([perm, last])
 
 
-def solve_spd(A, b):
-    """Direct solve of a sparse symmetric positive definite system.
+def direct_solve(A, b):
+    """Sparse direct solve of A x = b, the one factorization of both
+    couplings.
 
     SuperLU factors A in symmetric mode: diagonal pivots only, and no
     column reordering (permc_spec="NATURAL"), so A must come in a
-    fill-reducing order; solve_dpg orders it with nested_dissection.  One
-    step of iterative refinement follows; a relative residual above 1e-10
-    raises NumericalError.  So does b^T x <= 0 for b != 0: an SPD A has
-    b^T A^{-1} b > 0, so this rejects some indefinite systems.  It is a
-    necessary condition, not a proof of definiteness.  The DPG callers
-    pass Gram products B^T G^{-1} B, SPD by construction if B has full
-    rank.
+    fill-reducing order; both callers order it with nested_dissection.
+    A must have a positive definite symmetric part (A + A^T) / 2.  Then
+    so has every leading principal submatrix, which is therefore
+    nonsingular, and every diagonal pivot is nonzero.  The DPG skeleton
+    system is SPD; the classical coupling's vertex system is a Schur
+    complement of an elliptic Galerkin form.  One step of iterative
+    refinement follows; a singular factor or a relative residual above
+    1e-10 raises NumericalError.
     """
     b = np.asarray(b, dtype=float)
     try:
@@ -180,16 +182,29 @@ def solve_spd(A, b):
             A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True))
     except RuntimeError as exc:
-        raise NumericalError("system not SPD: {}".format(exc)) from exc
+        raise NumericalError("system singular: {}".format(exc)) from exc
     x = lu.solve(b)
     x = x + lu.solve(b - A @ x)
     nb = np.linalg.norm(b)
     res = np.linalg.norm(b - A @ x)
     if not np.isfinite(res) or (nb > 0 and res > 1e-10 * nb):
         raise NumericalError(
-            "system not SPD or too ill-conditioned: relative residual {:.3e}"
-            .format(res / nb if nb > 0 else np.inf))
-    if nb > 0 and not np.dot(b, x) > 0.0:
+            "system singular or too ill-conditioned: relative residual "
+            "{:.3e}".format(res / nb if nb > 0 else np.inf))
+    return x
+
+
+def solve_spd(A, b):
+    """Direct solve of a sparse symmetric positive definite system in
+    elimination order (direct_solve).  b^T x <= 0 for b != 0 raises
+    NumericalError: an SPD A has b^T A^{-1} b > 0, so this rejects some
+    indefinite systems.  It is a necessary condition, not a proof of
+    definiteness.  The DPG callers pass Gram products B^T G^{-1} B, SPD
+    by construction if B has full rank.
+    """
+    b = np.asarray(b, dtype=float)
+    x = direct_solve(A, b)
+    if np.linalg.norm(b) > 0 and not np.dot(b, x) > 0.0:
         raise NumericalError("system not SPD: b^T x = {:.3e} <= 0"
                              .format(np.dot(b, x)))
     return x

@@ -95,13 +95,24 @@ def side_bary(side, t):
 
 # Gauss order of the panel rules of the boundary matrices and of both
 # solvers' load vectors; the graded levels of the rule that integrates the
-# transmission data into the load vectors; the rule of the boundary error
-# norms and of the exterior flux of a coupled solution; and the rule of
-# the data-compatibility residual
+# transmission data into the load vectors; and the rule of the boundary
+# error norms and of the exterior flux of a coupled solution
 PANEL_ORDER = 8
 DATA_LEVELS = 30
 ERROR_ORDER, ERROR_LEVELS = 8, 24
-COMPAT_ORDER, COMPAT_LEVELS = 8, 40
+
+# the element rule of both solvers' volume loads (f, v)
+LOAD_PTS, LOAD_W = quadrature.triangle_duffy(5)
+
+
+def element_load(mesh, f, basis):
+    """(f, v_i) on every element, shape (T, k), for a basis given by
+    basis(bary) -> (q, k), its values at barycentric points (q, 3)."""
+    detJ = mesh.element_map()[1]
+    phys = quadrature.map_to_physical(mesh.triangle_vertices(), LOAD_PTS)
+    fv = np.broadcast_to(f(phys[..., 0], phys[..., 1]), phys[..., 0].shape)
+    vals = basis(quadrature.barycentric(LOAD_PTS))
+    return np.einsum("q,tq,qi->ti", LOAD_W, fv, vals) * detJ[:, None]
 
 
 def clique_matrix(cliques, blocks, dense_dofs, dense, n):

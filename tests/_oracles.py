@@ -54,7 +54,12 @@ every pair by a tensor Gauss rule of any order with the point kernels.
 
 `jn_full_system` is the classical coupling's full (nv + P) system, as
 `dpgbem.jn_reference.assemble_jn` built it before it eliminated the
-panel unknowns.
+panel unknowns, with or without the rank-one stabilization; the package
+assembles the stabilized system only.
+
+`compatibility_residual` checks that manufactured data satisfy the
+compatibility condition int_Omega f + int_Gamma phi0 = 0, with its own
+boundary rule (`COMPAT_ORDER`, `COMPAT_LEVELS`).
 
 `interpolate_trial` puts an exact solution into the trial space
 (element means, vertex values, edge-mean fluxes), and `eval_trace_p1` is
@@ -1061,3 +1066,23 @@ def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
         rhs = rhs + lam_total * g
     return FullJnSystem(matrix=mat, rhs=rhs, n_vert=nv,
                         vertices=mesh.vertices, loop=loop)
+
+
+# boundary rule of the data-compatibility residual
+COMPAT_ORDER, COMPAT_LEVELS = 8, 40
+
+
+def compatibility_residual(mesh, data):
+    """Quadrature value of int_Omega f + int_Gamma phi0 (must be ~0)."""
+    pts, w = quadrature.triangle_duffy(6)
+    phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
+    fv = np.broadcast_to(data.f(phys[..., 0], phys[..., 1]),
+                         phys[..., 0].shape)
+    vol = float((fv @ w * 2.0 * mesh.areas()).sum())
+    loop = boundary_loop(mesh)
+    bpts, wl, _ = spaces.boundary_quadrature(loop, COMPAT_ORDER,
+                                             COMPAT_LEVELS)
+    ph = data.phi0(bpts[..., 0], bpts[..., 1], loop.normals[:, None, 0],
+                   loop.normals[:, None, 1])
+    bnd = float((wl * ph).sum())
+    return vol + bnd

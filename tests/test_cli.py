@@ -55,10 +55,10 @@ def test_lshape_exact_vanishes_on_reentrant_legs():
 def test_compatibility_integrals():
     data, _ = cli.manufacture_data("square")
     mesh = cli.initial_mesh("square")
-    assert abs(cli.compatibility_residual(mesh, data)) < 1e-12
+    assert abs(_oracles.compatibility_residual(mesh, data)) < 1e-12
     data, _ = cli.manufacture_data("lshape")
     mesh = cli.initial_mesh("lshape")
-    assert abs(cli.compatibility_residual(mesh, data)) < 1e-9
+    assert abs(_oracles.compatibility_residual(mesh, data)) < 1e-9
 
 
 def test_initial_mesh_sizes():
@@ -83,6 +83,14 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         cli.ExperimentConfig(domain="square", solver="fem").validate()
     cli.ExperimentConfig(domain="square").validate()
+    cli.ExperimentConfig(domain="square", levels=np.int64(3)).validate()
+
+
+@pytest.mark.parametrize("levels", [3.0, "3", True, np.float64(3.0)])
+def test_config_rejects_non_integer_levels(levels):
+    # run_convergence passes levels to range(), which takes integers only
+    with pytest.raises(ConfigError):
+        cli.ExperimentConfig(domain="square", levels=levels).validate()
 
 
 def test_run_convergence_records_and_csv(tmp_path):

@@ -27,10 +27,8 @@ def test_system_size_coarsest_square():
 
 def test_zero_data_zero_rhs():
     mesh = make_square_mesh(0.1, 2)
-    system = jn.assemble_jn(mesh, zero_data(), stabilized=False)
-    assert np.all(system.rhs == 0.0)
-    system_s = jn.assemble_jn(mesh, zero_data(), stabilized=True)
-    assert np.allclose(system_s.rhs, 0.0)
+    system = jn.assemble_jn(mesh, zero_data())
+    assert np.allclose(system.rhs, 0.0)
 
 
 def test_stabilization_is_rank_one_from_column_sums():
@@ -61,7 +59,7 @@ def test_stabilization_assembled_without_dense_outer_product():
     n = mesh.num_vertices + mats.loop.num_panels
     tracemalloc.start()
     try:
-        jn.assemble_jn(mesh, data, stabilized=True, bem_mats=mats)
+        jn.assemble_jn(mesh, data, bem_mats=mats)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -80,14 +78,29 @@ def test_constant_solution():
     assert np.abs(phi).max() < 1e-10
 
 
+def superlu_refined(system):
+    # SuperLU with its own ordering and pivoting; the plain solve is off
+    # by up to 7e-9 of max |x| at CLI level 4 (unstabilized), so two
+    # steps of iterative refinement follow
+    A = system.matrix.tocsc()
+    lu = scipy.sparse.linalg.splu(A)
+    x = lu.solve(system.rhs)
+    for _ in range(2):
+        x += lu.solve(system.rhs - A @ x)
+    return x
+
+
 def test_stabilized_matches_unstabilized():
+    # the stabilization leaves the solution unchanged: the package's
+    # (stabilized) solve against the plain full system of the oracle
     data, exact = cli.manufacture_data("square")
     mesh = make_square_mesh(0.1, 4)
     mats = bem.assemble_bem(boundary_loop(mesh))
-    u1, p1 = jn.solve_jn(jn.assemble_jn(mesh, data, stabilized=True,
-                                        bem_mats=mats))
-    u0, p0 = jn.solve_jn(jn.assemble_jn(mesh, data, stabilized=False,
-                                        bem_mats=mats))
+    u1, p1 = jn.solve_jn(jn.assemble_jn(mesh, data, bem_mats=mats))
+    plain = _oracles.jn_full_system(mesh, data, stabilized=False,
+                                    bem_mats=mats)
+    x0 = superlu_refined(plain)
+    u0, p0 = x0[:plain.n_vert], x0[plain.n_vert:]
     assert np.abs(u1 - u0).max() < 1e-9
     assert np.abs(p1 - p0).max() < 1e-9
 
@@ -159,33 +172,60 @@ def test_coupling_matrix_unchanged_by_geometry_classes(level, monkeypatch):
     assert np.array_equal(got.data, ref.data)
 
 
-@pytest.mark.parametrize("domain", ["square", "lshape"])
-@pytest.mark.parametrize("stabilized", [True, False])
-def test_solve_matches_superlu_on_full_system(domain, stabilized):
-    # phi eliminated by Cholesky of the panel block, against SuperLU on
-    # the full (nv + P) system, at CLI levels 0..4.  The plain SuperLU
-    # solve is off by up to 7e-9 of max |x| at level 4 (unstabilized), so
-    # the reference takes two steps of iterative refinement.
-    data, _ = cli.manufacture_data(domain)
+def cli_meshes(domain, levels):
     mesh = cli.initial_mesh(domain)
-    for level in range(5):
-        mats = bem.assemble_bem(boundary_loop(mesh))
-        full = _oracles.jn_full_system(mesh, data, stabilized, mats)
-        A = full.matrix.tocsc()
-        lu = scipy.sparse.linalg.splu(A)
-        want = lu.solve(full.rhs)
-        for _ in range(2):
-            want += lu.solve(full.rhs - A @ want)
-        got = np.concatenate(jn.solve_jn(jn.assemble_jn(mesh, data,
-                                                        stabilized, mats)))
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), level
+    for level in range(levels):
+        yield level, mesh
         mesh = refine_uniform(mesh)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_solve_matches_superlu_on_full_system(domain):
+    # phi eliminated by Cholesky of the panel block, against SuperLU on
+    # the full (nv + P) system, at CLI levels 0..4
+    data, _ = cli.manufacture_data(domain)
+    for level, mesh in cli_meshes(domain, 5):
+        mats = bem.assemble_bem(boundary_loop(mesh))
+        want = superlu_refined(_oracles.jn_full_system(mesh, data, True,
+                                                       mats))
+        got = np.concatenate(jn.solve_jn(jn.assemble_jn(mesh, data, mats)))
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), level
 
 
 def test_indefinite_panel_block_rejected():
     mesh = make_square_mesh(0.1, 2)
     mats = bem.assemble_bem(boundary_loop(mesh))
     mats = dataclasses.replace(mats, V_ps=-mats.V_ps)
-    for stabilized in (True, False):
-        with pytest.raises(NumericalError):
-            jn.assemble_jn(mesh, zero_data(), stabilized, mats)
+    with pytest.raises(NumericalError):
+        jn.assemble_jn(mesh, zero_data(), mats)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_vertex_matrix_has_positive_definite_symmetric_part(domain):
+    # solver.direct_solve takes diagonal pivots, which is safe for a
+    # matrix whose symmetric part is positive definite
+    data, _ = cli.manufacture_data(domain)
+    for level, mesh in cli_meshes(domain, 4):
+        A = jn.assemble_jn(mesh, data).matrix.toarray()
+        assert np.linalg.eigvalsh(0.5 * (A + A.T))[0] > 0.0, level
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_solve_jn_residual(domain):
+    data, _ = cli.manufacture_data(domain)
+    for level, mesh in cli_meshes(domain, 5):
+        system = jn.assemble_jn(mesh, data)
+        u, _ = jn.solve_jn(system)
+        res = np.linalg.norm(system.rhs - system.matrix @ u)
+        assert res <= 1e-10 * np.linalg.norm(system.rhs), level
+
+
+def test_singular_vertex_system_rejected(monkeypatch):
+    # without the stiffness, the interior vertices have empty rows
+    data, _ = cli.manufacture_data("square")
+    mesh = cli.initial_mesh("square")
+    monkeypatch.setattr(jn, "_p1_stiffness",
+                        lambda mesh: np.zeros((mesh.num_triangles, 3, 3)))
+    system = jn.assemble_jn(mesh, data)
+    with pytest.raises(NumericalError):
+        jn.solve_jn(system)
