@@ -55,6 +55,10 @@ FAR_CHUNK_ENTRIES = 1 << 15
 FAR_ORDER = 4
 FAR_RATIO = 16.0
 
+# levels of the outer rule for vertex-sharing panels, graded toward the
+# shared vertex, where the analytic inner integral has a log-type singularity
+NEIGHBOUR_LEVELS = 30
+
 # point_location: points within this fraction of the longest panel of the
 # boundary lie on it
 ON_BOUNDARY_TOL = 1e-12
@@ -337,7 +341,7 @@ def assemble_bem(loop):
 
     # near pairs: Gauss outer rule; vertex-sharing neighbours: outer rule
     # graded toward the shared vertex (the tail for prev, the head for nxt)
-    t_gr, w_gr = quadrature.graded01(PANEL_ORDER, 30, end=0)
+    t_gr, w_gr = quadrature.graded01(PANEL_ORDER, NEIGHBOUR_LEVELS, end=0)
     for (t, w), targets, sources in (
             (quadrature.gauss01(2 * PANEL_ORDER), I, J),
             ((t_gr, w_gr), idx, prev), ((1.0 - t_gr, w_gr), idx, nxt)):

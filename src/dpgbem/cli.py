@@ -16,7 +16,6 @@ rate with respect to h is twice the N-rate, since h ~ N^{-1/2}).
 """
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -31,13 +30,16 @@ from .dpg_assembly import ProblemData
 from .errors import ConfigError, MeshError, NumericalError
 from .mesh import boundary_loop, make_lshape_mesh, make_square_mesh, refine_uniform
 
-CSV_HEADER = ("level,N,h,dim_trial,dim_test,err_energy_sq,err_u_l2_sq,"
-              "err_sigma_l2_sq,err_trace_l2,err_flux_l2,"
-              "rate_energy,rate_u,rate_sigma")
+COLUMNS = ("level", "N", "h", "dim_trial", "dim_test", "err_energy_sq",
+           "err_u_l2_sq", "err_sigma_l2_sq", "err_trace_l2", "err_flux_l2",
+           "rate_energy", "rate_u", "rate_sigma")
+AGREEMENT_COLUMNS = ("level", "N", "agree_trace_l2", "agree_flux_l2",
+                     "dpg_err_trace_l2", "jn_err_trace_l2")
+CSV_HEADER = ",".join(COLUMNS)
+AGREEMENT_HEADER = ",".join(AGREEMENT_COLUMNS)
 
-AGREEMENT_HEADER = ("level,N,agree_trace_l2,agree_flux_l2,"
-                    "dpg_err_trace_l2,jn_err_trace_l2")
-
+DOMAINS = ("square", "lshape")
+SOLVERS = ("dpg", "jn", "both")
 MAX_LEVELS = 9  # largest accepted --levels; a fixed cap, not a memory check
 
 
@@ -49,30 +51,39 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def validate(self):
-        if self.domain not in ("square", "lshape"):
-            raise ConfigError("domain must be 'square' or 'lshape'")
-        if self.solver not in ("dpg", "jn", "both"):
-            raise ConfigError("solver must be 'dpg', 'jn' or 'both'")
+        if self.domain not in DOMAINS:
+            raise ConfigError("domain must be one of {}".format(DOMAINS))
+        if self.solver not in SOLVERS:
+            raise ConfigError("solver must be one of {}".format(SOLVERS))
         if (not isinstance(self.levels, (int, np.integer))
                 or isinstance(self.levels, bool) or self.levels < 2):
             raise ConfigError("levels must be an integer >= 2")
         if self.levels > MAX_LEVELS:
             raise ConfigError(
                 "levels > {} exceeds the level cap".format(MAX_LEVELS))
+        if self.output_path:
+            # checked here so that a bad path fails before the first level
+            out_dir = os.path.dirname(os.path.abspath(self.output_path))
+            if (os.path.isdir(self.output_path) or not os.path.isdir(out_dir)
+                    or not os.access(out_dir, os.W_OK)):
+                raise ConfigError(
+                    "cannot write '{}': it is a directory, or its directory "
+                    "is missing or not writable".format(self.output_path))
 
 
 @dataclass
 class ConvergenceRecord:
+    """One refinement level; a measure that no coupling computed is nan."""
     level: int
     N: int
     h: float
-    dim_trial: int
-    dim_test: int
-    err_energy_sq: float
-    err_u_l2_sq: float
-    err_sigma_l2_sq: float
-    err_trace_l2: float
-    err_flux_l2: float
+    dim_trial: int = math.nan
+    dim_test: int = math.nan
+    err_energy_sq: float = math.nan
+    err_u_l2_sq: float = math.nan
+    err_sigma_l2_sq: float = math.nan
+    err_trace_l2: float = math.nan
+    err_flux_l2: float = math.nan
     rate_energy: float = math.nan
     rate_u: float = math.nan
     rate_sigma: float = math.nan
@@ -80,6 +91,10 @@ class ConvergenceRecord:
     agree_trace_l2: float = math.nan
     agree_flux_l2: float = math.nan
     jn_err_trace_l2: float = math.nan
+
+    @property
+    def dpg_err_trace_l2(self):
+        return self.err_trace_l2
 
 
 @dataclass
@@ -173,48 +188,38 @@ def run_convergence(config, progress=None):
     for level in range(config.levels):
         loop = boundary_loop(mesh)
         bem_mats = bem_mod.assemble_bem(loop)
-        rec = None
-        run_dpg = config.solver in ("dpg", "both")
-        run_jn = config.solver in ("jn", "both")
-        sol = None
-        if run_dpg:
+        rec = ConvergenceRecord(level, mesh.num_triangles, mesh.mesh_size())
+        # the main file reports the DPG coupling's measures whenever it runs
+        if config.solver != "jn":
             sol, blocks = solver.solve_dpg(mesh, data, bem_mats=bem_mats)
-            ee = solver.energy_error(blocks, sol)
+            rec.err_energy_sq = solver.energy_error(blocks, sol) ** 2
             eu, es = solver.l2_errors(sol, exact.u, exact.grad, mesh,
                                       singular_vertex=sv)
             etr, efl = solver.boundary_cauchy_errors(sol)
-            pv = tuple(float(v) for v in
-                       solver.eval_exterior_field(sol, probes))
-            rec = ConvergenceRecord(
-                level=level, N=mesh.num_triangles, h=mesh.mesh_size(),
-                dim_trial=sol.trial_layout.dim,
-                dim_test=blocks.B.shape[0],
-                err_energy_sq=ee ** 2, err_u_l2_sq=eu ** 2,
-                err_sigma_l2_sq=es ** 2, err_trace_l2=etr, err_flux_l2=efl,
-                probe_values=pv)
-        if run_jn:
+            rec.probe_values = tuple(float(v) for v in
+                                     solver.eval_exterior_field(sol, probes))
+            dims = (sol.trial_layout.dim, blocks.B.shape[0])
+        if config.solver != "dpg":
             system = jn_reference.assemble_jn(mesh, data, bem_mats=bem_mats)
             u_n, phi = jn_reference.solve_jn(system)
             eu_j, es_j = jn_reference.jn_errors(mesh, u_n, exact.u, exact.grad,
                                                 singular_vertex=sv)
             etr_j, efl_j = jn_reference.jn_boundary_errors(loop, u_n, phi,
                                                            data)
-            if rec is None:
-                dim = mesh.num_vertices + loop.num_panels
-                rec = ConvergenceRecord(
-                    level=level, N=mesh.num_triangles, h=mesh.mesh_size(),
-                    dim_trial=dim, dim_test=dim,
-                    err_energy_sq=math.nan, err_u_l2_sq=eu_j ** 2,
-                    err_sigma_l2_sq=es_j ** 2, err_trace_l2=etr_j,
-                    err_flux_l2=efl_j)
             rec.jn_err_trace_l2 = etr_j
-            if sol is not None:
-                diff = sol.uhat[loop.vertex_ids] - u_n[loop.vertex_ids]
-                rec.agree_trace_l2 = solver.piecewise_linear_boundary_norm(
-                    loop, diff)
-                dflux = sol.flux_c - phi
-                rec.agree_flux_l2 = float(
-                    np.sqrt((loop.lengths * dflux ** 2).sum()))
+        if config.solver == "jn":
+            eu, es, etr, efl = eu_j, es_j, etr_j, efl_j
+            dims = (mesh.num_vertices + loop.num_panels,) * 2
+        if config.solver == "both":
+            diff = sol.uhat[loop.vertex_ids] - u_n[loop.vertex_ids]
+            rec.agree_trace_l2 = solver.piecewise_linear_boundary_norm(
+                loop, diff)
+            dflux = sol.flux_c - phi
+            rec.agree_flux_l2 = float(
+                np.sqrt((loop.lengths * dflux ** 2).sum()))
+        rec.dim_trial, rec.dim_test = dims
+        rec.err_u_l2_sq, rec.err_sigma_l2_sq = eu ** 2, es ** 2
+        rec.err_trace_l2, rec.err_flux_l2 = etr, efl
         records.append(rec)
         if progress is not None:
             progress("level {} done: N={}, h={:.4g}".format(
@@ -225,12 +230,12 @@ def run_convergence(config, progress=None):
     _attach_rates(records)
     if config.output_path:
         with open(config.output_path, "w", newline="") as fh:
-            write_csv(records, fh)
+            write_csv(records, fh, COLUMNS)
         if config.solver == "both":
             stem, ext = os.path.splitext(config.output_path)
             with open(stem + "_agreement" + (ext or ".csv"), "w",
                       newline="") as fh:
-                write_agreement_csv(records, fh)
+                write_csv(records, fh, AGREEMENT_COLUMNS)
     return records
 
 
@@ -245,27 +250,13 @@ def _attach_rates(records):
                 setattr(cur, rate_attr, math.log(a / b) / dn)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def write_csv(records, stream):
-    stream.write(CSV_HEADER + "\n")
+def write_csv(records, stream, columns):
+    """Write the named record attributes as CSV, one row per record, each
+    value to 17 significant digits (exact for the integer counts)."""
+    stream.write(",".join(columns) + "\n")
     for r in records:
-        row = [r.level, r.N, r.h, r.dim_trial, r.dim_test, r.err_energy_sq,
-               r.err_u_l2_sq, r.err_sigma_l2_sq, r.err_trace_l2,
-               r.err_flux_l2, r.rate_energy, r.rate_u, r.rate_sigma]
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_agreement_csv(records, stream):
-    stream.write(AGREEMENT_HEADER + "\n")
-    for r in records:
-        row = [r.level, r.N, r.agree_trace_l2, r.agree_flux_l2,
-               r.err_trace_l2, r.jn_err_trace_l2]
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+        stream.write(",".join(format(getattr(r, c), ".17g")
+                              for c in columns) + "\n")
 
 
 def main(argv=None):
@@ -273,12 +264,10 @@ def main(argv=None):
         prog="dpgbem",
         description="Convergence studies for the coupled ultra-weak / "
                     "boundary-element transmission solver.")
-    parser.add_argument("--domain", choices=("square", "lshape"),
-                        required=True)
+    parser.add_argument("--domain", choices=DOMAINS, required=True)
     parser.add_argument("--levels", type=int, default=5,
                         help="number of uniform refinement levels (>= 2)")
-    parser.add_argument("--solver", choices=("dpg", "jn", "both"),
-                        default="dpg")
+    parser.add_argument("--solver", choices=SOLVERS, default="dpg")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="CSV output path (default: stdout)")
     args = parser.parse_args(argv)
@@ -295,9 +284,7 @@ def main(argv=None):
         print("numerical failure: {}".format(exc), file=sys.stderr)
         return 3
     if not config.output_path:
-        buf = io.StringIO()
-        write_csv(records, buf)
-        sys.stdout.write(buf.getvalue())
+        write_csv(records, sys.stdout, COLUMNS)
     return 0
 
 

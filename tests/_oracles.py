@@ -576,7 +576,8 @@ def _panels_collinear(p, q, tol=1e-12):
 
 def _outer_rule(relation, shared_end, p, q, order):
     if relation == "shared":
-        return quadrature.graded01(order, 30, end=shared_end)
+        return quadrature.graded01(order, bem.NEIGHBOUR_LEVELS,
+                                   end=shared_end)
     gap = _panel_gap(p, q)
     if gap < max(p.length, q.length):
         return quadrature.gauss01(2 * order)
@@ -665,7 +666,8 @@ def assemble_bem_analytic(loop, quad_order=8):
     lengths = loop.lengths
     order_far = max(16, 2 * quad_order)
     t_far, w_far = quadrature.gauss01(order_far)
-    t_gr, w_gr = quadrature.graded01(quad_order, 30, end=0)
+    t_gr, w_gr = quadrature.graded01(quad_order, bem.NEIGHBOUR_LEVELS,
+                                      end=0)
 
     G = np.zeros((2 * P, 2 * P))
     K = np.zeros((2 * P, P))
@@ -725,7 +727,8 @@ def assemble_bem(loop):
     t4, w4 = quadrature.gauss01(bem.FAR_ORDER)
     nodes = pa.T[:, None] + t4[:, None] * (pb - pa).T[:, None]
     t16, w16 = quadrature.gauss01(2 * spaces.PANEL_ORDER)
-    t_gr, w_gr = quadrature.graded01(spaces.PANEL_ORDER, 30, end=0)
+    t_gr, w_gr = quadrature.graded01(spaces.PANEL_ORDER,
+                                      bem.NEIGHBOUR_LEVELS, end=0)
     rules = [(t, bem._basis_weights(t, w)) for t, w in
              ((t4, w4), (t16, w16), (t_gr, w_gr), (1.0 - t_gr, w_gr))]
 

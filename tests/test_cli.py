@@ -93,30 +93,54 @@ def test_config_rejects_non_integer_levels(levels):
         cli.ExperimentConfig(domain="square", levels=levels).validate()
 
 
+# columns of a coupling that did not run
+NAN_COLUMNS = {"dpg": ("agree_trace_l2", "agree_flux_l2", "jn_err_trace_l2"),
+               "jn": ("err_energy_sq", "agree_trace_l2", "agree_flux_l2"),
+               "both": ()}
+
+
 def test_run_convergence_records_and_csv(tmp_path):
-    out = tmp_path / "conv.csv"
-    cfg = cli.ExperimentConfig(domain="square", levels=2, solver="both",
-                               output_path=str(out))
-    records = cli.run_convergence(cfg)
-    assert len(records) == 2
-    assert records[1].N == 4 * records[0].N
+    for solver_name in ("dpg", "jn", "both"):
+        out = tmp_path / "{}.csv".format(solver_name)
+        cfg = cli.ExperimentConfig(domain="square", levels=2,
+                                   solver=solver_name, output_path=str(out))
+        records = cli.run_convergence(cfg)
+        assert len(records) == 2
+        assert records[1].N == 4 * records[0].N
+        assert math.isnan(records[0].rate_u)
+        assert records[1].rate_u > 0.0
+        lines = out.read_text().splitlines()
+        assert lines[0] == cli.CSV_HEADER == ",".join(cli.COLUMNS)
+        assert len(lines) == 3
+        agreement = tmp_path / "{}_agreement.csv".format(solver_name)
+        assert agreement.exists() == (solver_name == "both")
+        for rec in records:
+            values = {c: getattr(rec, c)
+                      for c in cli.COLUMNS + cli.AGREEMENT_COLUMNS}
+            for c in NAN_COLUMNS[solver_name]:
+                assert math.isnan(values[c]), (solver_name, c)
+            for c in set(values) - set(NAN_COLUMNS[solver_name]) - {
+                    "rate_energy", "rate_u", "rate_sigma"}:
+                assert math.isfinite(values[c]), (solver_name, c)
+            assert rec.dpg_err_trace_l2 == rec.err_trace_l2
     assert math.isnan(records[0].rate_energy)
     assert records[1].rate_energy == pytest.approx(1.0, abs=0.2)
     assert records[0].dim_trial < records[0].dim_test
-    lines = out.read_text().splitlines()
-    assert lines[0] == cli.CSV_HEADER
-    assert len(lines) == 3
-    agree = (tmp_path / "conv_agreement.csv").read_text().splitlines()
-    assert agree[0] == cli.AGREEMENT_HEADER
+    agree = agreement.read_text().splitlines()
+    assert agree[0] == cli.AGREEMENT_HEADER == ",".join(cli.AGREEMENT_COLUMNS)
     assert len(agree) == 3
 
 
 def test_jn_only_records():
-    cfg = cli.ExperimentConfig(domain="square", levels=2, solver="jn")
-    records = cli.run_convergence(cfg)
-    assert math.isnan(records[0].err_energy_sq)
-    assert records[0].err_u_l2_sq > records[1].err_u_l2_sq
-    assert records[0].dim_trial == records[0].dim_test
+    for domain in ("square", "lshape"):
+        cfg = cli.ExperimentConfig(domain=domain, levels=2, solver="jn")
+        records = cli.run_convergence(cfg)
+        for rec in records:
+            for c in NAN_COLUMNS["jn"] + ("rate_energy",):
+                assert math.isnan(getattr(rec, c)), (domain, c)
+            assert rec.jn_err_trace_l2 == rec.err_trace_l2
+            assert rec.dim_trial == rec.dim_test
+        assert records[0].err_u_l2_sq > records[1].err_u_l2_sq
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -157,11 +181,35 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_main_rejects_bad_out_before_first_level(tmp_path, monkeypatch,
+                                                  capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("a study started")
+
+    monkeypatch.setattr(cli.bem_mod, "assemble_bem", boom)
+    for out in (tmp_path / "missing" / "r.csv", tmp_path):
+        code = cli.main(["--domain", "square", "--levels", "3",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert "done:" not in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    cli.ExperimentConfig(domain="square",
+                         output_path=str(tmp_path / "r.csv")).validate()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_writes_stdout_when_no_out(capsys):
-    code = cli.main(["--domain", "square", "--levels", "2", "--solver", "jn"])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert captured.out.splitlines()[0] == cli.CSV_HEADER
+    for solver_name in ("jn", "both"):
+        code = cli.main(["--domain", "square", "--levels", "2",
+                         "--solver", solver_name])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        # only the main CSV: the agreement file needs --out
+        assert lines[0] == cli.CSV_HEADER
+        assert len(lines) == 3
+        assert cli.AGREEMENT_HEADER not in lines
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
