@@ -27,7 +27,8 @@ sign convention is pinned operationally by the representation-formula
 fields with O(1/|x|) decay.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -152,7 +153,8 @@ class BemMatrices:
     K_up / M_up columns are the P boundary vertex hat functions, and
     G_psi is the single-layer Gram matrix on the test space itself (the
     discrete H^{-1/2}(Gamma) inner product; positive definite for domains
-    of diameter < 1).
+    of diameter < 1).  Only the DPG coupling reads its Cholesky factor,
+    which is formed on first use.
     """
 
     loop: object
@@ -160,7 +162,17 @@ class BemMatrices:
     K_up: np.ndarray
     M_up: np.ndarray
     G_psi: np.ndarray
-    G_psi_chol: np.ndarray = field(repr=False, default=None)
+
+    @functools.cached_property
+    def G_psi_chol(self):
+        """Lower Cholesky factor of G_psi; NumericalError if G_psi is not
+        positive definite."""
+        try:
+            return scipy.linalg.cholesky(self.G_psi, lower=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "single-layer Gram not positive definite; check that the "
+                "domain diameter is < 1") from exc
 
     def solve_gpsi(self, rhs):
         return scipy.linalg.cho_solve((self.G_psi_chol, True), rhs)
@@ -372,14 +384,7 @@ def assemble_bem(loop):
     M[2 * idx + 1, nxt] = lengths / 3.0
 
     Vps = G[:, 0::2] + G[:, 1::2]
-    try:
-        chol = scipy.linalg.cholesky(G, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "single-layer Gram not positive definite; check that the "
-            "domain diameter is < 1") from exc
-    return BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G,
-                       G_psi_chol=chol)
+    return BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G)
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import quadrature, spaces
 from .errors import NumericalError
@@ -50,7 +51,8 @@ class BlockGram:
     vector P2, then one global boundary block, the single-layer Gram of
     the bem module (realizing the H^{-1/2}(Gamma) inner product).  The
     element blocks are kept once per geometry class (Mesh.element_classes):
-    element t has the blocks Gv[cls[t]] and Gtau[cls[t]].
+    element t has the blocks Gv[cls[t]] and Gtau[cls[t]], whose inverses
+    Gv_inv and Gtau_inv are formed once per class.
     """
 
     def __init__(self, Gv, Gtau, cls, bem_mats):
@@ -64,6 +66,8 @@ class BlockGram:
             np.linalg.cholesky(Gtau)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("test Gram block not SPD; assembly bug") from exc
+        self.Gv_inv = np.linalg.inv(Gv)
+        self.Gtau_inv = np.linalg.inv(Gtau)
 
     def _parts(self, vec):
         nt = self.n_tri
@@ -72,11 +76,12 @@ class BlockGram:
                 vec[18 * nt:])
 
     def solve_vec(self, vec):
-        """G^{-1} @ vec, applied blockwise."""
+        """G^{-1} @ vec, applied blockwise: the element blocks by one
+        gathered product with the class inverses."""
         rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
         return np.concatenate([
-            np.linalg.solve(self.Gv[self.cls], rv[..., None]).ravel(),
-            np.linalg.solve(self.Gtau[self.cls], rt[..., None]).ravel(),
+            (self.Gv_inv[self.cls] @ rv[..., None]).ravel(),
+            (self.Gtau_inv[self.cls] @ rt[..., None]).ravel(),
             self.bem.solve_gpsi(rp)])
 
     def quadratic(self, vec):
@@ -299,8 +304,10 @@ def _gram_products(B, G, ell):
     z = np.linalg.solve(G.Gv[G.cls[t]], _two_columns(ev[t]))
     b[t] = (bvT[B.cls[t]] @ z)[..., 0]
     b *= B.signs
-    sg = G.bem.solve_gpsi(np.column_stack([B.gamma, eg]))
-    return a, b, B.gamma.T @ sg
+    # with G_G = L L^T and W = L^{-1} [B_G | ell_G]: W[:, :-1]^T W
+    w = scipy.linalg.solve_triangular(
+        G.bem.G_psi_chol, np.column_stack([B.gamma, eg]), lower=True)
+    return a, b, w[:, :-1].T @ w
 
 
 def build_normal_equations(B, G, ell):

@@ -108,8 +108,8 @@ def assemble_jn(mesh, data, bem_mats=None):
                                       spaces.DATA_LEVELS)
     x, y = rule[0][..., 0], rule[0][..., 1]
     # <phi0, v>_Gamma against the boundary hats
-    tail, head = spaces.hat_moments(rule, data.phi0(
-        x, y, loop.normals[:, None, 0], loop.normals[:, None, 1]))
+    tail, head = spaces.hat_moments(rule,
+                                    spaces.normal_flux(loop, data.phi0, rule))
     np.add.at(rhs, vid, tail)
     np.add.at(rhs, np.roll(vid, -1), head)
     # <(1/2 - K) u0, psi>: mass part directly, kernel part via projection
@@ -178,6 +178,8 @@ def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex=None):
 def jn_boundary_errors(loop, u_nodal, phi, data):
     """L2(Gamma) norms of the exterior Cauchy data of a coupling solution:
     (u|_Gamma - u0, phi).  Both vanish for data with u^c = 0."""
-    err_trace = trace_error(loop, u_nodal[loop.vertex_ids], data.u0)
+    err_trace = trace_error(loop, spaces.boundary_quadrature(
+        loop, spaces.ERROR_ORDER, spaces.ERROR_LEVELS),
+        u_nodal[loop.vertex_ids], data.u0)
     err_flux = float(np.sqrt((loop.lengths * phi ** 2).sum()))
     return err_trace, err_flux

@@ -4,15 +4,31 @@ The reference triangle is {(x, y): x >= 0, y >= 0, x + y <= 1} with area 1/2.
 Interval rules live on [0, 1].
 """
 
+import functools
+
 import numpy as np
 
 
+def _rule(fn):
+    """Compute a reference rule once per argument tuple; its arrays are
+    read-only, so that every caller shares them."""
+    @functools.lru_cache(maxsize=None)
+    def cached(*args, **kwargs):
+        rule = fn(*args, **kwargs)
+        for a in rule:
+            a.flags.writeable = False
+        return rule
+    return functools.update_wrapper(cached, fn)
+
+
+@_rule
 def gauss01(n):
     """n-point Gauss-Legendre rule on [0, 1]; returns (points, weights)."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@_rule
 def graded01(order, levels, end=0):
     """Composite Gauss rule on [0, 1], dyadically graded toward one endpoint.
 
@@ -34,6 +50,7 @@ def graded01(order, levels, end=0):
     return x, w
 
 
+@_rule
 def graded01_both(order, levels):
     """Composite Gauss rule on [0, 1] graded toward both endpoints."""
     x, w = graded01(order, levels, end=0)
@@ -47,6 +64,7 @@ _D4_A1, _D4_B1, _D4_W1 = 0.816847572980459, 0.091576213509771, 0.109951743655322
 _D4_A2, _D4_B2, _D4_W2 = 0.108103018168070, 0.445948490915965, 0.223381589678011
 
 
+@_rule
 def triangle_degree4():
     """Symmetric degree-4 rule on the reference triangle; (points(6,2), weights(6,))."""
     bary = []
@@ -58,6 +76,7 @@ def triangle_degree4():
     return pts, w
 
 
+@_rule
 def triangle_duffy(n, collapse=2):
     """Collapsed tensor-Gauss rule on the reference triangle.
 
@@ -74,6 +93,7 @@ def triangle_duffy(n, collapse=2):
     return _move_collapse(x, y, w, collapse)
 
 
+@_rule
 def triangle_corner_rule(order=8, levels=16, collapse=2):
     """High-accuracy rule for integrands with a fractional-power singularity
     at one vertex: Duffy collapse combined with dyadic grading toward it."""

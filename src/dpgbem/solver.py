@@ -29,7 +29,9 @@ class Solution:
 
     trace_c holds (uhat - u0) at the loop vertices and flux_c the
     panelwise (outward sighat - phi0 mean); with exact transmission data
-    u^c = 0 both must vanish under refinement.
+    u^c = 0 both must vanish under refinement.  rule is the boundary
+    error rule and phi0 the data phi0 at its nodes, shared by flux_c and
+    boundary_cauchy_errors.
     """
 
     mesh: object
@@ -39,20 +41,23 @@ class Solution:
     x: np.ndarray
     trace_c: np.ndarray = field(default=None)
     flux_c: np.ndarray = field(default=None)
+    rule: tuple = field(init=False, repr=False)
+    phi0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.x.shape != (self.trial_layout.dim,):
             raise ValueError("coefficient vector does not match layout")
+        loop = self.loop
         if self.trace_c is None:
-            verts = self.mesh.vertices[self.loop.vertex_ids]
-            self.trace_c = (self.uhat[self.loop.vertex_ids]
+            verts = self.mesh.vertices[loop.vertex_ids]
+            self.trace_c = (self.uhat[loop.vertex_ids]
                             - self.data.u0(verts[:, 0], verts[:, 1]))
+        self.rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
+                                               spaces.ERROR_LEVELS)
+        self.phi0 = spaces.normal_flux(loop, self.data.phi0, self.rule)
         if self.flux_c is None:
-            phi0 = spaces.project_boundary_p0_flux(
-                self.loop, self.data.phi0, spaces.boundary_quadrature(
-                    self.loop, spaces.ERROR_ORDER, spaces.ERROR_LEVELS))
-            self.flux_c = (self.loop.signs * self.sighat[self.loop.edge_ids]
-                           - phi0)
+            self.flux_c = (loop.signs * self.sighat[loop.edge_ids]
+                           - spaces.panel_means(loop, self.rule, self.phi0))
 
     @property
     def sigma(self):
@@ -81,7 +86,10 @@ def nested_dissection(cliques, coords, last):
     Geometric nested dissection (George, "Nested dissection of a regular
     finite element mesh", SIAM J. Numer. Anal. 1973).  The dofs not in
     `last` are bisected at the median of the longer axis of their
-    bounding box, with coords (n, 2) the position of each dof.  Dofs on
+    bounding box (x when both spans are equal), with coords (n, 2) the
+    position of each dof.  Inside a part the dofs are ranked by the
+    coordinate of that axis, then by the other coordinate, then by dof
+    index, so dofs at the same point keep their index order.  Dofs on
     the median's coordinate line go left, unless that leaves the right
     empty; then the part splits by rank.  Two dofs are neighbours if a
     row of cliques (T, k), such as an element's dofs, holds both; the
@@ -89,76 +97,124 @@ def nested_dissection(cliques, coords, last):
     dof with a right neighbour joins the separator, so on a structured
     mesh the separator is that line.  Each part is ordered
     [left, right, separator], and parts of at most ND_LEAF_SIZE dofs
-    stay whole, swept along their longer axis.  The dofs in `last` (a
-    dense block such as the boundary-integral clique) come at the end,
-    in the given order.  All parts of one level are split by one sort.
+    stay whole, in their rank order.  The dofs in `last` (a dense block
+    such as the boundary-integral clique) come at the end, in the given
+    order.
+
+    Each level of the dissection takes time linear in the dofs still
+    being split: the dofs are sorted once per axis, every level splits
+    both orders by one stable partition, and only the left dofs whose
+    cliques reach past the median are searched for a right neighbour.
 
     Returns perm, so that A[perm][:, perm] is the reordered matrix.
     """
+    cliques = np.asarray(cliques)
     last = np.asarray(last, dtype=int)
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
+    xy = np.ascontiguousarray(coords.T)
+    x, y = xy
     rest = np.ones(n, dtype=bool)
     rest[last] = False
-    # each coupling of two dofs not in `last`, once, as an edge (ei < ej)
-    i, j = np.triu_indices(cliques.shape[1], 1)
-    a, b = cliques[:, i].ravel(), cliques[:, j].ravel()
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    keep = (lo != hi) & rest[lo] & rest[hi]
-    edges = scipy.sparse.csr_matrix(
-        (np.ones(keep.sum(), dtype=np.int8), (lo[keep], hi[keep])),
-        shape=(n, n)).tocoo()
-    ei, ej = edges.row.astype(np.int32), edges.col.astype(np.int32)
-
-    # code: 2 * part + side while a dof is being split, then -1 - dof
-    code = np.zeros(n, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)  # tree depth of the dof's part
-    path = np.zeros(n, dtype=np.int64)   # tree path of the dof's part
-    seq = np.zeros(n, dtype=np.int64)    # position within its part
-    active = np.flatnonzero(rest)        # kept sorted by part
-    level = 0
-    while active.size:
-        part = path[active]
-        start = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
-        size = np.diff(np.r_[start, active.size])
-        seg = np.repeat(np.arange(start.size), size)
-        xy = coords[active]
-        span = (np.maximum.reduceat(xy, start)
-                - np.minimum.reduceat(xy, start))
-        axis = (span[:, 1] > span[:, 0]).astype(int)[seg]
-        at = np.arange(active.size)
-        order = np.lexsort((xy[at, 1 - axis], xy[at, axis], part))
-        active = active[order]
-        depth[active] = level
-        seq[active] = at
+    node = np.flatnonzero(rest)
+    # the cliques at each dof, at[ptr[u]:ptr[u + 1]], and the largest x
+    # and y over them, reach (2, n), which bound a dof's neighbours
+    t, k = cliques.shape
+    inc = scipy.sparse.csr_matrix(
+        (np.ones(t * k, dtype=bool), cliques.ravel(),
+         np.arange(0, t * k + 1, k)), shape=(t, n)).tocsc()
+    ptr, at = inc.indptr, inc.indices
+    cols = np.ascontiguousarray(cliques.T)
+    reach = np.full((2, n), -np.inf)
+    for r, c in zip(reach, xy):
+        np.maximum.at(r, cols.ravel(), np.tile(np.maximum.reduce(c[cols]), k))
+    # the parts' dofs, part after part in tree order, each part in its
+    # rank order along x (byx) and along y (byy)
+    byx = node[np.lexsort((y[node], x[node]))]
+    byy = byx[np.argsort(y[byx], kind="stable")]
+    # side: 0 left, 1 right while a dof is being split, else 2.  Two
+    # neighbours that are both being split are in the same part: had they
+    # been split apart, the left one would have joined a separator
+    side = np.full(n, 2, dtype=np.int8)
+    perm = np.empty(n, dtype=int)
+    perm[node.size:] = last
+    size = np.array([node.size])   # dofs of each part
+    base = np.zeros(1, dtype=int)  # where each part's subtree starts in perm
+    while byx.size:
+        nseg = size.size
+        end = np.cumsum(size)
+        start = end - size
+        seg = np.repeat(np.arange(nseg), size)
+        # a part's span is read from the ends of its two orders
+        along = ((y[byy[end - 1]] - y[byy[start]])
+                 > (x[byx[end - 1]] - x[byx[start]]))[seg]
+        cur = np.where(along, byy, byx)
+        key = cur + n * along
+        xa = xy.ravel()[key]
         # the median's whole coordinate line goes left, so that the
         # separator is that line; a part that is one line splits by rank
-        xa = xy[order, axis]
-        right = xa > xa[start + np.maximum(size // 2 - 1, 0)][seg]
-        line = np.bincount(seg, right, minlength=start.size) == 0
-        right |= line[seg] & (at - start[seg] >= size[seg] // 2)
-        code[active] = 2 * part + right
-        # a left dof with a right neighbour in its own part: separator
-        a, b = code[ei], code[ej]
-        sep = np.zeros(n, dtype=bool)
-        sep[ei[(a + 1 == b) & ((a & 1) == 0)]] = True
-        sep[ej[(b + 1 == a) & ((b & 1) == 0)]] = True
-        go_on = (size > ND_LEAF_SIZE)[seg] & ~sep[active]
-        done = active[~go_on]
-        code[done] = -1 - done
-        active = active[go_on]
-        path[active] = code[active]
-        # keep only the couplings inside a part that is split further
-        stay = code[ei] == code[ej]
-        ei, ej = ei[stay], ej[stay]
-        level += 1
-    # post-order of the dissection tree: the part with path q at depth d
-    # comes after every part below it and before the next subtree
-    node = np.flatnonzero(rest)
-    top = int(depth.max()) + 1
-    key = ((path[node] + 1) << (top - depth[node])) - 1
-    perm = node[np.lexsort((seq[node], -depth[node], key))]
-    return np.concatenate([perm, last])
+        median = xa[start + np.maximum(size // 2 - 1, 0)]
+        med = median[seg]
+        right = xa > med
+        # a left dof with a right neighbour joins the separator.  Only a
+        # left dof whose cliques reach past the median can have one, or
+        # any left dof of a part split by rank; leaf parts have none
+        near = reach.ravel()[key] > med
+        line = xa[end - 1] == median
+        if line.any():
+            right |= line[seg] & (np.arange(cur.size) - start[seg]
+                                  >= (size // 2)[seg])
+            near |= line[seg]
+        side[cur] = right
+        big = size > ND_LEAF_SIZE
+        pos = np.flatnonzero(near & ~right)
+        pos = pos[big[seg[pos]]]
+        u = cur[pos]
+        cnt = ptr[u + 1] - ptr[u]
+        rows = at[_ranges(ptr[u], cnt)]
+        hit = np.zeros(rows.size, dtype=bool)
+        for c in cols:
+            hit |= side[c[rows]] == 1
+        is_sep = np.zeros(pos.size, dtype=bool)
+        is_sep[np.repeat(np.arange(pos.size), cnt)[hit]] = True
+        sep = pos[is_sep]
+        # the separators and the leaf parts are finished, in rank order: a
+        # part's separator after both its subtrees, a leaf part whole
+        s = seg[sep]
+        nsep = np.bincount(s, minlength=nseg)
+        perm[(base + size - nsep)[s] + np.arange(sep.size)
+             - (np.cumsum(nsep) - nsep)[s]] = cur[sep]
+        leaf = cur[_ranges(start[~big], size[~big])]
+        perm[_ranges(base[~big], size[~big])] = leaf
+        side[cur[sep]] = 2
+        side[leaf] = 2
+        # the parts of the next level: each part's left, then its right
+        # child, empty ones dropped, both orders split stably
+        nr = np.where(big, np.add.reduceat(right, start, dtype=int), 0)
+        nl = np.where(big, size - nr - nsep, 0)
+        size = np.column_stack([nl, nr]).ravel()
+        first = np.cumsum(size) - size
+        to = _ranges(first[0::2], nl), _ranges(first[1::2], nr)
+        base = np.column_stack([base, base + nl]).ravel()[size > 0]
+        size = size[size > 0]
+        byx, byy = (_split(o, side, to) for o in (byx, byy))
+    return perm
+
+
+def _ranges(first, count):
+    """The concatenated ranges first[i] + arange(count[i])."""
+    return (np.repeat(first - np.cumsum(count) + count, count)
+            + np.arange(count.sum()))
+
+
+def _split(order, side, to):
+    """The dofs of `order` not finished, its left dofs to the positions
+    to[0] and its right dofs to to[1], each side in the order given."""
+    g = side[order]
+    out = np.empty(to[0].size + to[1].size, dtype=order.dtype)
+    out[to[0]] = order[g == 0]
+    out[to[1]] = order[g == 1]
+    return out
 
 
 def direct_solve(A, b):
@@ -260,11 +316,11 @@ def field_errors(mesh, exact_u, exact_grad, u_h, grad_h,
     return float(np.sqrt(err_u)), float(np.sqrt(err_g))
 
 
-def trace_error(loop, vertex_vals, exact_u):
+def trace_error(loop, rule, vertex_vals, exact_u):
     """L2(Gamma) error of the piecewise-linear boundary function with the
-    given loop-vertex values against exact_u(x, y)."""
-    pts, wl, t = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                            spaces.ERROR_LEVELS)
+    given loop-vertex values against exact_u(x, y), by a
+    boundary_quadrature rule."""
+    pts, wl, t = rule
     ends = bem_mod.hat_trace_coefs(loop, vertex_vals)
     lin = ends[:, 0, None] * (1.0 - t)[None, :] + ends[:, 1, None] * t[None, :]
     d = lin - exact_u(pts[..., 0], pts[..., 1])
@@ -288,15 +344,10 @@ def boundary_cauchy_errors(solution):
     """L2(Gamma) norms of the exterior Cauchy data
     (uhat|_Gamma - u0, outward sighat|_Gamma - phi0)."""
     loop = solution.loop
-    err_trace = trace_error(loop, solution.uhat[loop.vertex_ids],
-                            solution.data.u0)
-    pts, wl, _ = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                            spaces.ERROR_LEVELS)
+    err_trace = trace_error(loop, solution.rule,
+                            solution.uhat[loop.vertex_ids], solution.data.u0)
     sig = (loop.signs * solution.sighat[loop.edge_ids])[:, None]
-    phi0 = solution.data.phi0(pts[..., 0], pts[..., 1],
-                              loop.normals[:, None, 0],
-                              loop.normals[:, None, 1])
-    err_flux = np.sqrt((wl * (sig - phi0) ** 2).sum())
+    err_flux = np.sqrt((solution.rule[1] * (sig - solution.phi0) ** 2).sum())
     return err_trace, float(err_flux)
 
 

@@ -156,14 +156,25 @@ def boundary_quadrature(loop, order, levels):
     return pts, wts, t
 
 
+def normal_flux(loop, fn, rule):
+    """A normal-flux function fn(x, y, nx, ny) at the nodes of a
+    boundary_quadrature rule, taken with the outward panel normal;
+    shape (P, q)."""
+    pts = rule[0]
+    return fn(pts[..., 0], pts[..., 1], loop.normals[:, None, 0],
+              loop.normals[:, None, 1])
+
+
+def panel_means(loop, rule, vals):
+    """Panelwise means of values at the nodes of a boundary_quadrature
+    rule."""
+    return (rule[1] * vals).sum(axis=1) / loop.lengths
+
+
 def project_boundary_p0_flux(loop, fn, rule):
     """Panelwise means of a normal-flux function fn(x, y, nx, ny), taken
     with the outward panel normal, by the rule of boundary_quadrature."""
-    pts, wts, _ = rule
-    nx = loop.normals[:, None, 0]
-    ny = loop.normals[:, None, 1]
-    vals = fn(pts[..., 0], pts[..., 1], nx, ny)
-    return (wts * vals).sum(axis=1) / loop.lengths
+    return panel_means(loop, rule, normal_flux(loop, fn, rule))
 
 
 def hat_moments(rule, vals):

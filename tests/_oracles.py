@@ -66,6 +66,12 @@ boundary rule (`COMPAT_ORDER`, `COMPAT_LEVELS`).
 the linear Lagrange basis on an edge.
 
 `dump_mesh` writes a mesh as plain text.
+
+`nested_dissection` is the geometric dissection as `dpgbem.solver`
+first ran it: each level re-sorts every remaining dof by (part, axis
+coordinate, other coordinate) and re-gathers every remaining coupling,
+and the post-order comes from one final sort of the tree paths.  The
+linear-time version must return the same permutation.
 """
 
 from dataclasses import dataclass
@@ -78,6 +84,7 @@ from dpgbem import bem, dpg_assembly as da, quadrature, spaces
 from dpgbem import jn_reference as jn
 from dpgbem.errors import MeshError, NumericalError
 from dpgbem.mesh import Mesh, boundary_loop
+from dpgbem.solver import ND_LEAF_SIZE
 
 
 def build_mesh(vertices, triangles):
@@ -432,10 +439,6 @@ class ElementPipeline:
                 vec[6 * nt:18 * nt].reshape(nt, 12),
                 vec[18 * nt:])
 
-    def _solve_blocks(self, rv, rt, rp):
-        return (np.linalg.solve(self.Gv, rv), np.linalg.solve(self.Gtau, rt),
-                self.bem.solve_gpsi(rp))
-
     def apply_B(self, x):
         """B @ x."""
         x = np.asarray(x, dtype=float)
@@ -444,11 +447,13 @@ class ElementPipeline:
                                self.B.gamma @ x[self.B.gamma_cols]])
 
     def quadratic(self, vec):
-        """vec . G^{-1} vec."""
+        """vec . G^{-1} vec, with the inverse of each element's own Gram
+        blocks."""
         rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
-        sv, st, sp = self._solve_blocks(rv[..., None], rt[..., None], rp)
-        return float(np.dot(vec, np.concatenate([sv.ravel(), st.ravel(),
-                                                 sp])))
+        sv = np.linalg.inv(self.Gv) @ rv[..., None]
+        st = np.linalg.inv(self.Gtau) @ rt[..., None]
+        return float(np.dot(vec, np.concatenate([
+            sv.ravel(), st.ravel(), self.bem.solve_gpsi(rp)])))
 
     def energy_error(self, ell, x):
         r = ell - self.apply_B(x)
@@ -459,13 +464,17 @@ class ElementPipeline:
         (2P, 2P + 1) for the boundary."""
         ev, et, eg = self._parts(np.asarray(ell, dtype=float))
         bv, bt = self.local[:, :6], self.local[:, 6:]
-        sv, st, sg = self._solve_blocks(
-            np.concatenate([bv, ev[..., None]], axis=2),
-            np.concatenate([bt, et[..., None]], axis=2),
-            np.column_stack([self.B.gamma, eg]))
+        sv = np.linalg.solve(self.Gv, np.concatenate([bv, ev[..., None]],
+                                                     axis=2))
+        st = np.linalg.solve(self.Gtau, np.concatenate([bt, et[..., None]],
+                                                       axis=2))
         a = np.swapaxes(bv, 1, 2) @ sv
         a += np.swapaxes(bt, 1, 2) @ st
-        return a, self.B.gamma.T @ sg
+        # the boundary block through W = L^{-1} [B_G | ell_G]
+        w = scipy.linalg.solve_triangular(
+            self.bem.G_psi_chol, np.column_stack([self.B.gamma, eg]),
+            lower=True)
+        return a, w[:, :-1].T @ w
 
     def normal_equations(self, ell):
         """(S, c, recover) as `build_normal_equations` returns them, with
@@ -708,9 +717,7 @@ def assemble_bem_analytic(loop, quad_order=8):
         M[2 * i + 1, int(nxt[i])] = lengths[i] / 3.0
 
     Vps = G[:, 0::2] + G[:, 1::2]
-    chol = scipy.linalg.cholesky(0.5 * (G + G.T), lower=True)
-    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G,
-                           G_psi_chol=chol)
+    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G)
 
 
 def assemble_bem(loop):
@@ -772,9 +779,7 @@ def assemble_bem(loop):
     M[2 * idx + 1, idx] = lengths / 6.0
     M[2 * idx + 1, nxt] = lengths / 3.0
     Vps = G[:, 0::2] + G[:, 1::2]
-    chol = scipy.linalg.cholesky(G, lower=True)
-    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G,
-                           G_psi_chol=chol)
+    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G)
 
 
 def tensor_gauss_blocks(loop, order):
@@ -1089,3 +1094,90 @@ def compatibility_residual(mesh, data):
                    loop.normals[:, None, 1])
     bnd = float((wl * ph).sum())
     return vol + bnd
+
+
+def nested_dissection(cliques, coords, last):
+    """Fill-reducing elimination order for a sparse system on a 2-D mesh.
+
+    Geometric nested dissection (George, "Nested dissection of a regular
+    finite element mesh", SIAM J. Numer. Anal. 1973).  The dofs not in
+    `last` are bisected at the median of the longer axis of their
+    bounding box, with coords (n, 2) the position of each dof.  Dofs on
+    the median's coordinate line go left, unless that leaves the right
+    empty; then the part splits by rank.  Two dofs are neighbours if a
+    row of cliques (T, k), such as an element's dofs, holds both; the
+    pattern of a COO matrix is np.column_stack([A.row, A.col]).  A left
+    dof with a right neighbour joins the separator, so on a structured
+    mesh the separator is that line.  Each part is ordered
+    [left, right, separator], and parts of at most ND_LEAF_SIZE dofs
+    stay whole, swept along their longer axis.  The dofs in `last` (a
+    dense block such as the boundary-integral clique) come at the end,
+    in the given order.  All parts of one level are split by one sort.
+
+    Returns perm, so that A[perm][:, perm] is the reordered matrix.
+    dpgbem.solver.nested_dissection must return the same perm.
+    """
+    last = np.asarray(last, dtype=int)
+    coords = np.asarray(coords, dtype=float)
+    n = coords.shape[0]
+    rest = np.ones(n, dtype=bool)
+    rest[last] = False
+    # each coupling of two dofs not in `last`, once, as an edge (ei < ej)
+    i, j = np.triu_indices(cliques.shape[1], 1)
+    a, b = cliques[:, i].ravel(), cliques[:, j].ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = (lo != hi) & rest[lo] & rest[hi]
+    edges = scipy.sparse.csr_matrix(
+        (np.ones(keep.sum(), dtype=np.int8), (lo[keep], hi[keep])),
+        shape=(n, n)).tocoo()
+    ei, ej = edges.row.astype(np.int32), edges.col.astype(np.int32)
+
+    # code: 2 * part + side while a dof is being split, then -1 - dof
+    code = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)  # tree depth of the dof's part
+    path = np.zeros(n, dtype=np.int64)   # tree path of the dof's part
+    seq = np.zeros(n, dtype=np.int64)    # position within its part
+    active = np.flatnonzero(rest)        # kept sorted by part
+    level = 0
+    while active.size:
+        part = path[active]
+        start = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
+        size = np.diff(np.r_[start, active.size])
+        seg = np.repeat(np.arange(start.size), size)
+        xy = coords[active]
+        span = (np.maximum.reduceat(xy, start)
+                - np.minimum.reduceat(xy, start))
+        axis = (span[:, 1] > span[:, 0]).astype(int)[seg]
+        at = np.arange(active.size)
+        order = np.lexsort((xy[at, 1 - axis], xy[at, axis], part))
+        active = active[order]
+        depth[active] = level
+        seq[active] = at
+        # the median's whole coordinate line goes left, so that the
+        # separator is that line; a part that is one line splits by rank
+        xa = xy[order, axis]
+        right = xa > xa[start + np.maximum(size // 2 - 1, 0)][seg]
+        line = np.bincount(seg, right, minlength=start.size) == 0
+        right |= line[seg] & (at - start[seg] >= size[seg] // 2)
+        code[active] = 2 * part + right
+        # a left dof with a right neighbour in its own part: separator
+        a, b = code[ei], code[ej]
+        sep = np.zeros(n, dtype=bool)
+        sep[ei[(a + 1 == b) & ((a & 1) == 0)]] = True
+        sep[ej[(b + 1 == a) & ((b & 1) == 0)]] = True
+        go_on = (size > ND_LEAF_SIZE)[seg] & ~sep[active]
+        done = active[~go_on]
+        code[done] = -1 - done
+        active = active[go_on]
+        path[active] = code[active]
+        # keep only the couplings inside a part that is split further
+        stay = code[ei] == code[ej]
+        ei, ej = ei[stay], ej[stay]
+        level += 1
+    # post-order of the dissection tree: the part with path q at depth d
+    # comes after every part below it and before the next subtree
+    node = np.flatnonzero(rest)
+    top = int(depth.max()) + 1
+    key = ((path[node] + 1) << (top - depth[node])) - 1
+    perm = node[np.lexsort((seq[node], -depth[node], key))]
+    return np.concatenate([perm, last])

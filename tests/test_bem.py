@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.integrate import nquad, quad
 import _oracles
 from dpgbem import (MeshError, boundary_loop, build_mesh, make_lshape_mesh,
                     make_square_mesh, refine_uniform)
-from dpgbem import bem, cli, spaces
+from dpgbem import NumericalError, bem, cli, jn_reference, solver, spaces
 
 
 def panel(a, b):
@@ -233,6 +234,31 @@ def test_gpsi_symmetric_and_spd(square_bem):
 def test_gpsi_spd_on_lshape():
     mats = bem.assemble_bem(boundary_loop(make_lshape_mesh(0.25, 2)))
     assert np.linalg.eigvalsh(0.5 * (mats.G_psi + mats.G_psi.T)).min() > 0.0
+
+
+def test_jn_level_never_factors_gpsi():
+    # the classical coupling reads no G_psi factor, so a JN-only level
+    # never forms it
+    mesh = refine_uniform(cli.initial_mesh("lshape"))
+    data, exact = cli.manufacture_data("lshape")
+    mats = bem.assemble_bem(boundary_loop(mesh))
+    u, phi = jn_reference.solve_jn(jn_reference.assemble_jn(mesh, data,
+                                                            bem_mats=mats))
+    jn_reference.jn_errors(mesh, u, exact.u, exact.grad)
+    jn_reference.jn_boundary_errors(mats.loop, u, phi, data)
+    assert "G_psi_chol" not in vars(mats)
+
+
+def test_dpg_rejects_gpsi_not_positive_definite():
+    mesh = cli.initial_mesh("square")
+    data, _ = cli.manufacture_data("square")
+    mats = bem.assemble_bem(boundary_loop(mesh))
+    bad = dataclasses.replace(mats, G_psi=-mats.G_psi)
+    with pytest.raises(NumericalError, match="single-layer Gram not "
+                       "positive definite; check that the domain diameter"):
+        solver.solve_dpg(mesh, data, bem_mats=bad)
+    # the factor is formed once and kept
+    assert mats.G_psi_chol is mats.G_psi_chol
 
 
 def test_matrix_shapes(square_loop, square_bem):

@@ -162,3 +162,38 @@ def test_element_cliques_order_as_assembled_pattern(domain):
         assert np.array_equal(
             nested_dissection(mesh.triangles, mesh.vertices, vid),
             nested_dissection(pairs(system.matrix), mesh.vertices, vid)), level
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_order_matches_oracle(domain):
+    # the level-linear dissection returns the oracle's permutation at CLI
+    # levels 0-5, for the DPG skeleton cliques and the JN triangles
+    mesh = cli.initial_mesh(domain)
+    for level in range(6):
+        if level:
+            mesh = refine_uniform(mesh)
+        loop = boundary_loop(mesh)
+        B = dpg_assembly.assemble_B(mesh, bem.assemble_bem(loop),
+                                    mesh.element_classes())
+        nf = 3 * mesh.num_triangles
+        for args in ((B.cols[:, 3:] - nf,
+                      np.concatenate([mesh.vertices, mesh.edge_midpoints()]),
+                      B.gamma_cols - nf),
+                     (mesh.triangles, mesh.vertices, loop.vertex_ids)):
+            assert np.array_equal(nested_dissection(*args),
+                                  _oracles.nested_dissection(*args)), level
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ties_and_lines_match_oracle(seed):
+    # dofs on a coarse lattice, so that many share a point or a coordinate
+    # line (parts split by rank, separators that empty a side), random
+    # cliques, dofs in no clique, and a `last` block in arbitrary order
+    rng = np.random.default_rng(seed)
+    n = 600
+    xy = rng.integers(0, 6, (n, 2)) * np.array([1.0, 0.5])
+    xy[rng.random(n) < 0.3, 0] = 2.0
+    cliques = rng.integers(0, n - 20, (300, 3))
+    last = rng.permutation(n)[:40]
+    assert np.array_equal(nested_dissection(cliques, xy, last),
+                          _oracles.nested_dissection(cliques, xy, last))
