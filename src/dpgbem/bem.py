@@ -21,10 +21,10 @@ chunk size is a memory bound, not a tuning option.
 
 Convention: the double-layer operator is assembled as the plain principal
 value integral (for x on a flat panel the own-panel kernel vanishes
-identically), so the coupling combination reads (1/2)*M_up - K_up.  The
-sign convention is pinned operationally by the representation-formula
-(dipole) test: V(dudn) + (1/2 - K)(trace) -> 0 for exterior harmonic
-fields with O(1/|x|) decay.
+identically), so the coupling combination reads H = M/2 - K_up (M the
+hat masses).  The sign convention is pinned operationally by the
+representation-formula (dipole) test: V(dudn) + (1/2 - K)(trace) -> 0
+for exterior harmonic fields with O(1/|x|) decay.
 """
 
 import functools
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import quadrature
+from . import quadrature, spaces
 from .errors import NumericalError
 from .spaces import PANEL_ORDER
 
@@ -149,18 +149,19 @@ class BemMatrices:
     """Boundary operator matrices on a loop with P panels.
 
     Rows are the 2P discontinuous-P1 test functions (panelwise, loop
-    order).  V_ps columns are the P panelwise-constant flux densities,
-    K_up / M_up columns are the P boundary vertex hat functions, and
-    G_psi is the single-layer Gram matrix on the test space itself (the
-    discrete H^{-1/2}(Gamma) inner product; positive definite for domains
-    of diameter < 1).  Only the DPG coupling reads its Cholesky factor,
-    which is formed on first use.
+    order).  V_ps columns are the P panelwise-constant flux densities;
+    the columns of K_up and of H = <(1/2 - K) uhat_j, psi_i> are the P
+    boundary vertex hat functions.  G_psi is the single-layer Gram matrix
+    on the test space itself (the discrete H^{-1/2}(Gamma) inner product;
+    positive definite for domains of diameter < 1); V_ps = G_psi E, where
+    E^T sums each panel's two rows (p0_test_rows).  Only the DPG coupling
+    reads the Cholesky factor of G_psi, formed on first use.
     """
 
     loop: object
     V_ps: np.ndarray
     K_up: np.ndarray
-    M_up: np.ndarray
+    H: np.ndarray
     G_psi: np.ndarray
 
     @functools.cached_property
@@ -177,9 +178,21 @@ class BemMatrices:
     def solve_gpsi(self, rhs):
         return scipy.linalg.cho_solve((self.G_psi_chol, True), rhs)
 
-    def half_minus_k(self):
-        """Matrix of <(1/2 - K) uhat_j, psi_i> on the boundary hats."""
-        return 0.5 * self.M_up - self.K_up
+    def half_minus_k_load(self, u0, rule):
+        """<(1/2 - K) u0, psi_i> for a function u0(x, y) on a
+        spaces.boundary_quadrature rule: the mass part from the hat
+        moments of u0, K applied to its L2 projection onto the hats."""
+        pts = rule[0]
+        tail, head = spaces.hat_moments(rule, u0(pts[..., 0], pts[..., 1]))
+        return (0.5 * np.stack([tail, head], axis=1).ravel()
+                - self.K_up @ spaces.project_boundary_p1(self.loop, tail,
+                                                         head))
+
+
+def p0_test_rows(matrix_2p):
+    """Sum the two discontinuous-P1 test rows of each panel, yielding the
+    panelwise-constant test rows (P0(Gamma) = sum of the P1 hat pair)."""
+    return matrix_2p[0::2] + matrix_2p[1::2]
 
 
 def _separation(mid, half, lengths, i, j):
@@ -287,9 +300,10 @@ def assemble_bem(loop):
 
     The separated pairs are evaluated once per unordered pair, and the
     single-layer blocks of the other pairs are the mean of both
-    orientations, so G_psi is symmetric to the last bit.  It is
-    factorized here; failure indicates a geometry/scaling violation (the
-    domain must have diameter < 1).
+    orientations, so G_psi is symmetric to the last bit.  Nothing here
+    factorizes it: BemMatrices.G_psi_chol does on first use, and its
+    failure indicates a geometry/scaling violation (the domain must have
+    diameter < 1).
     """
     P = loop.num_panels
     pa, pb = loop.points_a, loop.points_b
@@ -377,14 +391,13 @@ def assemble_bem(loop):
     K[:, :, 0] += K[:, :, P]
     K = K[:, :, :P].reshape(2 * P, P)
 
-    M = np.zeros((2 * P, P))
-    M[2 * idx, idx] = lengths / 3.0
-    M[2 * idx, nxt] = lengths / 6.0
-    M[2 * idx + 1, idx] = lengths / 6.0
-    M[2 * idx + 1, nxt] = lengths / 3.0
+    # H = M/2 - K; hat masses: h/3 at the own panel end, h/6 at the other
+    H = -K
+    H.reshape(P, 2, P)[idx, :, idx] += lengths[:, None] / [6.0, 12.0]
+    H.reshape(P, 2, P)[idx, :, nxt] += lengths[:, None] / [12.0, 6.0]
 
     Vps = G[:, 0::2] + G[:, 1::2]
-    return BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G)
+    return BemMatrices(loop=loop, V_ps=Vps, K_up=K, H=H, G_psi=G)
 
 
 # ----------------------------------------------------------------------

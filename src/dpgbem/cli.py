@@ -283,6 +283,9 @@ def main(argv=None):
     except (NumericalError, MeshError) as exc:
         print("numerical failure: {}".format(exc), file=sys.stderr)
         return 3
+    except MemoryError:
+        print("out of memory: try fewer --levels", file=sys.stderr)
+        return 2
     if not config.output_path:
         write_csv(records, sys.stdout, COLUMNS)
     return 0

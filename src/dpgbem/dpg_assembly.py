@@ -23,9 +23,13 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from . import quadrature, spaces
+from . import bem, quadrature, spaces
 from .errors import NumericalError
 from .mesh import element_map
+
+# elements per chunk where a class block is gathered per element (B @ x,
+# BlockGram.solve_vec): a memory bound, not a tuning option
+ELEMENT_CHUNK = 4096
 
 
 @dataclass
@@ -76,13 +80,17 @@ class BlockGram:
                 vec[18 * nt:])
 
     def solve_vec(self, vec):
-        """G^{-1} @ vec, applied blockwise: the element blocks by one
-        gathered product with the class inverses."""
+        """G^{-1} @ vec, applied blockwise: the element blocks by products
+        with the class inverses, gathered ELEMENT_CHUNK elements at a
+        time."""
         rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
-        return np.concatenate([
-            (self.Gv_inv[self.cls] @ rv[..., None]).ravel(),
-            (self.Gtau_inv[self.cls] @ rt[..., None]).ravel(),
-            self.bem.solve_gpsi(rp)])
+        sv, st = np.empty_like(rv), np.empty_like(rt)
+        for k in range(0, self.n_tri, ELEMENT_CHUNK):
+            e = slice(k, k + ELEMENT_CHUNK)
+            sv[e] = (self.Gv_inv[self.cls[e]] @ rv[e, :, None])[..., 0]
+            st[e] = (self.Gtau_inv[self.cls[e]] @ rt[e, :, None])[..., 0]
+        return np.concatenate([sv.ravel(), st.ravel(),
+                               self.bem.solve_gpsi(rp)])
 
     def quadratic(self, vec):
         """vec . G^{-1} vec (the dual-norm square of a residual)."""
@@ -95,31 +103,36 @@ class BlockOperator:
     element t maps its trial columns cols[t] (sigma_x, sigma_y, u, uhat
     at its vertices, sighat on its edges) to its 6 H1 and 12 H(div) test
     rows by local[cls[t]] (C, 18, 9) with column j times signs[t, j],
-    the edge sign on the sighat columns and +1 elsewhere; gamma (2P, 2P)
-    maps the trial columns gamma_cols (sighat on the loop edges, uhat at
-    the loop vertices) to the boundary rows.  shape is (test dim, trial
-    dim)."""
+    the edge sign on the sighat columns and +1 elsewhere.  The boundary
+    rows are V_ps (loop.signs * sighat) + H uhat of the BemMatrices bem,
+    on the trial columns gamma_cols (sighat on the loop edges, uhat at
+    the loop vertices).  shape is (test dim, trial dim)."""
 
     local: np.ndarray
     cls: np.ndarray
     signs: np.ndarray
     cols: np.ndarray
-    gamma: np.ndarray
+    bem: object
     gamma_cols: np.ndarray
     shape: tuple
 
     @property
     def nnz(self):
-        """Entries of the element blocks and the boundary block, explicit
-        zeros included."""
-        return self.cls.size * self.local[0].size + self.gamma.size
+        """Entries of the element blocks and of the dense boundary block,
+        explicit zeros included."""
+        return self.cls.size * self.local[0].size + self.gamma_cols.size ** 2
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
-        y = np.einsum("tij,tj->ti", self.local[self.cls],
-                      x[self.cols] * self.signs)
+        y = np.empty((self.cls.size, 18))
+        for k in range(0, self.cls.size, ELEMENT_CHUNK):
+            e = slice(k, k + ELEMENT_CHUNK)
+            y[e] = np.einsum("tij,tj->ti", self.local[self.cls[e]],
+                             x[self.cols[e]] * self.signs[e])
+        xs, xu = np.split(x[self.gamma_cols], 2)
         return np.concatenate([y[:, :6].ravel(), y[:, 6:].ravel(),
-                               self.gamma @ x[self.gamma_cols]])
+                               self.bem.V_ps @ (self.bem.loop.signs * xs)
+                               + self.bem.H @ xu])
 
 
 @dataclass
@@ -202,12 +215,6 @@ def assemble_B(mesh, bem_mats, classes):
     H(div) dofs per element and 2 per boundary panel, 18T + 2P in all."""
     trial = spaces.TrialDofLayout.from_mesh(mesh)
     loop = bem_mats.loop
-    P = loop.num_panels
-    # <V sighat, psi> (global flux dof s_e restricts to sign * s_e on
-    # Gamma) next to <(1/2 - K) uhat, psi> on the boundary vertex hats
-    gamma = np.empty((2 * P, 2 * P))
-    np.multiply(bem_mats.V_ps, loop.signs[None, :], out=gamma[:, :P])
-    gamma[:, P:] = bem_mats.half_minus_k()
     tri = np.arange(mesh.num_triangles)
     cols = np.column_stack([
         trial.sigma(tri, 0), trial.sigma(tri, 1), trial.u(tri),
@@ -217,10 +224,10 @@ def assemble_B(mesh, bem_mats, classes):
     signs[:, 6:] = mesh.tri_edge_signs
     return BlockOperator(
         local=_element_b_locals(mesh, rep), cls=cls, signs=signs, cols=cols,
-        gamma=gamma,
+        bem=bem_mats,
         gamma_cols=np.concatenate([trial.sighat(loop.edge_ids),
                                    trial.uhat(loop.vertex_ids)]),
-        shape=(18 * mesh.num_triangles + 2 * P, trial.dim))
+        shape=(18 * mesh.num_triangles + 2 * loop.num_panels, trial.dim))
 
 
 def assemble_gram(mesh, bem_mats, classes):
@@ -244,31 +251,20 @@ def assemble_gram(mesh, bem_mats, classes):
 
 def assemble_load(mesh, data, bem_mats):
     """Assemble the load vector: (f, v) per element plus the boundary data
-    term <(1/2 - K) u0 + V phi0, psi>.
-
-    The kernel parts apply the assembled operators to the L2 projections
-    of u0 (onto the boundary hats) and phi0 (onto panel constants); the
-    mass part integrates u0 directly against the test functions.  u0 is
-    evaluated once, and its projection and mass part share its hat
-    moments.
-    """
+    term <(1/2 - K) u0 + V phi0, psi>, V applied to the panel means of
+    phi0."""
     ell_v = spaces.element_load(mesh, data.f,
                                 lambda bary: spaces.eval_p2_basis(bary)[0])
 
-    # u0 and phi0 at the nodes of one boundary rule
-    loop = bem_mats.loop
-    rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
+    # u0 and phi0 on one boundary rule
+    rule = spaces.boundary_quadrature(bem_mats.loop, spaces.PANEL_ORDER,
                                       spaces.DATA_LEVELS)
-    pts = rule[0]
-    tail, head = spaces.hat_moments(rule, data.u0(pts[..., 0], pts[..., 1]))
-    u0_hat = spaces.project_boundary_p1(loop, tail, head)
-    phi0_p0 = spaces.project_boundary_p0_flux(loop, data.phi0, rule)
-    mass_u0 = np.stack([tail, head], axis=1).ravel()
+    phi0_p0 = spaces.project_boundary_p0_flux(bem_mats.loop, data.phi0, rule)
 
     # the H(div) block is zero: the second equation has no load
     return np.concatenate([
         ell_v.ravel(), np.zeros(12 * mesh.num_triangles),
-        0.5 * mass_u0 - bem_mats.K_up @ u0_hat + bem_mats.V_ps @ phi0_p0])
+        bem_mats.half_minus_k_load(data.u0, rule) + bem_mats.V_ps @ phi0_p0])
 
 
 def assemble_operator_blocks(mesh, bem_mats, data):
@@ -292,7 +288,10 @@ def _gram_products(B, G, ell):
     +1; the load columns B_T^T G_T^{-1} ell_T (T, 9) per element; and
     B_G^T G_G^{-1} [B_G | ell_G] (2P, 2P + 1) for the boundary.  The
     H(div) block of ell is zero, so the load columns come from the H1
-    block alone."""
+    block alone.  B_G = [V_ps D | H], D = diag(loop.signs), and
+    V_ps = G_G E with E^T = bem.p0_test_rows: so the sighat rows are
+    D p0(V_ps) D and D p0([H | ell_G]), with no solve, and the uhat rows
+    W^T W with W = L^{-1} [H | ell_G], G_G = L L^T."""
     ev, _, eg = G._parts(np.asarray(ell, dtype=float))
     bv, bt = B.local[:, :6], B.local[:, 6:]
     bvT, btT = np.swapaxes(bv, 1, 2), np.swapaxes(bt, 1, 2)
@@ -304,10 +303,15 @@ def _gram_products(B, G, ell):
     z = np.linalg.solve(G.Gv[G.cls[t]], _two_columns(ev[t]))
     b[t] = (bvT[B.cls[t]] @ z)[..., 0]
     b *= B.signs
-    # with G_G = L L^T and W = L^{-1} [B_G | ell_G]: W[:, :-1]^T W
-    w = scipy.linalg.solve_triangular(
-        G.bem.G_psi_chol, np.column_stack([B.gamma, eg]), lower=True)
-    return a, b, w[:, :-1].T @ w
+    s, H = B.bem.loop.signs[:, None], np.column_stack([B.bem.H, eg])
+    P = s.size
+    g = np.empty((2 * P, 2 * P + 1))
+    g[:P, :P] = s * bem.p0_test_rows(B.bem.V_ps) * s.T
+    g[:P, P:] = s * bem.p0_test_rows(H)
+    g[P:, :P] = g[:P, P:-1].T
+    w = scipy.linalg.solve_triangular(B.bem.G_psi_chol, H, lower=True)
+    g[P:, P:] = w[:, :-1].T @ w
+    return a, b, g
 
 
 def build_normal_equations(B, G, ell):

@@ -20,9 +20,9 @@ assemble_jn eliminates phi with a LAPACK Cholesky factorization of W.
 What solver.direct_solve factors is the vertex system: the sparse P1
 stiffness plus the dense Schur complement on the boundary vertices.
 
-All boundary operator matrices are derived from the same BemMatrices
-instance the coupled solver consumes: the panelwise-constant test rows
-are the pairwise sums of the discontinuous-P1 rows.
+The boundary rows are bem.p0_test_rows of the BemMatrices that the
+coupled solver reads: those of V, of H = (1/2)M - K and of the data term
+<(1/2 - K) u0, psi>, which the DPG coupling's boundary block shares.
 """
 
 from dataclasses import dataclass
@@ -57,12 +57,6 @@ class JnSystem:
     rhs_phi: np.ndarray
     mesh: object
     loop: object
-
-
-def p0_test_rows(matrix_2p):
-    """Sum the two discontinuous-P1 test rows of each panel, yielding the
-    panelwise-constant test rows (P0(Gamma) = sum of the P1 hat pair)."""
-    return matrix_2p[0::2] + matrix_2p[1::2]
 
 
 def _p1_stiffness(mesh):
@@ -100,23 +94,18 @@ def assemble_jn(mesh, data, bem_mats=None):
     h, vid = loop.lengths, loop.vertex_ids
 
     # <(1/2 - K) u, psi> and <V phi, psi> with panelwise-constant tests
-    B = p0_test_rows(bem_mats.half_minus_k())        # (P, P) vertex cols
-    W = p0_test_rows(bem_mats.V_ps)                  # (P, P)
+    B = bem_mod.p0_test_rows(bem_mats.H)             # (P, P) vertex cols
+    W = bem_mod.p0_test_rows(bem_mats.V_ps)          # (P, P)
 
     rhs = _p1_load(mesh, data.f)
     rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
                                       spaces.DATA_LEVELS)
-    x, y = rule[0][..., 0], rule[0][..., 1]
     # <phi0, v>_Gamma against the boundary hats
     tail, head = spaces.hat_moments(rule,
                                     spaces.normal_flux(loop, data.phi0, rule))
     np.add.at(rhs, vid, tail)
     np.add.at(rhs, np.roll(vid, -1), head)
-    # <(1/2 - K) u0, psi>: mass part directly, kernel part via projection
-    u0v = data.u0(x, y)
-    u0_hat = spaces.project_boundary_p1(loop, *spaces.hat_moments(rule, u0v))
-    rhs_phi = (0.5 * (rule[1] * u0v).sum(axis=1)
-               - p0_test_rows(bem_mats.K_up) @ u0_hat)
+    rhs_phi = bem_mod.p0_test_rows(bem_mats.half_minus_k_load(data.u0, rule))
 
     # g g^T with g = (<1, (1/2-K) hat_j>, <1, V chi_q>) lives on the
     # boundary vertices and the panels only

@@ -8,7 +8,8 @@ are the per-cell loops that built the vertex and triangle arrays of
 `make_square_mesh` and `make_lshape_mesh`.
 
 `sparse_B` scatters a `dpg_assembly.BlockOperator` into the global CSR
-matrix B, as `assemble_B` once returned it.  `gram_solve_matrix` is the
+matrix B, as `assemble_B` once returned it, with the dense 2P x 2P
+boundary block of `boundary_block` that the BlockOperator once kept.  `gram_solve_matrix` is the
 original per-block loop for G^{-1} B on that CSR matrix: it gathers each
 Gram block's rows of B into a dense matrix over the union of their
 columns, solves, and scatters back.  `normal_equations` forms the full
@@ -27,7 +28,10 @@ rows of B, and `gram_apply` multiplies a vector by the block test Gram.
 `ElementPipeline` is the same DPG operator computed element by element,
 as it was before the classes: the signed B blocks, the test Grams, the
 products B_T^T G_T^{-1} [B_T | ell_T], the field condensation, B @ x and
-the energy error.  The class path must reproduce it exactly.
+the energy error.  The class path must reproduce it exactly.  Its
+boundary product is the W formula W[:, :-1]^T W, W = L^{-1} [B_G | ell_G],
+which `dpg_assembly` once used; the P0 rows that replaced it must match
+it to rounding.
 `signed_blocks` and `expand_products` expand class blocks and class
 products to one per element, and `p1_stiffness` gives the classical
 coupling's stiffness blocks formed element by element.
@@ -236,6 +240,14 @@ def refine_uniform(mesh):
                       np.array(tris, dtype=int))
 
 
+def boundary_block(B):
+    """The dense boundary block [V_ps D | H] (2P, 2P) of a BlockOperator
+    on its gamma_cols, D = diag(loop.signs): a global flux dof s_e
+    restricts to sign * s_e on Gamma."""
+    return np.column_stack([B.bem.V_ps * B.bem.loop.signs[None, :],
+                            B.bem.H])
+
+
 def sparse_B(B):
     """The global CSR matrix of a BlockOperator (rows: test dofs,
     columns: trial dofs), explicit zeros included."""
@@ -250,7 +262,7 @@ def sparse_B(B):
     n = B.gamma_cols.size
     rb = np.repeat(18 * ntri + np.arange(n), n)
     return scipy.sparse.coo_matrix(
-        (np.concatenate([local.ravel(), B.gamma.ravel()]),
+        (np.concatenate([local.ravel(), boundary_block(B).ravel()]),
          (np.concatenate([r, rb]),
           np.concatenate([c, np.tile(B.gamma_cols, n)]))),
         shape=B.shape).tocsr()
@@ -440,11 +452,14 @@ class ElementPipeline:
                 vec[18 * nt:])
 
     def apply_B(self, x):
-        """B @ x."""
+        """B @ x; the boundary rows as the BlockOperator forms them."""
         x = np.asarray(x, dtype=float)
         y = np.einsum("tij,tj->ti", self.local, x[self.B.cols])
-        return np.concatenate([y[:, :6].ravel(), y[:, 6:].ravel(),
-                               self.B.gamma @ x[self.B.gamma_cols]])
+        xg, P = x[self.B.gamma_cols], self.bem.loop.num_panels
+        return np.concatenate([
+            y[:, :6].ravel(), y[:, 6:].ravel(),
+            self.bem.V_ps @ (self.bem.loop.signs * xg[:P])
+            + self.bem.H @ xg[P:]])
 
     def quadratic(self, vec):
         """vec . G^{-1} vec, with the inverse of each element's own Gram
@@ -472,15 +487,16 @@ class ElementPipeline:
         a += np.swapaxes(bt, 1, 2) @ st
         # the boundary block through W = L^{-1} [B_G | ell_G]
         w = scipy.linalg.solve_triangular(
-            self.bem.G_psi_chol, np.column_stack([self.B.gamma, eg]),
+            self.bem.G_psi_chol, np.column_stack([boundary_block(self.B), eg]),
             lower=True)
         return a, w[:, :-1].T @ w
 
-    def normal_equations(self, ell):
+    def normal_equations(self, ell, g):
         """(S, c, recover) as `build_normal_equations` returns them, with
-        the field condensation done per element."""
+        the field condensation done per element, on the boundary product
+        g (2P, 2P + 1)."""
         B = self.B
-        a, g = self.gram_products(ell)
+        a = self.gram_products(ell)[0]
         Y = np.linalg.solve(a[:, :3, :3], a[:, :3, 3:])
         loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:9], Y)
         nf = 3 * self.local.shape[0]
@@ -717,7 +733,8 @@ def assemble_bem_analytic(loop, quad_order=8):
         M[2 * i + 1, int(nxt[i])] = lengths[i] / 3.0
 
     Vps = G[:, 0::2] + G[:, 1::2]
-    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G)
+    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, H=0.5 * M - K,
+                           G_psi=G)
 
 
 def assemble_bem(loop):
@@ -779,7 +796,8 @@ def assemble_bem(loop):
     M[2 * idx + 1, idx] = lengths / 6.0
     M[2 * idx + 1, nxt] = lengths / 3.0
     Vps = G[:, 0::2] + G[:, 1::2]
-    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, M_up=M, G_psi=G)
+    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, H=0.5 * M - K,
+                           G_psi=G)
 
 
 def tensor_gauss_blocks(loop, order):
@@ -1034,8 +1052,8 @@ def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
     C = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nv, P))
 
     # <(1/2 - K) u, psi> and <V phi, psi> with panelwise-constant tests
-    D_bd = jn.p0_test_rows(bem_mats.half_minus_k())  # (P, P) vertex cols
-    V00 = jn.p0_test_rows(bem_mats.V_ps)             # (P, P)
+    D_bd = bem.p0_test_rows(bem_mats.H)              # (P, P) vertex cols
+    V00 = bem.p0_test_rows(bem_mats.V_ps)            # (P, P)
     rr = np.repeat(np.arange(P), P)
     D = scipy.sparse.coo_matrix(
         (D_bd.ravel(), (rr, np.tile(loop.vertex_ids, P))), shape=(P, nv))
@@ -1056,7 +1074,7 @@ def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
     mass_u0 = (wl * u0v).sum(axis=1)
     u0_hat = spaces.project_boundary_p1(
         loop, *spaces.hat_moments((pts, wl, t), u0v))
-    K00 = jn.p0_test_rows(bem_mats.K_up)
+    K00 = bem.p0_test_rows(bem_mats.K_up)
     rhs[nv:] = 0.5 * mass_u0 - K00 @ u0_hat
 
     if stabilized:

@@ -265,7 +265,7 @@ def test_matrix_shapes(square_loop, square_bem):
     P = square_loop.num_panels
     assert square_bem.V_ps.shape == (2 * P, P)
     assert square_bem.K_up.shape == (2 * P, P)
-    assert square_bem.M_up.shape == (2 * P, P)
+    assert square_bem.H.shape == (2 * P, P)
     assert square_bem.G_psi.shape == (2 * P, 2 * P)
 
 
@@ -292,20 +292,26 @@ def test_kup_consistent_with_pair_integrals(square_loop, square_bem):
     assert np.allclose(K, square_bem.K_up, atol=1e-14)
 
 
+def mass_matrix(mats):
+    """The hat mass matrix M from H = (1/2) M - K_up."""
+    return 2.0 * (mats.H + mats.K_up)
+
+
 def test_half_minus_k_preserves_constants(square_bem):
     # D(1) = -1 inside the domain, so (1/2 - K) 1 = 1 on the boundary:
     # the Galerkin rows against any psi must reproduce the mass of psi.
     P = square_bem.loop.num_panels
-    lhs = square_bem.half_minus_k() @ np.ones(P)
-    rhs = square_bem.M_up @ np.ones(P)
+    lhs = square_bem.H @ np.ones(P)
+    rhs = mass_matrix(square_bem) @ np.ones(P)
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
 def test_mass_matrix_values(square_loop, square_bem):
     h = square_loop.lengths[0]
-    assert square_bem.M_up[0, 0] == pytest.approx(h / 3.0)
-    assert square_bem.M_up[1, 0] == pytest.approx(h / 6.0)
-    assert square_bem.M_up.sum() == pytest.approx(square_loop.lengths.sum())
+    M = mass_matrix(square_bem)
+    assert M[0, 0] == pytest.approx(h / 3.0)
+    assert M[1, 0] == pytest.approx(h / 6.0)
+    assert M.sum() == pytest.approx(square_loop.lengths.sum())
 
 
 def level_loops(domain, levels):
@@ -318,7 +324,7 @@ def level_loops(domain, levels):
     return loops
 
 
-BEM_FIELDS = ("V_ps", "K_up", "M_up", "G_psi", "G_psi_chol")
+BEM_FIELDS = ("V_ps", "K_up", "H", "G_psi", "G_psi_chol")
 
 
 @pytest.mark.parametrize("domain, levels", [("square", 5), ("lshape", 6)],

@@ -180,6 +180,16 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert code == 3
     capsys.readouterr()
 
+    # a stage that runs out of memory ends in one line, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.solver, "solve_dpg", exhausted)
+    code = cli.main(["--domain", "square", "--levels", "2"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "out of memory: try fewer --levels"
+
 
 def test_main_rejects_bad_out_before_first_level(tmp_path, monkeypatch,
                                                   capsys):

@@ -157,8 +157,13 @@ def check_against_element_oracle(mesh, domain):
     assert np.array_equal(G.Gv[G.cls], E.Gv)
     assert np.array_equal(G.Gtau[G.cls], E.Gtau)
     assert B.nnz == 162 * mesh.num_triangles + B.gamma_cols.size ** 2
+    # the boundary block from the P0 rows against the W formula; the rest
+    # of the pipeline is compared exactly, on the production block
+    g = dpg_assembly._gram_products(B, G, ell)[2]
+    g0 = E.gram_products(ell)[1]
+    assert np.abs(g - g0).max() <= 1e-15 * np.abs(g0).max()
     S, c, recover = dpg_assembly.build_normal_equations(B, G, ell)
-    S0, c0, recover0 = E.normal_equations(ell)
+    S0, c0, recover0 = E.normal_equations(ell, g)
     assert np.array_equal(S.indptr, S0.indptr)
     assert np.array_equal(S.indices, S0.indices)
     assert np.array_equal(S.data, S0.data)
@@ -189,6 +194,37 @@ def test_geometry_classes_match_element_oracle_jittered(domain):
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_boundary_sighat_rows_are_classical_p0_rows(domain):
+    # G_psi^{-1} V_ps = E, so the sighat rows of the boundary block need no
+    # solve: they are the classical coupling's unstabilized P0 rows of V
+    # and of H = (1/2) M - K, with the loop signs applied
+    mesh = cli_level_mesh(domain, 2)
+    data, _ = cli.manufacture_data(domain)
+    mats, _, _, blocks = assemble_all(mesh, data)
+    g = dpg_assembly._gram_products(blocks.B, blocks.G, blocks.ell)[2]
+    jn = _oracles.jn_full_system(mesh, data, stabilized=False,
+                                 bem_mats=mats).matrix.toarray()
+    nv, P = mesh.num_vertices, mats.loop.num_panels
+    s = mats.loop.signs
+    assert np.any(s < 0) and np.any(s > 0)
+    assert np.array_equal(g[:P, :P], s[:, None] * jn[nv:, nv:] * s)
+    H = s[:, None] * jn[nv:, mats.loop.vertex_ids]
+    assert np.array_equal(g[:P, P:-1], H)
+    assert np.array_equal(g[P:, :P], H.T)
+
+
+def test_boundary_rows_of_B_match_dense_block():
+    mesh = cli_level_mesh("lshape", 2)
+    data, _ = cli.manufacture_data("lshape")
+    _, _, _, blocks = assemble_all(mesh, data)
+    B = blocks.B
+    x = np.random.default_rng(3).standard_normal(B.shape[1])
+    ref = _oracles.boundary_block(B) @ x[B.gamma_cols]
+    got = (B @ x)[18 * mesh.num_triangles:]
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_uniform_meshes_have_few_geometry_classes(domain):
     # measured: 166 classes of 8192 elements on the square, 6 of 6144 on
     # the L-shape
@@ -209,9 +245,27 @@ def test_assemble_B_peak_memory_within_its_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(v.nbytes for v in (B.local, B.cls, B.signs, B.cols, B.gamma,
+    kept = sum(v.nbytes for v in (B.local, B.cls, B.signs, B.cols,
                                   B.gamma_cols))
     assert peak <= 2.5 * kept
+
+
+def test_energy_error_peak_memory_within_chunks():
+    # B @ x and the Gram solve gather their class blocks ELEMENT_CHUNK
+    # elements at a time; one gather over all T elements of the
+    # (12, 12) H(div) inverses alone is 144 T doubles
+    mesh = cli_level_mesh("square", 5)
+    data, _ = cli.manufacture_data("square")
+    _, _, _, blocks = assemble_all(mesh, data)
+    x = np.random.default_rng(9).standard_normal(blocks.B.shape[1])
+    blocks.G.bem.G_psi_chol
+    tracemalloc.start()
+    try:
+        solver.energy_error(blocks, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 144 * 8 * mesh.num_triangles
 
 
 def test_load_zero_data():
@@ -251,7 +305,7 @@ def test_load_constant_u0_linearity():
     mesh = make_square_mesh(0.1, 2)
     mats, _, test, blocks = assemble_all(mesh, constant_data(c))
     psi_rows = blocks.ell[18 * mesh.num_triangles:]
-    expected = c * (mats.half_minus_k() @ np.ones(mats.loop.num_panels))
+    expected = c * (mats.H @ np.ones(mats.loop.num_panels))
     assert np.allclose(psi_rows, expected, atol=1e-13)
 
 
@@ -340,7 +394,7 @@ def test_boundedness_surrogate_regression():
         cols = np.repeat(T[:, None, :], 3, axis=1).ravel()
         M1 = scipy.sparse.coo_matrix(
             (np.einsum("t,ij->tij", areas, mloc).ravel(), (rows, cols))).tocsr()
-        V00 = jn_reference.p0_test_rows(mats.V_ps)
+        V00 = bem.p0_test_rows(mats.V_ps)
         nt = trial.n_tri
 
         def surrogate(uvec):

@@ -43,8 +43,8 @@ def test_stabilization_is_rank_one_from_column_sums():
     nv = mesh.num_vertices
     g = np.zeros(nv + loop.num_panels)
     np.add.at(g[:nv], loop.vertex_ids,
-              jn.p0_test_rows(mats.half_minus_k()).sum(axis=0))
-    g[nv:] = jn.p0_test_rows(mats.V_ps).sum(axis=0)
+              bem.p0_test_rows(mats.H).sum(axis=0))
+    g[nv:] = bem.p0_test_rows(mats.V_ps).sum(axis=0)
     assert np.allclose(diff, np.outer(g, g), atol=1e-14)
 
 
