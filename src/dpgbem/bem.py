@@ -404,26 +404,17 @@ def assemble_bem(loop):
 # potential evaluation
 # ----------------------------------------------------------------------
 
-def _as_p1_coefs(density, P):
-    density = np.asarray(density, dtype=float)
-    if density.shape == (P,):
-        return np.repeat(density[:, None], 2, axis=1)
-    if density.shape == (P, 2):
-        return density
-    raise ValueError("density must have shape (P,) or (P, 2)")
-
-
 def eval_layers(loop, slp_density, dlp_density, points):
-    """Single-layer potential of slp_density and double-layer potential
-    of dlp_density at the same points, from one pass of the fused
-    kernel.  A density is (P,) panel constants or (P, 2) panelwise-linear
-    endpoint values.  On the boundary itself both are principal values
-    (own / collinear panels drop out of the double layer)."""
-    inner = _layer_basis(np.asarray(points, dtype=float), loop.points_a,
-                         loop.points_b, loop.lengths)
-    return tuple(np.einsum("...jb,jb->...", k,
-                           _as_p1_coefs(d, loop.num_panels))
-                 for k, d in zip(inner, (slp_density, dlp_density)))
+    """Single-layer potential of the panel constants slp_density (P,) and
+    double-layer potential of the panelwise-linear endpoint values
+    dlp_density (P, 2) at the points (n, 2), from one pass of the fused
+    kernel.  On the boundary itself both are principal values (own /
+    collinear panels drop out of the double layer)."""
+    slp, dlp = _layer_basis(points, loop.points_a, loop.points_b,
+                            loop.lengths)
+    return (np.einsum("...jb,jb->...", slp,
+                      np.repeat(slp_density[:, None], 2, axis=1)),
+            np.einsum("...jb,jb->...", dlp, dlp_density))
 
 
 def hat_trace_coefs(loop, vertex_values):
@@ -435,17 +426,12 @@ def hat_trace_coefs(loop, vertex_values):
 
 
 def point_location(loop, points):
-    """Classify points as 'interior', 'exterior' or 'boundary'.
-
-    points is one point (2,), which gives a str, or (n, 2), which gives
-    an (n,) array of labels."""
-    points = np.asarray(points, dtype=float)
-    u, v = _local_coords(np.atleast_2d(points), loop.points_a, loop.points_b,
-                         loop.lengths)
+    """Classify the points (n, 2) as 'interior', 'exterior' or 'boundary';
+    returns an (n,) array of labels."""
+    u, v = _local_coords(points, loop.points_a, loop.points_b, loop.lengths)
     h = loop.lengths
     dist = np.sqrt((u - np.clip(u, 0.0, h)) ** 2 + v ** 2).min(axis=-1)
     winding = -_panel_angle(u, v, h).sum(axis=-1) / TWO_PI
     on = dist <= ON_BOUNDARY_TOL * float(h.max())
     inside = np.abs(winding - 1.0) < 0.5
-    loc = np.where(on, "boundary", np.where(inside, "interior", "exterior"))
-    return str(loc[0]) if points.ndim == 1 else loc
+    return np.where(on, "boundary", np.where(inside, "interior", "exterior"))

@@ -46,9 +46,9 @@ MAX_LEVELS = 9  # largest accepted --levels; a fixed cap, not a memory check
 @dataclass
 class ExperimentConfig:
     domain: str
-    levels: int = 5
-    solver: str = "dpg"
-    output_path: Optional[str] = None
+    levels: int
+    solver: str
+    output_path: Optional[str]
 
     def validate(self):
         if self.domain not in DOMAINS:
@@ -191,19 +191,18 @@ def run_convergence(config, progress=None):
         rec = ConvergenceRecord(level, mesh.num_triangles, mesh.mesh_size())
         # the main file reports the DPG coupling's measures whenever it runs
         if config.solver != "jn":
-            sol, blocks = solver.solve_dpg(mesh, data, bem_mats=bem_mats)
-            rec.err_energy_sq = solver.energy_error(blocks, sol) ** 2
-            eu, es = solver.l2_errors(sol, exact.u, exact.grad, mesh,
-                                      singular_vertex=sv)
+            sol, blocks = solver.solve_dpg(mesh, data, bem_mats)
+            rec.err_energy_sq = solver.energy_error(blocks, sol.x) ** 2
+            eu, es = solver.l2_errors(sol, exact.u, exact.grad, mesh, sv)
             etr, efl = solver.boundary_cauchy_errors(sol)
             rec.probe_values = tuple(float(v) for v in
                                      solver.eval_exterior_field(sol, probes))
             dims = (sol.trial_layout.dim, blocks.B.shape[0])
         if config.solver != "dpg":
-            system = jn_reference.assemble_jn(mesh, data, bem_mats=bem_mats)
+            system = jn_reference.assemble_jn(mesh, data, bem_mats)
             u_n, phi = jn_reference.solve_jn(system)
             eu_j, es_j = jn_reference.jn_errors(mesh, u_n, exact.u, exact.grad,
-                                                singular_vertex=sv)
+                                                sv)
             etr_j, efl_j = jn_reference.jn_boundary_errors(loop, u_n, phi,
                                                            data)
             rec.jn_err_trace_l2 = etr_j

@@ -28,7 +28,8 @@ from .errors import NumericalError
 from .mesh import element_map
 
 # elements per chunk where a class block is gathered per element (B @ x,
-# BlockGram.solve_vec): a memory bound, not a tuning option
+# BlockGram.solve_vec, the load columns of _gram_products): a memory
+# bound, not a tuning option
 ELEMENT_CHUNK = 4096
 
 
@@ -259,7 +260,8 @@ def assemble_load(mesh, data, bem_mats):
     # u0 and phi0 on one boundary rule
     rule = spaces.boundary_quadrature(bem_mats.loop, spaces.PANEL_ORDER,
                                       spaces.DATA_LEVELS)
-    phi0_p0 = spaces.project_boundary_p0_flux(bem_mats.loop, data.phi0, rule)
+    phi0_p0 = spaces.panel_means(
+        bem_mats.loop, rule, spaces.normal_flux(bem_mats.loop, data.phi0, rule))
 
     # the H(div) block is zero: the second equation has no load
     return np.concatenate([
@@ -297,11 +299,14 @@ def _gram_products(B, G, ell):
     bvT, btT = np.swapaxes(bv, 1, 2), np.swapaxes(bt, 1, 2)
     a = bvT @ np.linalg.solve(G.Gv, bv)
     a += btT @ np.linalg.solve(G.Gtau, bt)
-    # the load columns, on the elements whose block of ell is not zero
+    # the load columns, on the elements whose block of ell is not zero,
+    # ELEMENT_CHUNK of them at a time
     b = np.zeros((B.cls.size, 9))
     t = np.flatnonzero(ev.any(axis=1))
-    z = np.linalg.solve(G.Gv[G.cls[t]], _two_columns(ev[t]))
-    b[t] = (bvT[B.cls[t]] @ z)[..., 0]
+    for k in range(0, t.size, ELEMENT_CHUNK):
+        e = t[k:k + ELEMENT_CHUNK]
+        z = np.linalg.solve(G.Gv[G.cls[e]], _two_columns(ev[e]))
+        b[e] = (bvT[B.cls[e]] @ z)[..., 0]
     b *= B.signs
     s, H = B.bem.loop.signs[:, None], np.column_stack([B.bem.H, eg])
     P = s.size

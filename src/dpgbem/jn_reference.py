@@ -34,7 +34,7 @@ import scipy.sparse
 from . import bem as bem_mod
 from . import spaces
 from .errors import NumericalError
-from .mesh import REF_HAT_GRADS, boundary_loop, element_map
+from .mesh import REF_HAT_GRADS, element_map
 from .solver import (direct_solve, field_errors, nested_dissection,
                      trace_error)
 
@@ -83,13 +83,12 @@ def _panels_to_hats(h, X):
     return Y + np.roll(Y, 1, axis=0)
 
 
-def assemble_jn(mesh, data, bem_mats=None):
+def assemble_jn(mesh, data, bem_mats):
     """Assemble the coupling system for the given transmission data
     (mapped as in the equivalence with the ultra-weak formulation:
     volume source f, boundary terms phi0 and (1/2 - K)u0), with phi
-    eliminated.  An indefinite panel block raises NumericalError."""
-    if bem_mats is None:
-        bem_mats = bem_mod.assemble_bem(boundary_loop(mesh))
+    eliminated; bem_mats are the boundary matrices of the mesh's
+    boundary loop.  An indefinite panel block raises NumericalError."""
     loop = bem_mats.loop
     h, vid = loop.lengths, loop.vertex_ids
 
@@ -154,7 +153,7 @@ def solve_jn(system):
     return u, phi
 
 
-def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex=None):
+def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex):
     """L2 error of the P1 interior solution and of its elementwise
     gradient; companion of the coupled solver's field errors."""
     uloc = u_nodal[mesh.triangles]

@@ -131,10 +131,6 @@ class Mesh:
         _, _, Jinv = self.element_map()
         return np.einsum("id,tdc->tic", REF_HAT_GRADS, Jinv)
 
-    def areas(self):
-        """Signed triangle areas (positive by construction), shape (T,)."""
-        return 0.5 * self.element_map()[1]
-
     def edge_midpoints(self):
         """Midpoint of every edge, shape (E, 2)."""
         return self.vertices[self.edges].mean(axis=1)
@@ -155,8 +151,9 @@ def build_mesh(vertices, triangles):
     Raises
     ------
     MeshError
-        On non-positive triangle areas, non-manifold edges, a boundary that
-        is not a single closed loop, or a domain of diameter >= 1.
+        On a vertex coordinate that is not finite, a vertex index outside
+        [0, V), non-positive triangle areas, non-manifold edges, a boundary
+        that is not a single closed loop, or a domain of diameter >= 1.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=int)
@@ -164,6 +161,10 @@ def build_mesh(vertices, triangles):
         raise MeshError("vertices must have shape (V, 2)")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError("triangles must have shape (T, 3)")
+    if not np.isfinite(vertices).all():
+        raise MeshError("vertex coordinates must be finite")
+    if np.any((triangles < 0) | (triangles >= vertices.shape[0])):
+        raise MeshError("vertex index outside [0, V)")
 
     detJ = element_map(vertices[triangles])[1]
     if np.any(detJ <= 0.0):
@@ -252,9 +253,9 @@ def _walk_boundary(bnd, tails, heads, signs):
 
 
 def _check_grid(domain, name, size, n):
-    if n < 1 or int(n) != n:
+    if not (np.isfinite(n) and n >= 1 and int(n) == n):
         raise MeshError("n must be a positive integer")
-    if size <= 0.0:
+    if not size > 0.0:
         raise MeshError("{} must be positive".format(name))
     if 2.0 * np.sqrt(2.0) * size >= 1.0:
         raise MeshError("{} with {} {:.6g} has diameter >= 1"
@@ -343,22 +344,17 @@ class BoundaryLoop:
 
 
 def boundary_loop(mesh):
-    """Assemble the ordered boundary loop of a mesh as panel data.
-
-    The outward normal of every panel is n = (t_y, -t_x) for the
-    counterclockwise tangent t.
+    """The ordered boundary loop of a mesh as panel data, read from its
+    boundary edges.  The outward normal of every panel is its edge normal
+    times the boundary sign, n = (t_y, -t_x) for the counterclockwise
+    tangent t.
     """
     e = mesh.boundary_edges
     tails = mesh.boundary_tails
-    heads_idx = mesh.edges[e]
-    heads = np.where(heads_idx[:, 0] == tails, heads_idx[:, 1], heads_idx[:, 0])
-    pa = mesh.vertices[tails]
-    pb = mesh.vertices[heads]
-    tang = pb - pa
-    lengths = np.hypot(tang[:, 0], tang[:, 1])
-    tang = tang / lengths[:, None]
-    normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    return BoundaryLoop(points_a=pa, points_b=pb, normals=normals,
-                        lengths=lengths, edge_ids=e.copy(),
-                        signs=mesh.boundary_signs.copy(),
-                        vertex_ids=tails.copy())
+    signs = mesh.boundary_signs
+    return BoundaryLoop(
+        points_a=mesh.vertices[tails],
+        points_b=mesh.vertices[mesh.edges[e].sum(axis=1) - tails],
+        normals=signs[:, None] * mesh.edge_normals[e],
+        lengths=mesh.edge_lengths[e], edge_ids=e.copy(), signs=signs.copy(),
+        vertex_ids=tails.copy())

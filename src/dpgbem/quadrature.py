@@ -29,7 +29,7 @@ def gauss01(n):
 
 
 @_rule
-def graded01(order, levels, end=0):
+def graded01(order, levels, end):
     """Composite Gauss rule on [0, 1], dyadically graded toward one endpoint.
 
     Subdivides [0, 1] at 2^-1, 2^-2, ..., 2^-levels (measured from the
@@ -77,12 +77,11 @@ def triangle_degree4():
 
 
 @_rule
-def triangle_duffy(n, collapse=2):
+def triangle_duffy(n):
     """Collapsed tensor-Gauss rule on the reference triangle.
 
     Exact for polynomials of total degree <= 2n - 2; points cluster toward
-    the collapse vertex (local index 0, 1 or 2), which also makes the rule
-    effective for integrable point singularities located there.
+    the collapsed vertex, local index 2.
     """
     a, wa = gauss01(n)
     b, wb = gauss01(n)
@@ -90,13 +89,13 @@ def triangle_duffy(n, collapse=2):
     x = (A * (1.0 - B)).ravel()
     y = B.ravel()
     w = (np.outer(wa, wb) * (1.0 - B)).ravel()
-    return _move_collapse(x, y, w, collapse)
+    return _move_collapse(x, y, w, 2)
 
 
 @_rule
-def triangle_corner_rule(order=8, levels=16, collapse=2):
+def triangle_corner_rule(order, levels, collapse):
     """High-accuracy rule for integrands with a fractional-power singularity
-    at one vertex: Duffy collapse combined with dyadic grading toward it."""
+    at the vertex collapse (0, 1 or 2): Duffy collapse and dyadic grading."""
     a, wa = gauss01(order)
     b, wb = graded01(order, levels, end=1)
     A, B = np.meshgrid(a, b, indexing="ij")

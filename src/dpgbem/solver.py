@@ -16,7 +16,6 @@ import scipy.sparse.linalg
 from . import bem as bem_mod
 from . import dpg_assembly, quadrature, spaces
 from .errors import NumericalError
-from .mesh import boundary_loop
 
 # nested_dissection stops bisecting parts of at most this many dofs
 ND_LEAF_SIZE = 32
@@ -35,29 +34,28 @@ class Solution:
     """
 
     mesh: object
-    trial_layout: object
     data: object
     loop: object
     x: np.ndarray
-    trace_c: np.ndarray = field(default=None)
-    flux_c: np.ndarray = field(default=None)
+    trial_layout: object = field(init=False, repr=False)
+    trace_c: np.ndarray = field(init=False, repr=False)
+    flux_c: np.ndarray = field(init=False, repr=False)
     rule: tuple = field(init=False, repr=False)
     phi0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.trial_layout = spaces.TrialDofLayout.from_mesh(self.mesh)
         if self.x.shape != (self.trial_layout.dim,):
             raise ValueError("coefficient vector does not match layout")
         loop = self.loop
-        if self.trace_c is None:
-            verts = self.mesh.vertices[loop.vertex_ids]
-            self.trace_c = (self.uhat[loop.vertex_ids]
-                            - self.data.u0(verts[:, 0], verts[:, 1]))
+        verts = self.mesh.vertices[loop.vertex_ids]
+        self.trace_c = (self.uhat[loop.vertex_ids]
+                        - self.data.u0(verts[:, 0], verts[:, 1]))
         self.rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
                                                spaces.ERROR_LEVELS)
         self.phi0 = spaces.normal_flux(loop, self.data.phi0, self.rule)
-        if self.flux_c is None:
-            self.flux_c = (loop.signs * self.sighat[loop.edge_ids]
-                           - spaces.panel_means(loop, self.rule, self.phi0))
+        self.flux_c = (loop.signs * self.sighat[loop.edge_ids]
+                       - spaces.panel_means(loop, self.rule, self.phi0))
 
     @property
     def sigma(self):
@@ -266,19 +264,18 @@ def solve_spd(A, b):
     return x
 
 
-def energy_error(blocks, solution):
-    """Dual-norm residual sqrt(r^T G^{-1} r), r = ell - B u_h, measured in
-    the enriched test space."""
-    x = solution.x if isinstance(solution, Solution) else np.asarray(solution)
+def energy_error(blocks, x):
+    """Dual-norm residual sqrt(r^T G^{-1} r), r = ell - B x, of a trial
+    vector x, measured in the enriched test space."""
     r = blocks.ell - blocks.B @ x
     return float(np.sqrt(max(blocks.G.quadratic(r), 0.0)))
 
 
 def _error_rules(singular_vertex, mesh):
     """Field-error quadrature as (triangle indices, rule) groups: degree 6
-    on every element, except that elements touching singular_vertex (if
-    given) use a rule graded toward it, which resolves fractional-power
-    gradient singularities there."""
+    on every element, except that elements touching singular_vertex (a
+    point, or None) use a rule graded toward it, which resolves
+    fractional-power gradient singularities there."""
     base = quadrature.triangle_duffy(4)  # degree 6
     if singular_vertex is None:
         return [(np.arange(mesh.num_triangles), base)]
@@ -292,8 +289,7 @@ def _error_rules(singular_vertex, mesh):
     return groups
 
 
-def field_errors(mesh, exact_u, exact_grad, u_h, grad_h,
-                 singular_vertex=None):
+def field_errors(mesh, exact_u, exact_grad, u_h, grad_h, singular_vertex):
     """L2(Omega) errors (err_u, err_grad) of a discrete scalar field and a
     piecewise-constant vector field against an exact solution.
 
@@ -327,11 +323,11 @@ def trace_error(loop, rule, vertex_vals, exact_u):
     return float(np.sqrt((wl * d ** 2).sum()))
 
 
-def l2_errors(solution, exact_u, exact_grad, mesh, singular_vertex=None):
+def l2_errors(solution, exact_u, exact_grad, mesh, singular_vertex):
     """L2(Omega) errors of the field variables: (err_u, err_sigma).
 
     Elementwise quadrature of degree >= 6; elements touching
-    singular_vertex (if given) use a graded rule that resolves
+    singular_vertex (a point, or None) use a graded rule that resolves
     fractional-power gradient singularities there.
     """
     u = solution.u
@@ -373,15 +369,14 @@ def piecewise_linear_boundary_norm(loop, vertex_vals):
     return float(np.sqrt((loop.lengths * (a * a + a * b + b * b) / 3.0).sum()))
 
 
-def solve_dpg(mesh, data, bem_mats=None):
-    """Assemble and solve the coupled DPG system on a mesh, with the field
+def solve_dpg(mesh, data, bem_mats):
+    """Assemble and solve the coupled DPG system on a mesh, with the
+    boundary matrices bem_mats of its boundary loop and the field
     unknowns condensed out element by element.  The skeleton system is
     solved in nested-dissection order, its boundary dofs last.
 
     Returns (solution, blocks); blocks are needed for the energy error.
     """
-    if bem_mats is None:
-        bem_mats = bem_mod.assemble_bem(boundary_loop(mesh))
     blocks = dpg_assembly.assemble_operator_blocks(mesh, bem_mats, data)
     S, c, recover = dpg_assembly.build_normal_equations(blocks.B, blocks.G,
                                                         blocks.ell)
@@ -394,7 +389,5 @@ def solve_dpg(mesh, data, bem_mats=None):
     S = S[perm][:, perm]
     y = np.empty_like(c)
     y[perm] = solve_spd(S, c[perm])
-    sol = Solution(mesh=mesh,
-                   trial_layout=spaces.TrialDofLayout.from_mesh(mesh),
-                   data=data, loop=bem_mats.loop, x=recover(y))
+    sol = Solution(mesh=mesh, data=data, loop=bem_mats.loop, x=recover(y))
     return sol, blocks

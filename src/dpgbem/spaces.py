@@ -171,12 +171,6 @@ def panel_means(loop, rule, vals):
     return (rule[1] * vals).sum(axis=1) / loop.lengths
 
 
-def project_boundary_p0_flux(loop, fn, rule):
-    """Panelwise means of a normal-flux function fn(x, y, nx, ny), taken
-    with the outward panel normal, by the rule of boundary_quadrature."""
-    return panel_means(loop, rule, normal_flux(loop, fn, rule))
-
-
 def hat_moments(rule, vals):
     """Integrals of values at the nodes of a boundary_quadrature rule
     against the tail and the head hat of each panel, each (P,)."""

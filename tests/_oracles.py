@@ -42,7 +42,7 @@ panel pair, and `eval_potentials` evaluates layer potentials of callable
 densities by adaptive panel subdivision.  Tests check the analytic
 formulas and the assembled matrices of `dpgbem.bem` against them.
 `slp_inner` and `dlp_inner` are the separate single- and double-layer
-panel integrals (five logarithms and three angles per point and panel)
+panel integrals (six logarithms and three angles per point and panel)
 that the fused `dpgbem.bem._layer_inner` must match to rounding.
 `eval_single_layer` and `eval_double_layer` take one layer each from
 `dpgbem.bem.eval_layers`, and `distance_to_boundary` measures the
@@ -69,7 +69,10 @@ boundary rule (`COMPAT_ORDER`, `COMPAT_LEVELS`).
 (element means, vertex values, edge-mean fluxes), and `eval_trace_p1` is
 the linear Lagrange basis on an edge.
 
-`dump_mesh` writes a mesh as plain text.
+`dump_mesh` writes a mesh as plain text.  `mesh_bem` assembles the
+boundary matrices of a mesh, which the stage functions take, and
+`tangent_loop_geometry` is the boundary panel geometry computed from the
+loop tangents, as `dpgbem.mesh.boundary_loop` once did.
 
 `nested_dissection` is the geometric dissection as `dpgbem.solver`
 first ran it: each level re-sorts every remaining dof by (part, axis
@@ -238,6 +241,26 @@ def refine_uniform(mesh):
                  (mab, mbc, mca)]
     return build_mesh(np.array(vertices, dtype=float),
                       np.array(tris, dtype=int))
+
+
+def mesh_bem(mesh):
+    """The boundary matrices of the mesh's boundary loop, which the solve
+    and assembly stages take; the CLI assembles them once per level."""
+    return bem.assemble_bem(boundary_loop(mesh))
+
+
+def tangent_loop_geometry(mesh):
+    """Head points, lengths and outward normals of the boundary panels
+    from the loop tangents pb - pa, as `dpgbem.mesh.boundary_loop`
+    computed them before it read the mesh's edge data."""
+    e, tails = mesh.boundary_edges, mesh.boundary_tails
+    ends = mesh.edges[e]
+    heads = np.where(ends[:, 0] == tails, ends[:, 1], ends[:, 0])
+    pa, pb = mesh.vertices[tails], mesh.vertices[heads]
+    tang = pb - pa
+    lengths = np.hypot(tang[:, 0], tang[:, 1])
+    tang = tang / lengths[:, None]
+    return pb, lengths, np.stack([tang[:, 1], -tang[:, 0]], axis=1)
 
 
 def boundary_block(B):
@@ -528,7 +551,8 @@ def p1_stiffness(mesh):
     """P1 stiffness blocks (T, 3, 3) formed element by element, as
     `jn_reference._p1_stiffness` did before the geometry classes."""
     g = mesh.hat_gradients()
-    return np.einsum("tic,tjc->tij", g, g) * mesh.areas()[:, None, None]
+    return (np.einsum("tic,tjc->tij", g, g)
+            * (0.5 * mesh.element_map()[1])[:, None, None])
 
 
 @dataclass(frozen=True)
@@ -675,8 +699,9 @@ def dlp_inner(u, v, h):
     Ra = u * u + v * v
     Rb = (h - u) ** 2 + v * v
     ok = (Ra > 0.0) & (Rb > 0.0)
-    lr = np.where(ok, np.log(np.where(ok, Rb / np.where(Ra > 0.0, Ra, 1.0), 1.0)),
-                  0.0)
+    # log Rb - log Ra: the quotient Rb / Ra overflows near a vertex
+    lr = np.where(ok, np.log(np.where(Rb > 0.0, Rb, 1.0))
+                  - np.log(np.where(Ra > 0.0, Ra, 1.0)), 0.0)
     Q0 = theta
     Q1 = 0.5 * v * lr + u * theta
     on_line = (v == 0.0)
@@ -873,17 +898,17 @@ def eval_potentials(loop, density_slp, density_dlp, point, side,
     """Evaluate S(density_slp)(x) + D(density_dlp)(x) at a point off the
     boundary.
 
-    Densities may be panelwise coefficient arrays ((P,) constants or
-    (P, 2) linear endpoint values) or callables f(x, y), which are
-    integrated panelwise with Gauss rules, subdividing panels that are
-    closer to the point than their own length.  A density of None
-    contributes nothing.
+    Densities may be panelwise coefficient arrays ((P,) constants for the
+    single layer, (P, 2) linear endpoint values for the double layer) or
+    callables f(x, y), which are integrated panelwise with Gauss rules,
+    subdividing panels that are closer to the point than their own
+    length.  A density of None contributes nothing.
 
     Raises ValueError if the point lies on the boundary or on the side
     other than the one stated.
     """
     point = np.asarray(point, dtype=float)
-    loc = bem.point_location(loop, point)
+    loc = bem.point_location(loop, point[None])[0]
     if loc == "boundary":
         raise ValueError("evaluation point lies on the boundary")
     if side not in ("interior", "exterior"):
@@ -903,13 +928,16 @@ def eval_potentials(loop, density_slp, density_dlp, point, side,
 
 
 def eval_single_layer(loop, density, points):
-    """Single-layer potential of a panelwise density, see bem.eval_layers."""
-    return bem.eval_layers(loop, density, density, points)[0]
+    """Single-layer potential of panel constants (P,), see
+    bem.eval_layers."""
+    return bem.eval_layers(loop, density, np.zeros((density.size, 2)),
+                           points)[0]
 
 
 def eval_double_layer(loop, density, points):
-    """Double-layer potential of a panelwise density, see bem.eval_layers."""
-    return bem.eval_layers(loop, density, density, points)[1]
+    """Double-layer potential of panel endpoint values (P, 2), see
+    bem.eval_layers."""
+    return bem.eval_layers(loop, np.zeros(len(density)), density, points)[1]
 
 
 def distance_to_boundary(loop, points):
@@ -1104,7 +1132,7 @@ def compatibility_residual(mesh, data):
     phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
     fv = np.broadcast_to(data.f(phys[..., 0], phys[..., 1]),
                          phys[..., 0].shape)
-    vol = float((fv @ w * 2.0 * mesh.areas()).sum())
+    vol = float((fv @ w * mesh.element_map()[1]).sum())
     loop = boundary_loop(mesh)
     bpts, wl, _ = spaces.boundary_quadrature(loop, COMPAT_ORDER,
                                              COMPAT_LEVELS)

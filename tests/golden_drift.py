@@ -4,7 +4,9 @@ Runs `dpgbem --solver both --levels 4` on both domains into a temporary
 directory and prints, per file and float column, the largest relative
 difference from `tests/data/` over all rows, then the largest of all
 against the bound of `test_cli.test_csv_matches_golden_files`.  Integer
-columns must match exactly and are reported only if they do not.
+columns must match exactly and are reported only if they do not.  The
+exit status is 1 if the largest drift exceeds that bound (or a run
+fails), else 0, so that a script can use it as a check.
 
     PYTHONPATH=src python3 tests/golden_drift.py
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/golden_drift.py
@@ -69,7 +71,8 @@ def main():
                     print("{:28s} {:18s} {:.2e}".format(name, col, d))
                     overall = max(overall, d)
     print("largest drift {:.2e} (bound {:.0e})".format(overall, GOLDEN_RTOL))
+    return 1 if overall > GOLDEN_RTOL else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import nquad, quad
 
@@ -193,8 +193,6 @@ def test_fused_layer_kernel_matches_separate_formulas(tail, angle, log_h,
     u = np.concatenate([u, [0.0, h, s * h, s * h, s * h]])
     v = np.concatenate([v, [0.0, 0.0, 0.0, side * h, -side * h]])
     Ra, Rb = u * u + v * v, (h - u) ** 2 + v * v
-    # the separate formulas overflow in Rb / Ra within 1e-150 of a vertex
-    assume(np.all(((Ra == 0.0) | (Ra > 1e-300)) & ((Rb == 0.0) | (Rb > 1e-300))))
     J0, J1, D0, D1 = bem._layer_inner(u, v, h)
     with np.errstate(over="ignore"):   # s / v -> inf, and arctan(inf) is exact
         r0, r1 = _oracles.slp_inner(u, v, h)
@@ -244,7 +242,8 @@ def test_jn_level_never_factors_gpsi():
     mats = bem.assemble_bem(boundary_loop(mesh))
     u, phi = jn_reference.solve_jn(jn_reference.assemble_jn(mesh, data,
                                                             bem_mats=mats))
-    jn_reference.jn_errors(mesh, u, exact.u, exact.grad)
+    jn_reference.jn_errors(mesh, u, exact.u, exact.grad,
+                           cli.singular_vertex("lshape"))
     jn_reference.jn_boundary_errors(mats.loop, u, phi, data)
     assert "G_psi_chol" not in vars(mats)
 
@@ -479,9 +478,9 @@ def dipole_residual_norm(loop, value, gradient):
     dipole Cauchy data."""
     rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
                                       spaces.ERROR_LEVELS)
-    flux = spaces.project_boundary_p0_flux(
+    flux = spaces.panel_means(loop, rule, spaces.normal_flux(
         loop, lambda x, y, nx, ny: sum(g * n for g, n in
-                                       zip(gradient(x, y), (nx, ny))), rule)
+                                       zip(gradient(x, y), (nx, ny))), rule))
     trace_v = spaces.project_boundary_p1(loop, *spaces.hat_moments(
         rule, value(rule[0][..., 0], rule[0][..., 1])))
     trace = bem.hat_trace_coefs(loop, trace_v)
@@ -529,9 +528,6 @@ def test_dipole_reconstructed_at_exterior_points():
 
 
 def test_winding_and_location(square_loop):
-    assert bem.point_location(square_loop, np.array([0.0, 0.0])) == "interior"
-    assert bem.point_location(square_loop, np.array([0.5, 0.5])) == "exterior"
-    assert bem.point_location(square_loop, np.array([0.1, 0.05])) == "boundary"
     pts = np.array([[0.5, 0.5], [0.1, 0.05], [0.0, 0.0]])
     assert list(bem.point_location(square_loop, pts)) == [
         "exterior", "boundary", "interior"]

@@ -75,22 +75,22 @@ def test_probe_points_at_unit_distance():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        cli.ExperimentConfig(domain="disc").validate()
+        cli.ExperimentConfig("disc", 5, "dpg", None).validate()
     with pytest.raises(ConfigError):
-        cli.ExperimentConfig(domain="square", levels=1).validate()
+        cli.ExperimentConfig("square", 1, "dpg", None).validate()
     with pytest.raises(ConfigError):
-        cli.ExperimentConfig(domain="square", levels=10).validate()
+        cli.ExperimentConfig("square", 10, "dpg", None).validate()
     with pytest.raises(ConfigError):
-        cli.ExperimentConfig(domain="square", solver="fem").validate()
-    cli.ExperimentConfig(domain="square").validate()
-    cli.ExperimentConfig(domain="square", levels=np.int64(3)).validate()
+        cli.ExperimentConfig("square", 5, "fem", None).validate()
+    cli.ExperimentConfig("square", 5, "dpg", None).validate()
+    cli.ExperimentConfig("square", np.int64(3), "dpg", None).validate()
 
 
 @pytest.mark.parametrize("levels", [3.0, "3", True, np.float64(3.0)])
 def test_config_rejects_non_integer_levels(levels):
     # run_convergence passes levels to range(), which takes integers only
     with pytest.raises(ConfigError):
-        cli.ExperimentConfig(domain="square", levels=levels).validate()
+        cli.ExperimentConfig("square", levels, "dpg", None).validate()
 
 
 # columns of a coupling that did not run
@@ -133,7 +133,8 @@ def test_run_convergence_records_and_csv(tmp_path):
 
 def test_jn_only_records():
     for domain in ("square", "lshape"):
-        cfg = cli.ExperimentConfig(domain=domain, levels=2, solver="jn")
+        cfg = cli.ExperimentConfig(domain=domain, levels=2, solver="jn",
+                                   output_path=None)
         records = cli.run_convergence(cfg)
         for rec in records:
             for c in NAN_COLUMNS["jn"] + ("rate_energy",):
@@ -205,8 +206,8 @@ def test_main_rejects_bad_out_before_first_level(tmp_path, monkeypatch,
         assert err.startswith("configuration error")
         assert "done:" not in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
-    cli.ExperimentConfig(domain="square",
-                         output_path=str(tmp_path / "r.csv")).validate()
+    cli.ExperimentConfig("square", 5, "dpg",
+                         str(tmp_path / "r.csv")).validate()
     assert list(tmp_path.iterdir()) == []
 
 

@@ -73,7 +73,7 @@ def test_sigma_column_spot_check():
 
     pts, w = quadrature.triangle_duffy(10)
     phys = quadrature.map_to_physical(verts[None], pts)[0]
-    area2 = 2.0 * mesh.areas()[t]
+    area2 = mesh.element_map()[1][t]
     eps = 1e-6
     for i in range(6):
         dref = (basis_phys(i, phys[:, 0] + eps, phys[:, 1])
@@ -94,7 +94,7 @@ def test_gram_structure_and_spd():
     assert 18 * G.cls.size + G.bem.G_psi.shape[0] == test.dim
     # constant function in the scalar block: energy = area of the element
     ones = np.ones(6)
-    areas = mesh.areas()
+    areas = 0.5 * mesh.element_map()[1]
     for t in (0, 5):
         assert ones @ G.Gv[G.cls[t]] @ ones == pytest.approx(areas[t],
                                                              rel=1e-12)
@@ -268,6 +268,28 @@ def test_energy_error_peak_memory_within_chunks():
     assert peak <= 0.5 * 144 * 8 * mesh.num_triangles
 
 
+def test_chunked_products_independent_of_chunk_size(monkeypatch):
+    # the chunked gathers (the load columns of the Gram products, B @ x
+    # and the Gram solve) give the same bits for any chunk size; square
+    # CLI level 3 has 2048 elements, so ELEMENT_CHUNK takes them at once
+    mesh = cli_level_mesh("square", 3)
+    data, _ = cli.manufacture_data("square")
+    _, _, _, blocks = assemble_all(mesh, data)
+    B, G, ell = blocks.B, blocks.G, blocks.ell
+    x = np.random.default_rng(4).standard_normal(B.shape[1])
+
+    def outputs():
+        return dpg_assembly._gram_products(B, G, ell) + (B @ x,
+                                                         G.solve_vec(ell))
+
+    want = outputs()
+    assert np.any(want[1] != 0.0)
+    for chunk in (7, 1000):
+        monkeypatch.setattr(dpg_assembly, "ELEMENT_CHUNK", chunk)
+        for got, ref in zip(outputs(), want):
+            assert np.array_equal(got, ref)
+
+
 def test_load_zero_data():
     mesh = make_square_mesh(0.1, 1)
     _, _, _, blocks = assemble_all(mesh, ProblemData(
@@ -286,7 +308,7 @@ def test_load_volume_term_matches_oracle():
     t = 4
     verts = mesh.triangle_vertices()[t]
     v0, e1, e2 = verts[0], verts[1] - verts[0], verts[2] - verts[0]
-    area2 = 2.0 * mesh.areas()[t]
+    area2 = mesh.element_map()[1][t]
     for i in (0, 3, 5):
         def integrand(b, a, i=i):
             x = v0[0] + e1[0] * a * (1 - b) + e2[0] * b
@@ -384,7 +406,7 @@ def test_boundedness_surrogate_regression():
         trial = spaces.TrialDofLayout.from_mesh(mesh)
         test = _oracles.TestDofLayout.from_mesh(mesh)
         blocks = dpg_assembly.assemble_operator_blocks(mesh, mats, data)
-        areas = mesh.areas()
+        areas = 0.5 * mesh.element_map()[1]
         K1 = spaces.clique_matrix(mesh.triangles,
                                   jn_reference._p1_stiffness(mesh), [], [],
                                   mesh.num_vertices)

@@ -27,7 +27,7 @@ def test_system_size_coarsest_square():
 
 def test_zero_data_zero_rhs():
     mesh = make_square_mesh(0.1, 2)
-    system = jn.assemble_jn(mesh, zero_data())
+    system = jn.assemble_jn(mesh, zero_data(), _oracles.mesh_bem(mesh))
     assert np.allclose(system.rhs, 0.0)
 
 
@@ -73,7 +73,8 @@ def test_constant_solution():
         u0=lambda x, y: c * np.ones_like(x),
         phi0=lambda x, y, nx, ny: np.zeros_like(x + nx))
     mesh = make_square_mesh(0.1, 2)
-    u_n, phi = jn.solve_jn(jn.assemble_jn(mesh, data))
+    u_n, phi = jn.solve_jn(jn.assemble_jn(mesh, data,
+                                          _oracles.mesh_bem(mesh)))
     assert np.abs(u_n - c).max() < 1e-10
     assert np.abs(phi).max() < 1e-10
 
@@ -110,8 +111,9 @@ def test_smooth_convergence_rate_h1():
     mesh = make_square_mesh(0.1, 4)
     errs = []
     for _ in range(3):
-        u_n, _ = jn.solve_jn(jn.assemble_jn(mesh, data))
-        errs.append(jn.jn_errors(mesh, u_n, exact.u, exact.grad)[1])
+        u_n, _ = jn.solve_jn(jn.assemble_jn(mesh, data,
+                                            _oracles.mesh_bem(mesh)))
+        errs.append(jn.jn_errors(mesh, u_n, exact.u, exact.grad, None)[1])
         mesh = refine_uniform(mesh)
     rates = np.log(np.array(errs[:-1]) / np.array(errs[1:])) / np.log(2.0)
     assert np.all(rates > 0.8) and np.all(rates < 1.2)
@@ -147,7 +149,8 @@ def test_boundary_errors_decrease():
     traces, fluxes = [], []
     for _ in range(3):
         loop = boundary_loop(mesh)
-        u_n, phi = jn.solve_jn(jn.assemble_jn(mesh, data))
+        u_n, phi = jn.solve_jn(jn.assemble_jn(mesh, data,
+                                          _oracles.mesh_bem(mesh)))
         et, ef = jn.jn_boundary_errors(loop, u_n, phi, data)
         traces.append(et)
         fluxes.append(ef)
@@ -206,7 +209,8 @@ def test_vertex_matrix_has_positive_definite_symmetric_part(domain):
     # matrix whose symmetric part is positive definite
     data, _ = cli.manufacture_data(domain)
     for level, mesh in cli_meshes(domain, 4):
-        A = jn.assemble_jn(mesh, data).matrix.toarray()
+        A = jn.assemble_jn(mesh, data,
+                           _oracles.mesh_bem(mesh)).matrix.toarray()
         assert np.linalg.eigvalsh(0.5 * (A + A.T))[0] > 0.0, level
 
 
@@ -214,7 +218,7 @@ def test_vertex_matrix_has_positive_definite_symmetric_part(domain):
 def test_solve_jn_residual(domain):
     data, _ = cli.manufacture_data(domain)
     for level, mesh in cli_meshes(domain, 5):
-        system = jn.assemble_jn(mesh, data)
+        system = jn.assemble_jn(mesh, data, _oracles.mesh_bem(mesh))
         u, _ = jn.solve_jn(system)
         res = np.linalg.norm(system.rhs - system.matrix @ u)
         assert res <= 1e-10 * np.linalg.norm(system.rhs), level
@@ -226,6 +230,6 @@ def test_singular_vertex_system_rejected(monkeypatch):
     mesh = cli.initial_mesh("square")
     monkeypatch.setattr(jn, "_p1_stiffness",
                         lambda mesh: np.zeros((mesh.num_triangles, 3, 3)))
-    system = jn.assemble_jn(mesh, data)
+    system = jn.assemble_jn(mesh, data, _oracles.mesh_bem(mesh))
     with pytest.raises(NumericalError):
         jn.solve_jn(system)

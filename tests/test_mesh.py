@@ -11,7 +11,7 @@ from dpgbem.cli import initial_mesh
 
 
 def check_invariants(mesh):
-    assert np.all(mesh.areas() > 0.0)
+    assert np.all(mesh.element_map()[1] > 0.0)
     # interior edges have two triangles, boundary edges one
     n_inc = (mesh.edge_tris >= 0).sum(axis=1)
     is_bnd = np.zeros(mesh.num_edges, dtype=bool)
@@ -235,3 +235,41 @@ def test_walk_boundary_starts_at_first_edge_and_chains():
                                   np.array([3, 2, 0, 1]), np.array([1, -1, 1, -1]))
     assert [a.tolist() for a in got] == [[4, 7, 5, 6], [0, 3, 1, 2],
                                          [1, -1, -1, 1]]
+
+
+SQUARE_CORNERS = [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.1, 0.1]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_mesh([[0.0, 0.0], [0.1, 0.0], [0.0, np.nan]], [[0, 1, 2]]),
+    lambda: build_mesh([[0.0, 0.0], [0.1, 0.0], [0.0, np.inf]], [[0, 1, 2]]),
+    lambda: build_mesh(SQUARE_CORNERS, [[0, 1, 2], [1, -1, 2]]),
+    lambda: build_mesh(SQUARE_CORNERS, [[0, 1, 2], [1, 4, 2]]),
+    lambda: make_square_mesh(np.nan, 2),
+    lambda: make_lshape_mesh(np.nan, 2),
+    lambda: make_square_mesh(0.1, np.inf),
+    lambda: make_square_mesh(0.1, np.nan),
+], ids=["nan-vertex", "inf-vertex", "negative-index", "index-V",
+        "nan-width", "nan-quarter", "inf-cells", "nan-cells"])
+def test_invalid_mesh_input_rejected(make):
+    with pytest.raises(MeshError):
+        make()
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_boundary_loop_geometry_matches_tangent_formula(domain):
+    # the panel data read from the mesh's edges against pb - pa, on the
+    # CLI meshes and on a copy with every vertex moved by up to 10% of h.
+    # array_equal: the same bits, except that a zero normal component
+    # may have the other sign
+    mesh = initial_mesh(domain)
+    rng = np.random.default_rng(3)
+    for level in range(5):
+        move = rng.uniform(-0.1, 0.1, mesh.vertices.shape) * mesh.mesh_size()
+        for m in (mesh, build_mesh(mesh.vertices + move, mesh.triangles)):
+            loop = boundary_loop(m)
+            pb, lengths, normals = _oracles.tangent_loop_geometry(m)
+            assert np.array_equal(loop.points_b, pb)
+            assert np.array_equal(loop.lengths, lengths)
+            assert np.array_equal(loop.normals, normals)
+        mesh = refine_uniform(mesh)

@@ -164,9 +164,9 @@ def test_projection_p1_solves_cyclic_mass_system(domain):
 
 def project_boundary_p0(loop, fn, levels=spaces.ERROR_LEVELS):
     """Panelwise means of a scalar boundary function fn(x, y)."""
-    return spaces.project_boundary_p0_flux(
-        loop, lambda x, y, nx, ny: fn(x, y),
-        spaces.boundary_quadrature(loop, spaces.ERROR_ORDER, levels))
+    rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER, levels)
+    return spaces.panel_means(loop, rule, spaces.normal_flux(
+        loop, lambda x, y, nx, ny: fn(x, y), rule))
 
 
 def test_projection_p0_means():
@@ -183,9 +183,9 @@ def test_projection_p0_flux_constant_field():
     mesh = make_square_mesh(0.1, 1)
     loop = boundary_loop(mesh)
     fn = lambda x, y, nx, ny: 2.0 * nx - 1.0 * ny
-    means = spaces.project_boundary_p0_flux(
-        loop, fn, spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                             spaces.ERROR_LEVELS))
+    rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
+                                      spaces.ERROR_LEVELS)
+    means = spaces.panel_means(loop, rule, spaces.normal_flux(loop, fn, rule))
     assert np.allclose(means, 2.0 * loop.normals[:, 0] - loop.normals[:, 1],
                        atol=1e-13)
 
