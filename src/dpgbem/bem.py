@@ -182,8 +182,8 @@ class BemMatrices:
         """<(1/2 - K) u0, psi_i> for a function u0(x, y) on a
         spaces.boundary_quadrature rule: the mass part from the hat
         moments of u0, K applied to its L2 projection onto the hats."""
-        pts = rule[0]
-        tail, head = spaces.hat_moments(rule, u0(pts[..., 0], pts[..., 1]))
+        tail, head = spaces.hat_moments(self.loop, rule, spaces.point_values(
+            rule, lambda x, y, t: u0(x, y)))
         return (0.5 * np.stack([tail, head], axis=1).ravel()
                 - self.K_up @ spaces.project_boundary_p1(self.loop, tail,
                                                          head))
@@ -199,9 +199,10 @@ def _separation(mid, half, lengths, i, j):
     """Separation ratio of panel pairs (i, j), broadcast: the midpoint
     distance minus both half lengths, over the longer length.  A lower
     bound of their distance over max(h_i, h_j), and symmetric in i, j to
-    the last bit."""
-    d = mid[j] - mid[i]
-    return ((np.hypot(d[..., 0], d[..., 1]) - (half[i] + half[j]))
+    the last bit.  mid holds the panel midpoints coordinate-major,
+    (2, P)."""
+    x, y = mid
+    return ((np.hypot(x[j] - x[i], y[j] - y[i]) - (half[i] + half[j]))
             / np.maximum(lengths[i], lengths[j]))
 
 
@@ -310,7 +311,7 @@ def assemble_bem(loop):
     lengths = loop.lengths
     idx = np.arange(P)
     prev, nxt = (idx - 1) % P, (idx + 1) % P
-    mid, half = 0.5 * (pa + pb), 0.5 * lengths
+    mid, half = np.ascontiguousarray(0.5 * (pa + pb).T), 0.5 * lengths
 
     G = np.empty((P, 2, P, 2))
     # the double layer goes straight into its hat columns: hat j collects

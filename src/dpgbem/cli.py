@@ -107,6 +107,7 @@ def manufacture_data(domain):
     """Problem data and exact solution callables for a domain tag."""
     if domain == "square":
         pi = np.pi
+        corner = None
 
         def u(x, y):
             return np.sin(pi * x) * np.sin(pi * y)
@@ -119,6 +120,8 @@ def manufacture_data(domain):
             return 2.0 * pi ** 2 * np.sin(pi * x) * np.sin(pi * y)
 
     elif domain == "lshape":
+        corner = (0.0, 0.0)  # the reentrant corner
+
         def _polar(x, y):
             r = np.hypot(x, y)
             phi = np.arctan2(y, x)
@@ -148,7 +151,7 @@ def manufacture_data(domain):
         gx, gy = grad(x, y)
         return gx * nx + gy * ny
 
-    data = ProblemData(f=f, u0=u, phi0=phi0)
+    data = ProblemData(f=f, u0=u, phi0=phi0, singular_vertex=corner)
     return data, ExactSolution(u=u, grad=grad)
 
 
@@ -159,10 +162,6 @@ def initial_mesh(domain):
     if domain == "lshape":
         return make_lshape_mesh(0.25, 2)
     raise ConfigError("unknown domain '{}'".format(domain))
-
-
-def singular_vertex(domain):
-    return (0.0, 0.0) if domain == "lshape" else None
 
 
 def probe_points(domain):
@@ -181,7 +180,6 @@ def run_convergence(config, progress=None):
     and writes the CSV file(s) if an output path is set."""
     config.validate()
     data, exact = manufacture_data(config.domain)
-    sv = singular_vertex(config.domain)
     probes = probe_points(config.domain)
     mesh = initial_mesh(config.domain)
     records = []
@@ -193,7 +191,8 @@ def run_convergence(config, progress=None):
         if config.solver != "jn":
             sol, blocks = solver.solve_dpg(mesh, data, bem_mats)
             rec.err_energy_sq = solver.energy_error(blocks, sol.x) ** 2
-            eu, es = solver.l2_errors(sol, exact.u, exact.grad, mesh, sv)
+            eu, es = solver.l2_errors(sol, exact.u, exact.grad, mesh,
+                                      data.singular_vertex)
             etr, efl = solver.boundary_cauchy_errors(sol)
             rec.probe_values = tuple(float(v) for v in
                                      solver.eval_exterior_field(sol, probes))
@@ -202,7 +201,7 @@ def run_convergence(config, progress=None):
             system = jn_reference.assemble_jn(mesh, data, bem_mats)
             u_n, phi = jn_reference.solve_jn(system)
             eu_j, es_j = jn_reference.jn_errors(mesh, u_n, exact.u, exact.grad,
-                                                sv)
+                                                data.singular_vertex)
             etr_j, efl_j = jn_reference.jn_boundary_errors(loop, u_n, phi,
                                                            data)
             rec.jn_err_trace_l2 = etr_j

@@ -18,7 +18,7 @@ trace space; no cross blocks.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +38,9 @@ class ProblemData:
     """Transmission problem data: interior source f(x, y), Dirichlet jump
     u0(x, y) on the boundary and Neumann jump phi0(x, y, nx, ny) taken with
     the outward normal.  All callables are numpy-vectorized.
+    singular_vertex is the point where the data are singular (a reentrant
+    corner), or None: the boundary rules are graded only on the panels
+    near it, and the field-error rules only on the elements touching it.
 
     For d = 2 the data must satisfy int_Omega f + int_Gamma phi0 = 0;
     this holds automatically for data manufactured from an interior
@@ -47,6 +50,7 @@ class ProblemData:
     f: Callable
     u0: Callable
     phi0: Callable
+    singular_vertex: Optional[tuple]
 
 
 class BlockGram:
@@ -259,7 +263,7 @@ def assemble_load(mesh, data, bem_mats):
 
     # u0 and phi0 on one boundary rule
     rule = spaces.boundary_quadrature(bem_mats.loop, spaces.PANEL_ORDER,
-                                      spaces.DATA_LEVELS)
+                                      spaces.DATA_LEVELS, data.singular_vertex)
     phi0_p0 = spaces.panel_means(
         bem_mats.loop, rule, spaces.normal_flux(bem_mats.loop, data.phi0, rule))
 
@@ -308,14 +312,20 @@ def _gram_products(B, G, ell):
         z = np.linalg.solve(G.Gv[G.cls[e]], _two_columns(ev[e]))
         b[e] = (bvT[B.cls[e]] @ z)[..., 0]
     b *= B.signs
-    s, H = B.bem.loop.signs[:, None], np.column_stack([B.bem.H, eg])
+    s = B.bem.loop.signs[:, None]
     P = s.size
+    # [H | ell_G] in the Fortran order of LAPACK, which solves it in place
+    # into W; both products are written into g
+    w = np.empty((2 * P, P + 1), order="F")
+    w[:, :P], w[:, P] = B.bem.H, eg
     g = np.empty((2 * P, 2 * P + 1))
-    g[:P, :P] = s * bem.p0_test_rows(B.bem.V_ps) * s.T
-    g[:P, P:] = s * bem.p0_test_rows(H)
+    np.multiply(s, bem.p0_test_rows(B.bem.V_ps), out=g[:P, :P])
+    g[:P, :P] *= s.T
+    np.multiply(s, bem.p0_test_rows(w), out=g[:P, P:])
     g[P:, :P] = g[:P, P:-1].T
-    w = scipy.linalg.solve_triangular(B.bem.G_psi_chol, H, lower=True)
-    g[P:, P:] = w[:, :-1].T @ w
+    w = scipy.linalg.solve_triangular(B.bem.G_psi_chol, w, lower=True,
+                                      overwrite_b=True)
+    np.matmul(w[:, :-1].T, w, out=g[P:, P:])
     return a, b, g
 
 

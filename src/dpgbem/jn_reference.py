@@ -98,9 +98,9 @@ def assemble_jn(mesh, data, bem_mats):
 
     rhs = _p1_load(mesh, data.f)
     rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
-                                      spaces.DATA_LEVELS)
+                                      spaces.DATA_LEVELS, data.singular_vertex)
     # <phi0, v>_Gamma against the boundary hats
-    tail, head = spaces.hat_moments(rule,
+    tail, head = spaces.hat_moments(loop, rule,
                                     spaces.normal_flux(loop, data.phi0, rule))
     np.add.at(rhs, vid, tail)
     np.add.at(rhs, np.roll(vid, -1), head)
@@ -167,7 +167,7 @@ def jn_boundary_errors(loop, u_nodal, phi, data):
     """L2(Gamma) norms of the exterior Cauchy data of a coupling solution:
     (u|_Gamma - u0, phi).  Both vanish for data with u^c = 0."""
     err_trace = trace_error(loop, spaces.boundary_quadrature(
-        loop, spaces.ERROR_ORDER, spaces.ERROR_LEVELS),
+        loop, spaces.ERROR_ORDER, spaces.ERROR_LEVELS, data.singular_vertex),
         u_nodal[loop.vertex_ids], data.u0)
     err_flux = float(np.sqrt((loop.lengths * phi ** 2).sum()))
     return err_trace, err_flux

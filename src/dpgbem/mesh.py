@@ -127,9 +127,12 @@ class Mesh:
 
     def hat_gradients(self):
         """Physical gradients of the three vertex hat functions of every
-        element, shape (T, 3, 2); row i belongs to local vertex i."""
+        element, shape (T, 3, 2); row i belongs to local vertex i.  They
+        are the rows of REF_HAT_GRADS times Jinv: -(row 0 + row 1), row 0
+        and row 1 of Jinv."""
         _, _, Jinv = self.element_map()
-        return np.einsum("id,tdc->tic", REF_HAT_GRADS, Jinv)
+        return np.stack([-Jinv[:, 0] - Jinv[:, 1], Jinv[:, 0], Jinv[:, 1]],
+                        axis=1)
 
     def edge_midpoints(self):
         """Midpoint of every edge, shape (E, 2)."""

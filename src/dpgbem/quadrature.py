@@ -130,12 +130,15 @@ def map_to_physical(verts, pts):
     """Map reference points into physical triangles.
 
     verts: (..., 3, 2) triangle vertices, pts: (q, 2) reference points.
-    Returns points of shape (..., q, 2).
+    Returns the coordinates x, y of the points, each of shape (..., q)
+    and contiguous: v0 + xi e1 + eta e2 per coordinate, e1 and e2 the edge
+    vectors from vertex 0.
     """
     verts = np.asarray(verts, dtype=float)
-    v0 = verts[..., 0, :]
-    e1 = verts[..., 1, :] - v0
-    e2 = verts[..., 2, :] - v0
-    return (v0[..., None, :]
-            + pts[:, 0, None] * e1[..., None, :]
-            + pts[:, 1, None] * e2[..., None, :])
+    xi, eta = pts.T
+    out = []
+    for c in range(2):
+        v0 = verts[..., 0, c, None]
+        out.append(v0 + xi * (verts[..., 1, c, None] - v0)
+                   + eta * (verts[..., 2, c, None] - v0))
+    return tuple(out)

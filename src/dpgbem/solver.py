@@ -29,8 +29,7 @@ class Solution:
     trace_c holds (uhat - u0) at the loop vertices and flux_c the
     panelwise (outward sighat - phi0 mean); with exact transmission data
     u^c = 0 both must vanish under refinement.  rule is the boundary
-    error rule and phi0 the data phi0 at its nodes, shared by flux_c and
-    boundary_cauchy_errors.
+    error rule, shared by flux_c and boundary_cauchy_errors.
     """
 
     mesh: object
@@ -40,8 +39,7 @@ class Solution:
     trial_layout: object = field(init=False, repr=False)
     trace_c: np.ndarray = field(init=False, repr=False)
     flux_c: np.ndarray = field(init=False, repr=False)
-    rule: tuple = field(init=False, repr=False)
-    phi0: np.ndarray = field(init=False, repr=False)
+    rule: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.trial_layout = spaces.TrialDofLayout.from_mesh(self.mesh)
@@ -51,11 +49,12 @@ class Solution:
         verts = self.mesh.vertices[loop.vertex_ids]
         self.trace_c = (self.uhat[loop.vertex_ids]
                         - self.data.u0(verts[:, 0], verts[:, 1]))
-        self.rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                               spaces.ERROR_LEVELS)
-        self.phi0 = spaces.normal_flux(loop, self.data.phi0, self.rule)
+        self.rule = spaces.boundary_quadrature(
+            loop, spaces.ERROR_ORDER, spaces.ERROR_LEVELS,
+            self.data.singular_vertex)
         self.flux_c = (loop.signs * self.sighat[loop.edge_ids]
-                       - spaces.panel_means(loop, self.rule, self.phi0))
+                       - spaces.panel_means(loop, self.rule, spaces.normal_flux(
+                           loop, self.data.phi0, self.rule)))
 
     @property
     def sigma(self):
@@ -301,8 +300,7 @@ def field_errors(mesh, exact_u, exact_grad, u_h, grad_h, singular_vertex):
     detJ = mesh.element_map()[1]
     err_u = err_g = 0.0
     for tri, (pts, w) in _error_rules(singular_vertex, mesh):
-        phys = quadrature.map_to_physical(verts[tri], pts)
-        x, y = phys[..., 0], phys[..., 1]
+        x, y = quadrature.map_to_physical(verts[tri], pts)
         du = exact_u(x, y) - u_h(tri, quadrature.barycentric(pts))
         gx, gy = exact_grad(x, y)
         dgx = np.broadcast_to(gx, x.shape) - grad_h[tri, 0][:, None]
@@ -312,15 +310,22 @@ def field_errors(mesh, exact_u, exact_grad, u_h, grad_h, singular_vertex):
     return float(np.sqrt(err_u)), float(np.sqrt(err_g))
 
 
+def boundary_norm(loop, rule, sq):
+    """sqrt of the integral over the boundary of values sq >= 0 at the
+    nodes of a boundary_quadrature rule."""
+    return float(np.sqrt(np.dot(loop.lengths,
+                                spaces.panel_means(loop, rule, sq))))
+
+
 def trace_error(loop, rule, vertex_vals, exact_u):
     """L2(Gamma) error of the piecewise-linear boundary function with the
     given loop-vertex values against exact_u(x, y), by a
     boundary_quadrature rule."""
-    pts, wl, t = rule
     ends = bem_mod.hat_trace_coefs(loop, vertex_vals)
-    lin = ends[:, 0, None] * (1.0 - t)[None, :] + ends[:, 1, None] * t[None, :]
-    d = lin - exact_u(pts[..., 0], pts[..., 1])
-    return float(np.sqrt((wl * d ** 2).sum()))
+
+    def sq(x, y, t, a, b):
+        return (a * (1.0 - t) + b * t - exact_u(x, y)) ** 2
+    return boundary_norm(loop, rule, spaces.point_values(rule, sq, *ends.T))
 
 
 def l2_errors(solution, exact_u, exact_grad, mesh, singular_vertex):
@@ -339,12 +344,13 @@ def l2_errors(solution, exact_u, exact_grad, mesh, singular_vertex):
 def boundary_cauchy_errors(solution):
     """L2(Gamma) norms of the exterior Cauchy data
     (uhat|_Gamma - u0, outward sighat|_Gamma - phi0)."""
-    loop = solution.loop
-    err_trace = trace_error(loop, solution.rule,
-                            solution.uhat[loop.vertex_ids], solution.data.u0)
-    sig = (loop.signs * solution.sighat[loop.edge_ids])[:, None]
-    err_flux = np.sqrt((solution.rule[1] * (sig - solution.phi0) ** 2).sum())
-    return err_trace, float(err_flux)
+    loop, rule, phi0 = solution.loop, solution.rule, solution.data.phi0
+    err_trace = trace_error(loop, rule, solution.uhat[loop.vertex_ids],
+                            solution.data.u0)
+    err_flux = boundary_norm(loop, rule, spaces.point_values(
+        rule, lambda x, y, t, s, nx, ny: (s - phi0(x, y, nx, ny)) ** 2,
+        loop.signs * solution.sighat[loop.edge_ids], *loop.normals.T))
+    return err_trace, err_flux
 
 
 def eval_exterior_field(solution, points):

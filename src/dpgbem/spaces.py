@@ -96,7 +96,9 @@ def side_bary(side, t):
 # Gauss order of the panel rules of the boundary matrices and of both
 # solvers' load vectors; the graded levels of the rule that integrates the
 # transmission data into the load vectors; and the rule of the boundary
-# error norms and of the exterior flux of a coupled solution
+# error norms and of the exterior flux of a coupled solution.  The graded
+# rules serve only the panels near the data's singular vertex
+# (boundary_quadrature)
 PANEL_ORDER = 8
 DATA_LEVELS = 30
 ERROR_ORDER, ERROR_LEVELS = 8, 24
@@ -109,8 +111,8 @@ def element_load(mesh, f, basis):
     """(f, v_i) on every element, shape (T, k), for a basis given by
     basis(bary) -> (q, k), its values at barycentric points (q, 3)."""
     detJ = mesh.element_map()[1]
-    phys = quadrature.map_to_physical(mesh.triangle_vertices(), LOAD_PTS)
-    fv = np.broadcast_to(f(phys[..., 0], phys[..., 1]), phys[..., 0].shape)
+    x, y = quadrature.map_to_physical(mesh.triangle_vertices(), LOAD_PTS)
+    fv = np.broadcast_to(f(x, y), x.shape)
     vals = basis(quadrature.barycentric(LOAD_PTS))
     return np.einsum("q,tq,qi->ti", LOAD_W, fv, vals) * detJ[:, None]
 
@@ -139,44 +141,73 @@ def clique_matrix(cliques, blocks, dense_dofs, dense, n):
         shape=(n, n)).tocsr()
 
 
-def boundary_quadrature(loop, order, levels):
-    """Quadrature nodes on all panels of a boundary loop.
+def boundary_quadrature(loop, order, levels, singular_vertex):
+    """Quadrature on all panels of a boundary loop, as panel groups
+    (panels, pts, wts, t): the panel indices (n,), the physical nodes
+    (2, n, q), coordinate-major, their arc-length weights (n, q) and
+    their panel parameters t (q,), at which the hat functions of a
+    panel's tail and head take the values 1 - t and t.
 
-    Returns physical points (P, q, 2), arc-length weights (P, q) and the
-    panel parameters t (q,) of the nodes, so that the hat functions of a
-    panel's tail and head take the values 1 - t and t there.  The rule is
-    composite Gauss of the given order, graded toward both panel
-    endpoints over the given levels (> 0), which integrates data with
-    endpoint singularities accurately.
+    A panel whose distance to singular_vertex (a point, or None) is at
+    most its own length takes the composite Gauss rule of the given
+    order graded toward both panel ends over the given levels (> 0),
+    which integrates data with a singularity at the vertex accurately.
+    Every other panel takes the plain Gauss rule of that order, which
+    integrates the data, smooth there, to rounding.  Empty groups are
+    left out.  The helpers below read the groups, one array (n, q) of
+    node values per group.
     """
-    t, w = quadrature.graded01_both(order, levels)
-    pa, pb = loop.points_a, loop.points_b
-    pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-    wts = loop.lengths[:, None] * w[None, :]
-    return pts, wts, t
+    near = np.zeros(loop.num_panels, dtype=bool)
+    if singular_vertex is not None:
+        pa, d = loop.points_a, loop.points_b - loop.points_a
+        r = np.asarray(singular_vertex, dtype=float) - pa
+        s = np.clip((r * d).sum(axis=1) / loop.lengths ** 2, 0.0, 1.0)
+        near = np.hypot(*(r - s[:, None] * d).T) <= loop.lengths
+    groups = []
+    for panels, (t, w) in (
+            (np.flatnonzero(~near), quadrature.gauss01(order)),
+            (np.flatnonzero(near), quadrature.graded01_both(order, levels))):
+        if panels.size:
+            pa, pb = loop.points_a[panels].T, loop.points_b[panels].T
+            groups.append((panels, pa[..., None] + t * (pb - pa)[..., None],
+                           loop.lengths[panels, None] * w, t))
+    return groups
+
+
+def point_values(rule, fn, *panel_data):
+    """Values at the nodes of a boundary_quadrature rule, one array
+    (n, q) per group: fn(x, y, t, *d) with the node coordinates x, y
+    (n, q), their panel parameters t (q,) and each array of panel_data
+    (P,) on the group's panels as a column (n, 1)."""
+    return [fn(*pts, t, *(d[p, None] for d in panel_data))
+            for p, pts, _, t in rule]
 
 
 def normal_flux(loop, fn, rule):
     """A normal-flux function fn(x, y, nx, ny) at the nodes of a
-    boundary_quadrature rule, taken with the outward panel normal;
-    shape (P, q)."""
-    pts = rule[0]
-    return fn(pts[..., 0], pts[..., 1], loop.normals[:, None, 0],
-              loop.normals[:, None, 1])
+    boundary_quadrature rule, taken with the outward panel normal."""
+    return point_values(rule, lambda x, y, t, nx, ny: fn(x, y, nx, ny),
+                        *loop.normals.T)
 
 
 def panel_means(loop, rule, vals):
-    """Panelwise means of values at the nodes of a boundary_quadrature
-    rule."""
-    return (rule[1] * vals).sum(axis=1) / loop.lengths
+    """Panelwise means (P,) of values at the nodes of a
+    boundary_quadrature rule."""
+    out = np.empty(loop.num_panels)
+    for (p, _, w, _), v in zip(rule, vals):
+        out[p] = (w * v).sum(axis=1)
+    return out / loop.lengths
 
 
-def hat_moments(rule, vals):
+def hat_moments(loop, rule, vals):
     """Integrals of values at the nodes of a boundary_quadrature rule
     against the tail and the head hat of each panel, each (P,)."""
-    _, wts, t = rule
-    return ((wts * vals * (1.0 - t)[None, :]).sum(axis=1),
-            (wts * vals * t[None, :]).sum(axis=1))
+    tail, head = np.empty(loop.num_panels), np.empty(loop.num_panels)
+    for (p, _, w, t), v in zip(rule, vals):
+        wv = w * v
+        tail[p] = (wv * (1.0 - t)).sum(axis=1)
+        head[p] = (wv * t).sum(axis=1)
+    return tail, head
 
 
 def project_boundary_p1(loop, tail, head):

@@ -65,6 +65,15 @@ assembles the stabilized system only.
 compatibility condition int_Omega f + int_Gamma phi0 = 0, with its own
 boundary rule (`COMPAT_ORDER`, `COMPAT_LEVELS`).
 
+`map_to_physical` is the reference-to-physical map with the coordinates
+on the last axis, (..., q, 2), as `dpgbem.quadrature.map_to_physical`
+computed it before it returned the coordinates x and y one by one; the
+values must agree exactly.  `graded_boundary_rule` is the boundary rule
+that `dpgbem.spaces.boundary_quadrature` once gave every panel, graded
+toward both panel ends, as a single panel group: the rule grouped by the
+distance to the data's singular vertex must match it to rounding, and
+bit for bit on its graded panels.
+
 `interpolate_trial` puts an exact solution into the trial space
 (element means, vertex values, edge-mean fluxes), and `eval_trace_p1` is
 the linear Lagrange basis on an edge.
@@ -772,7 +781,7 @@ def assemble_bem(loop):
     pa, pb, lengths = loop.points_a, loop.points_b, loop.lengths
     idx = np.arange(P)
     prev, nxt = (idx - 1) % P, (idx + 1) % P
-    mid, half = 0.5 * (pa + pb), 0.5 * lengths
+    mid, half = np.ascontiguousarray(0.5 * (pa + pb).T), 0.5 * lengths
     t4, w4 = quadrature.gauss01(bem.FAR_ORDER)
     nodes = pa.T[:, None] + t4[:, None] * (pb - pa).T[:, None]
     t16, w16 = quadrature.gauss01(2 * spaces.PANEL_ORDER)
@@ -994,6 +1003,28 @@ def eval_trace_p1(t):
     return np.stack([1.0 - t, t], axis=-1)
 
 
+def map_to_physical(verts, pts):
+    """Reference points pts (q, 2) mapped into the triangles verts
+    (..., 3, 2); points of shape (..., q, 2)."""
+    verts = np.asarray(verts, dtype=float)
+    v0 = verts[..., 0, :]
+    e1 = verts[..., 1, :] - v0
+    e2 = verts[..., 2, :] - v0
+    return (v0[..., None, :]
+            + pts[:, 0, None] * e1[..., None, :]
+            + pts[:, 1, None] * e2[..., None, :])
+
+
+def graded_boundary_rule(loop, order, levels):
+    """The rule graded toward both panel ends, quadrature.graded01_both,
+    on every panel of a loop, as one boundary_quadrature panel group."""
+    t, w = quadrature.graded01_both(order, levels)
+    pa = loop.points_a[:, None, :]
+    pts = pa + t[None, :, None] * (loop.points_b[:, None, :] - pa)
+    return [(np.arange(loop.num_panels), np.moveaxis(pts, -1, 0),
+             loop.lengths[:, None] * w[None, :], t)]
+
+
 def interpolate_trial(exact_u, exact_grad_u, exact_flux, mesh, layout,
                       volume_rule=None, edge_order=6, edge_levels=24):
     """Interpolate an exact solution into the trial space.
@@ -1010,8 +1041,7 @@ def interpolate_trial(exact_u, exact_grad_u, exact_flux, mesh, layout,
     pts, w = volume_rule
     coeffs = np.zeros(layout.dim)
 
-    phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
-    x, y = phys[..., 0], phys[..., 1]
+    x, y = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
     wsum = w.sum()
     uvals = exact_u(x, y)
     coeffs[2 * layout.n_tri:3 * layout.n_tri] = uvals @ w / wsum
@@ -1091,17 +1121,17 @@ def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
     rhs = np.zeros(nv + P)
     rhs[:nv] = jn._p1_load(mesh, data.f)
     # <phi0, v>_Gamma against the boundary hats
-    order, levels = spaces.PANEL_ORDER, spaces.DATA_LEVELS
-    pts, wl, t = spaces.boundary_quadrature(loop, order, levels)
-    ph = data.phi0(pts[..., 0], pts[..., 1], loop.normals[:, None, 0],
-                   loop.normals[:, None, 1])
-    np.add.at(rhs[:nv], loop.vertex_ids, (wl * ph * (1 - t)[None, :]).sum(axis=1))
-    np.add.at(rhs[:nv], loop.vertex_ids[nxt], (wl * ph * t[None, :]).sum(axis=1))
+    rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
+                                      spaces.DATA_LEVELS, data.singular_vertex)
+    tail, head = spaces.hat_moments(loop, rule, spaces.normal_flux(
+        loop, data.phi0, rule))
+    np.add.at(rhs[:nv], loop.vertex_ids, tail)
+    np.add.at(rhs[:nv], loop.vertex_ids[nxt], head)
     # <(1/2 - K) u0, psi>: mass part directly, kernel part via projection
-    u0v = data.u0(pts[..., 0], pts[..., 1])
-    mass_u0 = (wl * u0v).sum(axis=1)
-    u0_hat = spaces.project_boundary_p1(
-        loop, *spaces.hat_moments((pts, wl, t), u0v))
+    tail, head = spaces.hat_moments(loop, rule, spaces.point_values(
+        rule, lambda x, y, t: data.u0(x, y)))
+    mass_u0 = tail + head
+    u0_hat = spaces.project_boundary_p1(loop, tail, head)
     K00 = bem.p0_test_rows(bem_mats.K_up)
     rhs[nv:] = 0.5 * mass_u0 - K00 @ u0_hat
 
@@ -1129,16 +1159,14 @@ COMPAT_ORDER, COMPAT_LEVELS = 8, 40
 def compatibility_residual(mesh, data):
     """Quadrature value of int_Omega f + int_Gamma phi0 (must be ~0)."""
     pts, w = quadrature.triangle_duffy(6)
-    phys = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
-    fv = np.broadcast_to(data.f(phys[..., 0], phys[..., 1]),
-                         phys[..., 0].shape)
+    x, y = quadrature.map_to_physical(mesh.triangle_vertices(), pts)
+    fv = np.broadcast_to(data.f(x, y), x.shape)
     vol = float((fv @ w * mesh.element_map()[1]).sum())
     loop = boundary_loop(mesh)
-    bpts, wl, _ = spaces.boundary_quadrature(loop, COMPAT_ORDER,
-                                             COMPAT_LEVELS)
-    ph = data.phi0(bpts[..., 0], bpts[..., 1], loop.normals[:, None, 0],
-                   loop.normals[:, None, 1])
-    bnd = float((wl * ph).sum())
+    rule = spaces.boundary_quadrature(loop, COMPAT_ORDER, COMPAT_LEVELS,
+                                      data.singular_vertex)
+    bnd = float(np.dot(loop.lengths, spaces.panel_means(
+        loop, rule, spaces.normal_flux(loop, data.phi0, rule))))
     return vol + bnd
 
 

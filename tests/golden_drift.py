@@ -1,11 +1,16 @@
-"""Print how far the CLI's CSV output has drifted from the golden files.
+"""Print how far the CLI's CSV output has drifted from the golden files
+and from the benchmark's reference files.
 
 Runs `dpgbem --solver both --levels 4` on both domains into a temporary
 directory and prints, per file and float column, the largest relative
 difference from `tests/data/` over all rows, then the largest of all
-against the bound of `test_cli.test_csv_matches_golden_files`.  Integer
+against the bound of `test_cli.test_csv_matches_golden_files`.  Then it
+runs the two benchmarked studies, `--domain square --solver dpg
+--levels 5` and `--domain lshape --solver jn --levels 6`, and prints the
+same against `perfbench/reference/`, whose files it only reads, and the
+bound of perfbench's correctness gate (`perfbench/gate.py`).  Integer
 columns must match exactly and are reported only if they do not.  The
-exit status is 1 if the largest drift exceeds that bound (or a run
+exit status is 1 if either largest drift exceeds its bound (or a run
 fails), else 0, so that a script can use it as a check.
 
     PYTHONPATH=src python3 tests/golden_drift.py
@@ -23,9 +28,21 @@ import tempfile
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              os.pardir, "src"))
 
+# the benchmark's gate, for its bound and reference files; no bytecode is
+# written under perfbench/
+sys.dont_write_bytecode = True
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "perfbench"))
+
 from dpgbem import cli  # noqa: E402
+from gate import REFERENCE_DIR, REL_TOL  # noqa: E402
 from test_cli import (GOLDEN_DIR, GOLDEN_RTOL, INT_COLUMNS,  # noqa: E402
                       read_columns)
+
+# the benchmarked studies, by the stem of their reference files
+BENCHMARKED = (
+    ("square-dpg-5", ["--domain", "square", "--solver", "dpg", "--levels", "5"]),
+    ("lshape-jn-6", ["--domain", "lshape", "--solver", "jn", "--levels", "6"]))
 
 
 def column_drift(path, ref_path):
@@ -54,24 +71,38 @@ def column_drift(path, ref_path):
     return drift
 
 
+def run_cli(args, out):
+    code = cli.main(args + ["--out", out])
+    if code:
+        raise SystemExit("dpgbem exited with {}".format(code))
+
+
+def print_drift(name, drift):
+    """Print a file's column drifts; return the largest."""
+    for col, d in drift.items():
+        print("{:28s} {:18s} {:.2e}".format(name, col, d))
+    return max(drift.values())
+
+
 def main():
-    overall = 0.0
+    golden = bench = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         for domain in ("square", "lshape"):
-            out = os.path.join(tmp, "{}_both_4.csv".format(domain))
-            code = cli.main(["--domain", domain, "--solver", "both",
-                             "--levels", "4", "--out", out])
-            if code:
-                raise SystemExit("dpgbem exited with {}".format(code))
+            run_cli(["--domain", domain, "--solver", "both", "--levels", "4"],
+                    os.path.join(tmp, "{}_both_4.csv".format(domain)))
             for suffix in ("", "_agreement"):
                 name = "{}_both_4{}.csv".format(domain, suffix)
-                drift = column_drift(os.path.join(tmp, name),
-                                     os.path.join(GOLDEN_DIR, name))
-                for col, d in drift.items():
-                    print("{:28s} {:18s} {:.2e}".format(name, col, d))
-                    overall = max(overall, d)
-    print("largest drift {:.2e} (bound {:.0e})".format(overall, GOLDEN_RTOL))
-    return 1 if overall > GOLDEN_RTOL else 0
+                golden = max(golden, print_drift(name, column_drift(
+                    os.path.join(tmp, name), os.path.join(GOLDEN_DIR, name))))
+        for stem, args in BENCHMARKED:
+            name = stem + ".csv"
+            run_cli(args, os.path.join(tmp, name))
+            bench = max(bench, print_drift(name, column_drift(
+                os.path.join(tmp, name), os.path.join(REFERENCE_DIR, name))))
+    print("largest drift {:.2e} (bound {:.0e})".format(golden, GOLDEN_RTOL))
+    print("largest drift against perfbench/reference {:.2e} (bound {:.0e})"
+          .format(bench, REL_TOL))
+    return 1 if golden > GOLDEN_RTOL or bench > REL_TOL else 0
 
 
 if __name__ == "__main__":

@@ -141,7 +141,8 @@ def test_criterion_6_dpg_algebra_suite():
     cdata = dpg_assembly.ProblemData(
         f=lambda x, y: np.zeros_like(x),
         u0=lambda x, y: np.ones_like(x),
-        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx))
+        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx),
+        singular_vertex=None)
     cmesh = make_square_mesh(0.1, 2)
     sol, _ = solver.solve_dpg(cmesh, cdata, _oracles.mesh_bem(cmesh))
     ones = np.concatenate([np.zeros(2 * sol.trial_layout.n_tri),

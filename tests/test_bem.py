@@ -243,7 +243,7 @@ def test_jn_level_never_factors_gpsi():
     u, phi = jn_reference.solve_jn(jn_reference.assemble_jn(mesh, data,
                                                             bem_mats=mats))
     jn_reference.jn_errors(mesh, u, exact.u, exact.grad,
-                           cli.singular_vertex("lshape"))
+                           data.singular_vertex)
     jn_reference.jn_boundary_errors(mats.loop, u, phi, data)
     assert "G_psi_chol" not in vars(mats)
 
@@ -341,7 +341,7 @@ def test_assemble_bem_matches_loop_oracle(domain, levels):
 def far_pairs(loop):
     """(P, P) mask of the panel pairs that assemble_bem gives the tensor
     rule."""
-    mid = 0.5 * (loop.points_a + loop.points_b)
+    mid = np.ascontiguousarray(0.5 * (loop.points_a + loop.points_b).T)
     idx = np.arange(loop.num_panels)
     return bem._separation(mid, 0.5 * loop.lengths, loop.lengths,
                            idx[:, None], idx) >= bem.FAR_RATIO
@@ -477,18 +477,19 @@ def dipole_residual_norm(loop, value, gradient):
     """L2(Gamma) norm of V(P0 flux) + (1/2 - K)(P1 trace) for projected
     dipole Cauchy data."""
     rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                      spaces.ERROR_LEVELS)
+                                      spaces.ERROR_LEVELS, None)
     flux = spaces.panel_means(loop, rule, spaces.normal_flux(
         loop, lambda x, y, nx, ny: sum(g * n for g, n in
                                        zip(gradient(x, y), (nx, ny))), rule))
     trace_v = spaces.project_boundary_p1(loop, *spaces.hat_moments(
-        rule, value(rule[0][..., 0], rule[0][..., 1])))
+        loop, rule, spaces.point_values(rule, lambda x, y, t: value(x, y))))
     trace = bem.hat_trace_coefs(loop, trace_v)
-    pts, wts, t = spaces.boundary_quadrature(loop, order=8, levels=12)
-    flat = pts.reshape(-1, 2)
+    # the layer potentials have kinks at the panel ends
+    [(_, pts, wts, t)] = _oracles.graded_boundary_rule(loop, 8, 12)
+    flat = pts.reshape(2, -1).T
     vals = (_oracles.eval_single_layer(loop, flux, flat)
             - _oracles.eval_double_layer(loop, trace, flat)
-            ).reshape(pts.shape[:2])
+            ).reshape(wts.shape)
     # pointwise (1/2) * trace, interpolated at the same panel parameters
     lin = trace[:, 0][:, None] * (1 - t)[None, :] + trace[:, 1][:, None] * t[None, :]
     vals = vals + 0.5 * lin

@@ -16,7 +16,8 @@ def zero_data():
     return ProblemData(
         f=lambda x, y: np.zeros_like(x),
         u0=lambda x, y: np.zeros_like(x),
-        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx))
+        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx),
+        singular_vertex=None)
 
 
 def test_system_size_coarsest_square():
@@ -71,7 +72,8 @@ def test_constant_solution():
     data = ProblemData(
         f=lambda x, y: np.zeros_like(x),
         u0=lambda x, y: c * np.ones_like(x),
-        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx))
+        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx),
+        singular_vertex=None)
     mesh = make_square_mesh(0.1, 2)
     u_n, phi = jn.solve_jn(jn.assemble_jn(mesh, data,
                                           _oracles.mesh_bem(mesh)))

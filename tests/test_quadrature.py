@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import _oracles
+from dpgbem import cli, refine_uniform
 from dpgbem import quadrature as quad
 
 
@@ -79,9 +81,31 @@ def test_corner_rule_fractional_singularity():
 def test_map_to_physical_preserves_area_weighting():
     pts, w = quad.triangle_degree4()
     verts = np.array([[[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]]])
-    phys = quad.map_to_physical(verts, pts)
+    x, y = quad.map_to_physical(verts, pts)
     area = 3.0
     # integrate the constant 1: sum w * 2*area since reference area is 1/2
     assert (w.sum() * 2.0 * area) == pytest.approx(area * 1.0)
-    assert phys.shape == (1, 6, 2)
-    assert phys[0, :, 0].max() <= 2.0
+    assert x.shape == y.shape == (1, 6)
+    assert x[0].max() <= 2.0
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_map_to_physical_matches_coordinate_last_formula(domain):
+    # x and y come each from the formula of the (..., q, 2) map, so they
+    # equal its columns exactly, and they are contiguous; CLI level 3,
+    # the same mesh with its vertices moved off the dyadic grid, and a
+    # stack with two leading axes
+    mesh = cli.initial_mesh(domain)
+    for _ in range(3):
+        mesh = refine_uniform(mesh)
+    verts = mesh.triangle_vertices()
+    rng = np.random.default_rng(5)
+    for v in (verts, verts + 1e-3 * rng.standard_normal(verts.shape),
+              rng.standard_normal((4, 7, 3, 2))):
+        for pts in (quad.triangle_duffy(4)[0], quad.triangle_duffy(5)[0],
+                    quad.triangle_corner_rule(12, 20, 1)[0]):
+            x, y = quad.map_to_physical(v, pts)
+            want = _oracles.map_to_physical(v, pts)
+            assert x.flags.c_contiguous and y.flags.c_contiguous
+            assert np.array_equal(x, want[..., 0])
+            assert np.array_equal(y, want[..., 1])

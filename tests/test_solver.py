@@ -45,7 +45,8 @@ def test_constant_data_solved_exactly():
     data = dpg_assembly.ProblemData(
         f=lambda x, y: np.zeros_like(x),
         u0=lambda x, y: np.ones_like(x),
-        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx))
+        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx),
+        singular_vertex=None)
     mesh = make_square_mesh(0.1, 2)
     sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
     assert np.abs(sol.u - 1.0).max() < 1e-9
@@ -61,7 +62,8 @@ def test_energy_error_zero_problem():
     data = dpg_assembly.ProblemData(
         f=lambda x, y: np.zeros_like(x),
         u0=lambda x, y: np.zeros_like(x),
-        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx))
+        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx),
+        singular_vertex=None)
     sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
     assert solver.energy_error(blocks, sol.x) < 1e-13
     assert solver.energy_error(blocks, np.zeros_like(sol.x)) == 0.0
@@ -139,8 +141,7 @@ def _l2_with_rule(sol, exact, mesh, rule):
     from dpgbem import quadrature
     pts, w = rule
     verts = mesh.triangle_vertices()
-    phys = quadrature.map_to_physical(verts, pts)
-    x, y = phys[..., 0], phys[..., 1]
+    x, y = quadrature.map_to_physical(verts, pts)
     du = exact.u(x, y) - sol.u[:, None]
     gx, gy = exact.grad(x, y)
     dgx = gx - sol.sigma[:, 0][:, None]
@@ -156,7 +157,8 @@ def test_boundary_cauchy_errors_shift(smooth_square):
     et0, ef0 = solver.boundary_cauchy_errors(sol)
     c = 5.0
     shifted = dpg_assembly.ProblemData(
-        f=data.f, u0=lambda x, y: data.u0(x, y) + c, phi0=data.phi0)
+        f=data.f, u0=lambda x, y: data.u0(x, y) + c, phi0=data.phi0,
+        singular_vertex=data.singular_vertex)
     sol2 = solver.Solution(mesh=mesh, data=shifted, loop=sol.loop,
                            x=sol.x.copy())
     et1, _ = solver.boundary_cauchy_errors(sol2)
@@ -169,7 +171,8 @@ def test_eval_exterior_field_validation_and_zero(smooth_square):
     mesh, data, exact, sol, blocks = smooth_square
     zero_data = dpg_assembly.ProblemData(
         f=lambda x, y: np.zeros_like(x), u0=lambda x, y: np.zeros_like(x),
-        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx))
+        phi0=lambda x, y, nx, ny: np.zeros_like(x + nx),
+        singular_vertex=None)
     zero_sol = solver.Solution(mesh=mesh, data=zero_data, loop=sol.loop,
                                x=np.zeros_like(sol.x))
     pts = np.array([[1.1, 0.0], [0.0, -2.0]])
@@ -239,7 +242,8 @@ def test_nonzero_exterior_solution_reconstructed():
         f=lambda x, y: np.zeros_like(x),
         u0=lambda x, y: ui(x, y) - uc(x, y),
         phi0=lambda x, y, nx, ny: (grad_ui(x, y)[0] - grad_uc(x, y)[0]) * nx
-                                  + (grad_ui(x, y)[1] - grad_uc(x, y)[1]) * ny)
+                                  + (grad_ui(x, y)[1] - grad_uc(x, y)[1]) * ny,
+        singular_vertex=None)
 
     probes = np.array([[1.1, 0.0], [0.0, -1.3], [-0.8, 0.9]])
     exact = uc(probes[:, 0], probes[:, 1])

@@ -134,10 +134,9 @@ def test_projection_p1_reproduces_piecewise_linear():
     loop = boundary_loop(mesh)
     fn = lambda x, y: 2.0 * x - 3.0 * y + 0.5
     rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                      spaces.ERROR_LEVELS)
-    pts = rule[0]
-    coefs = spaces.project_boundary_p1(
-        loop, *spaces.hat_moments(rule, fn(pts[..., 0], pts[..., 1])))
+                                      spaces.ERROR_LEVELS, None)
+    coefs = spaces.project_boundary_p1(loop, *spaces.hat_moments(
+        loop, rule, spaces.point_values(rule, lambda x, y, t: fn(x, y))))
     verts = mesh.vertices[loop.vertex_ids]
     assert np.allclose(coefs, fn(verts[:, 0], verts[:, 1]), atol=1e-12)
 
@@ -162,11 +161,13 @@ def test_projection_p1_solves_cyclic_mass_system(domain):
         mesh = refine_uniform(mesh)
 
 
-def project_boundary_p0(loop, fn, levels=spaces.ERROR_LEVELS):
+def project_boundary_p0(loop, fn, singular_vertex=None,
+                        levels=spaces.ERROR_LEVELS):
     """Panelwise means of a scalar boundary function fn(x, y)."""
-    rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER, levels)
-    return spaces.panel_means(loop, rule, spaces.normal_flux(
-        loop, lambda x, y, nx, ny: fn(x, y), rule))
+    rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER, levels,
+                                      singular_vertex)
+    return spaces.panel_means(loop, rule, spaces.point_values(
+        rule, lambda x, y, t: fn(x, y)))
 
 
 def test_projection_p0_means():
@@ -184,7 +185,7 @@ def test_projection_p0_flux_constant_field():
     loop = boundary_loop(mesh)
     fn = lambda x, y, nx, ny: 2.0 * nx - 1.0 * ny
     rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                      spaces.ERROR_LEVELS)
+                                      spaces.ERROR_LEVELS, None)
     means = spaces.panel_means(loop, rule, spaces.normal_flux(loop, fn, rule))
     assert np.allclose(means, 2.0 * loop.normals[:, 0] - loop.normals[:, 1],
                        atol=1e-13)
@@ -198,7 +199,7 @@ def test_projection_handles_endpoint_singularity():
     k = int(np.nonzero((np.abs(loop.points_a) < 1e-14).all(axis=1))[0][0])
     fn = lambda x, y: np.where(np.hypot(x, y) > 0,
                                np.hypot(x, y) ** (-1.0 / 3.0), 0.0)
-    means = project_boundary_p0(loop, fn, levels=40)
+    means = project_boundary_p0(loop, fn, (0.0, 0.0), levels=40)
     h = loop.lengths[k]
     exact = 1.5 * h ** (2.0 / 3.0) / h
     assert means[k] == pytest.approx(exact, rel=1e-9)
@@ -229,3 +230,42 @@ def test_clique_matrix_sums_blocks_and_dense_block(dense):
     assert np.array_equal(got.indptr, np.r_[0, np.cumsum(covered.sum(1))])
     assert np.array_equal(got.indices, np.nonzero(covered)[1])
     assert np.abs(got.toarray() - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def rule_moments(loop, rule, data):
+    """The hat moments of u0 and of phi0 and the panel means of phi0 by a
+    boundary_quadrature rule."""
+    phi0 = spaces.normal_flux(loop, data.phi0, rule)
+    u0 = spaces.point_values(rule, lambda x, y, t: data.u0(x, y))
+    return (*spaces.hat_moments(loop, rule, u0),
+            *spaces.hat_moments(loop, rule, phi0),
+            spaces.panel_means(loop, rule, phi0))
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+@pytest.mark.parametrize("order, levels", [
+    (spaces.PANEL_ORDER, spaces.DATA_LEVELS),
+    (spaces.ERROR_ORDER, spaces.ERROR_LEVELS)])
+def test_grouped_boundary_rule_matches_graded_rule(domain, order, levels):
+    # Gauss on the panels farther than their own length from the data's
+    # singular vertex, graded near it, against the graded rule on every
+    # panel, at CLI levels 0-5
+    data, _ = cli.manufacture_data(domain)
+    mesh = cli.initial_mesh(domain)
+    for level in range(6):
+        loop = boundary_loop(mesh)
+        rule = spaces.boundary_quadrature(loop, order, levels,
+                                          data.singular_vertex)
+        ref = _oracles.graded_boundary_rule(loop, order, levels)
+        got, want = rule_moments(loop, rule, data), rule_moments(loop, ref,
+                                                                 data)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max(), level
+        # the graded group keeps the graded rule, bit for bit: the two
+        # panels at the reentrant corner and their two neighbours
+        graded = [p for p, _, _, t in rule if t.size > order]
+        assert sum(p.size for p in graded) == (4 if domain == "lshape" else 0)
+        for p in graded:
+            for g, w in zip(got, want):
+                assert np.array_equal(g[p], w[p]), level
+        mesh = refine_uniform(mesh)
