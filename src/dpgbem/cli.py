@@ -61,14 +61,21 @@ class ExperimentConfig:
         if self.levels > MAX_LEVELS:
             raise ConfigError(
                 "levels > {} exceeds the level cap".format(MAX_LEVELS))
-        if self.output_path:
-            # checked here so that a bad path fails before the first level
-            out_dir = os.path.dirname(os.path.abspath(self.output_path))
-            if (os.path.isdir(self.output_path) or not os.path.isdir(out_dir)
+        # checked here so that a bad path fails before the first level
+        for path in filter(None, (self.output_path, self.agreement_path)):
+            out_dir = os.path.dirname(os.path.abspath(path))
+            if (os.path.isdir(path) or not os.path.isdir(out_dir)
                     or not os.access(out_dir, os.W_OK)):
                 raise ConfigError(
                     "cannot write '{}': it is a directory, or its directory "
-                    "is missing or not writable".format(self.output_path))
+                    "is missing or not writable".format(path))
+
+    @property
+    def agreement_path(self):
+        """The agreement CSV of --solver both, next to --out, or None."""
+        if self.output_path and self.solver == "both":
+            stem, ext = os.path.splitext(self.output_path)
+            return stem + "_agreement" + (ext or ".csv")
 
 
 @dataclass
@@ -229,10 +236,8 @@ def run_convergence(config, progress=None):
     if config.output_path:
         with open(config.output_path, "w", newline="") as fh:
             write_csv(records, fh, COLUMNS)
-        if config.solver == "both":
-            stem, ext = os.path.splitext(config.output_path)
-            with open(stem + "_agreement" + (ext or ".csv"), "w",
-                      newline="") as fh:
+        if config.agreement_path:
+            with open(config.agreement_path, "w", newline="") as fh:
                 write_csv(records, fh, AGREEMENT_COLUMNS)
     return records
 

@@ -27,10 +27,20 @@ from . import bem, quadrature, spaces
 from .errors import NumericalError
 from .mesh import element_map
 
-# elements per chunk where a class block is gathered per element (B @ x,
-# BlockGram.solve_vec, the load columns of _gram_products): a memory
-# bound, not a tuning option
+# elements per chunk where _class_products gathers a class block per
+# element: a memory bound, not a tuning option
 ELEMENT_CHUNK = 4096
+
+
+def _class_products(M, cls, v):
+    """M[cls[t]] @ v[t] (T, m) for the class matrices M (C, m, n) and the
+    per-element vectors v (T, n), the class blocks gathered ELEMENT_CHUNK
+    elements at a time."""
+    out = np.empty((cls.size, M.shape[1]))
+    for k in range(0, cls.size, ELEMENT_CHUNK):
+        e = slice(k, k + ELEMENT_CHUNK)
+        out[e] = np.einsum("tij,tj->ti", M[cls[e]], v[e])
+    return out
 
 
 @dataclass
@@ -86,16 +96,12 @@ class BlockGram:
 
     def solve_vec(self, vec):
         """G^{-1} @ vec, applied blockwise: the element blocks by products
-        with the class inverses, gathered ELEMENT_CHUNK elements at a
-        time."""
+        with the class inverses."""
         rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
-        sv, st = np.empty_like(rv), np.empty_like(rt)
-        for k in range(0, self.n_tri, ELEMENT_CHUNK):
-            e = slice(k, k + ELEMENT_CHUNK)
-            sv[e] = (self.Gv_inv[self.cls[e]] @ rv[e, :, None])[..., 0]
-            st[e] = (self.Gtau_inv[self.cls[e]] @ rt[e, :, None])[..., 0]
-        return np.concatenate([sv.ravel(), st.ravel(),
-                               self.bem.solve_gpsi(rp)])
+        return np.concatenate([
+            _class_products(self.Gv_inv, self.cls, rv).ravel(),
+            _class_products(self.Gtau_inv, self.cls, rt).ravel(),
+            self.bem.solve_gpsi(rp)])
 
     def quadratic(self, vec):
         """vec . G^{-1} vec (the dual-norm square of a residual)."""
@@ -129,11 +135,7 @@ class BlockOperator:
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
-        y = np.empty((self.cls.size, 18))
-        for k in range(0, self.cls.size, ELEMENT_CHUNK):
-            e = slice(k, k + ELEMENT_CHUNK)
-            y[e] = np.einsum("tij,tj->ti", self.local[self.cls[e]],
-                             x[self.cols[e]] * self.signs[e])
+        y = _class_products(self.local, self.cls, x[self.cols] * self.signs)
         xs, xu = np.split(x[self.gamma_cols], 2)
         return np.concatenate([y[:, :6].ravel(), y[:, 6:].ravel(),
                                self.bem.V_ps @ (self.bem.loop.signs * xs)
@@ -282,36 +284,22 @@ def assemble_operator_blocks(mesh, bem_mats, data):
     return OperatorBlocks(B=B, G=G, ell=ell)
 
 
-def _two_columns(rhs):
-    """rhs (..., n) as two equal columns (..., n, 2).  LAPACK and BLAS
-    round a lone right-hand side otherwise than one of several columns."""
-    return np.stack([rhs, rhs], axis=-1)
-
-
 def _gram_products(B, G, ell):
     """B_k^T G_k^{-1} B_k per Gram block k: (C, 9, 9) per geometry class,
     its H1 and H(div) blocks summed, with the sighat columns for edge sign
-    +1; the load columns B_T^T G_T^{-1} ell_T (T, 9) per element; and
-    B_G^T G_G^{-1} [B_G | ell_G] (2P, 2P + 1) for the boundary.  The
-    H(div) block of ell is zero, so the load columns come from the H1
-    block alone.  B_G = [V_ps D | H], D = diag(loop.signs), and
+    +1; Z = G_v^{-1} B_v (C, 6, 9) per class, the H1 block of G^{-1} B;
+    and B_G^T G_G^{-1} [B_G | ell_G] (2P, 2P + 1) for the boundary.  The
+    H(div) block of ell is zero, so element t's load column
+    B_T^T G_T^{-1} ell_T is signs[t] * (Z[cls[t]]^T ell_v,T), a class map
+    of its H1 load.  B_G = [V_ps D | H], D = diag(loop.signs), and
     V_ps = G_G E with E^T = bem.p0_test_rows: so the sighat rows are
     D p0(V_ps) D and D p0([H | ell_G]), with no solve, and the uhat rows
     W^T W with W = L^{-1} [H | ell_G], G_G = L L^T."""
-    ev, _, eg = G._parts(np.asarray(ell, dtype=float))
+    eg = G._parts(np.asarray(ell, dtype=float))[2]
     bv, bt = B.local[:, :6], B.local[:, 6:]
-    bvT, btT = np.swapaxes(bv, 1, 2), np.swapaxes(bt, 1, 2)
-    a = bvT @ np.linalg.solve(G.Gv, bv)
-    a += btT @ np.linalg.solve(G.Gtau, bt)
-    # the load columns, on the elements whose block of ell is not zero,
-    # ELEMENT_CHUNK of them at a time
-    b = np.zeros((B.cls.size, 9))
-    t = np.flatnonzero(ev.any(axis=1))
-    for k in range(0, t.size, ELEMENT_CHUNK):
-        e = t[k:k + ELEMENT_CHUNK]
-        z = np.linalg.solve(G.Gv[G.cls[e]], _two_columns(ev[e]))
-        b[e] = (bvT[B.cls[e]] @ z)[..., 0]
-    b *= B.signs
+    Z = np.linalg.solve(G.Gv, bv)
+    a = np.swapaxes(bv, 1, 2) @ Z
+    a += np.swapaxes(bt, 1, 2) @ np.linalg.solve(G.Gtau, bt)
     s = B.bem.loop.signs[:, None]
     P = s.size
     # [H | ell_G] in the Fortran order of LAPACK, which solves it in place
@@ -326,7 +314,7 @@ def _gram_products(B, G, ell):
     w = scipy.linalg.solve_triangular(B.bem.G_psi_chol, w, lower=True,
                                       overwrite_b=True)
     np.matmul(w[:, :-1].T, w, out=g[P:, P:])
-    return a, b, g
+    return a, Z, g
 
 
 def build_normal_equations(B, G, ell):
@@ -341,12 +329,15 @@ def build_normal_equations(B, G, ell):
     complements and the boundary block sum to the SPD skeleton system
     S y = c in (uhat, sighat), of dimension V + E.  The element blocks
     and their condensation are formed once per geometry class and
-    signed per element; only the load terms are formed per element.
+    signed per element, and so is the load: with Z = G_v^{-1} B_v and
+    Y = A_ff^{-1} A_fs, element t's field values and condensed load are
+    the class map [A_ff^{-1} Z_f^T ; Z_s^T - Y^T Z_f^T] of its H1 load,
+    then signed.
 
     Returns (S, c, recover); recover(y) is the full trial vector, with
     the fields from back-substitution.
     """
-    a, b, g = _gram_products(B, G, ell)
+    a, Z, g = _gram_products(B, G, ell)
     try:
         np.linalg.cholesky(a[:, :3, :3])
     except np.linalg.LinAlgError as exc:
@@ -356,11 +347,7 @@ def build_normal_equations(B, G, ell):
     # A_sf = A_fs^T by symmetry
     Y = np.linalg.solve(a[:, :3, :3], a[:, :3, 3:])
     loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:], Y)
-    # per element: A_ff^{-1} b_f and the condensed load
     s = B.signs[:, 3:]
-    yf = np.linalg.solve(a[B.cls, :3, :3], _two_columns(b[:, :3]))[..., 0]
-    cf = b[:, 3:] - np.einsum("tfi,tf->ti", a[B.cls, :3, 3:] * s[:, None],
-                              yf)
     nf = 3 * G.n_tri
     ns = B.shape[1] - nf
     skel = B.cols[:, 3:] - nf
@@ -369,6 +356,13 @@ def build_normal_equations(B, G, ell):
                              gcols, g[:, :-1], ns)
     if np.any(S.diagonal() <= 0.0):
         raise NumericalError("normal equations indefinite: B rank deficient")
+    # every element's field values and condensed load, from its H1 load
+    zT = np.swapaxes(Z, 1, 2)
+    M = np.concatenate([np.linalg.solve(a[:, :3, :3], zT[:, :3]),
+                        zT[:, 3:] - np.swapaxes(Y, 1, 2) @ zT[:, :3]], axis=1)
+    load = _class_products(M, B.cls, G._parts(np.asarray(ell, float))[0])
+    # a copy, so that recover keeps (T, 3) and not the whole load
+    yf, cf = load[:, :3].copy(), load[:, 3:] * s
     c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
                     weights=np.concatenate([cf.ravel(), g[:, -1]]))
     fld = B.cols[:, :3]
@@ -376,7 +370,7 @@ def build_normal_equations(B, G, ell):
     def recover(y):
         x = np.empty(B.shape[1])
         x[nf:] = y
-        x[fld] = yf - np.einsum("tfj,tj->tf", Y[B.cls], y[skel] * s)
+        x[fld] = yf - _class_products(Y, B.cls, y[skel] * s)
         return x
 
     return S, c, recover

@@ -83,26 +83,15 @@ def triangle_duffy(n):
     Exact for polynomials of total degree <= 2n - 2; points cluster toward
     the collapsed vertex, local index 2.
     """
-    a, wa = gauss01(n)
-    b, wb = gauss01(n)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    x = (A * (1.0 - B)).ravel()
-    y = B.ravel()
-    w = (np.outer(wa, wb) * (1.0 - B)).ravel()
-    return _move_collapse(x, y, w, 2)
+    return _collapsed_rule(gauss01(n), gauss01(n), 2)
 
 
 @_rule
 def triangle_corner_rule(order, levels, collapse):
     """High-accuracy rule for integrands with a fractional-power singularity
     at the vertex collapse (0, 1 or 2): Duffy collapse and dyadic grading."""
-    a, wa = gauss01(order)
-    b, wb = graded01(order, levels, end=1)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    x = (A * (1.0 - B)).ravel()
-    y = B.ravel()
-    w = (np.outer(wa, wb) * (1.0 - B)).ravel()
-    return _move_collapse(x, y, w, collapse)
+    return _collapsed_rule(gauss01(order), graded01(order, levels, end=1),
+                           collapse)
 
 
 def barycentric(pts):
@@ -112,7 +101,15 @@ def barycentric(pts):
                     axis=-1)
 
 
-def _move_collapse(x, y, w, collapse):
+def _collapsed_rule(rule_a, rule_b, collapse):
+    """The tensor rule rule_a x rule_b on the unit square collapsed onto
+    the reference triangle, (a, b) -> (a (1 - b), b), so that b = 1 is
+    the vertex collapse (0, 1 or 2)."""
+    (a, wa), (b, wb) = rule_a, rule_b
+    A, B = np.meshgrid(a, b, indexing="ij")
+    x = (A * (1.0 - B)).ravel()
+    y = B.ravel()
+    w = (np.outer(wa, wb) * (1.0 - B)).ravel()
     # permute barycentric coordinates so the clustered vertex is `collapse`
     lam = np.stack([1.0 - x - y, x, y], axis=-1)
     if collapse == 2:

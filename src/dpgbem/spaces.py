@@ -127,13 +127,15 @@ def clique_matrix(cliques, blocks, dense_dofs, dense, n):
     Returns CSR.
     """
     # int32 indices (dof counts here are far below 2^31), which coo_matrix
-    # keeps without a copy; no name holds the triplets, so that tocsr runs
-    # with the COO alone
+    # keeps without a copy; no name holds the indices or blocks (freed if
+    # the caller passed a temporary), so that tocsr runs with the COO alone
     cliques = np.asarray(cliques, dtype=np.int32)
     dense_dofs = np.asarray(dense_dofs, dtype=np.int32)
     k, m = cliques.shape[1], dense_dofs.size
+    values = np.concatenate([blocks.ravel(), np.ravel(dense)])
+    del blocks
     return scipy.sparse.coo_matrix(
-        (np.concatenate([blocks.ravel(), np.ravel(dense)]),
+        (values,
          (np.concatenate([np.repeat(cliques, k, axis=1).ravel(),
                           np.repeat(dense_dofs, m)]),
           np.concatenate([np.tile(cliques, k).ravel(),

@@ -27,11 +27,11 @@ rows of B, and `gram_apply` multiplies a vector by the block test Gram.
 (`Mesh.element_classes`) and signs them per element.
 `ElementPipeline` is the same DPG operator computed element by element,
 as it was before the classes: the signed B blocks, the test Grams, the
-products B_T^T G_T^{-1} [B_T | ell_T], the field condensation, B @ x and
-the energy error.  The class path must reproduce it exactly.  Its
-boundary product is the W formula W[:, :-1]^T W, W = L^{-1} [B_G | ell_G],
-which `dpg_assembly` once used; the P0 rows that replaced it must match
-it to rounding.
+products B_T^T G_T^{-1} B_T and G_v,T^{-1} B_v,T, the field condensation,
+the load map, B @ x and the energy error.  The class path must reproduce
+it exactly.  Its boundary product is the W formula W[:, :-1]^T W,
+W = L^{-1} [B_G | ell_G], which `dpg_assembly` once used; the P0 rows
+that replaced it must match it to rounding.
 `signed_blocks` and `expand_products` expand class blocks and class
 products to one per element, and `p1_stiffness` gives the classical
 coupling's stiffness blocks formed element by element.
@@ -497,8 +497,8 @@ class ElementPipeline:
         """vec . G^{-1} vec, with the inverse of each element's own Gram
         blocks."""
         rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
-        sv = np.linalg.inv(self.Gv) @ rv[..., None]
-        st = np.linalg.inv(self.Gtau) @ rt[..., None]
+        sv = np.einsum("tij,tj->ti", np.linalg.inv(self.Gv), rv)
+        st = np.einsum("tij,tj->ti", np.linalg.inv(self.Gtau), rt)
         return float(np.dot(vec, np.concatenate([
             sv.ravel(), st.ravel(), self.bem.solve_gpsi(rp)])))
 
@@ -507,50 +507,57 @@ class ElementPipeline:
         return float(np.sqrt(max(self.quadratic(r), 0.0)))
 
     def gram_products(self, ell):
-        """B_k^T G_k^{-1} [B_k | ell_k]: (T, 9, 10) per element and
+        """B_T^T G_T^{-1} B_T (T, 9, 9) and Z_T = G_v,T^{-1} B_v,T
+        (T, 6, 9) per element, and B_G^T G_G^{-1} [B_G | ell_G]
         (2P, 2P + 1) for the boundary."""
-        ev, et, eg = self._parts(np.asarray(ell, dtype=float))
+        eg = self._parts(np.asarray(ell, dtype=float))[2]
         bv, bt = self.local[:, :6], self.local[:, 6:]
-        sv = np.linalg.solve(self.Gv, np.concatenate([bv, ev[..., None]],
-                                                     axis=2))
-        st = np.linalg.solve(self.Gtau, np.concatenate([bt, et[..., None]],
-                                                       axis=2))
-        a = np.swapaxes(bv, 1, 2) @ sv
-        a += np.swapaxes(bt, 1, 2) @ st
+        Z = np.linalg.solve(self.Gv, bv)
+        a = np.swapaxes(bv, 1, 2) @ Z
+        a += np.swapaxes(bt, 1, 2) @ np.linalg.solve(self.Gtau, bt)
         # the boundary block through W = L^{-1} [B_G | ell_G]
         w = scipy.linalg.solve_triangular(
             self.bem.G_psi_chol, np.column_stack([boundary_block(self.B), eg]),
             lower=True)
-        return a, w[:, :-1].T @ w
+        return a, Z, w[:, :-1].T @ w
 
     def normal_equations(self, ell, g):
         """(S, c, recover) as `build_normal_equations` returns them, with
-        the field condensation done per element, on the boundary product
-        g (2P, 2P + 1)."""
+        the field condensation and the load map done per element, on the
+        boundary product g (2P, 2P + 1).  The H(div) block of ell is zero,
+        so element t's field values and condensed load are
+        [A_ff^{-1} Z_f^T ; Z_s^T - Y^T Z_f^T] ell_v,T with its own Z_T and
+        Y_T = A_ff^{-1} A_fs."""
         B = self.B
-        a = self.gram_products(ell)[0]
+        ev, et, _ = self._parts(np.asarray(ell, dtype=float))
+        assert not et.any()
+        a, Z, _ = self.gram_products(ell)
         Y = np.linalg.solve(a[:, :3, :3], a[:, :3, 3:])
-        loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:9], Y)
+        loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:], Y)
+        zT = np.swapaxes(Z, 1, 2)
+        load = np.einsum("tij,tj->ti", np.concatenate([
+            np.linalg.solve(a[:, :3, :3], zT[:, :3]),
+            zT[:, 3:] - np.swapaxes(Y, 1, 2) @ zT[:, :3]], axis=1), ev)
         nf = 3 * self.local.shape[0]
         ns = B.shape[1] - nf
         skel = B.cols[:, 3:] - nf
         gcols = B.gamma_cols - nf
         S = scipy.sparse.coo_matrix(
-            (np.concatenate([loc[..., :6].ravel(), g[:, :-1].ravel()]),
+            (np.concatenate([loc.ravel(), g[:, :-1].ravel()]),
              (np.concatenate([np.repeat(skel, 6, axis=1).ravel(),
                               np.repeat(gcols, gcols.size)]),
               np.concatenate([np.tile(skel, 6).ravel(),
                               np.tile(gcols, gcols.size)]))),
             shape=(ns, ns)).tocsr()
         c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
-                        weights=np.concatenate([loc[..., 6].ravel(),
+                        weights=np.concatenate([load[:, 3:].ravel(),
                                                 g[:, -1]]))
         fld = B.cols[:, :3]
 
         def recover(y):
             x = np.empty(B.shape[1])
             x[nf:] = y
-            x[fld] = Y[..., 6] - np.einsum("tfj,tj->tf", Y[..., :6], y[skel])
+            x[fld] = load[:, :3] - np.einsum("tfj,tj->tf", Y, y[skel])
             return x
 
         return S, c, recover

@@ -198,17 +198,24 @@ def test_main_rejects_bad_out_before_first_level(tmp_path, monkeypatch,
         raise AssertionError("a study started")
 
     monkeypatch.setattr(cli.bem_mod, "assemble_bem", boom)
-    for out in (tmp_path / "missing" / "r.csv", tmp_path):
+    # the agreement file of --solver both, x_agreement.csv, is a directory
+    (tmp_path / "x_agreement.csv").mkdir()
+    for out, solver_name in ((tmp_path / "missing" / "r.csv", "dpg"),
+                             (tmp_path, "dpg"),
+                             (tmp_path / "x.csv", "both")):
         code = cli.main(["--domain", "square", "--levels", "3",
-                         "--out", str(out)])
+                         "--solver", solver_name, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error")
         assert "done:" not in err and "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "x_agreement.csv"]
+    assert list((tmp_path / "x_agreement.csv").iterdir()) == []
     cli.ExperimentConfig("square", 5, "dpg",
+                         str(tmp_path / "x.csv")).validate()
+    cli.ExperimentConfig("square", 5, "both",
                          str(tmp_path / "r.csv")).validate()
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "x_agreement.csv"]
 
 
 def test_main_writes_stdout_when_no_out(capsys):

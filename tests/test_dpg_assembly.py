@@ -162,7 +162,7 @@ def check_against_element_oracle(mesh, domain):
     # the boundary block from the P0 rows against the W formula; the rest
     # of the pipeline is compared exactly, on the production block
     g = dpg_assembly._gram_products(B, G, ell)[2]
-    g0 = E.gram_products(ell)[1]
+    g0 = E.gram_products(ell)[2]
     assert np.abs(g - g0).max() <= 1e-15 * np.abs(g0).max()
     S, c, recover = dpg_assembly.build_normal_equations(B, G, ell)
     S0, c0, recover0 = E.normal_equations(ell, g)
@@ -271,21 +271,24 @@ def test_energy_error_peak_memory_within_chunks():
 
 
 def test_chunked_products_independent_of_chunk_size(monkeypatch):
-    # the chunked gathers (the load columns of the Gram products, B @ x
-    # and the Gram solve) give the same bits for any chunk size; square
-    # CLI level 3 has 2048 elements, so ELEMENT_CHUNK takes them at once
+    # the chunked class products (the load map and the field recovery of
+    # the normal equations, B @ x and the Gram solve) give the same bits
+    # for any chunk size; square CLI level 3 has 2048 elements, so
+    # ELEMENT_CHUNK takes them at once
     mesh = cli_level_mesh("square", 3)
     data, _ = cli.manufacture_data("square")
     _, _, _, blocks = assemble_all(mesh, data)
     B, G, ell = blocks.B, blocks.G, blocks.ell
-    x = np.random.default_rng(4).standard_normal(B.shape[1])
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(B.shape[1])
+    y = rng.standard_normal(B.shape[1] - 3 * mesh.num_triangles)
 
     def outputs():
-        return dpg_assembly._gram_products(B, G, ell) + (B @ x,
-                                                         G.solve_vec(ell))
+        _, c, recover = dpg_assembly.build_normal_equations(B, G, ell)
+        return c, recover(y), B @ x, G.solve_vec(ell)
 
     want = outputs()
-    assert np.any(want[1] != 0.0)
+    assert np.any(want[0] != 0.0)
     for chunk in (7, 1000):
         monkeypatch.setattr(dpg_assembly, "ELEMENT_CHUNK", chunk)
         for got, ref in zip(outputs(), want):
@@ -354,11 +357,16 @@ def test_normal_equations_match_sparse_product_oracle(domain, level):
     # full A, against the sparse product through the loop G^{-1} B
     data, _ = cli.manufacture_data(domain)
     _, _, _, blocks = assemble_all(cli_level_mesh(domain, level), data)
-    a, loads, g = dpg_assembly._gram_products(blocks.B, blocks.G,
-                                              blocks.ell)
+    B, G = blocks.B, blocks.G
+    a, Z, g = dpg_assembly._gram_products(B, G, blocks.ell)
+    # the load columns B_T^T G_T^{-1} ell_T = signs * Z^T ell_v,T, since
+    # the H(div) block of ell is zero
+    ev, et, _ = G._parts(blocks.ell)
+    assert not et.any()
+    loads = B.signs * np.einsum("tji,tj->ti", Z[B.cls], ev)
     A, b = _oracles.scatter_products(
-        blocks.B, _oracles.expand_products(blocks.B, a, loads), g)
-    A0, b0 = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
+        B, _oracles.expand_products(B, a, loads), g)
+    A0, b0 = _oracles.normal_equations(B, G, blocks.ell)
     assert abs(A - A0).max() <= 1e-13 * abs(A0).max()
     assert np.abs(b - b0).max() <= 1e-13 * np.abs(b0).max()
 

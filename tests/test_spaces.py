@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -230,6 +232,30 @@ def test_clique_matrix_sums_blocks_and_dense_block(dense):
     assert np.array_equal(got.indptr, np.r_[0, np.cumsum(covered.sum(1))])
     assert np.array_equal(got.indices, np.nonzero(covered)[1])
     assert np.abs(got.toarray() - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_clique_matrix_frees_a_temporary_blocks_argument():
+    # blocks is copied into the COO values and then dropped, so a block
+    # array that only the call holds is freed before the scatter
+    rng = np.random.default_rng(8)
+    t, k = 20000, 6
+    cliques = rng.integers(0, t, size=(t, k))
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def named():
+        blocks = np.ones((t, k, k))
+        return spaces.clique_matrix(cliques, blocks, [], [], t)
+
+    temporary = peak(lambda: spaces.clique_matrix(
+        cliques, np.ones((t, k, k)), [], [], t))
+    assert temporary <= peak(named) - 0.9 * 8 * t * k * k
 
 
 def rule_moments(loop, rule, data):
