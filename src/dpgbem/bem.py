@@ -17,7 +17,10 @@ ratio s (`_separation`):
 - the pairs with s >= FAR_RATIO: the FAR_ORDER x FAR_ORDER tensor Gauss
   rule with point kernels, once per unordered pair.
 Every pass runs over chunks of at most FAR_CHUNK_ENTRIES node pairs: the
-chunk size is a memory bound, not a tuning option.
+chunk size is a memory bound, not a tuning option, and no entry depends
+on it.  The tensor rule's node sums are plain einsum calls for that
+reason: they call no BLAS, whose products may round an entry
+differently with the size of the call.
 
 Convention: the double-layer operator is assembled as the plain principal
 value integral (for x on a flat panel the own-panel kernel vanishes
@@ -211,20 +214,6 @@ def _basis_weights(t, w):
     return np.stack([1.0 - t, t]) * w
 
 
-def _node_sums(BW, T):
-    """sum_k BW[:, k] T[k] for basis weights BW (2, q) and the nodes on
-    the first axis of T.  The terms are added in node order, whatever the
-    other axes, so no entry depends on the size of the batch (a BLAS
-    product may sum in another order at the edge of its blocks)."""
-    out = np.empty((2,) + T.shape[1:])
-    term = np.empty(T.shape[1:])
-    for a in range(2):
-        np.multiply(T[0], BW[a, 0], out=out[a])
-        for k in range(1, BW.shape[1]):
-            out[a] += np.multiply(T[k], BW[a, k], out=term)
-    return out
-
-
 def _far_blocks(nodes, BW, loop, i, j):
     """Galerkin blocks of the panel pairs (i, j) from the tensor Gauss
     rule with point kernels; both double-layer orientations come from the
@@ -255,8 +244,9 @@ def _far_blocks(nodes, BW, loop, i, j):
     np.multiply(vx[None], r2, out=T[:, :, 1])
     np.multiply(vy[:, None], r2, out=T[:, :, 2])
     del r2
-    # source nodes b, then target nodes a
-    out = _node_sums(BW, _node_sums(BW, T).swapaxes(0, 1))
+    # source nodes b, then target nodes a; plain einsum adds each entry's
+    # terms in node order at any batch size (see the module docstring)
+    out = np.einsum("ak,bk...->ab...", BW, np.einsum("bk,k...->b...", BW, T))
     hh = loop.lengths[i, None] * loop.lengths[j]
     return (out[:, :, 0] * (hh * (-0.5 / TWO_PI)),
             out[:, :, 1] * (hh / TWO_PI), out[:, :, 2] * (hh / TWO_PI))
@@ -322,18 +312,20 @@ def assemble_bem(loop):
     K = np.zeros((P, 2, P + 1))
     Kt = np.zeros((P + 1, 2, P))
 
-    # the tensor rule on every pair (i, j >= i), each once with the lower
-    # index as target, in chunks of c target rows.  The single layer of
-    # the pairs that are not separated is overwritten below; their double
+    # one pass over chunks of c target rows: the separation of every pair
+    # (i, j >= i), the near list, and the tensor rule on every such pair,
+    # each once with the lower index as target.  The single layer of the
+    # pairs that are not separated is overwritten below; their double
     # layer is masked out here and added below.
     t, w = quadrature.gauss01(FAR_ORDER)
     BW = _basis_weights(t, w)
     nodes = pa.T[:, None] + t[:, None] * (pb - pa).T[:, None]
-    block = max(1, FAR_CHUNK_ENTRIES // P)
     near = []
-    for r0 in range(0, P, block):
-        r1 = min(r0 + block, P)
-        rows, cols = idx[r0:r1, None], idx[r0:]
+    i0 = 0
+    while i0 < P:
+        c = min(P - i0, max(1, FAR_CHUNK_ENTRIES // (t.size ** 2 * (P - i0))))
+        i, i1, j = slice(i0, i0 + c), i0 + c, slice(i0, P)
+        rows, cols = idx[i, None], idx[j]
         sep = _separation(mid, half, lengths, rows, cols) >= FAR_RATIO
         upper = cols > rows
         far = sep & upper
@@ -341,24 +333,18 @@ def assemble_bem(loop):
         # the near list in both orientations
         ni, nj = np.nonzero(~sep & upper & (cols != prev[rows])
                             & (cols != nxt[rows]))
-        near += [(ni + r0, nj + r0), (nj + r0, ni + r0)]
-        i0 = r0
-        while i0 < r1:
-            c = min(r1 - i0, max(1, FAR_CHUNK_ENTRIES
-                                 // (t.size ** 2 * (P - i0))))
-            i, i1, j = slice(i0, i0 + c), i0 + c, slice(i0, P)
-            mask = far[i0 - r0:i1 - r0, i0 - r0:]
-            # the panel itself (log 0 at its nodes) is overwritten below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g, dij, dji = _far_blocks(nodes, BW, loop, i, j)
-            G[i, :, j] = g.transpose(2, 0, 3, 1)
-            dij = np.where(mask, dij, 0.0)
-            K[i, :, j] += dij[:, 0].transpose(1, 0, 2)
-            K[i, :, i0 + 1:] += dij[:, 1].transpose(1, 0, 2)
-            dji = np.where(mask, dji, 0.0)
-            Kt[i, :, j] += dji[0].transpose(1, 0, 2)
-            Kt[i0 + 1:i1 + 1, :, j] += dji[1].transpose(1, 0, 2)
-            i0 = i1
+        near += [(ni + i0, nj + i0), (nj + i0, ni + i0)]
+        # the panel itself (log 0 at its nodes) is overwritten below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g, dij, dji = _far_blocks(nodes, BW, loop, i, j)
+        G[i, :, j] = g.transpose(2, 0, 3, 1)
+        dij = np.where(far, dij, 0.0)
+        K[i, :, j] += dij[:, 0].transpose(1, 0, 2)
+        K[i, :, i0 + 1:] += dij[:, 1].transpose(1, 0, 2)
+        dji = np.where(far, dji, 0.0)
+        Kt[i, :, j] += dji[0].transpose(1, 0, 2)
+        Kt[i0 + 1:i1 + 1, :, j] += dji[1].transpose(1, 0, 2)
+        i0 = i1
     K += Kt.transpose(2, 1, 0)
     del Kt
     # the single layer below the diagonal is the mirror of the one above

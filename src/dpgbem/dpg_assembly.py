@@ -208,10 +208,8 @@ def _element_b_locals(mesh, rep):
     loc[:, 0:6, 6:9] = -h_e[:, None, :] * mom_v.T[None]
 
     # - <uhat, tau.n>: column 3+j gets -sum_s h_s (n_out)_c int_e hat_j N_k
-    for s in range(3):
-        contrib = h_e[:, s, None, None] * mom_hv[s].T[None]  # (C, 6 k, 3 j)
-        loc[:, 6:18, 3:6] -= (contrib[:, :, None, :]
-                              * n_out[:, s, None, :, None]).reshape(ntri, 12, 3)
+    loc[:, 6:18, 3:6] -= np.einsum("ts,sjk,tsc->tkcj", h_e, mom_hv,
+                                   n_out).reshape(ntri, 12, 3)
     return loc
 
 

@@ -70,10 +70,8 @@ def _p1_stiffness(mesh):
 
 def _p1_load(mesh, f):
     """(f, hat_i) at every mesh vertex."""
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.triangles.ravel(),
-              spaces.element_load(mesh, f, lambda bary: bary).ravel())
-    return out
+    return np.bincount(mesh.triangles.ravel(), spaces.element_load(
+        mesh, f, lambda bary: bary).ravel(), minlength=mesh.num_vertices)
 
 
 def _panels_to_hats(h, X):

@@ -11,6 +11,8 @@ normals.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from .errors import MeshError
 
@@ -239,19 +241,12 @@ def _walk_boundary(bnd, tails, heads, signs):
     # every vertex is as often a head as a tail, so with unique tails
     # the successors are a permutation
     succ = by_tail[at]                       # edge whose tail is my head
-    # pointer doubling on the predecessor links, cut at edge 0: after the
-    # loop, dist[k] is the number of steps from edge 0 to edge k, and jump
-    # reaches edge 0 from every edge on its loop
-    jump = np.empty_like(succ)
-    jump[succ] = np.arange(bnd.size)
-    jump[0] = 0
-    dist = (np.arange(bnd.size) != 0).astype(int)
-    for _ in range(bnd.size.bit_length()):
-        dist = dist + dist[jump]
-        jump = jump[jump]
-    if np.any(jump != 0):
+    # the walk from edge 0 along the successors visits its whole loop
+    order = scipy.sparse.csgraph.depth_first_order(scipy.sparse.csr_array(
+        (np.ones(bnd.size), succ, np.arange(bnd.size + 1))), 0,
+        return_predecessors=False)
+    if order.size < bnd.size:
         raise MeshError("boundary has more than one loop")
-    order = np.argsort(dist)
     return bnd[order], tails[order], signs[order]
 
 

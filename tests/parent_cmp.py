@@ -1,0 +1,74 @@
+"""Check that the CLI writes byte-identical CSV files from this checkout
+and from another source tree, such as the parent commit's.
+
+Runs four studies with each tree's `dpgbem` package and one BLAS thread:
+`--solver both --levels 4` on both domains (main and agreement files),
+`--domain square --solver dpg --levels 5` and `--domain lshape --solver
+jn --levels 6`.  Prints per file whether the two trees' CSVs are
+byte-identical; the exit status is 1 if any file differs (or a run
+fails), else 0.
+
+    git archive HEAD~1 --prefix=parent/ | tar -x -C /tmp
+    python3 tests/parent_cmp.py /tmp/parent/src
+
+PARENT_SRC is the directory that holds the other tree's `dpgbem`
+package.  The file name keeps it out of pytest's collection.
+"""
+
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
+
+# (file stem, CLI arguments); --solver both also writes <stem>_agreement.csv
+STUDIES = (
+    ("square_both_4", ["--domain", "square", "--solver", "both",
+                       "--levels", "4"]),
+    ("lshape_both_4", ["--domain", "lshape", "--solver", "both",
+                       "--levels", "4"]),
+    ("square_dpg_5", ["--domain", "square", "--solver", "dpg",
+                      "--levels", "5"]),
+    ("lshape_jn_6", ["--domain", "lshape", "--solver", "jn",
+                     "--levels", "6"]),
+)
+
+
+def run_cli(src, args, out):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+               OPENBLAS_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "dpgbem.cli"] + args
+                   + ["--out", out], env=env, check=True,
+                   stderr=subprocess.DEVNULL)
+
+
+def main(argv):
+    if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "dpgbem")):
+        raise SystemExit("usage: parent_cmp.py PARENT_SRC  (the directory "
+                         "that holds the other tree's dpgbem package)")
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = (("this", SRC), ("parent", argv[0]))
+        for tree, _ in trees:
+            os.mkdir(os.path.join(tmp, tree))
+        for stem, args in STUDIES:
+            for tree, src in trees:
+                run_cli(src, args, os.path.join(tmp, tree, stem + ".csv"))
+            names = [stem + ".csv"]
+            if "both" in args:
+                names.append(stem + "_agreement.csv")
+            for name in names:
+                same = filecmp.cmp(os.path.join(tmp, "this", name),
+                                   os.path.join(tmp, "parent", name),
+                                   shallow=False)
+                differ += not same
+                print("{:28s} {}".format(
+                    name, "byte-identical" if same else "DIFFERS"))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -338,6 +338,23 @@ def test_assemble_bem_matches_loop_oracle(domain, levels):
                 (loop.num_panels, name)
 
 
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_assemble_bem_independent_of_chunk_size(domain, monkeypatch):
+    # from about one target row per chunk of the far pass (256) to a
+    # single chunk (2**22): the chunk bookkeeping and the node sums give
+    # the same bits at any batch size
+    loops = level_loops(domain, 5)
+    want = [bem.assemble_bem(loop) for loop in loops]
+    for entries in (256, 1000, 1 << 22):
+        monkeypatch.setattr(bem, "FAR_CHUNK_ENTRIES", entries)
+        for loop, ref in zip(loops, want):
+            got = bem.assemble_bem(loop)
+            for name in ("G_psi", "V_ps", "K_up", "H"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(ref, name)), \
+                    (entries, loop.num_panels, name)
+
+
 def far_pairs(loop):
     """(P, P) mask of the panel pairs that assemble_bem gives the tensor
     rule."""
