@@ -60,8 +60,6 @@ class Mesh:
     tri_edge_signs : (T, 3) int array
         +1 where the element-outward normal equals the global edge normal,
         -1 where it is opposite.
-    edge_tris : (E, 2) int array
-        Incident triangles (second entry -1 for boundary edges).
     boundary_edges : (Eb,) int array
         Edge indices ordered counterclockwise around the boundary loop.
     boundary_tails : (Eb,) int array
@@ -77,7 +75,6 @@ class Mesh:
     edge_lengths: np.ndarray
     tri_edges: np.ndarray
     tri_edge_signs: np.ndarray
-    edge_tris: np.ndarray
     boundary_edges: np.ndarray
     boundary_tails: np.ndarray
     boundary_signs: np.ndarray
@@ -203,24 +200,21 @@ def build_mesh(vertices, triangles):
     edges = np.stack([lo[first], hi[first]], axis=1)
     tri_edges = side_edge.reshape(-1, 3)
     tri_edge_signs = np.where(tails == lo, 1, -1).reshape(-1, 3)
-    edge_tris = np.full((first.size, 2), -1)
-    edge_tris[:, 0] = first // 3
-    second = np.nonzero(first[side_edge] != np.arange(side_edge.size))[0]
-    edge_tris[side_edge[second], 1] = second // 3
 
     tang = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
     tang = tang / edge_lengths[:, None]
     edge_normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
 
-    bnd = first[edge_tris[:, 1] < 0]
+    # a boundary edge is the side of one triangle only
+    bnd = first[counts[order] == 1]
     boundary_edges, boundary_tails, boundary_signs = _walk_boundary(
         side_edge[bnd], tails[bnd], heads[bnd], tri_edge_signs.ravel()[bnd])
 
     return Mesh(vertices=vertices, triangles=triangles, edges=edges,
                 edge_normals=edge_normals, edge_lengths=edge_lengths,
                 tri_edges=tri_edges, tri_edge_signs=tri_edge_signs,
-                edge_tris=edge_tris, boundary_edges=boundary_edges,
+                boundary_edges=boundary_edges,
                 boundary_tails=boundary_tails, boundary_signs=boundary_signs)
 
 

@@ -60,8 +60,15 @@ def graded01_both(order, levels):
 
 # Symmetric 6-point rule, exact for polynomials of total degree 4.
 # Barycentric orbit data; weights sum to 1 and are relative to the area.
-_D4_A1, _D4_B1, _D4_W1 = 0.816847572980459, 0.091576213509771, 0.109951743655322
-_D4_A2, _D4_B2, _D4_W2 = 0.108103018168070, 0.445948490915965, 0.223381589678011
+# The values solve the orbit equations for the moments 1, x^2, x^3 and
+# x^4, found once at 40 digits with mpmath.findroot (not a dependency)
+# and rounded to 25, so a + 2b = 1 and 3 w1 + 3 w2 = 1 hold in float64.
+_D4_A1 = 0.8168475729804585130808571
+_D4_B1 = 0.09157621350977074345957146
+_D4_W1 = 0.1099517436553218676383263
+_D4_A2 = 0.1081030181680702273633415
+_D4_B2 = 0.4459484909159648863183293
+_D4_W2 = 0.223381589678011465695007
 
 
 @_rule

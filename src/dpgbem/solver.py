@@ -10,7 +10,6 @@ solution are reported in L2(Gamma).
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from . import bem as bem_mod
@@ -98,14 +97,13 @@ def nested_dissection(cliques, coords, last):
     such as the boundary-integral clique) come at the end, in the given
     order.
 
-    Each level of the dissection takes time linear in the dofs still
-    being split: the dofs are sorted once per axis, every level splits
-    both orders by one stable partition, and only the left dofs whose
-    cliques reach past the median are searched for a right neighbour.
+    Each level of the dissection takes time linear in the dofs and the
+    clique entries: the dofs are sorted once per axis, every level
+    splits both orders by one stable partition, and one pass over the
+    cliques finds the separators.
 
     Returns perm, so that A[perm][:, perm] is the reordered matrix.
     """
-    cliques = np.asarray(cliques)
     last = np.asarray(last, dtype=int)
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
@@ -114,17 +112,7 @@ def nested_dissection(cliques, coords, last):
     rest = np.ones(n, dtype=bool)
     rest[last] = False
     node = np.flatnonzero(rest)
-    # the cliques at each dof, at[ptr[u]:ptr[u + 1]], and the largest x
-    # and y over them, reach (2, n), which bound a dof's neighbours
-    t, k = cliques.shape
-    inc = scipy.sparse.csr_matrix(
-        (np.ones(t * k, dtype=bool), cliques.ravel(),
-         np.arange(0, t * k + 1, k)), shape=(t, n)).tocsc()
-    ptr, at = inc.indptr, inc.indices
-    cols = np.ascontiguousarray(cliques.T)
-    reach = np.full((2, n), -np.inf)
-    for r, c in zip(reach, xy):
-        np.maximum.at(r, cols.ravel(), np.tile(np.maximum.reduce(c[cols]), k))
+    cols = np.ascontiguousarray(np.asarray(cliques).T)
     # the parts' dofs, part after part in tree order, each part in its
     # rank order along x (byx) and along y (byy)
     byx = node[np.lexsort((y[node], x[node]))]
@@ -146,35 +134,28 @@ def nested_dissection(cliques, coords, last):
         along = ((y[byy[end - 1]] - y[byy[start]])
                  > (x[byx[end - 1]] - x[byx[start]]))[seg]
         cur = np.where(along, byy, byx)
-        key = cur + n * along
-        xa = xy.ravel()[key]
+        xa = xy.ravel()[cur + n * along]
         # the median's whole coordinate line goes left, so that the
         # separator is that line; a part that is one line splits by rank
         median = xa[start + np.maximum(size // 2 - 1, 0)]
-        med = median[seg]
-        right = xa > med
-        # a left dof with a right neighbour joins the separator.  Only a
-        # left dof whose cliques reach past the median can have one, or
-        # any left dof of a part split by rank; leaf parts have none
-        near = reach.ravel()[key] > med
+        right = xa > median[seg]
         line = xa[end - 1] == median
         if line.any():
             right |= line[seg] & (np.arange(cur.size) - start[seg]
                                   >= (size // 2)[seg])
-            near |= line[seg]
-        side[cur] = right
+        # leaf parts are finished, so a clique holds a left and a right
+        # dof only inside a part being split: the left dofs of such
+        # cliques (sides OR-ed as bits, left 1 and right 2) are the dofs
+        # with a right neighbour, and join the separator
         big = size > ND_LEAF_SIZE
-        pos = np.flatnonzero(near & ~right)
-        pos = pos[big[seg[pos]]]
-        u = cur[pos]
-        cnt = ptr[u + 1] - ptr[u]
-        rows = at[_ranges(ptr[u], cnt)]
-        hit = np.zeros(rows.size, dtype=bool)
-        for c in cols:
-            hit |= side[c[rows]] == 1
-        is_sep = np.zeros(pos.size, dtype=bool)
-        is_sep[np.repeat(np.arange(pos.size), cnt)[hit]] = True
-        sep = pos[is_sep]
+        side[cur] = np.where(big[seg], right, 2)
+        bits = np.left_shift(1, side) & 3
+        acc = bits[cols[0]]
+        for c in cols[1:]:
+            acc |= bits[c]
+        cut = np.zeros(n, dtype=bool)
+        cut[cols[:, acc == 3]] = True
+        sep = np.flatnonzero(cut[cur] & (side[cur] == 0))
         # the separators and the leaf parts are finished, in rank order: a
         # part's separator after both its subtrees, a leaf part whole
         s = seg[sep]
@@ -184,7 +165,6 @@ def nested_dissection(cliques, coords, last):
         leaf = cur[_ranges(start[~big], size[~big])]
         perm[_ranges(base[~big], size[~big])] = leaf
         side[cur[sep]] = 2
-        side[leaf] = 2
         # the parts of the next level: each part's left, then its right
         # child, empty ones dropped, both orders split stably
         nr = np.where(big, np.add.reduceat(right, start, dtype=int), 0)

@@ -151,7 +151,7 @@ def build_mesh(vertices, triangles):
     return Mesh(vertices=vertices, triangles=triangles, edges=edges,
                 edge_normals=edge_normals, edge_lengths=edge_lengths,
                 tri_edges=tri_edges, tri_edge_signs=tri_edge_signs,
-                edge_tris=edge_tris, boundary_edges=boundary_edges,
+                boundary_edges=boundary_edges,
                 boundary_tails=boundary_tails, boundary_signs=boundary_signs)
 
 

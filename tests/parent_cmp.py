@@ -1,10 +1,12 @@
 """Check that the CLI writes byte-identical CSV files from this checkout
 and from another source tree, such as the parent commit's.
 
-Runs four studies with each tree's `dpgbem` package and one BLAS thread:
+Runs five studies with each tree's `dpgbem` package and one BLAS thread:
 `--solver both --levels 4` on both domains (main and agreement files),
-`--domain square --solver dpg --levels 5` and `--domain lshape --solver
-jn --levels 6`.  Prints per file whether the two trees' CSVs are
+`--domain square --solver dpg --levels 5` and `--levels 6`, and
+`--domain lshape --solver jn --levels 6`.  The square's level 6 (finest
+N = 32768) gives the nested dissection larger parts than the benchmarked
+studies do.  Prints per file whether the two trees' CSVs are
 byte-identical; the exit status is 1 if any file differs (or a run
 fails), else 0.
 
@@ -32,6 +34,8 @@ STUDIES = (
                        "--levels", "4"]),
     ("square_dpg_5", ["--domain", "square", "--solver", "dpg",
                       "--levels", "5"]),
+    ("square_dpg_6", ["--domain", "square", "--solver", "dpg",
+                      "--levels", "6"]),
     ("lshape_jn_6", ["--domain", "lshape", "--solver", "jn",
                      "--levels", "6"]),
 )

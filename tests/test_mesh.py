@@ -13,17 +13,16 @@ from dpgbem.cli import initial_mesh
 def check_invariants(mesh):
     assert np.all(mesh.element_map()[1] > 0.0)
     # interior edges have two triangles, boundary edges one
-    n_inc = (mesh.edge_tris >= 0).sum(axis=1)
+    sides = mesh.tri_edges.ravel()
+    n_inc = np.bincount(sides, minlength=mesh.num_edges)
     is_bnd = np.zeros(mesh.num_edges, dtype=bool)
     is_bnd[mesh.boundary_edges] = True
     assert np.all(n_inc[is_bnd] == 1)
     assert np.all(n_inc[~is_bnd] == 2)
     # the two elements of an interior edge see opposite outward normals
-    for e in np.nonzero(~is_bnd)[0]:
-        t0, t1 = mesh.edge_tris[e]
-        s0 = mesh.tri_edge_signs[t0][mesh.tri_edges[t0] == e][0]
-        s1 = mesh.tri_edge_signs[t1][mesh.tri_edges[t1] == e][0]
-        assert {int(s0), int(s1)} == {1, -1}
+    net = np.bincount(sides, weights=mesh.tri_edge_signs.ravel(),
+                      minlength=mesh.num_edges)
+    assert np.all(net[~is_bnd] == 0)
     # outward normals integrate to zero around the closed loop
     loop = boundary_loop(mesh)
     assert np.linalg.norm(loop.normals.T @ loop.lengths) < 1e-14
@@ -157,7 +156,7 @@ def test_lshape_rejects_bad_arguments():
 
 
 MESH_ARRAYS = ("vertices", "triangles", "edges", "edge_normals",
-               "edge_lengths", "tri_edges", "tri_edge_signs", "edge_tris",
+               "edge_lengths", "tri_edges", "tri_edge_signs",
                "boundary_edges", "boundary_tails", "boundary_signs")
 
 

@@ -197,3 +197,50 @@ def test_ties_and_lines_match_oracle(seed):
     last = rng.permutation(n)[:40]
     assert np.array_equal(nested_dissection(cliques, xy, last),
                           _oracles.nested_dissection(cliques, xy, last))
+
+
+def coupling_args(mesh):
+    """The (cliques, coords, last) with which solve_dpg orders the DPG
+    skeleton system and solve_jn the JN vertex system."""
+    loop = boundary_loop(mesh)
+    B = dpg_assembly.assemble_B(mesh, bem.assemble_bem(loop),
+                                mesh.element_classes())
+    nf = 3 * mesh.num_triangles
+    return [(B.cols[:, 3:] - nf,
+             np.concatenate([mesh.vertices, mesh.edge_midpoints()]),
+             B.gamma_cols - nf),
+            (mesh.triangles, mesh.vertices, loop.vertex_ids)]
+
+
+def lattice_args(seed):
+    """Dofs on a coarse lattice, so that many share a point or a
+    coordinate line (parts split by rank, separators that empty a side),
+    random cliques, dofs in no clique, and a `last` block in arbitrary
+    order."""
+    rng = np.random.default_rng(seed)
+    n = 600
+    xy = rng.integers(0, 6, (n, 2)) * np.array([1.0, 0.5])
+    xy[rng.random(n) < 0.3, 0] = 2.0
+    cliques = rng.integers(0, n - 20, (300, 3))
+    last = rng.permutation(n)[:40]
+    return cliques, xy, last
+
+
+def scrambled(cliques, rng):
+    """The same neighbours as cliques, with the rows shuffled, each row's
+    columns permuted on its own and a quarter of the rows repeated."""
+    t, k = cliques.shape
+    rows = rng.permutation(np.r_[np.arange(t), rng.integers(0, t, t // 4)])
+    cols = rng.permuted(np.tile(np.arange(k), (rows.size, 1)), axis=1)
+    return np.take_along_axis(cliques[rows], cols, axis=1)
+
+
+def test_order_depends_only_on_the_neighbours(level3):
+    # the order is read from which dofs share a clique, not from how the
+    # cliques are laid out
+    rng = np.random.default_rng(0)
+    cases = coupling_args(level3[0]) + [lattice_args(s) for s in range(6)]
+    for cliques, xy, last in cases:
+        assert np.array_equal(
+            nested_dissection(scrambled(cliques, rng), xy, last),
+            nested_dissection(cliques, xy, last))

@@ -19,12 +19,14 @@ def test_gauss01_degree():
 
 
 def test_triangle_degree4_exact_to_degree4():
+    # the orbit constants are exact to double precision: the weights sum
+    # to 1/2 exactly and every monomial of degree <= 4 is right to rounding
     pts, w = quad.triangle_degree4()
-    assert w.sum() == pytest.approx(0.5, rel=1e-14)
+    assert w.sum() == 0.5
     for p in range(5):
         for q in range(5 - p):
             val = np.dot(w, pts[:, 0] ** p * pts[:, 1] ** q)
-            assert val == pytest.approx(tri_monomial_exact(p, q), rel=1e-13)
+            assert abs(val / tri_monomial_exact(p, q) - 1) <= 1e-15, (p, q)
 
 
 @pytest.mark.parametrize("n,deg", [(3, 4), (4, 6), (6, 10)])
