@@ -185,7 +185,7 @@ class BemMatrices:
         """<(1/2 - K) u0, psi_i> for a function u0(x, y) on a
         spaces.boundary_quadrature rule: the mass part from the hat
         moments of u0, K applied to its L2 projection onto the hats."""
-        tail, head = spaces.hat_moments(self.loop, rule, spaces.point_values(
+        tail, head = spaces.hat_moments(rule, spaces.point_values(
             rule, lambda x, y, t: u0(x, y)))
         return (0.5 * np.stack([tail, head], axis=1).ravel()
                 - self.K_up @ spaces.project_boundary_p1(self.loop, tail,
@@ -354,7 +354,7 @@ def assemble_bem(loop):
 
     # near pairs: Gauss outer rule; vertex-sharing neighbours: outer rule
     # graded toward the shared vertex (the tail for prev, the head for nxt)
-    t_gr, w_gr = quadrature.graded01(PANEL_ORDER, NEIGHBOUR_LEVELS, end=0)
+    t_gr, w_gr = quadrature.graded01(PANEL_ORDER, NEIGHBOUR_LEVELS)
     for (t, w), targets, sources in (
             (quadrature.gauss01(2 * PANEL_ORDER), I, J),
             ((t_gr, w_gr), idx, prev), ((1.0 - t_gr, w_gr), idx, nxt)):

@@ -35,8 +35,6 @@ COLUMNS = ("level", "N", "h", "dim_trial", "dim_test", "err_energy_sq",
            "rate_energy", "rate_u", "rate_sigma")
 AGREEMENT_COLUMNS = ("level", "N", "agree_trace_l2", "agree_flux_l2",
                      "dpg_err_trace_l2", "jn_err_trace_l2")
-CSV_HEADER = ",".join(COLUMNS)
-AGREEMENT_HEADER = ",".join(AGREEMENT_COLUMNS)
 
 DOMAINS = ("square", "lshape")
 SOLVERS = ("dpg", "jn", "both")

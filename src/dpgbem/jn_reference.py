@@ -34,7 +34,6 @@ import scipy.sparse
 from . import bem as bem_mod
 from . import spaces
 from .errors import NumericalError
-from .mesh import REF_HAT_GRADS, element_map
 from .solver import (direct_solve, field_errors, nested_dissection,
                      trace_error)
 
@@ -60,12 +59,10 @@ class JnSystem:
 
 
 def _p1_stiffness(mesh):
-    """P1 stiffness blocks (T, 3, 3) on mesh.triangles, formed once per
-    geometry class (Mesh.element_classes)."""
-    cls, rep = mesh.element_classes()
-    _, detJ, Jinv = element_map(mesh.vertices[mesh.triangles[rep]])
-    g = np.einsum("id,tdc->tic", REF_HAT_GRADS, Jinv)
-    return (np.einsum("tic,tjc->tij", g, g) * (0.5 * detJ)[:, None, None])[cls]
+    """P1 stiffness blocks (T, 3, 3) on mesh.triangles."""
+    g = mesh.hat_gradients()
+    detJ = mesh.element_map()[1]
+    return np.einsum("tic,tjc->tij", g, g) * (0.5 * detJ)[:, None, None]
 
 
 def _p1_load(mesh, f):
@@ -98,7 +95,7 @@ def assemble_jn(mesh, data, bem_mats):
     rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
                                       spaces.DATA_LEVELS, data.singular_vertex)
     # <phi0, v>_Gamma against the boundary hats
-    tail, head = spaces.hat_moments(loop, rule,
+    tail, head = spaces.hat_moments(rule,
                                     spaces.normal_flux(loop, data.phi0, rule))
     np.add.at(rhs, vid, tail)
     np.add.at(rhs, np.roll(vid, -1), head)

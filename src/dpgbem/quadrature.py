@@ -29,13 +29,13 @@ def gauss01(n):
 
 
 @_rule
-def graded01(order, levels, end):
-    """Composite Gauss rule on [0, 1], dyadically graded toward one endpoint.
+def graded01(order, levels):
+    """Composite Gauss rule on [0, 1], dyadically graded toward 0.
 
-    Subdivides [0, 1] at 2^-1, 2^-2, ..., 2^-levels (measured from the
-    endpoint `end`, 0 or 1) and applies an `order`-point Gauss rule on each
-    piece, including the innermost one.  Integrates endpoint singularities
-    of log / fractional-power type to near machine precision.
+    Subdivides [0, 1] at 2^-1, 2^-2, ..., 2^-levels and applies an
+    `order`-point Gauss rule on each piece, including the innermost one.
+    Integrates endpoint singularities of log / fractional-power type to
+    near machine precision; (1 - x, w) is the rule graded toward 1.
     """
     xg, wg = gauss01(order)
     breaks = [0.0] + [2.0 ** (-k) for k in range(levels, 0, -1)] + [1.0]
@@ -43,17 +43,13 @@ def graded01(order, levels, end):
     for a, b in zip(breaks[:-1], breaks[1:]):
         pts.append(a + (b - a) * xg)
         wts.append((b - a) * wg)
-    x = np.concatenate(pts)
-    w = np.concatenate(wts)
-    if end == 1:
-        x = 1.0 - x
-    return x, w
+    return np.concatenate(pts), np.concatenate(wts)
 
 
 @_rule
 def graded01_both(order, levels):
     """Composite Gauss rule on [0, 1] graded toward both endpoints."""
-    x, w = graded01(order, levels, end=0)
+    x, w = graded01(order, levels)
     xl, wl = 0.5 * x, 0.5 * w
     return np.concatenate([xl, 1.0 - xl]), np.concatenate([wl, wl])
 
@@ -97,8 +93,8 @@ def triangle_duffy(n):
 def triangle_corner_rule(order, levels, collapse):
     """High-accuracy rule for integrands with a fractional-power singularity
     at the vertex collapse (0, 1 or 2): Duffy collapse and dyadic grading."""
-    return _collapsed_rule(gauss01(order), graded01(order, levels, end=1),
-                           collapse)
+    x, w = graded01(order, levels)
+    return _collapsed_rule(gauss01(order), (1.0 - x, w), collapse)
 
 
 def barycentric(pts):

@@ -38,7 +38,7 @@ class Solution:
     trial_layout: object = field(init=False, repr=False)
     trace_c: np.ndarray = field(init=False, repr=False)
     flux_c: np.ndarray = field(init=False, repr=False)
-    rule: list = field(init=False, repr=False)
+    rule: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.trial_layout = spaces.TrialDofLayout.from_mesh(self.mesh)
@@ -290,11 +290,10 @@ def field_errors(mesh, exact_u, exact_grad, u_h, grad_h, singular_vertex):
     return float(np.sqrt(err_u)), float(np.sqrt(err_g))
 
 
-def boundary_norm(loop, rule, sq):
+def boundary_norm(rule, sq):
     """sqrt of the integral over the boundary of values sq >= 0 at the
-    nodes of a boundary_quadrature rule."""
-    return float(np.sqrt(np.dot(loop.lengths,
-                                spaces.panel_means(loop, rule, sq))))
+    nodes of a boundary_quadrature rule (its weights are rule[3])."""
+    return float(np.sqrt(np.dot(rule[3], sq)))
 
 
 def trace_error(loop, rule, vertex_vals, exact_u):
@@ -305,7 +304,7 @@ def trace_error(loop, rule, vertex_vals, exact_u):
 
     def sq(x, y, t, a, b):
         return (a * (1.0 - t) + b * t - exact_u(x, y)) ** 2
-    return boundary_norm(loop, rule, spaces.point_values(rule, sq, *ends.T))
+    return boundary_norm(rule, spaces.point_values(rule, sq, *ends.T))
 
 
 def l2_errors(solution, exact_u, exact_grad, mesh, singular_vertex):
@@ -327,7 +326,7 @@ def boundary_cauchy_errors(solution):
     loop, rule, phi0 = solution.loop, solution.rule, solution.data.phi0
     err_trace = trace_error(loop, rule, solution.uhat[loop.vertex_ids],
                             solution.data.u0)
-    err_flux = boundary_norm(loop, rule, spaces.point_values(
+    err_flux = boundary_norm(rule, spaces.point_values(
         rule, lambda x, y, t, s, nx, ny: (s - phi0(x, y, nx, ny)) ** 2,
         loop.signs * solution.sighat[loop.edge_ids], *loop.normals.T))
     return err_trace, err_flux

@@ -9,11 +9,12 @@ Test space: scalar P2 and vector P2 per element, plus discontinuous P1 on
 the boundary edges.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from . import quadrature
 from .mesh import REF_HAT_GRADS
@@ -144,20 +145,18 @@ def clique_matrix(cliques, blocks, dense_dofs, dense, n):
 
 
 def boundary_quadrature(loop, order, levels, singular_vertex):
-    """Quadrature on all panels of a boundary loop, as panel groups
-    (panels, pts, wts, t): the panel indices (n,), the physical nodes
-    (2, n, q), coordinate-major, their arc-length weights (n, q) and
-    their panel parameters t (q,), at which the hat functions of a
-    panel's tail and head take the values 1 - t and t.
+    """Quadrature on all panels of a boundary loop, as one node set
+    (panel, x, y, w, t) of 1-D arrays: per node its panel index, its
+    coordinates, its arc-length weight and its panel parameter t, at
+    which the hats of the panel's tail and head take the values 1 - t
+    and t.  Each panel's nodes are contiguous, in panel order.
 
     A panel whose distance to singular_vertex (a point, or None) is at
     most its own length takes the composite Gauss rule of the given
     order graded toward both panel ends over the given levels (> 0),
     which integrates data with a singularity at the vertex accurately.
     Every other panel takes the plain Gauss rule of that order, which
-    integrates the data, smooth there, to rounding.  Empty groups are
-    left out.  The helpers below read the groups, one array (n, q) of
-    node values per group.
+    integrates the data, smooth there, to rounding.
     """
     near = np.zeros(loop.num_panels, dtype=bool)
     if singular_vertex is not None:
@@ -165,24 +164,25 @@ def boundary_quadrature(loop, order, levels, singular_vertex):
         r = np.asarray(singular_vertex, dtype=float) - pa
         s = np.clip((r * d).sum(axis=1) / loop.lengths ** 2, 0.0, 1.0)
         near = np.hypot(*(r - s[:, None] * d).T) <= loop.lengths
-    groups = []
-    for panels, (t, w) in (
-            (np.flatnonzero(~near), quadrature.gauss01(order)),
-            (np.flatnonzero(near), quadrature.graded01_both(order, levels))):
-        if panels.size:
-            pa, pb = loop.points_a[panels].T, loop.points_b[panels].T
-            groups.append((panels, pa[..., None] + t * (pb - pa)[..., None],
-                           loop.lengths[panels, None] * w, t))
-    return groups
+    # node i is node ref[i] of the Gauss and graded rules laid end to end
+    rules = (quadrature.gauss01(order), quadrature.graded01_both(order, levels))
+    t_ref, w_ref = (np.concatenate(a) for a in zip(*rules))
+    counts = np.where(near, rules[1][0].size, order)
+    panel = np.repeat(np.arange(loop.num_panels), counts)
+    ref = np.arange(panel.size) - np.repeat(
+        np.cumsum(counts) - counts - order * near, counts)
+    t = t_ref[ref]
+    # the panel ends by np.take, many times faster than fancy indexing
+    a, b = np.stack([loop.points_a.T, loop.points_b.T]).take(panel, axis=2)
+    x, y = a + t * (b - a)
+    return panel, x, y, loop.lengths[panel] * w_ref[ref], t
 
 
 def point_values(rule, fn, *panel_data):
-    """Values at the nodes of a boundary_quadrature rule, one array
-    (n, q) per group: fn(x, y, t, *d) with the node coordinates x, y
-    (n, q), their panel parameters t (q,) and each array of panel_data
-    (P,) on the group's panels as a column (n, 1)."""
-    return [fn(*pts, t, *(d[p, None] for d in panel_data))
-            for p, pts, _, t in rule]
+    """Values at the nodes of a boundary_quadrature rule: fn(x, y, t, *d)
+    with each array d of panel_data (P,) taken at the nodes' panels."""
+    panel, x, y, _, t = rule
+    return fn(x, y, t, *map(operator.itemgetter(panel), panel_data))
 
 
 def normal_flux(loop, fn, rule):
@@ -192,47 +192,39 @@ def normal_flux(loop, fn, rule):
                         *loop.normals.T)
 
 
+def _panel_sums(panel, vals):
+    """Sums (P,) of node values over each panel, pairwise within a panel
+    (np.add.reduceat), as accurate on the long graded panels as row sums."""
+    return np.add.reduceat(vals, np.flatnonzero(np.diff(panel, prepend=-1)))
+
+
 def panel_means(loop, rule, vals):
     """Panelwise means (P,) of values at the nodes of a
     boundary_quadrature rule."""
-    out = np.empty(loop.num_panels)
-    for (p, _, w, _), v in zip(rule, vals):
-        out[p] = (w * v).sum(axis=1)
-    return out / loop.lengths
+    panel, _, _, w, _ = rule
+    return _panel_sums(panel, w * vals) / loop.lengths
 
 
-def hat_moments(loop, rule, vals):
+def hat_moments(rule, vals):
     """Integrals of values at the nodes of a boundary_quadrature rule
     against the tail and the head hat of each panel, each (P,)."""
-    tail, head = np.empty(loop.num_panels), np.empty(loop.num_panels)
-    for (p, _, w, t), v in zip(rule, vals):
-        wv = w * v
-        tail[p] = (wv * (1.0 - t)).sum(axis=1)
-        head[p] = (wv * t).sum(axis=1)
-    return tail, head
+    panel, _, _, w, t = rule
+    wv = w * vals
+    return _panel_sums(panel, wv * (1.0 - t)), _panel_sums(panel, wv * t)
 
 
 def project_boundary_p1(loop, tail, head):
     """L2 projection onto the continuous piecewise linears on the boundary
     loop, from the hat moments (tail, head) of the projected function;
-    returns one coefficient per loop vertex.
-
-    The P1 mass matrix is cyclic tridiagonal.  It is the tridiagonal
-    matrix T with corners changed by the rank one u v^T, u = (g, 0, ...,
-    0, c), v = (1, 0, ..., 0, c/g), where c is the corner entry and g
-    minus the first diagonal entry; T is solved banded and the corners
-    restored by one Sherman-Morrison step, O(P) in all.
-    """
-    h = loop.lengths
-    rhs = tail + np.roll(head, 1)        # vertex k: tail of k, head of k-1
-    diag = (h + np.roll(h, 1)) / 3.0
-    c, g = h[-1] / 6.0, -diag[0]
-    ab = np.zeros((2, h.size))
-    ab[0, 1:] = h[:-1] / 6.0
-    ab[1] = diag
-    ab[1, 0] -= g
-    ab[1, -1] -= c * c / g
-    u = np.zeros(h.size)
-    u[0], u[-1] = g, c
-    y, z = scipy.linalg.solveh_banded(ab, np.stack([rhs, u], axis=1)).T
-    return y - z * ((y[0] + y[-1] * c / g) / (1.0 + z[0] + z[-1] * c / g))
+    returns one coefficient per loop vertex.  The cyclic P1 mass matrix,
+    (h_k / 6) [[2, 1], [1, 2]] on the loop vertices k, k + 1 mod P of
+    each panel k, is summed by clique_matrix and solved by SuperLU
+    (spsolve) in loop order."""
+    k = np.arange(loop.num_panels)
+    mass = clique_matrix(np.stack([k, np.roll(k, -1)], axis=1),
+                         np.multiply.outer(loop.lengths / 6.0,
+                                           [[2.0, 1.0], [1.0, 2.0]]),
+                         [], [], k.size)
+    # vertex k: tail of panel k, head of panel k - 1
+    return scipy.sparse.linalg.spsolve(mass, tail + np.roll(head, 1),
+                                       permc_spec="NATURAL")

@@ -70,9 +70,8 @@ on the last axis, (..., q, 2), as `dpgbem.quadrature.map_to_physical`
 computed it before it returned the coordinates x and y one by one; the
 values must agree exactly.  `graded_boundary_rule` is the boundary rule
 that `dpgbem.spaces.boundary_quadrature` once gave every panel, graded
-toward both panel ends, as a single panel group: the rule grouped by the
-distance to the data's singular vertex must match it to rounding, and
-bit for bit on its graded panels.
+toward both panel ends: the rule graded only near the data's singular
+vertex must match it to rounding, and bit for bit on its graded panels.
 
 `interpolate_trial` puts an exact solution into the trial space
 (element means, vertex values, edge-mean fluxes), and `eval_trace_p1` is
@@ -641,8 +640,8 @@ def _panels_collinear(p, q, tol=1e-12):
 
 def _outer_rule(relation, shared_end, p, q, order):
     if relation == "shared":
-        return quadrature.graded01(order, bem.NEIGHBOUR_LEVELS,
-                                   end=shared_end)
+        x, w = quadrature.graded01(order, bem.NEIGHBOUR_LEVELS)
+        return (1.0 - x if shared_end == 1 else x), w
     gap = _panel_gap(p, q)
     if gap < max(p.length, q.length):
         return quadrature.gauss01(2 * order)
@@ -732,8 +731,7 @@ def assemble_bem_analytic(loop, quad_order=8):
     lengths = loop.lengths
     order_far = max(16, 2 * quad_order)
     t_far, w_far = quadrature.gauss01(order_far)
-    t_gr, w_gr = quadrature.graded01(quad_order, bem.NEIGHBOUR_LEVELS,
-                                      end=0)
+    t_gr, w_gr = quadrature.graded01(quad_order, bem.NEIGHBOUR_LEVELS)
 
     G = np.zeros((2 * P, 2 * P))
     K = np.zeros((2 * P, P))
@@ -793,7 +791,7 @@ def assemble_bem(loop):
     nodes = pa.T[:, None] + t4[:, None] * (pb - pa).T[:, None]
     t16, w16 = quadrature.gauss01(2 * spaces.PANEL_ORDER)
     t_gr, w_gr = quadrature.graded01(spaces.PANEL_ORDER,
-                                      bem.NEIGHBOUR_LEVELS, end=0)
+                                      bem.NEIGHBOUR_LEVELS)
     rules = [(t, bem._basis_weights(t, w)) for t, w in
              ((t4, w4), (t16, w16), (t_gr, w_gr), (1.0 - t_gr, w_gr))]
 
@@ -1024,12 +1022,13 @@ def map_to_physical(verts, pts):
 
 def graded_boundary_rule(loop, order, levels):
     """The rule graded toward both panel ends, quadrature.graded01_both,
-    on every panel of a loop, as one boundary_quadrature panel group."""
+    on every panel of a loop, as a boundary_quadrature node set."""
     t, w = quadrature.graded01_both(order, levels)
-    pa = loop.points_a[:, None, :]
-    pts = pa + t[None, :, None] * (loop.points_b[:, None, :] - pa)
-    return [(np.arange(loop.num_panels), np.moveaxis(pts, -1, 0),
-             loop.lengths[:, None] * w[None, :], t)]
+    panel = np.repeat(np.arange(loop.num_panels), t.size)
+    t = np.tile(t, loop.num_panels)
+    pa, pb = loop.points_a.T[:, panel], loop.points_b.T[:, panel]
+    x, y = pa + t * (pb - pa)
+    return panel, x, y, loop.lengths[panel] * np.tile(w, loop.num_panels), t
 
 
 def interpolate_trial(exact_u, exact_grad_u, exact_flux, mesh, layout,
@@ -1130,12 +1129,12 @@ def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
     # <phi0, v>_Gamma against the boundary hats
     rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
                                       spaces.DATA_LEVELS, data.singular_vertex)
-    tail, head = spaces.hat_moments(loop, rule, spaces.normal_flux(
+    tail, head = spaces.hat_moments(rule, spaces.normal_flux(
         loop, data.phi0, rule))
     np.add.at(rhs[:nv], loop.vertex_ids, tail)
     np.add.at(rhs[:nv], loop.vertex_ids[nxt], head)
     # <(1/2 - K) u0, psi>: mass part directly, kernel part via projection
-    tail, head = spaces.hat_moments(loop, rule, spaces.point_values(
+    tail, head = spaces.hat_moments(rule, spaces.point_values(
         rule, lambda x, y, t: data.u0(x, y)))
     mass_u0 = tail + head
     u0_hat = spaces.project_boundary_p1(loop, tail, head)

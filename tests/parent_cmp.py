@@ -7,8 +7,9 @@ Runs five studies with each tree's `dpgbem` package and one BLAS thread:
 `--domain lshape --solver jn --levels 6`.  The square's level 6 (finest
 N = 32768) gives the nested dissection larger parts than the benchmarked
 studies do.  Prints per file whether the two trees' CSVs are
-byte-identical; the exit status is 1 if any file differs (or a run
-fails), else 0.
+byte-identical, then the line totals of both trees' `dpgbem/*.py`
+files (as `wc -l` counts them); the exit status is 1 if any file
+differs (or a run fails), else 0.
 
     git archive HEAD~1 --prefix=parent/ | tar -x -C /tmp
     python3 tests/parent_cmp.py /tmp/parent/src
@@ -18,6 +19,7 @@ package.  The file name keeps it out of pytest's collection.
 """
 
 import filecmp
+import glob
 import os
 import subprocess
 import sys
@@ -49,6 +51,15 @@ def run_cli(src, args, out):
                    stderr=subprocess.DEVNULL)
 
 
+def line_total(src):
+    """Lines of the dpgbem/*.py files under src, as wc -l counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "dpgbem", "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
+
+
 def main(argv):
     if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "dpgbem")):
         raise SystemExit("usage: parent_cmp.py PARENT_SRC  (the directory "
@@ -71,6 +82,9 @@ def main(argv):
                 differ += not same
                 print("{:28s} {}".format(
                     name, "byte-identical" if same else "DIFFERS"))
+    for tree, src in trees:
+        print("{:28s} {} lines".format(tree + " dpgbem/*.py",
+                                       line_total(src)))
     return 1 if differ else 0
 
 

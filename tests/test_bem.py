@@ -499,16 +499,15 @@ def dipole_residual_norm(loop, value, gradient):
         loop, lambda x, y, nx, ny: sum(g * n for g, n in
                                        zip(gradient(x, y), (nx, ny))), rule))
     trace_v = spaces.project_boundary_p1(loop, *spaces.hat_moments(
-        loop, rule, spaces.point_values(rule, lambda x, y, t: value(x, y))))
+        rule, spaces.point_values(rule, lambda x, y, t: value(x, y))))
     trace = bem.hat_trace_coefs(loop, trace_v)
     # the layer potentials have kinks at the panel ends
-    [(_, pts, wts, t)] = _oracles.graded_boundary_rule(loop, 8, 12)
-    flat = pts.reshape(2, -1).T
+    panel, x, y, wts, t = _oracles.graded_boundary_rule(loop, 8, 12)
+    flat = np.stack([x, y], axis=1)
     vals = (_oracles.eval_single_layer(loop, flux, flat)
-            - _oracles.eval_double_layer(loop, trace, flat)
-            ).reshape(wts.shape)
+            - _oracles.eval_double_layer(loop, trace, flat))
     # pointwise (1/2) * trace, interpolated at the same panel parameters
-    lin = trace[:, 0][:, None] * (1 - t)[None, :] + trace[:, 1][:, None] * t[None, :]
+    lin = trace[panel, 0] * (1 - t) + trace[panel, 1] * t
     vals = vals + 0.5 * lin
     return np.sqrt((wts * vals ** 2).sum())
 

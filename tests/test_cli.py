@@ -110,7 +110,7 @@ def test_run_convergence_records_and_csv(tmp_path):
         assert math.isnan(records[0].rate_u)
         assert records[1].rate_u > 0.0
         lines = out.read_text().splitlines()
-        assert lines[0] == cli.CSV_HEADER == ",".join(cli.COLUMNS)
+        assert lines[0] == ",".join(cli.COLUMNS)
         assert len(lines) == 3
         agreement = tmp_path / "{}_agreement.csv".format(solver_name)
         assert agreement.exists() == (solver_name == "both")
@@ -127,7 +127,7 @@ def test_run_convergence_records_and_csv(tmp_path):
     assert records[1].rate_energy == pytest.approx(1.0, abs=0.2)
     assert records[0].dim_trial < records[0].dim_test
     agree = agreement.read_text().splitlines()
-    assert agree[0] == cli.AGREEMENT_HEADER == ",".join(cli.AGREEMENT_COLUMNS)
+    assert agree[0] == ",".join(cli.AGREEMENT_COLUMNS)
     assert len(agree) == 3
 
 
@@ -225,9 +225,9 @@ def test_main_writes_stdout_when_no_out(capsys):
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         # only the main CSV: the agreement file needs --out
-        assert lines[0] == cli.CSV_HEADER
+        assert lines[0] == ",".join(cli.COLUMNS)
         assert len(lines) == 3
-        assert cli.AGREEMENT_HEADER not in lines
+        assert ",".join(cli.AGREEMENT_COLUMNS) not in lines
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import _oracles
 from dpgbem import boundary_loop, make_lshape_mesh, make_square_mesh
 from dpgbem import refine_uniform
 from dpgbem import bem, cli, dpg_assembly, spaces
+from dpgbem import mesh as mesh_mod
 
 
 def test_layout_dimensions():
@@ -138,29 +140,43 @@ def test_projection_p1_reproduces_piecewise_linear():
     rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
                                       spaces.ERROR_LEVELS, None)
     coefs = spaces.project_boundary_p1(loop, *spaces.hat_moments(
-        loop, rule, spaces.point_values(rule, lambda x, y, t: fn(x, y))))
+        rule, spaces.point_values(rule, lambda x, y, t: fn(x, y))))
     verts = mesh.vertices[loop.vertex_ids]
     assert np.allclose(coefs, fn(verts[:, 0], verts[:, 1]), atol=1e-12)
 
 
+def check_projection_p1(loop):
+    # against a dense solve of the cyclic tridiagonal P1 mass matrix
+    h, k = loop.lengths, np.arange(loop.num_panels)
+    nxt = (k + 1) % loop.num_panels
+    mass = np.zeros((k.size, k.size))
+    np.add.at(mass, (k, k), h / 3.0)
+    np.add.at(mass, (nxt, nxt), h / 3.0)
+    mass[k, nxt] = mass[nxt, k] = h / 6.0
+    tail, head = np.cos(7.0 * k), np.sin(5.0 * k) + 2.0
+    want = np.linalg.solve(mass, tail + head[k - 1])
+    got = spaces.project_boundary_p1(loop, tail, head)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_projection_p1_solves_cyclic_mass_system(domain):
-    # the banded solve with one Sherman-Morrison step against a dense
-    # solve of the cyclic tridiagonal P1 mass matrix
     mesh = cli.initial_mesh(domain)
     for _ in range(4):
-        loop = boundary_loop(mesh)
-        h, k = loop.lengths, np.arange(loop.num_panels)
-        nxt = (k + 1) % loop.num_panels
-        mass = np.zeros((k.size, k.size))
-        np.add.at(mass, (k, k), h / 3.0)
-        np.add.at(mass, (nxt, nxt), h / 3.0)
-        mass[k, nxt] = mass[nxt, k] = h / 6.0
-        tail, head = np.cos(7.0 * k), np.sin(5.0 * k) + 2.0
-        want = np.linalg.solve(mass, tail + head[k - 1])
-        got = spaces.project_boundary_p1(loop, tail, head)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        check_projection_p1(boundary_loop(mesh))
         mesh = refine_uniform(mesh)
+
+
+def test_projection_p1_solves_mass_system_with_unequal_panels():
+    # an uneven grid, its loop started at every vertex, so that the panels
+    # before and after the loop's first vertex differ in length
+    loop = boundary_loop(mesh_mod._grid_mesh(
+        np.array([-0.1, -0.08, -0.03, 0.05, 0.1]), np.ones((4, 4), bool)))
+    assert loop.lengths.min() < 0.5 * loop.lengths.max()
+    for shift in range(loop.num_panels):
+        check_projection_p1(dataclasses.replace(loop, **{
+            f.name: np.roll(getattr(loop, f.name), shift, axis=0)
+            for f in dataclasses.fields(loop)}))
 
 
 def project_boundary_p0(loop, fn, singular_vertex=None,
@@ -263,8 +279,8 @@ def rule_moments(loop, rule, data):
     boundary_quadrature rule."""
     phi0 = spaces.normal_flux(loop, data.phi0, rule)
     u0 = spaces.point_values(rule, lambda x, y, t: data.u0(x, y))
-    return (*spaces.hat_moments(loop, rule, u0),
-            *spaces.hat_moments(loop, rule, phi0),
+    return (*spaces.hat_moments(rule, u0),
+            *spaces.hat_moments(rule, phi0),
             spaces.panel_means(loop, rule, phi0))
 
 
@@ -287,11 +303,11 @@ def test_grouped_boundary_rule_matches_graded_rule(domain, order, levels):
                                                                  data)
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max(), level
-        # the graded group keeps the graded rule, bit for bit: the two
-        # panels at the reentrant corner and their two neighbours
-        graded = [p for p, _, _, t in rule if t.size > order]
-        assert sum(p.size for p in graded) == (4 if domain == "lshape" else 0)
-        for p in graded:
-            for g, w in zip(got, want):
-                assert np.array_equal(g[p], w[p]), level
+        # the graded panels, those with more than order nodes, keep the
+        # graded rule, bit for bit: the two panels at the reentrant corner
+        # and their two neighbours
+        graded = np.flatnonzero(np.bincount(rule[0]) > order)
+        assert graded.size == (4 if domain == "lshape" else 0)
+        for g, w in zip(got, want):
+            assert np.array_equal(g[graded], w[graded]), level
         mesh = refine_uniform(mesh)
