@@ -168,7 +168,8 @@ _P2_EDGE = spaces.eval_p2_basis(_HAT_EDGE)[0]
 def _p2_gradients(mesh, tri):
     """det J and the physical P2 gradients at the volume nodes of the
     triangles tri, grad_phys[t, q, i, c] = sum_d gref[q, i, d] Jinv[t, d, c]."""
-    _, detJ, Jinv = element_map(mesh.vertices[mesh.triangles[tri]])
+    _, detJ, Jinv = element_map(np.take(mesh.vertices, mesh.triangles[tri],
+                                        axis=0))
     return detJ, np.einsum("qid,tdc->tqic", _P2_GRADS, Jinv)
 
 
@@ -315,7 +316,7 @@ def _gram_products(B, G, ell):
     return a, Z, g
 
 
-def build_normal_equations(B, G, ell):
+def build_normal_equations(B, G, ell, coords):
     """Form the practical-DPG normal equations B^T G^{-1} B x =
     B^T G^{-1} ell, with the field unknowns condensed out.
 
@@ -332,8 +333,10 @@ def build_normal_equations(B, G, ell):
     the class map [A_ff^{-1} Z_f^T ; Z_s^T - Y^T Z_f^T] of its H1 load,
     then signed.
 
-    Returns (S, c, recover); recover(y) is the full trial vector, with
-    the fields from back-substitution.
+    Returns (S, c, recover): S (CSC) and c in spaces.clique_matrix's
+    order of the skeleton dofs at coords (V + E, 2), and recover(y), the
+    full trial vector from y in that order, the fields from
+    back-substitution.
     """
     a, Z, g = _gram_products(B, G, ell)
     try:
@@ -347,11 +350,11 @@ def build_normal_equations(B, G, ell):
     loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:], Y)
     s = B.signs[:, 3:]
     nf = 3 * G.n_tri
-    ns = B.shape[1] - nf
     skel = B.cols[:, 3:] - nf
     gcols = B.gamma_cols - nf
-    S = spaces.clique_matrix(skel, loc[B.cls] * s[:, :, None] * s[:, None, :],
-                             gcols, g[:, :-1], ns)
+    S, order = spaces.clique_matrix(
+        skel, loc[B.cls] * s[:, :, None] * s[:, None, :], gcols, g[:, :-1],
+        coords)
     if np.any(S.diagonal() <= 0.0):
         raise NumericalError("normal equations indefinite: B rank deficient")
     # every element's field values and condensed load, from its H1 load
@@ -361,14 +364,15 @@ def build_normal_equations(B, G, ell):
     load = _class_products(M, B.cls, G._parts(np.asarray(ell, float))[0])
     # a copy, so that recover keeps (T, 3) and not the whole load
     yf, cf = load[:, :3].copy(), load[:, 3:] * s
-    c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
-                    weights=np.concatenate([cf.ravel(), g[:, -1]]))
+    c = np.bincount(np.concatenate([skel.ravel(), gcols]),
+                    minlength=order.size,
+                    weights=np.concatenate([cf.ravel(), g[:, -1]]))[order]
     fld = B.cols[:, :3]
 
     def recover(y):
         x = np.empty(B.shape[1])
-        x[nf:] = y
-        x[fld] = yf - _class_products(Y, B.cls, y[skel] * s)
+        x[nf + order] = y
+        x[fld] = yf - _class_products(Y, B.cls, x[nf + skel] * s)
         return x
 
     return S, c, recover

@@ -34,27 +34,25 @@ import scipy.sparse
 from . import bem as bem_mod
 from . import spaces
 from .errors import NumericalError
-from .solver import (direct_solve, field_errors, nested_dissection,
-                     trace_error)
+from .solver import direct_solve, field_errors, trace_error
 
 
 @dataclass
 class JnSystem:
     """Coupling system with the panel unknowns eliminated.
 
-    matrix and rhs are the vertex system for u at all mesh vertices: the
-    P1 stiffness plus, on the boundary vertices (loop.vertex_ids), the
-    dense Schur complement of the panel block W.  phi follows from u on
-    the boundary as W^{-1} (rhs_phi - B u_b), with W_chol the lower
-    Cholesky factor of W.  mesh is the mesh, whose triangles and vertex
-    coordinates order the direct solve."""
+    matrix (CSC) and rhs are the vertex system for u at all mesh
+    vertices: the P1 stiffness plus, on the boundary vertices
+    (loop.vertex_ids), the dense Schur complement of the panel block W,
+    with row i that of vertex order[i] (spaces.clique_matrix).  phi is
+    W^{-1} (rhs_phi - B u_b), W_chol the lower Cholesky factor of W."""
 
-    matrix: scipy.sparse.csr_matrix
+    matrix: scipy.sparse.csc_matrix
     rhs: np.ndarray
     W_chol: np.ndarray
     B: np.ndarray
     rhs_phi: np.ndarray
-    mesh: object
+    order: np.ndarray
     loop: object
 
 
@@ -121,30 +119,27 @@ def assemble_jn(mesh, data, bem_mats):
     S = np.outer(g_u, g_u - g_phi @ WiB) - _panels_to_hats(h, WiB)
     rhs[vid] -= _panels_to_hats(h, Wir) + g_u * (g_phi @ Wir)
 
-    matrix = spaces.clique_matrix(mesh.triangles, _p1_stiffness(mesh), vid, S,
-                                  mesh.num_vertices)
-    return JnSystem(matrix=matrix, rhs=rhs, W_chol=W_chol, B=B,
-                    rhs_phi=rhs_phi, mesh=mesh, loop=loop)
+    matrix, order = spaces.clique_matrix(mesh.triangles, _p1_stiffness(mesh),
+                                         vid, S, mesh.vertices)
+    return JnSystem(matrix=matrix, rhs=rhs[order], W_chol=W_chol, B=B,
+                    rhs_phi=rhs_phi, order=order, loop=loop)
 
 
 def solve_jn(system):
     """Direct solve; returns (u at vertices, phi per boundary panel).
 
-    The vertices go in solver.nested_dissection order, with the boundary
-    vertices, which the Schur complement couples densely, last, and
-    solver.direct_solve factors the vertex system in that order with
-    diagonal pivots and one step of iterative refinement.  The vertex
-    system is not symmetric, but its symmetric part is positive definite:
-    it is a Schur complement of the stabilized, elliptic form.  A singular
-    system or a relative residual above 1e-10 raises NumericalError.
+    solver.direct_solve factors the vertex system as assemble_jn orders
+    it, the boundary vertices, coupled densely, last, with diagonal
+    pivots and one step of iterative refinement; u is put back in
+    vertex order.  The vertex system is not symmetric, but its symmetric
+    part is positive definite: it is a Schur complement of the
+    stabilized, elliptic form.  A singular system or a relative residual
+    above 1e-10 raises NumericalError.
     """
-    vid = system.loop.vertex_ids
-    perm = nested_dissection(system.mesh.triangles, system.mesh.vertices,
-                             vid)
     u = np.empty_like(system.rhs)
-    u[perm] = direct_solve(system.matrix[perm][:, perm], system.rhs[perm])
-    phi = scipy.linalg.cho_solve((system.W_chol, True),
-                                 system.rhs_phi - system.B @ u[vid])
+    u[system.order] = direct_solve(system.matrix, system.rhs)
+    phi = scipy.linalg.cho_solve((system.W_chol, True), system.rhs_phi
+                                 - system.B @ u[system.loop.vertex_ids])
     return u, phi
 
 

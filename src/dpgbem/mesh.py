@@ -97,7 +97,7 @@ class Mesh:
 
     def triangle_vertices(self):
         """Coordinates of all triangle corners, shape (T, 3, 2)."""
-        return self.vertices[self.triangles]
+        return np.take(self.vertices, self.triangles, axis=0)
 
     def element_map(self):
         """Affine element maps, see :func:`element_map`."""
@@ -135,7 +135,7 @@ class Mesh:
 
     def edge_midpoints(self):
         """Midpoint of every edge, shape (E, 2)."""
-        return self.vertices[self.edges].mean(axis=1)
+        return np.take(self.vertices, self.edges, axis=0).mean(axis=1)
 
     def mesh_size(self):
         """Global mesh size h = longest edge."""
@@ -168,7 +168,7 @@ def build_mesh(vertices, triangles):
     if np.any((triangles < 0) | (triangles >= vertices.shape[0])):
         raise MeshError("vertex index outside [0, V)")
 
-    detJ = element_map(vertices[triangles])[1]
+    detJ = element_map(np.take(vertices, triangles, axis=0))[1]
     if np.any(detJ <= 0.0):
         bad = int(np.argmin(detJ))
         raise MeshError("triangle {} has non-positive area".format(bad))

@@ -16,9 +16,6 @@ from . import bem as bem_mod
 from . import dpg_assembly, quadrature, spaces
 from .errors import NumericalError
 
-# nested_dissection stops bisecting parts of at most this many dofs
-ND_LEAF_SIZE = 32
-
 
 @dataclass
 class Solution:
@@ -76,138 +73,21 @@ class Solution:
         return self.x[off:]
 
 
-def nested_dissection(cliques, coords, last):
-    """Fill-reducing elimination order for a sparse system on a 2-D mesh.
-
-    Geometric nested dissection (George, "Nested dissection of a regular
-    finite element mesh", SIAM J. Numer. Anal. 1973).  The dofs not in
-    `last` are bisected at the median of the longer axis of their
-    bounding box (x when both spans are equal), with coords (n, 2) the
-    position of each dof.  Inside a part the dofs are ranked by the
-    coordinate of that axis, then by the other coordinate, then by dof
-    index, so dofs at the same point keep their index order.  Dofs on
-    the median's coordinate line go left, unless that leaves the right
-    empty; then the part splits by rank.  Two dofs are neighbours if a
-    row of cliques (T, k), such as an element's dofs, holds both; the
-    pattern of a COO matrix is np.column_stack([A.row, A.col]).  A left
-    dof with a right neighbour joins the separator, so on a structured
-    mesh the separator is that line.  Each part is ordered
-    [left, right, separator], and parts of at most ND_LEAF_SIZE dofs
-    stay whole, in their rank order.  The dofs in `last` (a dense block
-    such as the boundary-integral clique) come at the end, in the given
-    order.
-
-    Each level of the dissection takes time linear in the dofs and the
-    clique entries: the dofs are sorted once per axis, every level
-    splits both orders by one stable partition, and one pass over the
-    cliques finds the separators.
-
-    Returns perm, so that A[perm][:, perm] is the reordered matrix.
-    """
-    last = np.asarray(last, dtype=int)
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
-    xy = np.ascontiguousarray(coords.T)
-    x, y = xy
-    rest = np.ones(n, dtype=bool)
-    rest[last] = False
-    node = np.flatnonzero(rest)
-    cols = np.ascontiguousarray(np.asarray(cliques).T)
-    # the parts' dofs, part after part in tree order, each part in its
-    # rank order along x (byx) and along y (byy)
-    byx = node[np.lexsort((y[node], x[node]))]
-    byy = byx[np.argsort(y[byx], kind="stable")]
-    # side: 0 left, 1 right while a dof is being split, else 2.  Two
-    # neighbours that are both being split are in the same part: had they
-    # been split apart, the left one would have joined a separator
-    side = np.full(n, 2, dtype=np.int8)
-    perm = np.empty(n, dtype=int)
-    perm[node.size:] = last
-    size = np.array([node.size])   # dofs of each part
-    base = np.zeros(1, dtype=int)  # where each part's subtree starts in perm
-    while byx.size:
-        nseg = size.size
-        end = np.cumsum(size)
-        start = end - size
-        seg = np.repeat(np.arange(nseg), size)
-        # a part's span is read from the ends of its two orders
-        along = ((y[byy[end - 1]] - y[byy[start]])
-                 > (x[byx[end - 1]] - x[byx[start]]))[seg]
-        cur = np.where(along, byy, byx)
-        xa = xy.ravel()[cur + n * along]
-        # the median's whole coordinate line goes left, so that the
-        # separator is that line; a part that is one line splits by rank
-        median = xa[start + np.maximum(size // 2 - 1, 0)]
-        right = xa > median[seg]
-        line = xa[end - 1] == median
-        if line.any():
-            right |= line[seg] & (np.arange(cur.size) - start[seg]
-                                  >= (size // 2)[seg])
-        # leaf parts are finished, so a clique holds a left and a right
-        # dof only inside a part being split: the left dofs of such
-        # cliques (sides OR-ed as bits, left 1 and right 2) are the dofs
-        # with a right neighbour, and join the separator
-        big = size > ND_LEAF_SIZE
-        side[cur] = np.where(big[seg], right, 2)
-        bits = np.left_shift(1, side) & 3
-        acc = bits[cols[0]]
-        for c in cols[1:]:
-            acc |= bits[c]
-        cut = np.zeros(n, dtype=bool)
-        cut[cols[:, acc == 3]] = True
-        sep = np.flatnonzero(cut[cur] & (side[cur] == 0))
-        # the separators and the leaf parts are finished, in rank order: a
-        # part's separator after both its subtrees, a leaf part whole
-        s = seg[sep]
-        nsep = np.bincount(s, minlength=nseg)
-        perm[(base + size - nsep)[s] + np.arange(sep.size)
-             - (np.cumsum(nsep) - nsep)[s]] = cur[sep]
-        leaf = cur[_ranges(start[~big], size[~big])]
-        perm[_ranges(base[~big], size[~big])] = leaf
-        side[cur[sep]] = 2
-        # the parts of the next level: each part's left, then its right
-        # child, empty ones dropped, both orders split stably
-        nr = np.where(big, np.add.reduceat(right, start, dtype=int), 0)
-        nl = np.where(big, size - nr - nsep, 0)
-        size = np.column_stack([nl, nr]).ravel()
-        first = np.cumsum(size) - size
-        to = _ranges(first[0::2], nl), _ranges(first[1::2], nr)
-        base = np.column_stack([base, base + nl]).ravel()[size > 0]
-        size = size[size > 0]
-        byx, byy = (_split(o, side, to) for o in (byx, byy))
-    return perm
-
-
-def _ranges(first, count):
-    """The concatenated ranges first[i] + arange(count[i])."""
-    return (np.repeat(first - np.cumsum(count) + count, count)
-            + np.arange(count.sum()))
-
-
-def _split(order, side, to):
-    """The dofs of `order` not finished, its left dofs to the positions
-    to[0] and its right dofs to to[1], each side in the order given."""
-    g = side[order]
-    out = np.empty(to[0].size + to[1].size, dtype=order.dtype)
-    out[to[0]] = order[g == 0]
-    out[to[1]] = order[g == 1]
-    return out
-
-
 def direct_solve(A, b):
     """Sparse direct solve of A x = b, the one factorization of both
     couplings.
 
-    SuperLU factors A in symmetric mode: diagonal pivots only, and no
-    column reordering (permc_spec="NATURAL"), so A must come in a
-    fill-reducing order; both callers order it with nested_dissection.
-    A must have a positive definite symmetric part (A + A^T) / 2.  Then
-    so has every leading principal submatrix, which is therefore
-    nonsingular, and every diagonal pivot is nonzero.  The DPG skeleton
-    system is SPD; the classical coupling's vertex system is a Schur
-    complement of an elliptic Galerkin form.  One step of iterative
-    refinement follows; a singular factor or a relative residual above
-    1e-10 raises NumericalError.
+    A comes in CSC and in a fill-reducing elimination order, as
+    spaces.clique_matrix assembles both systems, and SuperLU factors
+    that matrix itself (tocsc returns a CSC matrix as it is) in
+    symmetric mode: diagonal pivots only, and no column reordering
+    (permc_spec="NATURAL").  A must have a positive definite symmetric
+    part (A + A^T) / 2.  Then so has every leading principal submatrix,
+    which is therefore nonsingular, and every diagonal pivot is nonzero.
+    The DPG skeleton system is SPD; the classical coupling's vertex
+    system is a Schur complement of an elliptic Galerkin form.  One step
+    of iterative refinement follows; a singular factor or a relative
+    residual above 1e-10 raises NumericalError.
     """
     b = np.asarray(b, dtype=float)
     try:
@@ -358,21 +238,13 @@ def solve_dpg(mesh, data, bem_mats):
     """Assemble and solve the coupled DPG system on a mesh, with the
     boundary matrices bem_mats of its boundary loop and the field
     unknowns condensed out element by element.  The skeleton system is
-    solved in nested-dissection order, its boundary dofs last.
+    assembled and solved in nested-dissection order.
 
     Returns (solution, blocks); blocks are needed for the energy error.
     """
     blocks = dpg_assembly.assemble_operator_blocks(mesh, bem_mats, data)
-    S, c, recover = dpg_assembly.build_normal_equations(blocks.B, blocks.G,
-                                                        blocks.ell)
-    nf = 3 * mesh.num_triangles
-    perm = nested_dissection(
-        blocks.B.cols[:, 3:] - nf,
-        np.concatenate([mesh.vertices, mesh.edge_midpoints()]),
-        blocks.B.gamma_cols - nf)
-    # the natural-order S is freed before the factorization
-    S = S[perm][:, perm]
-    y = np.empty_like(c)
-    y[perm] = solve_spd(S, c[perm])
-    sol = Solution(mesh=mesh, data=data, loop=bem_mats.loop, x=recover(y))
-    return sol, blocks
+    S, c, recover = dpg_assembly.build_normal_equations(
+        blocks.B, blocks.G, blocks.ell,
+        np.concatenate([mesh.vertices, mesh.edge_midpoints()]))
+    return Solution(mesh=mesh, data=data, loop=bem_mats.loop,
+                    x=recover(solve_spd(S, c))), blocks

@@ -103,6 +103,8 @@ def side_bary(side, t):
 PANEL_ORDER = 8
 DATA_LEVELS = 30
 ERROR_ORDER, ERROR_LEVELS = 8, 24
+# nested_dissection stops bisecting parts of at most this many dofs
+ND_LEAF_SIZE = 32
 
 # the element rule of both solvers' volume loads (f, v)
 LOAD_PTS, LOAD_W = quadrature.triangle_duffy(5)
@@ -118,20 +120,24 @@ def element_load(mesh, f, basis):
     return np.einsum("q,tq,qi->ti", LOAD_W, fv, vals) * detJ[:, None]
 
 
-def clique_matrix(cliques, blocks, dense_dofs, dense, n):
-    """Sparse matrix of order n from element blocks and one dense block.
-
-    Element t adds its block blocks[t] (k, k) on its dofs cliques[t] (k,),
-    and dense (m, m) is added on the m dofs dense_dofs.  Both couplings
-    have this form: an element-local part plus a boundary-integral block.
-    Entries are summed in (t, i, j) order, then the dense block row-major.
-    Returns CSR.
+def clique_matrix(cliques, blocks, dense_dofs, dense, coords):
+    """Sparse matrix from element blocks and one dense block, summed
+    straight into its elimination order: (A, order), A in CSC (the
+    format that SuperLU factors), its row and column i those of dof
+    order[i].  Element t adds its block blocks[t] (k, k) on its dofs
+    cliques[t] (k,), and dense (m, m) is added on the m dofs dense_dofs.
+    Both couplings have this form: an element-local part plus a
+    boundary-integral block.  order is the nested_dissection of the
+    dofs at coords (n, 2) from the cliques, dense_dofs last.  Entries
+    are summed in (t, i, j) order, then the dense block row-major.
     """
-    # int32 indices (dof counts here are far below 2^31), which coo_matrix
-    # keeps without a copy; no name holds the indices or blocks (freed if
-    # the caller passed a temporary), so that tocsr runs with the COO alone
-    cliques = np.asarray(cliques, dtype=np.int32)
-    dense_dofs = np.asarray(dense_dofs, dtype=np.int32)
+    order = nested_dissection(cliques, coords, dense_dofs)
+    # each dof's position in order as int32 (far below 2^31), which
+    # coo_matrix keeps without a copy; no name holds the indices or blocks
+    # (freed if the caller passed a temporary) when tocsc runs
+    at = np.empty(order.size, dtype=np.int32)
+    at[order] = np.arange(order.size)
+    cliques, dense_dofs = at.take(cliques), at.take(dense_dofs)
     k, m = cliques.shape[1], dense_dofs.size
     values = np.concatenate([blocks.ravel(), np.ravel(dense)])
     del blocks
@@ -141,7 +147,125 @@ def clique_matrix(cliques, blocks, dense_dofs, dense, n):
                           np.repeat(dense_dofs, m)]),
           np.concatenate([np.tile(cliques, k).ravel(),
                           np.tile(dense_dofs, m)]))),
-        shape=(n, n)).tocsr()
+        shape=(order.size,) * 2).tocsc(), order
+
+
+def nested_dissection(cliques, coords, last):
+    """Fill-reducing elimination order for a sparse system on a 2-D mesh.
+
+    Geometric nested dissection (George, "Nested dissection of a regular
+    finite element mesh", SIAM J. Numer. Anal. 1973).  The dofs not in
+    `last` are bisected at the median of the longer axis of their
+    bounding box (x when both spans are equal), with coords (n, 2) the
+    position of each dof.  Inside a part the dofs are ranked by the
+    coordinate of that axis, then by the other coordinate, then by dof
+    index, so dofs at the same point keep their index order.  Dofs on
+    the median's coordinate line go left, unless that leaves the right
+    empty; then the part splits by rank.  Two dofs are neighbours if a
+    row of cliques (T, k), such as an element's dofs, holds both.  A
+    left dof with a right neighbour joins the separator, so on a
+    structured mesh the separator is that line.  Each part is ordered
+    [left, right, separator], and parts of at most ND_LEAF_SIZE dofs
+    stay whole, in their rank order.  The dofs in `last` (a dense block
+    such as the boundary-integral clique) come at the end, in the given
+    order.
+
+    Each level of the dissection takes time linear in the dofs and the
+    clique entries: the dofs are sorted once per axis, every level
+    splits both orders by one stable partition, and one pass over the
+    cliques finds the separators.
+
+    Returns perm, the dofs in elimination order; clique_matrix sums
+    each system straight into it.
+    """
+    last = np.asarray(last, dtype=int)
+    coords = np.asarray(coords, dtype=float)
+    n = coords.shape[0]
+    xy = np.ascontiguousarray(coords.T)
+    x, y = xy
+    rest = np.ones(n, dtype=bool)
+    rest[last] = False
+    node = np.flatnonzero(rest)
+    cols = np.ascontiguousarray(np.asarray(cliques).T)
+    # the parts' dofs, part after part in tree order, each part in its
+    # rank order along x (byx) and along y (byy)
+    byx = node[np.lexsort((y[node], x[node]))]
+    byy = byx[np.argsort(y[byx], kind="stable")]
+    # side: 0 left, 1 right while a dof is being split, else 2.  Two
+    # neighbours that are both being split are in the same part: had they
+    # been split apart, the left one would have joined a separator
+    side = np.full(n, 2, dtype=np.int8)
+    perm = np.empty(n, dtype=int)
+    perm[node.size:] = last
+    size = np.array([node.size])   # dofs of each part
+    base = np.zeros(1, dtype=int)  # where each part's subtree starts in perm
+    while byx.size:
+        nseg = size.size
+        end = np.cumsum(size)
+        start = end - size
+        seg = np.repeat(np.arange(nseg), size)
+        # a part's span is read from the ends of its two orders
+        along = ((y[byy[end - 1]] - y[byy[start]])
+                 > (x[byx[end - 1]] - x[byx[start]]))[seg]
+        cur = np.where(along, byy, byx)
+        xa = xy.ravel()[cur + n * along]
+        # the median's whole coordinate line goes left, so that the
+        # separator is that line; a part that is one line splits by rank
+        median = xa[start + np.maximum(size // 2 - 1, 0)]
+        right = xa > median[seg]
+        line = xa[end - 1] == median
+        if line.any():
+            right |= line[seg] & (np.arange(cur.size) - start[seg]
+                                  >= (size // 2)[seg])
+        # leaf parts are finished, so a clique holds a left and a right
+        # dof only inside a part being split: the left dofs of such
+        # cliques (sides OR-ed as bits, left 1 and right 2) are the dofs
+        # with a right neighbour, and join the separator
+        big = size > ND_LEAF_SIZE
+        side[cur] = np.where(big[seg], right, 2)
+        bits = np.left_shift(1, side) & 3
+        acc = bits[cols[0]]
+        for c in cols[1:]:
+            acc |= bits[c]
+        cut = np.zeros(n, dtype=bool)
+        cut[cols[:, acc == 3]] = True
+        sep = np.flatnonzero(cut[cur] & (side[cur] == 0))
+        # the separators and the leaf parts are finished, in rank order: a
+        # part's separator after both its subtrees, a leaf part whole
+        s = seg[sep]
+        nsep = np.bincount(s, minlength=nseg)
+        perm[(base + size - nsep)[s] + np.arange(sep.size)
+             - (np.cumsum(nsep) - nsep)[s]] = cur[sep]
+        leaf = cur[_ranges(start[~big], size[~big])]
+        perm[_ranges(base[~big], size[~big])] = leaf
+        side[cur[sep]] = 2
+        # the parts of the next level: each part's left, then its right
+        # child, empty ones dropped, both orders split stably
+        nr = np.where(big, np.add.reduceat(right, start, dtype=int), 0)
+        nl = np.where(big, size - nr - nsep, 0)
+        size = np.column_stack([nl, nr]).ravel()
+        first = np.cumsum(size) - size
+        to = _ranges(first[0::2], nl), _ranges(first[1::2], nr)
+        base = np.column_stack([base, base + nl]).ravel()[size > 0]
+        size = size[size > 0]
+        byx, byy = (_split(o, side, to) for o in (byx, byy))
+    return perm
+
+
+def _ranges(first, count):
+    """The concatenated ranges first[i] + arange(count[i])."""
+    return (np.repeat(first - np.cumsum(count) + count, count)
+            + np.arange(count.sum()))
+
+
+def _split(order, side, to):
+    """The dofs of `order` not finished, its left dofs to the positions
+    to[0] and its right dofs to to[1], each side in the order given."""
+    g = side[order]
+    out = np.empty(to[0].size + to[1].size, dtype=order.dtype)
+    out[to[0]] = order[g == 0]
+    out[to[1]] = order[g == 1]
+    return out
 
 
 def boundary_quadrature(loop, order, levels, singular_vertex):
@@ -218,13 +342,14 @@ def project_boundary_p1(loop, tail, head):
     loop, from the hat moments (tail, head) of the projected function;
     returns one coefficient per loop vertex.  The cyclic P1 mass matrix,
     (h_k / 6) [[2, 1], [1, 2]] on the loop vertices k, k + 1 mod P of
-    each panel k, is summed by clique_matrix and solved by SuperLU
-    (spsolve) in loop order."""
+    each panel k, is summed by clique_matrix in its elimination order
+    and solved there by SuperLU (spsolve)."""
     k = np.arange(loop.num_panels)
-    mass = clique_matrix(np.stack([k, np.roll(k, -1)], axis=1),
-                         np.multiply.outer(loop.lengths / 6.0,
-                                           [[2.0, 1.0], [1.0, 2.0]]),
-                         [], [], k.size)
+    mass, order = clique_matrix(np.stack([k, np.roll(k, -1)], axis=1),
+                                np.multiply.outer(loop.lengths / 6.0,
+                                                  [[2.0, 1.0], [1.0, 2.0]]),
+                                [], [], loop.points_a)
     # vertex k: tail of panel k, head of panel k - 1
-    return scipy.sparse.linalg.spsolve(mass, tail + np.roll(head, 1),
-                                       permc_spec="NATURAL")
+    y = scipy.sparse.linalg.spsolve(mass, (tail + np.roll(head, 1))[order],
+                                    permc_spec="NATURAL")
+    return y[np.argsort(order)]

@@ -35,6 +35,9 @@ that replaced it must match it to rounding.
 `signed_blocks` and `expand_products` expand class blocks and class
 products to one per element, and `p1_stiffness` gives the classical
 coupling's stiffness blocks formed element by element.
+`clique_matrix` is the natural-order CSR sum of element blocks and one
+dense block, as `dpgbem.spaces.clique_matrix` formed it before it summed
+straight into its elimination order.
 
 The pairwise panel-integral API (`BoundaryPanel`, `slp_panel_integral`,
 `dlp_panel_integral` and their helpers) computes one Galerkin block per
@@ -83,7 +86,7 @@ boundary matrices of a mesh, which the stage functions take, and
 loop tangents, as `dpgbem.mesh.boundary_loop` once did.
 
 `nested_dissection` is the geometric dissection as `dpgbem.solver`
-first ran it: each level re-sorts every remaining dof by (part, axis
+(now `dpgbem.spaces`) first ran it: each level re-sorts every remaining dof by (part, axis
 coordinate, other coordinate) and re-gathers every remaining coupling,
 and the post-order comes from one final sort of the tree paths.  The
 linear-time version must return the same permutation.
@@ -99,7 +102,7 @@ from dpgbem import bem, dpg_assembly as da, quadrature, spaces
 from dpgbem import jn_reference as jn
 from dpgbem.errors import MeshError, NumericalError
 from dpgbem.mesh import Mesh, boundary_loop
-from dpgbem.solver import ND_LEAF_SIZE
+from dpgbem.spaces import ND_LEAF_SIZE
 
 
 def build_mesh(vertices, triangles):
@@ -520,13 +523,15 @@ class ElementPipeline:
             lower=True)
         return a, Z, w[:, :-1].T @ w
 
-    def normal_equations(self, ell, g):
+    def normal_equations(self, ell, g, order):
         """(S, c, recover) as `build_normal_equations` returns them, with
         the field condensation and the load map done per element, on the
-        boundary product g (2P, 2P + 1).  The H(div) block of ell is zero,
-        so element t's field values and condensed load are
-        [A_ff^{-1} Z_f^T ; Z_s^T - Y^T Z_f^T] ell_v,T with its own Z_T and
-        Y_T = A_ff^{-1} A_fs."""
+        boundary product g (2P, 2P + 1), in the elimination order `order`
+        of the skeleton dofs: the indices are mapped into it before the
+        sum, as `spaces.clique_matrix` does.  The H(div) block of ell is
+        zero, so element t's field values and condensed load are
+        [A_ff^{-1} Z_f^T ; Z_s^T - Y^T Z_f^T] ell_v,T with its own Z_T
+        and Y_T = A_ff^{-1} A_fs."""
         B = self.B
         ev, et, _ = self._parts(np.asarray(ell, dtype=float))
         assert not et.any()
@@ -541,25 +546,42 @@ class ElementPipeline:
         ns = B.shape[1] - nf
         skel = B.cols[:, 3:] - nf
         gcols = B.gamma_cols - nf
+        at = np.argsort(order)
         S = scipy.sparse.coo_matrix(
             (np.concatenate([loc.ravel(), g[:, :-1].ravel()]),
-             (np.concatenate([np.repeat(skel, 6, axis=1).ravel(),
-                              np.repeat(gcols, gcols.size)]),
-              np.concatenate([np.tile(skel, 6).ravel(),
-                              np.tile(gcols, gcols.size)]))),
-            shape=(ns, ns)).tocsr()
+             (np.concatenate([np.repeat(at[skel], 6, axis=1).ravel(),
+                              np.repeat(at[gcols], gcols.size)]),
+              np.concatenate([np.tile(at[skel], 6).ravel(),
+                              np.tile(at[gcols], gcols.size)]))),
+            shape=(ns, ns)).tocsc()
         c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
                         weights=np.concatenate([load[:, 3:].ravel(),
-                                                g[:, -1]]))
+                                                g[:, -1]]))[order]
         fld = B.cols[:, :3]
 
         def recover(y):
             x = np.empty(B.shape[1])
-            x[nf:] = y
-            x[fld] = load[:, :3] - np.einsum("tfj,tj->tf", Y, y[skel])
+            x[nf + order] = y
+            x[fld] = load[:, :3] - np.einsum("tfj,tj->tf", Y, x[nf + skel])
             return x
 
         return S, c, recover
+
+
+def clique_matrix(cliques, blocks, dense_dofs, dense, n):
+    """CSR matrix of order n: element t adds blocks[t] (k, k) on its dofs
+    cliques[t] (k,), and dense (m, m) is added on the m dofs dense_dofs,
+    summed in natural dof order."""
+    cliques = np.asarray(cliques, dtype=np.int32)
+    dense_dofs = np.asarray(dense_dofs, dtype=np.int32)
+    k, m = cliques.shape[1], dense_dofs.size
+    return scipy.sparse.coo_matrix(
+        (np.concatenate([blocks.ravel(), np.ravel(dense)]),
+         (np.concatenate([np.repeat(cliques, k, axis=1).ravel(),
+                          np.repeat(dense_dofs, m)]),
+          np.concatenate([np.tile(cliques, k).ravel(),
+                          np.tile(dense_dofs, m)]))),
+        shape=(n, n)).tocsr()
 
 
 def p1_stiffness(mesh):
@@ -1106,8 +1128,7 @@ def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
     nv = mesh.num_vertices
     nxt = (np.arange(P) + 1) % P
 
-    A_uu = spaces.clique_matrix(mesh.triangles, jn._p1_stiffness(mesh), [],
-                                [], nv)
+    A_uu = clique_matrix(mesh.triangles, jn._p1_stiffness(mesh), [], [], nv)
 
     # -<phi, v>_Gamma: each panel loads its two endpoint hats with h/2
     rows = np.concatenate([loop.vertex_ids, loop.vertex_ids[nxt]])
@@ -1195,7 +1216,7 @@ def nested_dissection(cliques, coords, last):
     in the given order.  All parts of one level are split by one sort.
 
     Returns perm, so that A[perm][:, perm] is the reordered matrix.
-    dpgbem.solver.nested_dissection must return the same perm.
+    dpgbem.spaces.nested_dissection must return the same perm.
     """
     last = np.asarray(last, dtype=int)
     coords = np.asarray(coords, dtype=float)

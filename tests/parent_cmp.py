@@ -7,9 +7,11 @@ Runs five studies with each tree's `dpgbem` package and one BLAS thread:
 `--domain lshape --solver jn --levels 6`.  The square's level 6 (finest
 N = 32768) gives the nested dissection larger parts than the benchmarked
 studies do.  Prints per file whether the two trees' CSVs are
-byte-identical, then the line totals of both trees' `dpgbem/*.py`
-files (as `wc -l` counts them); the exit status is 1 if any file
-differs (or a run fails), else 0.
+byte-identical, under each file that differs the largest relative
+difference from the other tree's file per float column (as
+`golden_drift.column_drift` measures it), then the line totals of both
+trees' `dpgbem/*.py` files (as `wc -l` counts them); the exit status
+is 1 if any file differs (or a run fails), else 0.
 
     git archive HEAD~1 --prefix=parent/ | tar -x -C /tmp
     python3 tests/parent_cmp.py /tmp/parent/src
@@ -24,6 +26,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+from golden_drift import column_drift
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
@@ -76,12 +80,15 @@ def main(argv):
             if "both" in args:
                 names.append(stem + "_agreement.csv")
             for name in names:
-                same = filecmp.cmp(os.path.join(tmp, "this", name),
-                                   os.path.join(tmp, "parent", name),
-                                   shallow=False)
+                this, parent = (os.path.join(tmp, tree, name)
+                                for tree in ("this", "parent"))
+                same = filecmp.cmp(this, parent, shallow=False)
                 differ += not same
                 print("{:28s} {}".format(
                     name, "byte-identical" if same else "DIFFERS"))
+                if not same:
+                    for col, d in column_drift(this, parent).items():
+                        print("  {:26s} {:.2e}".format(col, d))
     for tree, src in trees:
         print("{:28s} {} lines".format(tree + " dpgbem/*.py",
                                        line_total(src)))

@@ -9,7 +9,7 @@ import _oracles
 from dpgbem import bem, cli, dpg_assembly, jn_reference, solver
 from dpgbem import refine_uniform
 from dpgbem.mesh import boundary_loop
-from dpgbem.solver import ND_LEAF_SIZE, nested_dissection
+from dpgbem.spaces import ND_LEAF_SIZE, nested_dissection
 
 
 def pairs(A):
@@ -17,6 +17,13 @@ def pairs(A):
     2-cliques."""
     A = scipy.sparse.coo_matrix(A)
     return np.column_stack([A.row, A.col])
+
+
+def natural(A, order):
+    """A matrix whose row and column i are those of dof order[i], in
+    natural dof order."""
+    at = np.argsort(order)
+    return scipy.sparse.csr_matrix(A)[at][:, at]
 
 
 def cli_level_mesh(domain, level):
@@ -27,14 +34,17 @@ def cli_level_mesh(domain, level):
 
 
 def skeleton_system(mesh, data):
-    """The condensed DPG system, the coordinates of its dofs and its
-    boundary dofs, as solve_dpg orders them."""
+    """The condensed DPG system in the order solve_dpg solves it, the
+    coordinates of its dofs, its boundary dofs and that order."""
     mats = bem.assemble_bem(boundary_loop(mesh))
     blocks = dpg_assembly.assemble_operator_blocks(mesh, mats, data)
-    S, c, recover = dpg_assembly.build_normal_equations(
-        blocks.B, blocks.G, blocks.ell)
     xy = np.concatenate([mesh.vertices, mesh.edge_midpoints()])
-    return S, c, recover, xy, blocks.B.gamma_cols - 3 * mesh.num_triangles
+    S, c, recover = dpg_assembly.build_normal_equations(
+        blocks.B, blocks.G, blocks.ell, xy)
+    nf = 3 * mesh.num_triangles
+    last = blocks.B.gamma_cols - nf
+    order = nested_dissection(blocks.B.cols[:, 3:] - nf, xy, last)
+    return S, c, recover, xy, last, order
 
 
 def jn_system(mesh, data):
@@ -55,9 +65,9 @@ def level3(request):
 
 
 def orders(mesh, data):
-    S, _, _, xy, last = skeleton_system(mesh, data)
+    S, _, _, xy, last, order = skeleton_system(mesh, data)
     system, jxy, jlast = jn_system(mesh, data)
-    return [(S, xy, last), (system.matrix, jxy, jlast)]
+    return [(natural(S, order), xy, last), (system.matrix, jxy, jlast)]
 
 
 def test_order_is_bijection_with_last_dofs_at_end(level3):
@@ -115,7 +125,7 @@ def test_small_system_is_one_leaf():
 
 def test_dpg_solve_matches_mmd_order(level3):
     mesh, data = level3
-    S, c, recover, _, _ = skeleton_system(mesh, data)
+    S, c, recover = skeleton_system(mesh, data)[:3]
     lu = scipy.sparse.linalg.splu(
         S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True))
@@ -142,6 +152,34 @@ def test_jn_fill_below_colamd(level3):
     assert nd.L.nnz < colamd.L.nnz
 
 
+def test_superlu_factors_the_assembled_matrix(monkeypatch):
+    # both systems are assembled in elimination order and in CSC, so
+    # SuperLU factors the assembled matrix itself, not a permuted copy
+    mesh = cli_level_mesh("lshape", 2)
+    data, _ = cli.manufacture_data("lshape")
+    mats = _oracles.mesh_bem(mesh)
+    splu, build = scipy.sparse.linalg.splu, dpg_assembly.build_normal_equations
+    factored, assembled = [], []
+
+    def splu_spy(A, *args, **kwargs):
+        factored.append(A)
+        return splu(A, *args, **kwargs)
+
+    def build_spy(*args):
+        out = build(*args)
+        assembled.append(out[0])
+        return out
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu_spy)
+    monkeypatch.setattr(dpg_assembly, "build_normal_equations", build_spy)
+    solver.solve_dpg(mesh, data, mats)
+    system = jn_reference.assemble_jn(mesh, data, mats)
+    assembled.append(system.matrix)
+    jn_reference.solve_jn(system)
+    assert len(factored) == len(assembled) == 2
+    assert factored[0] is assembled[0] and factored[1] is assembled[1]
+
+
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_element_cliques_order_as_assembled_pattern(domain):
     # the element-to-dof map gives the order the assembled pattern gives
@@ -151,17 +189,21 @@ def test_element_cliques_order_as_assembled_pattern(domain):
         mats = bem.assemble_bem(boundary_loop(mesh))
         blocks = dpg_assembly.assemble_operator_blocks(mesh, mats, data)
         B = blocks.B
-        S = dpg_assembly.build_normal_equations(B, blocks.G, blocks.ell)[0]
         nf = 3 * mesh.num_triangles
         xy = np.concatenate([mesh.vertices, mesh.edge_midpoints()])
+        S = dpg_assembly.build_normal_equations(B, blocks.G, blocks.ell,
+                                                xy)[0]
         last = B.gamma_cols - nf
-        assert np.array_equal(nested_dissection(B.cols[:, 3:] - nf, xy, last),
-                              nested_dissection(pairs(S), xy, last)), level
-        system = jn_reference.assemble_jn(mesh, data, bem_mats=mats)
-        vid = system.loop.vertex_ids
+        order = nested_dissection(B.cols[:, 3:] - nf, xy, last)
+        # the assembled pattern, in natural dof numbers
         assert np.array_equal(
-            nested_dissection(mesh.triangles, mesh.vertices, vid),
-            nested_dissection(pairs(system.matrix), mesh.vertices, vid)), level
+            order, nested_dissection(order[pairs(S)], xy, last)), level
+        system = jn_reference.assemble_jn(mesh, data, bem_mats=mats)
+        vid, order = system.loop.vertex_ids, system.order
+        assert np.array_equal(
+            nested_dissection(mesh.triangles, mesh.vertices, vid), order), level
+        assert np.array_equal(order, nested_dissection(
+            order[pairs(system.matrix)], mesh.vertices, vid)), level
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])
@@ -200,8 +242,8 @@ def test_ties_and_lines_match_oracle(seed):
 
 
 def coupling_args(mesh):
-    """The (cliques, coords, last) with which solve_dpg orders the DPG
-    skeleton system and solve_jn the JN vertex system."""
+    """The (cliques, coords, last) with which clique_matrix orders the
+    DPG skeleton system and the JN vertex system."""
     loop = boundary_loop(mesh)
     B = dpg_assembly.assemble_B(mesh, bem.assemble_bem(loop),
                                 mesh.element_classes())

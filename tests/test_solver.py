@@ -311,4 +311,6 @@ def test_condensed_solve_rejects_indefinite_field_block():
     _, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
     blocks.B.local[blocks.B.cls[0], :, 0] = 0.0
     with pytest.raises(NumericalError, match="field block"):
-        dpg_assembly.build_normal_equations(blocks.B, blocks.G, blocks.ell)
+        dpg_assembly.build_normal_equations(
+            blocks.B, blocks.G, blocks.ell,
+            np.concatenate([mesh.vertices, mesh.edge_midpoints()]))

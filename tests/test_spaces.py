@@ -225,16 +225,21 @@ def test_projection_handles_endpoint_singularity():
 
 @pytest.mark.parametrize("dense", [False, True])
 def test_clique_matrix_sums_blocks_and_dense_block(dense):
-    # random cliques with repeated dofs within and across elements,
-    # against an entrywise accumulation
+    # random cliques with repeated dofs within and across elements and a
+    # zero block, against an entrywise accumulation in natural order,
+    # permuted by the returned order
     rng = np.random.default_rng(7)
     n, k = 60, 4
     cliques = rng.integers(0, n, size=(50, k))
     cliques[0, 1] = cliques[0, 0]
     blocks = rng.standard_normal((50, k, k))
+    blocks[-1] = 0.0
+    coords = rng.random((n, 2))
     dofs = rng.choice(n, size=6, replace=False) if dense else []
     block = rng.standard_normal((len(dofs), len(dofs)))
-    got = spaces.clique_matrix(cliques, blocks, dofs, block, n)
+    got, order = spaces.clique_matrix(cliques, blocks, dofs, block, coords)
+    assert np.array_equal(order,
+                          spaces.nested_dissection(cliques, coords, dofs))
     want = np.zeros((n, n))
     covered = np.zeros((n, n), dtype=bool)
     rows = np.repeat(cliques[:, :, None], k, axis=2)
@@ -244,9 +249,15 @@ def test_clique_matrix_sums_blocks_and_dense_block(dense):
     if dense:
         np.add.at(want, np.ix_(dofs, dofs), block)
         covered[np.ix_(dofs, dofs)] = True
-    assert got.format == "csr" and got.has_sorted_indices
-    assert np.array_equal(got.indptr, np.r_[0, np.cumsum(covered.sum(1))])
-    assert np.array_equal(got.indices, np.nonzero(covered)[1])
+    # explicit zeros are kept, so the stored entries are the natural-order
+    # sum's, which perfbench counts
+    natural = _oracles.clique_matrix(cliques, blocks, dofs, block, n)
+    assert np.any(got.data == 0.0)
+    assert got.nnz == natural.nnz == covered.sum()
+    want, covered = want[np.ix_(order, order)], covered[np.ix_(order, order)]
+    assert got.format == "csc" and got.has_sorted_indices
+    assert np.array_equal(got.indptr, np.r_[0, np.cumsum(covered.sum(0))])
+    assert np.array_equal(got.indices, np.nonzero(covered.T)[1])
     assert np.abs(got.toarray() - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -256,6 +267,7 @@ def test_clique_matrix_frees_a_temporary_blocks_argument():
     rng = np.random.default_rng(8)
     t, k = 20000, 6
     cliques = rng.integers(0, t, size=(t, k))
+    coords = rng.random((t, 2))
 
     def peak(call):
         tracemalloc.start()
@@ -267,10 +279,10 @@ def test_clique_matrix_frees_a_temporary_blocks_argument():
 
     def named():
         blocks = np.ones((t, k, k))
-        return spaces.clique_matrix(cliques, blocks, [], [], t)
+        return spaces.clique_matrix(cliques, blocks, [], [], coords)
 
     temporary = peak(lambda: spaces.clique_matrix(
-        cliques, np.ones((t, k, k)), [], [], t))
+        cliques, np.ones((t, k, k)), [], [], coords))
     assert temporary <= peak(named) - 0.9 * 8 * t * k * k
 
 
