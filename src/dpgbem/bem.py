@@ -22,10 +22,10 @@ on it.  The tensor rule's node sums are plain einsum calls for that
 reason: they call no BLAS, whose products may round an entry
 differently with the size of the call.
 
-Convention: the double-layer operator is assembled as the plain principal
-value integral (for x on a flat panel the own-panel kernel vanishes
-identically), so the coupling combination reads H = M/2 - K_up (M the
-hat masses).  The sign convention is pinned operationally by the
+Convention: the double-layer operator K is the plain principal value
+integral (for x on a flat panel the own-panel kernel vanishes
+identically), kept only in the coupling combination H = M/2 - K on the
+hat columns (M the hat masses).  The sign convention is pinned by the
 representation-formula (dipole) test: V(dudn) + (1/2 - K)(trace) -> 0
 for exterior harmonic fields with O(1/|x|) decay.
 """
@@ -152,18 +152,17 @@ class BemMatrices:
     """Boundary operator matrices on a loop with P panels.
 
     Rows are the 2P discontinuous-P1 test functions (panelwise, loop
-    order).  V_ps columns are the P panelwise-constant flux densities;
-    the columns of K_up and of H = <(1/2 - K) uhat_j, psi_i> are the P
-    boundary vertex hat functions.  G_psi is the single-layer Gram matrix
-    on the test space itself (the discrete H^{-1/2}(Gamma) inner product;
-    positive definite for domains of diameter < 1); V_ps = G_psi E, where
-    E^T sums each panel's two rows (p0_test_rows).  Only the DPG coupling
-    reads the Cholesky factor of G_psi, formed on first use.
+    order).  V_ps columns are the P panelwise-constant flux densities,
+    and those of H = <(1/2 - K) uhat_j, psi_i>, the one double-layer
+    matrix, the P boundary vertex hats.  G_psi is the single-layer Gram
+    matrix on the test space itself (the discrete H^{-1/2}(Gamma) inner
+    product; positive definite for domains of diameter < 1), and
+    V_ps = G_psi E, where E^T sums each panel's two rows (p0_test_rows).
+    Only the DPG coupling reads G_psi's Cholesky factor, formed on first use.
     """
 
     loop: object
     V_ps: np.ndarray
-    K_up: np.ndarray
     H: np.ndarray
     G_psi: np.ndarray
 
@@ -183,13 +182,17 @@ class BemMatrices:
 
     def half_minus_k_load(self, u0, rule):
         """<(1/2 - K) u0, psi_i> for a function u0(x, y) on a
-        spaces.boundary_quadrature rule: the mass part from the hat
-        moments of u0, K applied to its L2 projection onto the hats."""
+        spaces.boundary_quadrature rule: H y + (m - M y) / 2, with y the
+        L2 projection of u0 onto the hats and m, M y the hat moments of
+        u0 and y, per panel (tail, head)."""
         tail, head = spaces.hat_moments(rule, spaces.point_values(
             rule, lambda x, y, t: u0(x, y)))
-        return (0.5 * np.stack([tail, head], axis=1).ravel()
-                - self.K_up @ spaces.project_boundary_p1(self.loop, tail,
-                                                         head))
+        y = spaces.project_boundary_p1(self.loop, tail, head)
+        y1 = np.roll(y, -1)
+        My = self.loop.lengths[:, None] / 6.0 * np.stack(
+            [2.0 * y + y1, y + 2.0 * y1], axis=1)
+        return self.H @ y + 0.5 * (np.stack([tail, head], axis=1)
+                                   - My).ravel()
 
 
 def p0_test_rows(matrix_2p):
@@ -376,15 +379,15 @@ def assemble_bem(loop):
     G[idx, :, idx] = _coincident_slp_block(lengths)
     G = G.reshape(2 * P, 2 * P)
     K[:, :, 0] += K[:, :, P]
-    K = K[:, :, :P].reshape(2 * P, P)
 
     # H = M/2 - K; hat masses: h/3 at the own panel end, h/6 at the other
-    H = -K
+    H = -K[:, :, :P].reshape(2 * P, P)
+    del K
     H.reshape(P, 2, P)[idx, :, idx] += lengths[:, None] / [6.0, 12.0]
     H.reshape(P, 2, P)[idx, :, nxt] += lengths[:, None] / [12.0, 6.0]
 
     Vps = G[:, 0::2] + G[:, 1::2]
-    return BemMatrices(loop=loop, V_ps=Vps, K_up=K, H=H, G_psi=G)
+    return BemMatrices(loop=loop, V_ps=Vps, H=H, G_psi=G)
 
 
 # ----------------------------------------------------------------------

@@ -342,14 +342,13 @@ def project_boundary_p1(loop, tail, head):
     loop, from the hat moments (tail, head) of the projected function;
     returns one coefficient per loop vertex.  The cyclic P1 mass matrix,
     (h_k / 6) [[2, 1], [1, 2]] on the loop vertices k, k + 1 mod P of
-    each panel k, is summed by clique_matrix in its elimination order
-    and solved there by SuperLU (spsolve)."""
-    k = np.arange(loop.num_panels)
-    mass, order = clique_matrix(np.stack([k, np.roll(k, -1)], axis=1),
-                                np.multiply.outer(loop.lengths / 6.0,
-                                                  [[2.0, 1.0], [1.0, 2.0]]),
-                                [], [], loop.points_a)
+    each panel k, is three bands and two corners; SuperLU (spsolve)
+    solves it in natural order, as a cycle has no fill to save."""
+    h = loop.lengths / 6.0
+    P = h.size
+    mass = scipy.sparse.diags(
+        [2.0 * (np.roll(h, 1) + h), h[:-1], h[:-1], h[-1:], h[-1:]],
+        [0, 1, -1, P - 1, 1 - P], shape=(P, P), format="csc")
     # vertex k: tail of panel k, head of panel k - 1
-    y = scipy.sparse.linalg.spsolve(mass, (tail + np.roll(head, 1))[order],
-                                    permc_spec="NATURAL")
-    return y[np.argsort(order)]
+    return scipy.sparse.linalg.spsolve(mass, tail + np.roll(head, 1),
+                                       permc_spec="NATURAL")

@@ -58,6 +58,9 @@ the two neighbours); the batched version must reproduce its matrices
 exactly.  `assemble_bem_analytic` is the loop it replaced, the analytic
 inner integral on every pair, and `tensor_gauss_blocks` the blocks of
 every pair by a tensor Gauss rule of any order with the point kernels.
+Both assemblers return the double layer K on the hat columns next to
+the matrices, which hold only H = M/2 - K, with `hat_mass` the closed
+form of the hat masses M.
 
 `jn_full_system` is the classical coupling's full (nv + P) system, as
 `dpgbem.jn_reference.assemble_jn` built it before it eliminated the
@@ -748,6 +751,9 @@ def dlp_inner(u, v, h):
 
 
 def assemble_bem_analytic(loop, quad_order=8):
+    """The analytic inner integral on every panel pair, one target panel
+    at a time.  Returns the matrices and the double layer K on the hat
+    columns (2P, P)."""
     P = loop.num_panels
     pa, pb = loop.points_a, loop.points_b
     lengths = loop.lengths
@@ -757,7 +763,6 @@ def assemble_bem_analytic(loop, quad_order=8):
 
     G = np.zeros((2 * P, 2 * P))
     K = np.zeros((2 * P, P))
-    M = np.zeros((2 * P, P))
     nb = np.arange(P)
     prev = (nb - 1) % P
     nxt = (nb + 1) % P
@@ -788,14 +793,7 @@ def assemble_bem_analytic(loop, quad_order=8):
         G[rows, :] = Gblk.reshape(2, 2 * P)
         np.add.at(K[rows, :], (slice(None), nb), Kblk[:, :, 0])
         np.add.at(K[rows, :], (slice(None), nxt), Kblk[:, :, 1])
-        M[2 * i, i] = lengths[i] / 3.0
-        M[2 * i, int(nxt[i])] = lengths[i] / 6.0
-        M[2 * i + 1, i] = lengths[i] / 6.0
-        M[2 * i + 1, int(nxt[i])] = lengths[i] / 3.0
-
-    Vps = G[:, 0::2] + G[:, 1::2]
-    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, H=0.5 * M - K,
-                           G_psi=G)
+    return bem_matrices(loop, G, K), K
 
 
 def assemble_bem(loop):
@@ -803,7 +801,8 @@ def assemble_bem(loop):
     time: the tensor rule on the separated pairs (j > i, mirrored), the
     analytic inner integral on the near pairs and on the two neighbours,
     the closed form on the panel itself; then the mean of both
-    orientations on the near and neighbour single-layer blocks."""
+    orientations on the near and neighbour single-layer blocks.  Returns
+    the matrices and the double layer K on the hat columns (2P, P)."""
     P = loop.num_panels
     pa, pb, lengths = loop.points_a, loop.points_b, loop.lengths
     idx = np.arange(P)
@@ -849,16 +848,30 @@ def assemble_bem(loop):
     for i in range(P):
         for a in range(2):
             K[2 * i + a] = D[i, a, :, 0] + D[i, a, prev, 1]
-    G = G.reshape(2 * P, 2 * P)
+    return bem_matrices(loop, G.reshape(2 * P, 2 * P), K), K
 
+
+def hat_mass(loop):
+    """The hat masses M (2P, P), <uhat_j, psi_i> for the 2P
+    discontinuous-P1 test functions psi_i and the P boundary vertex hats
+    uhat_j: h/3 at the panel end of the test function, h/6 at the other."""
+    P = loop.num_panels
+    idx = np.arange(P)
+    nxt = (idx + 1) % P
     M = np.zeros((2 * P, P))
-    M[2 * idx, idx] = lengths / 3.0
-    M[2 * idx, nxt] = lengths / 6.0
-    M[2 * idx + 1, idx] = lengths / 6.0
-    M[2 * idx + 1, nxt] = lengths / 3.0
-    Vps = G[:, 0::2] + G[:, 1::2]
-    return bem.BemMatrices(loop=loop, V_ps=Vps, K_up=K, H=0.5 * M - K,
-                           G_psi=G)
+    M[2 * idx, idx] = loop.lengths / 3.0
+    M[2 * idx, nxt] = loop.lengths / 6.0
+    M[2 * idx + 1, idx] = loop.lengths / 6.0
+    M[2 * idx + 1, nxt] = loop.lengths / 3.0
+    return M
+
+
+def bem_matrices(loop, G, K):
+    """The boundary matrices from the single-layer Gram G (2P, 2P) and
+    the double layer K on the hat columns (2P, P): V_ps sums G's hat
+    pairs, and H = M/2 - K."""
+    return bem.BemMatrices(loop=loop, V_ps=G[:, 0::2] + G[:, 1::2],
+                           H=0.5 * hat_mass(loop) - K, G_psi=G)
 
 
 def tensor_gauss_blocks(loop, order):
@@ -1154,12 +1167,13 @@ def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
         loop, data.phi0, rule))
     np.add.at(rhs[:nv], loop.vertex_ids, tail)
     np.add.at(rhs[:nv], loop.vertex_ids[nxt], head)
-    # <(1/2 - K) u0, psi>: mass part directly, kernel part via projection
+    # <(1/2 - K) u0, psi>: mass part directly, kernel part via projection,
+    # with K = M/2 - H
     tail, head = spaces.hat_moments(rule, spaces.point_values(
         rule, lambda x, y, t: data.u0(x, y)))
     mass_u0 = tail + head
     u0_hat = spaces.project_boundary_p1(loop, tail, head)
-    K00 = bem.p0_test_rows(bem_mats.K_up)
+    K00 = bem.p0_test_rows(0.5 * hat_mass(loop) - bem_mats.H)
     rhs[nv:] = 0.5 * mass_u0 - K00 @ u0_hat
 
     if stabilized:

@@ -263,8 +263,10 @@ def test_dpg_rejects_gpsi_not_positive_definite():
 def test_matrix_shapes(square_loop, square_bem):
     P = square_loop.num_panels
     assert square_bem.V_ps.shape == (2 * P, P)
-    assert square_bem.K_up.shape == (2 * P, P)
     assert square_bem.H.shape == (2 * P, P)
+    # one double-layer matrix, H = M/2 - K
+    assert [f.name for f in dataclasses.fields(square_bem)] == [
+        "loop", "V_ps", "H", "G_psi"]
     assert square_bem.G_psi.shape == (2 * P, 2 * P)
 
 
@@ -280,20 +282,17 @@ def test_vps_consistent_with_pair_integrals(square_loop, square_bem):
 
 
 def test_kup_consistent_with_pair_integrals(square_loop, square_bem):
+    # the double layer on the hat columns, K = M/2 - H
     panels = _oracles.panels_from_loop(square_loop)
     P = square_loop.num_panels
-    K = np.zeros_like(square_bem.K_up)
+    K = np.zeros_like(square_bem.H)
     for i in range(P):
         for j in range(P):
             blk = _oracles.dlp_panel_integral(panels[i], panels[j], 1, 1)
             K[2 * i:2 * i + 2, j] += blk[:, 0]
             K[2 * i:2 * i + 2, (j + 1) % P] += blk[:, 1]
-    assert np.allclose(K, square_bem.K_up, atol=1e-14)
-
-
-def mass_matrix(mats):
-    """The hat mass matrix M from H = (1/2) M - K_up."""
-    return 2.0 * (mats.H + mats.K_up)
+    assert np.allclose(K, 0.5 * _oracles.hat_mass(square_loop)
+                       - square_bem.H, atol=1e-14)
 
 
 def test_half_minus_k_preserves_constants(square_bem):
@@ -301,13 +300,13 @@ def test_half_minus_k_preserves_constants(square_bem):
     # the Galerkin rows against any psi must reproduce the mass of psi.
     P = square_bem.loop.num_panels
     lhs = square_bem.H @ np.ones(P)
-    rhs = mass_matrix(square_bem) @ np.ones(P)
+    rhs = _oracles.hat_mass(square_bem.loop) @ np.ones(P)
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
 def test_mass_matrix_values(square_loop, square_bem):
     h = square_loop.lengths[0]
-    M = mass_matrix(square_bem)
+    M = _oracles.hat_mass(square_loop)
     assert M[0, 0] == pytest.approx(h / 3.0)
     assert M[1, 0] == pytest.approx(h / 6.0)
     assert M.sum() == pytest.approx(square_loop.lengths.sum())
@@ -323,7 +322,7 @@ def level_loops(domain, levels):
     return loops
 
 
-BEM_FIELDS = ("V_ps", "K_up", "H", "G_psi", "G_psi_chol")
+BEM_FIELDS = ("V_ps", "H", "G_psi", "G_psi_chol")
 
 
 @pytest.mark.parametrize("domain, levels", [("square", 5), ("lshape", 6)],
@@ -332,7 +331,7 @@ def test_assemble_bem_matches_loop_oracle(domain, levels):
     # P up to 256 on the square and 512 on the L-shape
     for loop in level_loops(domain, levels):
         got = bem.assemble_bem(loop)
-        ref = _oracles.assemble_bem(loop)
+        ref, _ = _oracles.assemble_bem(loop)
         for name in BEM_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(ref, name)), \
                 (loop.num_panels, name)
@@ -349,10 +348,30 @@ def test_assemble_bem_independent_of_chunk_size(domain, monkeypatch):
         monkeypatch.setattr(bem, "FAR_CHUNK_ENTRIES", entries)
         for loop, ref in zip(loops, want):
             got = bem.assemble_bem(loop)
-            for name in ("G_psi", "V_ps", "K_up", "H"):
+            for name in ("G_psi", "V_ps", "H"):
                 assert np.array_equal(getattr(got, name),
                                       getattr(ref, name)), \
                     (entries, loop.num_panels, name)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_half_minus_k_load_matches_definition(domain):
+    # <(1/2 - K) u0, psi> = m/2 - K y on the data rule, with m the hat
+    # moments of u0, y its L2 projection and K the loop oracle's hat
+    # columns, at CLI levels 0..5 (P up to 512)
+    data, _ = cli.manufacture_data(domain)
+    for loop in level_loops(domain, 6):
+        got = bem.assemble_bem(loop)
+        _, K = _oracles.assemble_bem(loop)
+        rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
+                                          spaces.DATA_LEVELS,
+                                          data.singular_vertex)
+        tail, head = spaces.hat_moments(rule, spaces.point_values(
+            rule, lambda x, y, t: data.u0(x, y)))
+        want = (0.5 * np.stack([tail, head], axis=1).ravel()
+                - K @ spaces.project_boundary_p1(loop, tail, head))
+        err = np.abs(got.half_minus_k_load(data.u0, rule) - want).max()
+        assert err <= 1e-14 * np.abs(want).max(), (loop.num_panels, err)
 
 
 def far_pairs(loop):
@@ -366,7 +385,7 @@ def far_pairs(loop):
 
 def hat_columns(D):
     """(P, 2, P, 2) panel-basis double-layer blocks summed into the hat
-    columns of K_up."""
+    columns."""
     return (D[..., 0] + np.roll(D[..., 1], 1, axis=-1)).reshape(
         2 * D.shape[0], -1)
 
@@ -384,20 +403,22 @@ def test_far_pairs_match_high_order_tensor_rule(domain):
         far = far_pairs(loop)
         G_ref, D_ref = _oracles.tensor_gauss_blocks(loop, 12)
         far_G = np.repeat(np.repeat(far, 2, axis=0), 2, axis=1)
-        # hat column j of row i is far if panels j and j - 1 both are
+        # hat column j of row i is far if panels j and j - 1 both are;
+        # the hat masses vanish there, so K = M/2 - H is -H exactly
         far_K = np.repeat(far & np.roll(far, 1, axis=1), 2, axis=0)
+        K = 0.5 * _oracles.hat_mass(loop) - got.H
         for mat, ref, mask in ((got.G_psi, G_ref.reshape(2 * P, 2 * P),
                                 far_G),
-                               (got.K_up, hat_columns(D_ref), far_K)):
+                               (K, hat_columns(D_ref), far_K)):
             err = np.abs(np.where(mask, mat - ref, 0.0)).max()
             assert err <= 1e-14 * np.abs(mat).max(), (P, err)
-        ana = _oracles.assemble_bem_analytic(loop)
+        ana, K_ana = _oracles.assemble_bem_analytic(loop)
         G_ana = 0.5 * (ana.G_psi + ana.G_psi.T)
         err = np.abs(np.where(far_G, 0.0, got.G_psi - G_ana)).max()
         assert err <= 1e-13 * np.abs(G_ana).max(), (P, err)
         near_K = np.repeat(~far & ~np.roll(far, 1, axis=1), 2, axis=0)
-        err = np.abs(np.where(near_K, got.K_up - ana.K_up, 0.0)).max()
-        assert err <= 1e-13 * np.abs(ana.K_up).max(), (P, err)
+        err = np.abs(np.where(near_K, got.H - ana.H, 0.0)).max()
+        assert err <= 1e-13 * np.abs(K_ana).max(), (P, err)
 
 
 def test_assemble_bem_peak_memory_within_loop_oracle():

@@ -6,7 +6,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import _oracles
-from dpgbem import bem, cli, dpg_assembly, jn_reference, solver
+from dpgbem import bem, cli, dpg_assembly, jn_reference, solver, spaces
 from dpgbem import refine_uniform
 from dpgbem.mesh import boundary_loop
 from dpgbem.spaces import ND_LEAF_SIZE, nested_dissection
@@ -178,6 +178,20 @@ def test_superlu_factors_the_assembled_matrix(monkeypatch):
     jn_reference.solve_jn(system)
     assert len(factored) == len(assembled) == 2
     assert factored[0] is assembled[0] and factored[1] is assembled[1]
+
+
+def test_one_ordering_per_coupled_system(monkeypatch):
+    # each level orders the DPG skeleton system and the JN vertex system
+    # once each; nothing else, such as the boundary P1 projection, orders
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return nested_dissection(*args)
+
+    monkeypatch.setattr(spaces, "nested_dissection", spy)
+    cli.run_convergence(cli.ExperimentConfig("square", 3, "both", None))
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])

@@ -7,7 +7,7 @@ from scipy.integrate import dblquad
 
 import _oracles
 from dpgbem import boundary_loop, make_lshape_mesh, make_square_mesh
-from dpgbem import refine_uniform
+from dpgbem import build_mesh, refine_uniform
 from dpgbem import bem, cli, dpg_assembly, spaces
 from dpgbem import mesh as mesh_mod
 
@@ -168,15 +168,26 @@ def test_projection_p1_solves_cyclic_mass_system(domain):
 
 
 def test_projection_p1_solves_mass_system_with_unequal_panels():
-    # an uneven grid, its loop started at every vertex, so that the panels
-    # before and after the loop's first vertex differ in length
-    loop = boundary_loop(mesh_mod._grid_mesh(
-        np.array([-0.1, -0.08, -0.03, 0.05, 0.1]), np.ones((4, 4), bool)))
-    assert loop.lengths.min() < 0.5 * loop.lengths.max()
-    for shift in range(loop.num_panels):
-        check_projection_p1(dataclasses.replace(loop, **{
-            f.name: np.roll(getattr(loop, f.name), shift, axis=0)
-            for f in dataclasses.fields(loop)}))
+    # an uneven grid, one triangle (P = 3, where the corners of the cyclic
+    # mass matrix at offsets +-2 sit next to the bands at +-1) and one
+    # rectangle cell of two triangles (P = 4), each loop started at every
+    # vertex, so that the panels before and after the loop's first vertex
+    # differ in length
+    loops = [boundary_loop(mesh_mod._grid_mesh(
+        np.array([-0.1, -0.08, -0.03, 0.05, 0.1]), np.ones((4, 4), bool)))]
+    assert loops[0].lengths.min() < 0.5 * loops[0].lengths.max()
+    for verts, tris in (([[0.0, 0.0], [0.3, 0.0], [0.1, 0.2]], [[0, 1, 2]]),
+                        ([[0.0, 0.0], [0.3, 0.0], [0.3, 0.1], [0.0, 0.1]],
+                         [[0, 1, 2], [0, 2, 3]])):
+        loops.append(boundary_loop(build_mesh(np.array(verts),
+                                              np.array(tris))))
+        assert loops[-1].num_panels == len(verts)
+        assert loops[-1].lengths.min() < 0.8 * loops[-1].lengths.max()
+    for loop in loops:
+        for shift in range(loop.num_panels):
+            check_projection_p1(dataclasses.replace(loop, **{
+                f.name: np.roll(getattr(loop, f.name), shift, axis=0)
+                for f in dataclasses.fields(loop)}))
 
 
 def project_boundary_p0(loop, fn, singular_vertex=None,
