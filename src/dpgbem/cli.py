@@ -196,8 +196,7 @@ def run_convergence(config, progress=None):
         if config.solver != "jn":
             sol, blocks = solver.solve_dpg(mesh, data, bem_mats)
             rec.err_energy_sq = solver.energy_error(blocks, sol.x) ** 2
-            eu, es = solver.l2_errors(sol, exact.u, exact.grad, mesh,
-                                      data.singular_vertex)
+            eu, es = solver.l2_errors(sol, exact.u, exact.grad)
             etr, efl = solver.boundary_cauchy_errors(sol)
             rec.probe_values = tuple(float(v) for v in
                                      solver.eval_exterior_field(sol, probes))

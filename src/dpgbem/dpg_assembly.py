@@ -333,10 +333,10 @@ def build_normal_equations(B, G, ell, coords):
     the class map [A_ff^{-1} Z_f^T ; Z_s^T - Y^T Z_f^T] of its H1 load,
     then signed.
 
-    Returns (S, c, recover): S (CSC) and c in spaces.clique_matrix's
-    order of the skeleton dofs at coords (V + E, 2), and recover(y), the
-    full trial vector from y in that order, the fields from
-    back-substitution.
+    Returns the skeleton system as a spaces.LinearSystem (S, c,
+    recover): S and c in spaces.clique_matrix's order of the skeleton
+    dofs at coords (V + E, 2), and recover(y), the full trial vector from
+    y in that order, the fields from back-substitution.
     """
     a, Z, g = _gram_products(B, G, ell)
     try:
@@ -352,27 +352,29 @@ def build_normal_equations(B, G, ell, coords):
     nf = 3 * G.n_tri
     skel = B.cols[:, 3:] - nf
     gcols = B.gamma_cols - nf
-    S, order = spaces.clique_matrix(
-        skel, loc[B.cls] * s[:, :, None] * s[:, None, :], gcols, g[:, :-1],
-        coords)
-    if np.any(S.diagonal() <= 0.0):
-        raise NumericalError("normal equations indefinite: B rank deficient")
-    # every element's field values and condensed load, from its H1 load
+    # every element's field values and condensed load, from its H1 load;
+    # yf is a copy and the (T, 9) load is freed before the sum, whose
+    # triplets set the peak
     zT = np.swapaxes(Z, 1, 2)
     M = np.concatenate([np.linalg.solve(a[:, :3, :3], zT[:, :3]),
                         zT[:, 3:] - np.swapaxes(Y, 1, 2) @ zT[:, :3]], axis=1)
     load = _class_products(M, B.cls, G._parts(np.asarray(ell, float))[0])
-    # a copy, so that recover keeps (T, 3) and not the whole load
-    yf, cf = load[:, :3].copy(), load[:, 3:] * s
+    yf = load[:, :3].copy()
     c = np.bincount(np.concatenate([skel.ravel(), gcols]),
-                    minlength=order.size,
-                    weights=np.concatenate([cf.ravel(), g[:, -1]]))[order]
+                    minlength=len(coords), weights=np.concatenate(
+                        [(load[:, 3:] * s).ravel(), g[:, -1]]))
+    del load
+    S, c, natural = spaces.clique_matrix(
+        skel, loc[B.cls] * s[:, :, None] * s[:, None, :], gcols, g[:, :-1],
+        coords, c)
+    if np.any(S.diagonal() <= 0.0):
+        raise NumericalError("normal equations indefinite: B rank deficient")
     fld = B.cols[:, :3]
 
     def recover(y):
         x = np.empty(B.shape[1])
-        x[nf + order] = y
+        x[nf:] = natural(y)
         x[fld] = yf - _class_products(Y, B.cls, x[nf + skel] * s)
         return x
 
-    return S, c, recover
+    return spaces.LinearSystem(S, c, recover)

@@ -17,43 +17,22 @@ The panel unknowns phi couple only to each other and to the boundary
 vertices, through dense blocks.  Their block W = <V chi_p, chi_q> (plus
 the stabilization's g_phi g_phi^T) is symmetric positive definite, so
 assemble_jn eliminates phi with a LAPACK Cholesky factorization of W.
-What solver.direct_solve factors is the vertex system: the sparse P1
-stiffness plus the dense Schur complement on the boundary vertices.
+What solver.direct_solve factors is the vertex system, a
+spaces.LinearSystem: the sparse P1 stiffness plus the dense Schur
+complement on the boundary vertices.
 
 The boundary rows are bem.p0_test_rows of the BemMatrices that the
 coupled solver reads: those of V, of H = (1/2)M - K and of the data term
 <(1/2 - K) u0, psi>, which the DPG coupling's boundary block shares.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from . import bem as bem_mod
 from . import spaces
 from .errors import NumericalError
 from .solver import direct_solve, field_errors, trace_error
-
-
-@dataclass
-class JnSystem:
-    """Coupling system with the panel unknowns eliminated.
-
-    matrix (CSC) and rhs are the vertex system for u at all mesh
-    vertices: the P1 stiffness plus, on the boundary vertices
-    (loop.vertex_ids), the dense Schur complement of the panel block W,
-    with row i that of vertex order[i] (spaces.clique_matrix).  phi is
-    W^{-1} (rhs_phi - B u_b), W_chol the lower Cholesky factor of W."""
-
-    matrix: scipy.sparse.csc_matrix
-    rhs: np.ndarray
-    W_chol: np.ndarray
-    B: np.ndarray
-    rhs_phi: np.ndarray
-    order: np.ndarray
-    loop: object
 
 
 def _p1_stiffness(mesh):
@@ -81,7 +60,9 @@ def assemble_jn(mesh, data, bem_mats):
     (mapped as in the equivalence with the ultra-weak formulation:
     volume source f, boundary terms phi0 and (1/2 - K)u0), with phi
     eliminated; bem_mats are the boundary matrices of the mesh's
-    boundary loop.  An indefinite panel block raises NumericalError."""
+    boundary loop.  Returns the vertex system as a spaces.LinearSystem;
+    its recover(y) returns (u at vertices, phi per boundary panel).  An
+    indefinite panel block raises NumericalError."""
     loop = bem_mats.loop
     h, vid = loop.lengths, loop.vertex_ids
 
@@ -119,28 +100,30 @@ def assemble_jn(mesh, data, bem_mats):
     S = np.outer(g_u, g_u - g_phi @ WiB) - _panels_to_hats(h, WiB)
     rhs[vid] -= _panels_to_hats(h, Wir) + g_u * (g_phi @ Wir)
 
-    matrix, order = spaces.clique_matrix(mesh.triangles, _p1_stiffness(mesh),
-                                         vid, S, mesh.vertices)
-    return JnSystem(matrix=matrix, rhs=rhs[order], W_chol=W_chol, B=B,
-                    rhs_phi=rhs_phi, order=order, loop=loop)
+    matrix, rhs, natural = spaces.clique_matrix(
+        mesh.triangles, _p1_stiffness(mesh), vid, S, mesh.vertices, rhs)
+
+    def recover(y):
+        u = natural(y)
+        return u, scipy.linalg.cho_solve((W_chol, True),
+                                         rhs_phi - B @ u[vid])
+
+    return spaces.LinearSystem(matrix, rhs, recover)
 
 
 def solve_jn(system):
     """Direct solve; returns (u at vertices, phi per boundary panel).
 
-    solver.direct_solve factors the vertex system as assemble_jn orders
-    it, the boundary vertices, coupled densely, last, with diagonal
-    pivots and one step of iterative refinement; u is put back in
-    vertex order.  The vertex system is not symmetric, but its symmetric
-    part is positive definite: it is a Schur complement of the
-    stabilized, elliptic form.  A singular system or a relative residual
-    above 1e-10 raises NumericalError.
+    solver.direct_solve factors the vertex system in the elimination
+    order of assemble_jn, the boundary vertices, coupled densely, last,
+    with diagonal pivots and one step of iterative refinement; the
+    system's recover puts u back in vertex order and takes phi from it.
+    The vertex system is not symmetric, but its symmetric part is
+    positive definite: it is a Schur complement of the stabilized,
+    elliptic form.  A singular system or a relative residual above
+    1e-10 raises NumericalError.
     """
-    u = np.empty_like(system.rhs)
-    u[system.order] = direct_solve(system.matrix, system.rhs)
-    phi = scipy.linalg.cho_solve((system.W_chol, True), system.rhs_phi
-                                 - system.B @ u[system.loop.vertex_ids])
-    return u, phi
+    return system.recover(direct_solve(system.matrix, system.rhs))
 
 
 def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex):

@@ -187,17 +187,18 @@ def trace_error(loop, rule, vertex_vals, exact_u):
     return boundary_norm(rule, spaces.point_values(rule, sq, *ends.T))
 
 
-def l2_errors(solution, exact_u, exact_grad, mesh, singular_vertex):
+def l2_errors(solution, exact_u, exact_grad):
     """L2(Omega) errors of the field variables: (err_u, err_sigma).
 
-    Elementwise quadrature of degree >= 6; elements touching
-    singular_vertex (a point, or None) use a graded rule that resolves
-    fractional-power gradient singularities there.
+    Elementwise quadrature of degree >= 6 on the solution's mesh;
+    elements touching its data's singular_vertex (a point, or None) use
+    a graded rule that resolves fractional-power gradient singularities
+    there.
     """
     u = solution.u
-    return field_errors(mesh, exact_u, exact_grad,
+    return field_errors(solution.mesh, exact_u, exact_grad,
                         lambda tri, bary: u[tri, None], solution.sigma,
-                        singular_vertex)
+                        solution.data.singular_vertex)
 
 
 def boundary_cauchy_errors(solution):

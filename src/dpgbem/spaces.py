@@ -11,6 +11,7 @@ the boundary edges.
 
 import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -120,14 +121,25 @@ def element_load(mesh, f, basis):
     return np.einsum("q,tq,qi->ti", LOAD_W, fv, vals) * detJ[:, None]
 
 
-def clique_matrix(cliques, blocks, dense_dofs, dense, coords):
-    """Sparse matrix from element blocks and one dense block, summed
-    straight into its elimination order: (A, order), A in CSC (the
-    format that SuperLU factors), its row and column i those of dof
-    order[i].  Element t adds its block blocks[t] (k, k) on its dofs
+class LinearSystem(NamedTuple):
+    """A sparse system as a solver takes it: matrix (CSC) and rhs in the
+    elimination order of clique_matrix, and recover(y), the solution in
+    dof order from a solution y in that order."""
+
+    matrix: scipy.sparse.csc_matrix
+    rhs: np.ndarray
+    recover: Callable
+
+
+def clique_matrix(cliques, blocks, dense_dofs, dense, coords, rhs):
+    """Sparse system from element blocks and one dense block, summed
+    straight into its elimination order, as a LinearSystem: the matrix
+    in CSC (the format that SuperLU factors), the right-hand side rhs
+    (n,), given in dof order, and recover, which puts a solution back in
+    dof order.  Element t adds its block blocks[t] (k, k) on its dofs
     cliques[t] (k,), and dense (m, m) is added on the m dofs dense_dofs.
     Both couplings have this form: an element-local part plus a
-    boundary-integral block.  order is the nested_dissection of the
+    boundary-integral block.  The order is the nested_dissection of the
     dofs at coords (n, 2) from the cliques, dense_dofs last.  Entries
     are summed in (t, i, j) order, then the dense block row-major.
     """
@@ -141,13 +153,13 @@ def clique_matrix(cliques, blocks, dense_dofs, dense, coords):
     k, m = cliques.shape[1], dense_dofs.size
     values = np.concatenate([blocks.ravel(), np.ravel(dense)])
     del blocks
-    return scipy.sparse.coo_matrix(
+    return LinearSystem(scipy.sparse.coo_matrix(
         (values,
          (np.concatenate([np.repeat(cliques, k, axis=1).ravel(),
                           np.repeat(dense_dofs, m)]),
           np.concatenate([np.tile(cliques, k).ravel(),
                           np.tile(dense_dofs, m)]))),
-        shape=(order.size,) * 2).tocsc(), order
+        shape=(order.size,) * 2).tocsc(), rhs[order], lambda y: y[at])
 
 
 def nested_dissection(cliques, coords, last):

@@ -213,9 +213,10 @@ def test_element_cliques_order_as_assembled_pattern(domain):
         assert np.array_equal(
             order, nested_dissection(order[pairs(S)], xy, last)), level
         system = jn_reference.assemble_jn(mesh, data, bem_mats=mats)
-        vid, order = system.loop.vertex_ids, system.order
-        assert np.array_equal(
-            nested_dissection(mesh.triangles, mesh.vertices, vid), order), level
+        vid = mats.loop.vertex_ids
+        order = nested_dissection(mesh.triangles, mesh.vertices, vid)
+        assert np.array_equal(system.recover(np.arange(order.size))[0],
+                              np.argsort(order)), level
         assert np.array_equal(order, nested_dissection(
             order[pairs(system.matrix)], mesh.vertices, vid)), level
 

@@ -133,9 +133,9 @@ def test_l2_errors_fixed_points(smooth_square):
     zero_sol = solver.Solution(mesh=mesh, data=data, loop=sol.loop,
                                x=np.zeros_like(sol.x))
     area = 0.2 * 0.2
-    eu, es = solver.l2_errors(zero_sol, lambda x, y: np.ones_like(x),
-                              lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
-                              mesh, None)
+    eu, es = solver.l2_errors(
+        zero_sol, lambda x, y: np.ones_like(x),
+        lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
     assert eu == pytest.approx(np.sqrt(area), rel=1e-12)
     assert es == 0.0
 
@@ -144,7 +144,7 @@ def test_l2_errors_self_consistency(smooth_square):
     # evaluating against elementwise-constant callables equal to the
     # discrete solution gives zero
     mesh, data, exact, sol, blocks = smooth_square
-    eu, es = solver.l2_errors(sol, exact.u, exact.grad, mesh, None)
+    eu, es = solver.l2_errors(sol, exact.u, exact.grad)
     # compare the default degree-6 rule against a refined-quadrature oracle
     base = solver.quadrature.triangle_duffy
     pts_hi = base(10)

@@ -238,7 +238,8 @@ def test_projection_handles_endpoint_singularity():
 def test_clique_matrix_sums_blocks_and_dense_block(dense):
     # random cliques with repeated dofs within and across elements and a
     # zero block, against an entrywise accumulation in natural order,
-    # permuted by the returned order
+    # permuted by the nested-dissection order; the rhs is returned in that
+    # order, and recover puts a solution back in natural order
     rng = np.random.default_rng(7)
     n, k = 60, 4
     cliques = rng.integers(0, n, size=(50, k))
@@ -248,9 +249,12 @@ def test_clique_matrix_sums_blocks_and_dense_block(dense):
     coords = rng.random((n, 2))
     dofs = rng.choice(n, size=6, replace=False) if dense else []
     block = rng.standard_normal((len(dofs), len(dofs)))
-    got, order = spaces.clique_matrix(cliques, blocks, dofs, block, coords)
-    assert np.array_equal(order,
-                          spaces.nested_dissection(cliques, coords, dofs))
+    rhs = rng.standard_normal(n)
+    got, got_rhs, recover = spaces.clique_matrix(cliques, blocks, dofs, block,
+                                                 coords, rhs)
+    order = spaces.nested_dissection(cliques, coords, dofs)
+    assert np.array_equal(got_rhs, rhs[order])
+    assert np.array_equal(recover(got_rhs), rhs)
     want = np.zeros((n, n))
     covered = np.zeros((n, n), dtype=bool)
     rows = np.repeat(cliques[:, :, None], k, axis=2)
@@ -265,6 +269,10 @@ def test_clique_matrix_sums_blocks_and_dense_block(dense):
     natural = _oracles.clique_matrix(cliques, blocks, dofs, block, n)
     assert np.any(got.data == 0.0)
     assert got.nnz == natural.nnz == covered.sum()
+    # the entrywise bound below, carried through a product
+    y = rng.standard_normal(n)
+    assert (np.abs(recover(got @ y) - natural @ recover(y)).max()
+            <= 1e-15 * np.abs(want).max() * np.abs(y).sum())
     want, covered = want[np.ix_(order, order)], covered[np.ix_(order, order)]
     assert got.format == "csc" and got.has_sorted_indices
     assert np.array_equal(got.indptr, np.r_[0, np.cumsum(covered.sum(0))])
@@ -278,7 +286,7 @@ def test_clique_matrix_frees_a_temporary_blocks_argument():
     rng = np.random.default_rng(8)
     t, k = 20000, 6
     cliques = rng.integers(0, t, size=(t, k))
-    coords = rng.random((t, 2))
+    coords, rhs = rng.random((t, 2)), rng.random(t)
 
     def peak(call):
         tracemalloc.start()
@@ -290,10 +298,10 @@ def test_clique_matrix_frees_a_temporary_blocks_argument():
 
     def named():
         blocks = np.ones((t, k, k))
-        return spaces.clique_matrix(cliques, blocks, [], [], coords)
+        return spaces.clique_matrix(cliques, blocks, [], [], coords, rhs)
 
     temporary = peak(lambda: spaces.clique_matrix(
-        cliques, np.ones((t, k, k)), [], [], coords))
+        cliques, np.ones((t, k, k)), [], [], coords, rhs))
     assert temporary <= peak(named) - 0.9 * 8 * t * k * k
 
 
