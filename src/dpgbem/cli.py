@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import bem as bem_mod
-from . import jn_reference, solver
+from . import jn_reference, solver, spaces
 from .dpg_assembly import ProblemData
 from .errors import ConfigError, MeshError, NumericalError
 from .mesh import boundary_loop, make_lshape_mesh, make_square_mesh, refine_uniform
@@ -188,13 +188,15 @@ def run_convergence(config, progress=None):
     probes = probe_points(config.domain)
     mesh = initial_mesh(config.domain)
     records = []
+    dpg_coarse = jn_coarse = None  # each coupling's previous level, solved
     for level in range(config.levels):
         loop = boundary_loop(mesh)
         bem_mats = bem_mod.assemble_bem(loop)
         rec = ConvergenceRecord(level, mesh.num_triangles, mesh.mesh_size())
         # the main file reports the DPG coupling's measures whenever it runs
         if config.solver != "jn":
-            sol, blocks = solver.solve_dpg(mesh, data, bem_mats)
+            sol, blocks = solver.solve_dpg(mesh, data, bem_mats, dpg_coarse)
+            dpg_coarse = sol.level
             rec.err_energy_sq = solver.energy_error(blocks, sol.x) ** 2
             eu, es = solver.l2_errors(sol, exact.u, exact.grad)
             etr, efl = solver.boundary_cauchy_errors(sol)
@@ -202,8 +204,9 @@ def run_convergence(config, progress=None):
                                      solver.eval_exterior_field(sol, probes))
             dims = (sol.trial_layout.dim, blocks.B.shape[0])
         if config.solver != "dpg":
-            system = jn_reference.assemble_jn(mesh, data, bem_mats)
+            system = jn_reference.assemble_jn(mesh, data, bem_mats, jn_coarse)
             u_n, phi = jn_reference.solve_jn(system)
+            jn_coarse = spaces.Level(mesh, system.matrix, u_n)
             eu_j, es_j = jn_reference.jn_errors(mesh, u_n, exact.u, exact.grad,
                                                 data.singular_vertex)
             etr_j, efl_j = jn_reference.jn_boundary_errors(loop, u_n, phi,

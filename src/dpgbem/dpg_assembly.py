@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import bem, quadrature, spaces
 from .errors import NumericalError
@@ -316,9 +317,9 @@ def _gram_products(B, G, ell):
     return a, Z, g
 
 
-def build_normal_equations(B, G, ell, coords):
+def build_normal_equations(B, G, ell, mesh, coarse):
     """Form the practical-DPG normal equations B^T G^{-1} B x =
-    B^T G^{-1} ell, with the field unknowns condensed out.
+    B^T G^{-1} ell on a mesh, with the field unknowns condensed out.
 
     G is block diagonal, so they are a sum of dense products
     B_k^T G_k^{-1} B_k over the Gram blocks k, with G^{-1} applied
@@ -333,10 +334,11 @@ def build_normal_equations(B, G, ell, coords):
     the class map [A_ff^{-1} Z_f^T ; Z_s^T - Y^T Z_f^T] of its H1 load,
     then signed.
 
-    Returns the skeleton system as a spaces.LinearSystem (S, c,
-    recover): S and c in spaces.clique_matrix's order of the skeleton
-    dofs at coords (V + E, 2), and recover(y), the full trial vector from
-    y in that order, the fields from back-substitution.
+    Returns the spaces.LinearSystem (S, c, recover), recover(y) the full
+    trial vector: S is a spaces.LevelOperator in natural skeleton order,
+    the element blocks summed sparse and the boundary block dense, over
+    the Level coarse of the mesh that mesh refines (or None), with
+    skeleton vertex patches damped by 0.3.
     """
     a, Z, g = _gram_products(B, G, ell)
     try:
@@ -350,6 +352,7 @@ def build_normal_equations(B, G, ell, coords):
     loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:], Y)
     s = B.signs[:, 3:]
     nf = 3 * G.n_tri
+    ns = B.shape[1] - nf
     skel = B.cols[:, 3:] - nf
     gcols = B.gamma_cols - nf
     # every element's field values and condensed load, from its H1 load;
@@ -360,20 +363,24 @@ def build_normal_equations(B, G, ell, coords):
                         zT[:, 3:] - np.swapaxes(Y, 1, 2) @ zT[:, :3]], axis=1)
     load = _class_products(M, B.cls, G._parts(np.asarray(ell, float))[0])
     yf = load[:, :3].copy()
-    c = np.bincount(np.concatenate([skel.ravel(), gcols]),
-                    minlength=len(coords), weights=np.concatenate(
-                        [(load[:, 3:] * s).ravel(), g[:, -1]]))
+    c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
+                    weights=np.concatenate([(load[:, 3:] * s).ravel(),
+                                            g[:, -1]]))
     del load
-    S, c, natural = spaces.clique_matrix(
-        skel, loc[B.cls] * s[:, :, None] * s[:, None, :], gcols, g[:, :-1],
-        coords, c)
-    if np.any(S.diagonal() <= 0.0):
+    K = spaces.clique_matrix(
+        skel, loc[B.cls] * s[:, :, None] * s[:, None, :], ns)
+    if np.any(K.diagonal() + np.bincount(gcols, np.diagonal(g), ns) <= 0.0):
         raise NumericalError("normal equations indefinite: B rank deficient")
+    S = spaces.LevelOperator(
+        K, gcols, g[:, :-1], spaces.skeleton_patches(mesh), 0.3, coarse,
+        None if coarse is None else scipy.sparse.block_diag(
+            [spaces.p1_prolongation(coarse.mesh, mesh),
+             spaces.flux_prolongation(coarse.mesh, mesh)], format="csr"))
     fld = B.cols[:, :3]
 
     def recover(y):
         x = np.empty(B.shape[1])
-        x[nf:] = natural(y)
+        x[nf:] = y
         x[fld] = yf - _class_products(Y, B.cls, x[nf + skel] * s)
         return x
 

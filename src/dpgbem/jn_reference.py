@@ -17,9 +17,9 @@ The panel unknowns phi couple only to each other and to the boundary
 vertices, through dense blocks.  Their block W = <V chi_p, chi_q> (plus
 the stabilization's g_phi g_phi^T) is symmetric positive definite, so
 assemble_jn eliminates phi with a LAPACK Cholesky factorization of W.
-What solver.direct_solve factors is the vertex system, a
-spaces.LinearSystem: the sparse P1 stiffness plus the dense Schur
-complement on the boundary vertices.
+What solve_jn solves, by GMRES with a V-cycle over the refinement
+levels, is the vertex system, a spaces.LinearSystem: the sparse P1
+stiffness plus the dense Schur complement on the boundary vertices.
 
 The boundary rows are bem.p0_test_rows of the BemMatrices that the
 coupled solver reads: those of V, of H = (1/2)M - K and of the data term
@@ -28,11 +28,12 @@ coupled solver reads: those of V, of H = (1/2)M - K and of the data term
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from . import bem as bem_mod
 from . import spaces
 from .errors import NumericalError
-from .solver import direct_solve, field_errors, trace_error
+from .solver import KRYLOV_MAXITER, field_errors, krylov_solve, trace_error
 
 
 def _p1_stiffness(mesh):
@@ -55,14 +56,15 @@ def _panels_to_hats(h, X):
     return Y + np.roll(Y, 1, axis=0)
 
 
-def assemble_jn(mesh, data, bem_mats):
+def assemble_jn(mesh, data, bem_mats, coarse):
     """Assemble the coupling system for the given transmission data
     (mapped as in the equivalence with the ultra-weak formulation:
     volume source f, boundary terms phi0 and (1/2 - K)u0), with phi
     eliminated; bem_mats are the boundary matrices of the mesh's
-    boundary loop.  Returns the vertex system as a spaces.LinearSystem;
-    its recover(y) returns (u at vertices, phi per boundary panel).  An
-    indefinite panel block raises NumericalError."""
+    boundary loop, and coarse the Level of the mesh that mesh refines, or
+    None.  Returns the vertex system as a spaces.LinearSystem, Jacobi
+    smoothed (damped by 0.6); its recover(u) returns (u, phi per boundary
+    panel).  An indefinite panel block raises NumericalError."""
     loop = bem_mats.loop
     h, vid = loop.lengths, loop.vertex_ids
 
@@ -100,30 +102,23 @@ def assemble_jn(mesh, data, bem_mats):
     S = np.outer(g_u, g_u - g_phi @ WiB) - _panels_to_hats(h, WiB)
     rhs[vid] -= _panels_to_hats(h, Wir) + g_u * (g_phi @ Wir)
 
-    matrix, rhs, natural = spaces.clique_matrix(
-        mesh.triangles, _p1_stiffness(mesh), vid, S, mesh.vertices, rhs)
-
-    def recover(y):
-        u = natural(y)
-        return u, scipy.linalg.cho_solve((W_chol, True),
-                                         rhs_phi - B @ u[vid])
-
-    return spaces.LinearSystem(matrix, rhs, recover)
+    nv = mesh.num_vertices
+    matrix = spaces.LevelOperator(
+        spaces.clique_matrix(mesh.triangles, _p1_stiffness(mesh), nv), vid, S,
+        [np.arange(nv)[:, None]], 0.6, coarse,
+        None if coarse is None else spaces.p1_prolongation(coarse.mesh, mesh))
+    return spaces.LinearSystem(matrix, rhs, lambda u: (
+        u, scipy.linalg.cho_solve((W_chol, True), rhs_phi - B @ u[vid])))
 
 
 def solve_jn(system):
-    """Direct solve; returns (u at vertices, phi per boundary panel).
-
-    solver.direct_solve factors the vertex system in the elimination
-    order of assemble_jn, the boundary vertices, coupled densely, last,
-    with diagonal pivots and one step of iterative refinement; the
-    system's recover puts u back in vertex order and takes phi from it.
-    The vertex system is not symmetric, but its symmetric part is
-    positive definite: it is a Schur complement of the stabilized,
-    elliptic form.  A singular system or a relative residual above
-    1e-10 raises NumericalError.
-    """
-    return system.recover(direct_solve(system.matrix, system.rhs))
+    """(u at vertices, phi per panel) by GMRES (solver.krylov_solve), at
+    most 3 cycles of KRYLOV_MAXITER iterations.  The vertex system is not
+    symmetric, but its symmetric part is positive definite: it is a Schur
+    complement of the stabilized, elliptic form."""
+    return system.recover(krylov_solve(
+        scipy.sparse.linalg.gmres, system.matrix, system.rhs,
+        restart=KRYLOV_MAXITER, maxiter=3))
 
 
 def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex):

@@ -16,6 +16,9 @@ from . import bem as bem_mod
 from . import dpg_assembly, quadrature, spaces
 from .errors import NumericalError
 
+# Krylov stopping rule of both couplings (GMRES: iterations per cycle)
+KRYLOV_RTOL, KRYLOV_MAXITER = 1e-12, 60
+
 
 @dataclass
 class Solution:
@@ -25,13 +28,15 @@ class Solution:
     trace_c holds (uhat - u0) at the loop vertices and flux_c the
     panelwise (outward sighat - phi0 mean); with exact transmission data
     u^c = 0 both must vanish under refinement.  rule is the boundary
-    error rule, shared by flux_c and boundary_cauchy_errors.
+    error rule, shared by flux_c and boundary_cauchy_errors.  level is
+    the solved skeleton system, a spaces.Level.
     """
 
     mesh: object
     data: object
     loop: object
     x: np.ndarray
+    level: object = field(default=None, repr=False)
     trial_layout: object = field(init=False, repr=False)
     trace_c: np.ndarray = field(init=False, repr=False)
     flux_c: np.ndarray = field(init=False, repr=False)
@@ -73,31 +78,19 @@ class Solution:
         return self.x[off:]
 
 
-def direct_solve(A, b):
-    """Sparse direct solve of A x = b, the one factorization of both
-    couplings.
-
-    A comes in CSC and in a fill-reducing elimination order, as
-    spaces.clique_matrix assembles both systems, and SuperLU factors
-    that matrix itself (tocsc returns a CSC matrix as it is) in
-    symmetric mode: diagonal pivots only, and no column reordering
-    (permc_spec="NATURAL").  A must have a positive definite symmetric
-    part (A + A^T) / 2.  Then so has every leading principal submatrix,
-    which is therefore nonsingular, and every diagonal pivot is nonzero.
-    The DPG skeleton system is SPD; the classical coupling's vertex
-    system is a Schur complement of an elliptic Galerkin form.  One step
-    of iterative refinement follows; a singular factor or a relative
-    residual above 1e-10 raises NumericalError.
-    """
+def krylov_solve(method, A, b, **options):
+    """Solve A x = b by scipy.sparse.linalg's cg or gmres (with the given
+    options) to a relative residual of KRYLOV_RTOL, preconditioned by
+    one V-cycle of A, a spaces.LevelOperator (any other matrix is one
+    without a coarse level), and started from A.start.  A true relative
+    residual above 1e-10 raises NumericalError."""
     b = np.asarray(b, dtype=float)
-    try:
-        lu = scipy.sparse.linalg.splu(
-            A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise NumericalError("system singular: {}".format(exc)) from exc
-    x = lu.solve(b)
-    x = x + lu.solve(b - A @ x)
+    if not isinstance(A, spaces.LevelOperator):
+        A = spaces.LevelOperator(scipy.sparse.csr_array(A), [],
+                                 np.zeros((0, 0)), [], 0.0, None, None)
+    M = scipy.sparse.linalg.LinearOperator(A.shape, A.vcycle, dtype=float)
+    x, _ = method(A, b, x0=A.start, rtol=KRYLOV_RTOL, atol=0.0, M=M,
+                  **options)
     nb = np.linalg.norm(b)
     res = np.linalg.norm(b - A @ x)
     if not np.isfinite(res) or (nb > 0 and res > 1e-10 * nb):
@@ -108,15 +101,15 @@ def direct_solve(A, b):
 
 
 def solve_spd(A, b):
-    """Direct solve of a sparse symmetric positive definite system in
-    elimination order (direct_solve).  b^T x <= 0 for b != 0 raises
+    """CG (krylov_solve) on a symmetric positive definite system, at most
+    KRYLOV_MAXITER iterations.  b^T x <= 0 for b != 0 raises
     NumericalError: an SPD A has b^T A^{-1} b > 0, so this rejects some
     indefinite systems.  It is a necessary condition, not a proof of
     definiteness.  The DPG callers pass Gram products B^T G^{-1} B, SPD
     by construction if B has full rank.
     """
     b = np.asarray(b, dtype=float)
-    x = direct_solve(A, b)
+    x = krylov_solve(scipy.sparse.linalg.cg, A, b, maxiter=KRYLOV_MAXITER)
     if np.linalg.norm(b) > 0 and not np.dot(b, x) > 0.0:
         raise NumericalError("system not SPD: b^T x = {:.3e} <= 0"
                              .format(np.dot(b, x)))
@@ -235,17 +228,17 @@ def piecewise_linear_boundary_norm(loop, vertex_vals):
     return float(np.sqrt((loop.lengths * (a * a + a * b + b * b) / 3.0).sum()))
 
 
-def solve_dpg(mesh, data, bem_mats):
+def solve_dpg(mesh, data, bem_mats, coarse):
     """Assemble and solve the coupled DPG system on a mesh, with the
     boundary matrices bem_mats of its boundary loop and the field
-    unknowns condensed out element by element.  The skeleton system is
-    assembled and solved in nested-dissection order.
+    unknowns condensed out element by element; coarse is the level of
+    the Solution on the mesh that mesh refines, or None.
 
     Returns (solution, blocks); blocks are needed for the energy error.
     """
     blocks = dpg_assembly.assemble_operator_blocks(mesh, bem_mats, data)
     S, c, recover = dpg_assembly.build_normal_equations(
-        blocks.B, blocks.G, blocks.ell,
-        np.concatenate([mesh.vertices, mesh.edge_midpoints()]))
-    return Solution(mesh=mesh, data=data, loop=bem_mats.loop,
-                    x=recover(solve_spd(S, c))), blocks
+        blocks.B, blocks.G, blocks.ell, mesh, coarse)
+    y = solve_spd(S, c)
+    return Solution(mesh=mesh, data=data, loop=bem_mats.loop, x=recover(y),
+                    level=spaces.Level(mesh, S, y)), blocks

@@ -7,8 +7,12 @@ fixed global edge normal).
 
 Test space: scalar P2 and vector P2 per element, plus discontinuous P1 on
 the boundary edges.
+
+Both couplings' systems, with the V-cycle over the refinement levels
+that preconditions their Krylov solves; the boundary rules.
 """
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -18,6 +22,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import quadrature
+from .errors import NumericalError
 from .mesh import REF_HAT_GRADS
 
 
@@ -104,9 +109,6 @@ def side_bary(side, t):
 PANEL_ORDER = 8
 DATA_LEVELS = 30
 ERROR_ORDER, ERROR_LEVELS = 8, 24
-# nested_dissection stops bisecting parts of at most this many dofs
-ND_LEAF_SIZE = 32
-
 # the element rule of both solvers' volume loads (f, v)
 LOAD_PTS, LOAD_W = quadrature.triangle_duffy(5)
 
@@ -122,162 +124,155 @@ def element_load(mesh, f, basis):
 
 
 class LinearSystem(NamedTuple):
-    """A sparse system as a solver takes it: matrix (CSC) and rhs in the
-    elimination order of clique_matrix, and recover(y), the solution in
-    dof order from a solution y in that order."""
+    """A coupled system as a solver takes it: its LevelOperator, its
+    right-hand side and recover(y), the solution in the caller's terms."""
 
-    matrix: scipy.sparse.csc_matrix
+    matrix: object
     rhs: np.ndarray
     recover: Callable
 
 
-def clique_matrix(cliques, blocks, dense_dofs, dense, coords, rhs):
-    """Sparse system from element blocks and one dense block, summed
-    straight into its elimination order, as a LinearSystem: the matrix
-    in CSC (the format that SuperLU factors), the right-hand side rhs
-    (n,), given in dof order, and recover, which puts a solution back in
-    dof order.  Element t adds its block blocks[t] (k, k) on its dofs
-    cliques[t] (k,), and dense (m, m) is added on the m dofs dense_dofs.
-    Both couplings have this form: an element-local part plus a
-    boundary-integral block.  The order is the nested_dissection of the
-    dofs at coords (n, 2) from the cliques, dense_dofs last.  Entries
-    are summed in (t, i, j) order, then the dense block row-major.
-    """
-    order = nested_dissection(cliques, coords, dense_dofs)
-    # each dof's position in order as int32 (far below 2^31), which
-    # coo_matrix keeps without a copy; no name holds the indices or blocks
-    # (freed if the caller passed a temporary) when tocsc runs
-    at = np.empty(order.size, dtype=np.int32)
-    at[order] = np.arange(order.size)
-    cliques, dense_dofs = at.take(cliques), at.take(dense_dofs)
-    k, m = cliques.shape[1], dense_dofs.size
-    values = np.concatenate([blocks.ravel(), np.ravel(dense)])
+class Level(NamedTuple):
+    """A solved level, the coarse level of the next finer one: its mesh,
+    its system's LevelOperator and the solution x of that system."""
+
+    mesh: object
+    matrix: object
+    x: np.ndarray
+
+
+def clique_matrix(cliques, blocks, n):
+    """CSR matrix of order n in natural dof order: element t adds
+    blocks[t] (k, k) on its dofs cliques[t] (k,); explicit zeros kept."""
+    k = cliques.shape[1]
+    # int32 indices, kept by coo_array without a copy; the values are a
+    # copy, so blocks passed as a temporary are freed before tocsr
+    cliques = np.asarray(cliques, dtype=np.int32)
+    values = blocks.ravel().copy()
     del blocks
-    return LinearSystem(scipy.sparse.coo_matrix(
-        (values,
-         (np.concatenate([np.repeat(cliques, k, axis=1).ravel(),
-                          np.repeat(dense_dofs, m)]),
-          np.concatenate([np.tile(cliques, k).ravel(),
-                          np.tile(dense_dofs, m)]))),
-        shape=(order.size,) * 2).tocsc(), rhs[order], lambda y: y[at])
+    return scipy.sparse.coo_array(
+        (values, (np.repeat(cliques, k, axis=1).ravel(),
+                  np.tile(cliques, k).ravel())), shape=(n, n)).tocsr()
 
 
-def nested_dissection(cliques, coords, last):
-    """Fill-reducing elimination order for a sparse system on a 2-D mesh.
-
-    Geometric nested dissection (George, "Nested dissection of a regular
-    finite element mesh", SIAM J. Numer. Anal. 1973).  The dofs not in
-    `last` are bisected at the median of the longer axis of their
-    bounding box (x when both spans are equal), with coords (n, 2) the
-    position of each dof.  Inside a part the dofs are ranked by the
-    coordinate of that axis, then by the other coordinate, then by dof
-    index, so dofs at the same point keep their index order.  Dofs on
-    the median's coordinate line go left, unless that leaves the right
-    empty; then the part splits by rank.  Two dofs are neighbours if a
-    row of cliques (T, k), such as an element's dofs, holds both.  A
-    left dof with a right neighbour joins the separator, so on a
-    structured mesh the separator is that line.  Each part is ordered
-    [left, right, separator], and parts of at most ND_LEAF_SIZE dofs
-    stay whole, in their rank order.  The dofs in `last` (a dense block
-    such as the boundary-integral clique) come at the end, in the given
-    order.
-
-    Each level of the dissection takes time linear in the dofs and the
-    clique entries: the dofs are sorted once per axis, every level
-    splits both orders by one stable partition, and one pass over the
-    cliques finds the separators.
-
-    Returns perm, the dofs in elimination order; clique_matrix sums
-    each system straight into it.
-    """
-    last = np.asarray(last, dtype=int)
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
-    xy = np.ascontiguousarray(coords.T)
-    x, y = xy
-    rest = np.ones(n, dtype=bool)
-    rest[last] = False
-    node = np.flatnonzero(rest)
-    cols = np.ascontiguousarray(np.asarray(cliques).T)
-    # the parts' dofs, part after part in tree order, each part in its
-    # rank order along x (byx) and along y (byy)
-    byx = node[np.lexsort((y[node], x[node]))]
-    byy = byx[np.argsort(y[byx], kind="stable")]
-    # side: 0 left, 1 right while a dof is being split, else 2.  Two
-    # neighbours that are both being split are in the same part: had they
-    # been split apart, the left one would have joined a separator
-    side = np.full(n, 2, dtype=np.int8)
-    perm = np.empty(n, dtype=int)
-    perm[node.size:] = last
-    size = np.array([node.size])   # dofs of each part
-    base = np.zeros(1, dtype=int)  # where each part's subtree starts in perm
-    while byx.size:
-        nseg = size.size
-        end = np.cumsum(size)
-        start = end - size
-        seg = np.repeat(np.arange(nseg), size)
-        # a part's span is read from the ends of its two orders
-        along = ((y[byy[end - 1]] - y[byy[start]])
-                 > (x[byx[end - 1]] - x[byx[start]]))[seg]
-        cur = np.where(along, byy, byx)
-        xa = xy.ravel()[cur + n * along]
-        # the median's whole coordinate line goes left, so that the
-        # separator is that line; a part that is one line splits by rank
-        median = xa[start + np.maximum(size // 2 - 1, 0)]
-        right = xa > median[seg]
-        line = xa[end - 1] == median
-        if line.any():
-            right |= line[seg] & (np.arange(cur.size) - start[seg]
-                                  >= (size // 2)[seg])
-        # leaf parts are finished, so a clique holds a left and a right
-        # dof only inside a part being split: the left dofs of such
-        # cliques (sides OR-ed as bits, left 1 and right 2) are the dofs
-        # with a right neighbour, and join the separator
-        big = size > ND_LEAF_SIZE
-        side[cur] = np.where(big[seg], right, 2)
-        bits = np.left_shift(1, side) & 3
-        acc = bits[cols[0]]
-        for c in cols[1:]:
-            acc |= bits[c]
-        cut = np.zeros(n, dtype=bool)
-        cut[cols[:, acc == 3]] = True
-        sep = np.flatnonzero(cut[cur] & (side[cur] == 0))
-        # the separators and the leaf parts are finished, in rank order: a
-        # part's separator after both its subtrees, a leaf part whole
-        s = seg[sep]
-        nsep = np.bincount(s, minlength=nseg)
-        perm[(base + size - nsep)[s] + np.arange(sep.size)
-             - (np.cumsum(nsep) - nsep)[s]] = cur[sep]
-        leaf = cur[_ranges(start[~big], size[~big])]
-        perm[_ranges(base[~big], size[~big])] = leaf
-        side[cur[sep]] = 2
-        # the parts of the next level: each part's left, then its right
-        # child, empty ones dropped, both orders split stably
-        nr = np.where(big, np.add.reduceat(right, start, dtype=int), 0)
-        nl = np.where(big, size - nr - nsep, 0)
-        size = np.column_stack([nl, nr]).ravel()
-        first = np.cumsum(size) - size
-        to = _ranges(first[0::2], nl), _ranges(first[1::2], nr)
-        base = np.column_stack([base, base + nl]).ravel()[size > 0]
-        size = size[size > 0]
-        byx, byy = (_split(o, side, to) for o in (byx, byy))
-    return perm
+def p1_prolongation(coarse, fine):
+    """P1 prolongation (V_f, V_c) to fine = refine_uniform(coarse), whose
+    vertex V_c + e, the midpoint of coarse edge e, takes the mean of e's
+    ends; vertices below V_c keep their values."""
+    nv, ne = coarse.num_vertices, coarse.num_edges
+    return scipy.sparse.csr_array(
+        (np.r_[np.ones(nv), np.full(2 * ne, 0.5)],
+         (np.r_[np.arange(nv), np.repeat(np.arange(nv, nv + ne), 2)],
+          np.r_[np.arange(nv), coarse.edges.ravel()])),
+        shape=(fine.num_vertices, nv))
 
 
-def _ranges(first, count):
-    """The concatenated ranges first[i] + arange(count[i])."""
-    return (np.repeat(first - np.cumsum(count) + count, count)
-            + np.arange(count.sum()))
+def flux_prolongation(coarse, fine):
+    """Prolongation (E_f, E_c) of the fluxes along the global edge normals
+    to fine = refine_uniform(coarse).  A child of coarse edge e (its
+    higher vertex is V_c + e) takes e's flux times sign(n_f . n_e).  The
+    sides of fine triangle 4t + 3, the middle child of t, take the normal
+    components at their midpoints of t's RT0 field sum_i F_i |e_i| / (2|T|)
+    (x - p_i), F_i the outward flux on side i (edge sign times flux) and
+    p_i the vertex opposite: the fluxes of constant fields are exact."""
+    nv = coarse.num_vertices
+    lo, hi = fine.edges.T
+    child = np.flatnonzero(lo < nv)
+    parent = hi[child] - nv
+    sign = np.sign(np.einsum("ec,ec->e", fine.edge_normals[child],
+                             coarse.edge_normals[parent]))
+    # ratio[t, j, i]: on inner side j, the RT0 field of side i (p_i: i + 2)
+    inner = fine.tri_edges[3::4]
+    normal = fine.edge_normals[inner]
+    ratio = (np.einsum("tjc,tjc->tj", fine.edge_midpoints()[inner],
+                       normal)[:, :, None]
+             - np.einsum("tic,tjc->tji",
+                         coarse.triangle_vertices()[:, [2, 0, 1]], normal))
+    ratio *= (coarse.tri_edge_signs * coarse.edge_lengths[coarse.tri_edges]
+              / coarse.element_map()[1][:, None])[:, None, :]
+    return scipy.sparse.csr_array(
+        (np.r_[sign, ratio.ravel()],
+         (np.r_[child, np.repeat(inner.ravel(), 3)],
+          np.r_[parent, np.tile(coarse.tri_edges, 3).ravel()])),
+        shape=(fine.num_edges, coarse.num_edges))
 
 
-def _split(order, side, to):
-    """The dofs of `order` not finished, its left dofs to the positions
-    to[0] and its right dofs to to[1], each side in the order given."""
-    g = side[order]
-    out = np.empty(to[0].size + to[1].size, dtype=order.dtype)
-    out[to[0]] = order[g == 0]
-    out[to[1]] = order[g == 1]
-    return out
+def skeleton_patches(mesh):
+    """The skeleton dofs (uhat at the V vertices, then sighat on the edges)
+    of each vertex patch, uhat_v and sighat on the edges at v, as one
+    index array (n, d + 1) per vertex degree d."""
+    ends = mesh.edges.ravel()
+    degree = np.bincount(ends, minlength=mesh.num_vertices)
+    edges = mesh.num_vertices + np.argsort(ends, kind="stable") // 2
+    first = np.cumsum(degree) - degree
+    return [np.column_stack([v, edges[first[v, None] + np.arange(d)]])
+            for d in np.unique(degree) for v in [np.flatnonzero(degree == d)]]
+
+
+class LevelOperator(scipy.sparse.linalg.LinearOperator):
+    """A coupled system's matrix, sparse (a clique_matrix) plus the dense
+    block dense on the dofs dense_dofs (nnz counts both), with a V-cycle
+    over its levels.  coarse is the next coarser Level, or None: then the
+    V-cycle is the dense inverse.  Otherwise start = prolong @ coarse.x,
+    and the V-cycle smooths, corrects by the coarse V-cycle and smooths
+    again, by one CSR smoother: the damped sum of the inverse blocks of
+    the patches (index arrays (n, k), a patch per row).  It is symmetric
+    if the matrix is."""
+
+    def __init__(self, sparse, dense_dofs, dense, patches, damping, coarse,
+                 prolong):
+        super().__init__(float, sparse.shape)
+        self.sparse, self.dense_dofs, self.dense = sparse, dense_dofs, dense
+        if coarse is None:
+            self.coarse, self.start = None, np.zeros(self.shape[0])
+            return
+        self.coarse, self.prolong = coarse.matrix, prolong
+        self.restrict, self.start = prolong.T.tocsr(), prolong @ coarse.x
+        # each patch block from the sparse part, plus the dense block on
+        # the patches that touch it (at: a dof's position in the block)
+        at = np.full(self.shape[0], -1)
+        at[dense_dofs] = np.arange(len(dense_dofs))
+        self.smoother = 0
+        for p in patches:
+            k = p.shape[1]
+            a = sparse[np.repeat(p, k, axis=1).ravel(),
+                       np.tile(p, k).ravel()].reshape(-1, k, k)
+            touch = (at[p] >= 0).any(axis=1)
+            qi, qj = at[p[touch]][:, :, None], at[p[touch]][:, None, :]
+            a[touch] += np.where((qi >= 0) & (qj >= 0), dense[qi, qj], 0.0)
+            self.smoother = self.smoother + clique_matrix(
+                p, damping * np.linalg.inv(a), self.shape[0])
+
+    @property
+    def nnz(self):
+        return self.sparse.nnz + self.dense.size
+
+    def _matvec(self, x):
+        y = self.sparse @ x
+        y[self.dense_dofs] += self.dense @ x[self.dense_dofs]
+        return y
+
+    def toarray(self):
+        a = self.sparse.toarray()
+        a[np.ix_(self.dense_dofs, self.dense_dofs)] += self.dense
+        return a
+
+    @functools.cached_property
+    def inverse(self):
+        """The dense inverse (LU) of the whole matrix, on first use."""
+        try:
+            return np.linalg.inv(self.toarray())
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("system singular") from exc
+
+    def vcycle(self, r):
+        """One V-cycle for A x = r, from x = 0."""
+        if self.coarse is None:
+            return self.inverse @ r
+        x = self.smoother @ r
+        x += self.prolong @ self.coarse.vcycle(
+            self.restrict @ (r - self._matvec(x)))
+        return x + self.smoother @ (r - self._matvec(x))
 
 
 def boundary_quadrature(loop, order, levels, singular_vertex):

@@ -36,8 +36,8 @@ that replaced it must match it to rounding.
 products to one per element, and `p1_stiffness` gives the classical
 coupling's stiffness blocks formed element by element.
 `clique_matrix` is the natural-order CSR sum of element blocks and one
-dense block, as `dpgbem.spaces.clique_matrix` formed it before it summed
-straight into its elimination order.
+dense block, as `dpgbem.spaces.clique_matrix` formed it before the
+dense block was kept apart.
 
 The pairwise panel-integral API (`BoundaryPanel`, `slp_panel_integral`,
 `dlp_panel_integral` and their helpers) computes one Galerkin block per
@@ -87,12 +87,6 @@ the linear Lagrange basis on an edge.
 boundary matrices of a mesh, which the stage functions take, and
 `tangent_loop_geometry` is the boundary panel geometry computed from the
 loop tangents, as `dpgbem.mesh.boundary_loop` once did.
-
-`nested_dissection` is the geometric dissection as `dpgbem.solver`
-(now `dpgbem.spaces`) first ran it: each level re-sorts every remaining dof by (part, axis
-coordinate, other coordinate) and re-gathers every remaining coupling,
-and the post-order comes from one final sort of the tree paths.  The
-linear-time version must return the same permutation.
 """
 
 from dataclasses import dataclass
@@ -105,7 +99,6 @@ from dpgbem import bem, dpg_assembly as da, quadrature, spaces
 from dpgbem import jn_reference as jn
 from dpgbem.errors import MeshError, NumericalError
 from dpgbem.mesh import Mesh, boundary_loop
-from dpgbem.spaces import ND_LEAF_SIZE
 
 
 def build_mesh(vertices, triangles):
@@ -526,13 +519,13 @@ class ElementPipeline:
             lower=True)
         return a, Z, w[:, :-1].T @ w
 
-    def normal_equations(self, ell, g, order):
+    def normal_equations(self, ell, g):
         """(S, c, recover) as `build_normal_equations` returns them, with
         the field condensation and the load map done per element, on the
-        boundary product g (2P, 2P + 1), in the elimination order `order`
-        of the skeleton dofs: the indices are mapped into it before the
-        sum, as `spaces.clique_matrix` does.  The H(div) block of ell is
-        zero, so element t's field values and condensed load are
+        boundary product g (2P, 2P + 1), in natural skeleton order: S is
+        the CSR sum of the element blocks, without the boundary block,
+        which `build_normal_equations` keeps dense.  The H(div) block of
+        ell is zero, so element t's field values and condensed load are
         [A_ff^{-1} Z_f^T ; Z_s^T - Y^T Z_f^T] ell_v,T with its own Z_T
         and Y_T = A_ff^{-1} A_fs."""
         B = self.B
@@ -549,22 +542,18 @@ class ElementPipeline:
         ns = B.shape[1] - nf
         skel = B.cols[:, 3:] - nf
         gcols = B.gamma_cols - nf
-        at = np.argsort(order)
         S = scipy.sparse.coo_matrix(
-            (np.concatenate([loc.ravel(), g[:, :-1].ravel()]),
-             (np.concatenate([np.repeat(at[skel], 6, axis=1).ravel(),
-                              np.repeat(at[gcols], gcols.size)]),
-              np.concatenate([np.tile(at[skel], 6).ravel(),
-                              np.tile(at[gcols], gcols.size)]))),
-            shape=(ns, ns)).tocsc()
+            (loc.ravel(), (np.repeat(skel, 6, axis=1).ravel(),
+                           np.tile(skel, 6).ravel())),
+            shape=(ns, ns)).tocsr()
         c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
                         weights=np.concatenate([load[:, 3:].ravel(),
-                                                g[:, -1]]))[order]
+                                                g[:, -1]]))
         fld = B.cols[:, :3]
 
         def recover(y):
             x = np.empty(B.shape[1])
-            x[nf + order] = y
+            x[nf:] = y
             x[fld] = load[:, :3] - np.einsum("tfj,tj->tf", Y, x[nf + skel])
             return x
 
@@ -1210,89 +1199,3 @@ def compatibility_residual(mesh, data):
         loop, rule, spaces.normal_flux(loop, data.phi0, rule))))
     return vol + bnd
 
-
-def nested_dissection(cliques, coords, last):
-    """Fill-reducing elimination order for a sparse system on a 2-D mesh.
-
-    Geometric nested dissection (George, "Nested dissection of a regular
-    finite element mesh", SIAM J. Numer. Anal. 1973).  The dofs not in
-    `last` are bisected at the median of the longer axis of their
-    bounding box, with coords (n, 2) the position of each dof.  Dofs on
-    the median's coordinate line go left, unless that leaves the right
-    empty; then the part splits by rank.  Two dofs are neighbours if a
-    row of cliques (T, k), such as an element's dofs, holds both; the
-    pattern of a COO matrix is np.column_stack([A.row, A.col]).  A left
-    dof with a right neighbour joins the separator, so on a structured
-    mesh the separator is that line.  Each part is ordered
-    [left, right, separator], and parts of at most ND_LEAF_SIZE dofs
-    stay whole, swept along their longer axis.  The dofs in `last` (a
-    dense block such as the boundary-integral clique) come at the end,
-    in the given order.  All parts of one level are split by one sort.
-
-    Returns perm, so that A[perm][:, perm] is the reordered matrix.
-    dpgbem.spaces.nested_dissection must return the same perm.
-    """
-    last = np.asarray(last, dtype=int)
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
-    rest = np.ones(n, dtype=bool)
-    rest[last] = False
-    # each coupling of two dofs not in `last`, once, as an edge (ei < ej)
-    i, j = np.triu_indices(cliques.shape[1], 1)
-    a, b = cliques[:, i].ravel(), cliques[:, j].ravel()
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    keep = (lo != hi) & rest[lo] & rest[hi]
-    edges = scipy.sparse.csr_matrix(
-        (np.ones(keep.sum(), dtype=np.int8), (lo[keep], hi[keep])),
-        shape=(n, n)).tocoo()
-    ei, ej = edges.row.astype(np.int32), edges.col.astype(np.int32)
-
-    # code: 2 * part + side while a dof is being split, then -1 - dof
-    code = np.zeros(n, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)  # tree depth of the dof's part
-    path = np.zeros(n, dtype=np.int64)   # tree path of the dof's part
-    seq = np.zeros(n, dtype=np.int64)    # position within its part
-    active = np.flatnonzero(rest)        # kept sorted by part
-    level = 0
-    while active.size:
-        part = path[active]
-        start = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
-        size = np.diff(np.r_[start, active.size])
-        seg = np.repeat(np.arange(start.size), size)
-        xy = coords[active]
-        span = (np.maximum.reduceat(xy, start)
-                - np.minimum.reduceat(xy, start))
-        axis = (span[:, 1] > span[:, 0]).astype(int)[seg]
-        at = np.arange(active.size)
-        order = np.lexsort((xy[at, 1 - axis], xy[at, axis], part))
-        active = active[order]
-        depth[active] = level
-        seq[active] = at
-        # the median's whole coordinate line goes left, so that the
-        # separator is that line; a part that is one line splits by rank
-        xa = xy[order, axis]
-        right = xa > xa[start + np.maximum(size // 2 - 1, 0)][seg]
-        line = np.bincount(seg, right, minlength=start.size) == 0
-        right |= line[seg] & (at - start[seg] >= size[seg] // 2)
-        code[active] = 2 * part + right
-        # a left dof with a right neighbour in its own part: separator
-        a, b = code[ei], code[ej]
-        sep = np.zeros(n, dtype=bool)
-        sep[ei[(a + 1 == b) & ((a & 1) == 0)]] = True
-        sep[ej[(b + 1 == a) & ((b & 1) == 0)]] = True
-        go_on = (size > ND_LEAF_SIZE)[seg] & ~sep[active]
-        done = active[~go_on]
-        code[done] = -1 - done
-        active = active[go_on]
-        path[active] = code[active]
-        # keep only the couplings inside a part that is split further
-        stay = code[ei] == code[ej]
-        ei, ej = ei[stay], ej[stay]
-        level += 1
-    # post-order of the dissection tree: the part with path q at depth d
-    # comes after every part below it and before the next subtree
-    node = np.flatnonzero(rest)
-    top = int(depth.max()) + 1
-    key = ((path[node] + 1) << (top - depth[node])) - 1
-    perm = node[np.lexsort((seq[node], -depth[node], key))]
-    return np.concatenate([perm, last])

@@ -5,8 +5,8 @@ Runs five studies with each tree's `dpgbem` package and one BLAS thread:
 `--solver both --levels 4` on both domains (main and agreement files),
 `--domain square --solver dpg --levels 5` and `--levels 6`, and
 `--domain lshape --solver jn --levels 6`.  The square's level 6 (finest
-N = 32768) gives the nested dissection larger parts than the benchmarked
-studies do.  Prints per file whether the two trees' CSVs are
+N = 32768) runs its CG on one more level of the V-cycle than the
+benchmarked studies do.  Prints per file whether the two trees' CSVs are
 byte-identical, under each file that differs the largest relative
 difference from the other tree's file per float column (as
 `golden_drift.column_drift` measures it), then the line totals of both

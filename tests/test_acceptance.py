@@ -144,7 +144,7 @@ def test_criterion_6_dpg_algebra_suite():
         phi0=lambda x, y, nx, ny: np.zeros_like(x + nx),
         singular_vertex=None)
     cmesh = make_square_mesh(0.1, 2)
-    sol, _ = solver.solve_dpg(cmesh, cdata, _oracles.mesh_bem(cmesh))
+    sol, _ = solver.solve_dpg(cmesh, cdata, _oracles.mesh_bem(cmesh), None)
     ones = np.concatenate([np.zeros(2 * sol.trial_layout.n_tri),
                            np.ones(sol.trial_layout.n_tri),
                            np.ones(sol.trial_layout.n_vert),

@@ -241,7 +241,7 @@ def test_jn_level_never_factors_gpsi():
     data, exact = cli.manufacture_data("lshape")
     mats = bem.assemble_bem(boundary_loop(mesh))
     u, phi = jn_reference.solve_jn(jn_reference.assemble_jn(mesh, data,
-                                                            bem_mats=mats))
+                                                            mats, None))
     jn_reference.jn_errors(mesh, u, exact.u, exact.grad,
                            data.singular_vertex)
     jn_reference.jn_boundary_errors(mats.loop, u, phi, data)
@@ -255,7 +255,7 @@ def test_dpg_rejects_gpsi_not_positive_definite():
     bad = dataclasses.replace(mats, G_psi=-mats.G_psi)
     with pytest.raises(NumericalError, match="single-layer Gram not "
                        "positive definite; check that the domain diameter"):
-        solver.solve_dpg(mesh, data, bem_mats=bad)
+        solver.solve_dpg(mesh, data, bad, None)
     # the factor is formed once and kept
     assert mats.G_psi_chol is mats.G_psi_chol
 

@@ -148,19 +148,6 @@ def jittered_mesh(domain, level):
     return build_mesh(mesh.vertices + move, mesh.triangles)
 
 
-def skeleton_coords(mesh):
-    """The positions of the skeleton dofs (uhat at the vertices, sighat
-    at the edge midpoints), as solve_dpg passes them."""
-    return np.concatenate([mesh.vertices, mesh.edge_midpoints()])
-
-
-def skeleton_order(mesh, B):
-    """The elimination order of the skeleton system."""
-    nf = 3 * mesh.num_triangles
-    return spaces.nested_dissection(B.cols[:, 3:] - nf, skeleton_coords(mesh),
-                                    B.gamma_cols - nf)
-
-
 def check_against_element_oracle(mesh, domain):
     # the class blocks, signed per element, against the blocks computed
     # element by element, and every output of the operator stages
@@ -177,13 +164,15 @@ def check_against_element_oracle(mesh, domain):
     g = dpg_assembly._gram_products(B, G, ell)[2]
     g0 = E.gram_products(ell)[2]
     assert np.abs(g - g0).max() <= 1e-15 * np.abs(g0).max()
-    S, c, recover = dpg_assembly.build_normal_equations(
-        B, G, ell, skeleton_coords(mesh))
-    S0, c0, recover0 = E.normal_equations(ell, g, skeleton_order(mesh, B))
-    assert S.format == "csc"
-    assert np.array_equal(S.indptr, S0.indptr)
-    assert np.array_equal(S.indices, S0.indices)
-    assert np.array_equal(S.data, S0.data)
+    S, c, recover = dpg_assembly.build_normal_equations(B, G, ell, mesh,
+                                                        None)
+    S0, c0, recover0 = E.normal_equations(ell, g)
+    assert S.sparse.format == "csr"
+    assert np.array_equal(S.sparse.indptr, S0.indptr)
+    assert np.array_equal(S.sparse.indices, S0.indices)
+    assert np.array_equal(S.sparse.data, S0.data)
+    assert np.array_equal(S.dense_dofs, B.gamma_cols - 3 * mesh.num_triangles)
+    assert np.array_equal(S.dense, g[:, :-1])
     assert np.array_equal(c, c0)
     y = np.random.default_rng(5).standard_normal(c.size)
     x = recover(y)
@@ -300,7 +289,7 @@ def test_chunked_products_independent_of_chunk_size(monkeypatch):
 
     def outputs():
         _, c, recover = dpg_assembly.build_normal_equations(
-            B, G, ell, skeleton_coords(mesh))
+            B, G, ell, mesh, None)
         return c, recover(y), B @ x, G.solve_vec(ell)
 
     want = outputs()
@@ -362,7 +351,7 @@ def test_normal_equations_symmetric_spd_and_size():
     assert np.abs(Ad - Ad.T).max() <= 1e-12 * np.abs(Ad).max()
     assert np.linalg.eigvalsh(0.5 * (Ad + Ad.T)).min() > 0.0
     S, c, _ = dpg_assembly.build_normal_equations(
-        blocks.B, blocks.G, blocks.ell, skeleton_coords(mesh))
+        blocks.B, blocks.G, blocks.ell, mesh, None)
     assert S.shape == (9, 9) and c.shape == (9,)  # 4 + 5
 
 
@@ -391,20 +380,18 @@ def test_normal_equations_match_sparse_product_oracle(domain, level):
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_skeleton_system_matches_oracle(domain, level):
     # S and c against the dense Schur complement of the oracle A onto the
-    # skeleton dofs, which follow the 3 T field dofs, in S's order
+    # skeleton dofs, which follow the 3 T field dofs
     mesh = cli_level_mesh(domain, level)
     data, _ = cli.manufacture_data(domain)
     _, _, _, blocks = assemble_all(mesh, data)
     S, c, _ = dpg_assembly.build_normal_equations(
-        blocks.B, blocks.G, blocks.ell, skeleton_coords(mesh))
+        blocks.B, blocks.G, blocks.ell, mesh, None)
     A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
     A = A.toarray()
     nf = 3 * mesh.num_triangles
     Y = np.linalg.solve(A[:nf, :nf], np.column_stack([A[:nf, nf:], b[:nf]]))
     S0 = A[nf:, nf:] - A[nf:, :nf] @ Y[:, :-1]
     c0 = b[nf:] - A[nf:, :nf] @ Y[:, -1]
-    order = skeleton_order(mesh, blocks.B)
-    S0, c0 = S0[np.ix_(order, order)], c0[order]
     assert S.shape == S0.shape == (mesh.num_vertices + mesh.num_edges,) * 2
     assert np.abs(S.toarray() - S0).max() <= 1e-12 * np.abs(S0).max()
     assert np.abs(c - c0).max() <= 1e-12 * np.abs(c0).max()

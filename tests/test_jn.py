@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 import _oracles
 from dpgbem import boundary_loop, make_square_mesh, refine_uniform
-from dpgbem import bem, cli, jn_reference as jn, solver
+from dpgbem import bem, cli, jn_reference as jn, solver, spaces
 from dpgbem.dpg_assembly import ProblemData
 from dpgbem.errors import NumericalError
 
@@ -28,7 +28,7 @@ def test_system_size_coarsest_square():
 
 def test_zero_data_zero_rhs():
     mesh = make_square_mesh(0.1, 2)
-    system = jn.assemble_jn(mesh, zero_data(), _oracles.mesh_bem(mesh))
+    system = jn.assemble_jn(mesh, zero_data(), _oracles.mesh_bem(mesh), None)
     assert np.allclose(system.rhs, 0.0)
 
 
@@ -60,7 +60,7 @@ def test_stabilization_assembled_without_dense_outer_product():
     n = mesh.num_vertices + mats.loop.num_panels
     tracemalloc.start()
     try:
-        jn.assemble_jn(mesh, data, bem_mats=mats)
+        jn.assemble_jn(mesh, data, mats, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -76,7 +76,7 @@ def test_constant_solution():
         singular_vertex=None)
     mesh = make_square_mesh(0.1, 2)
     u_n, phi = jn.solve_jn(jn.assemble_jn(mesh, data,
-                                          _oracles.mesh_bem(mesh)))
+                                          _oracles.mesh_bem(mesh), None))
     assert np.abs(u_n - c).max() < 1e-10
     assert np.abs(phi).max() < 1e-10
 
@@ -99,7 +99,7 @@ def test_stabilized_matches_unstabilized():
     data, exact = cli.manufacture_data("square")
     mesh = make_square_mesh(0.1, 4)
     mats = bem.assemble_bem(boundary_loop(mesh))
-    u1, p1 = jn.solve_jn(jn.assemble_jn(mesh, data, bem_mats=mats))
+    u1, p1 = jn.solve_jn(jn.assemble_jn(mesh, data, mats, None))
     plain = _oracles.jn_full_system(mesh, data, stabilized=False,
                                     bem_mats=mats)
     x0 = superlu_refined(plain)
@@ -114,7 +114,7 @@ def test_smooth_convergence_rate_h1():
     errs = []
     for _ in range(3):
         u_n, _ = jn.solve_jn(jn.assemble_jn(mesh, data,
-                                            _oracles.mesh_bem(mesh)))
+                                            _oracles.mesh_bem(mesh), None))
         errs.append(jn.jn_errors(mesh, u_n, exact.u, exact.grad, None)[1])
         mesh = refine_uniform(mesh)
     rates = np.log(np.array(errs[:-1]) / np.array(errs[1:])) / np.log(2.0)
@@ -127,8 +127,8 @@ def test_cross_method_agreement_decreases():
     diffs, bounds = [], []
     for _ in range(3):
         mats = bem.assemble_bem(boundary_loop(mesh))
-        sol, _ = solver.solve_dpg(mesh, data, bem_mats=mats)
-        u_n, phi = jn.solve_jn(jn.assemble_jn(mesh, data, bem_mats=mats))
+        sol, _ = solver.solve_dpg(mesh, data, mats, None)
+        u_n, phi = jn.solve_jn(jn.assemble_jn(mesh, data, mats, None))
         loop = mats.loop
         d = solver.piecewise_linear_boundary_norm(
             loop, sol.uhat[loop.vertex_ids] - u_n[loop.vertex_ids])
@@ -152,7 +152,7 @@ def test_boundary_errors_decrease():
     for _ in range(3):
         loop = boundary_loop(mesh)
         u_n, phi = jn.solve_jn(jn.assemble_jn(mesh, data,
-                                          _oracles.mesh_bem(mesh)))
+                                          _oracles.mesh_bem(mesh), None))
         et, ef = jn.jn_boundary_errors(loop, u_n, phi, data)
         traces.append(et)
         fluxes.append(ef)
@@ -169,12 +169,13 @@ def test_coupling_matrix_unchanged_by_geometry_classes(level, monkeypatch):
         mesh = refine_uniform(mesh)
     data, _ = cli.manufacture_data("lshape")
     mats = bem.assemble_bem(boundary_loop(mesh))
-    got = jn.assemble_jn(mesh, data, bem_mats=mats).matrix
+    got = jn.assemble_jn(mesh, data, mats, None).matrix
     monkeypatch.setattr(jn, "_p1_stiffness", _oracles.p1_stiffness)
-    ref = jn.assemble_jn(mesh, data, bem_mats=mats).matrix
-    assert np.array_equal(got.indptr, ref.indptr)
-    assert np.array_equal(got.indices, ref.indices)
-    assert np.array_equal(got.data, ref.data)
+    ref = jn.assemble_jn(mesh, data, mats, None).matrix
+    assert np.array_equal(got.sparse.indptr, ref.sparse.indptr)
+    assert np.array_equal(got.sparse.indices, ref.sparse.indices)
+    assert np.array_equal(got.sparse.data, ref.sparse.data)
+    assert np.array_equal(got.dense, ref.dense)
 
 
 def cli_meshes(domain, levels):
@@ -184,17 +185,23 @@ def cli_meshes(domain, levels):
         mesh = refine_uniform(mesh)
 
 
+
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_solve_matches_superlu_on_full_system(domain):
     # phi eliminated by Cholesky of the panel block, against SuperLU on
-    # the full (nv + P) system, at CLI levels 0..4
+    # the full (nv + P) system, at CLI levels 0..4, each level solved on
+    # the hierarchy of the levels below
     data, _ = cli.manufacture_data(domain)
+    coarse = None
     for level, mesh in cli_meshes(domain, 5):
         mats = bem.assemble_bem(boundary_loop(mesh))
         want = superlu_refined(_oracles.jn_full_system(mesh, data, True,
                                                        mats))
-        got = np.concatenate(jn.solve_jn(jn.assemble_jn(mesh, data, mats)))
+        system = jn.assemble_jn(mesh, data, mats, coarse)
+        u, phi = jn.solve_jn(system)
+        got = np.concatenate([u, phi])
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), level
+        coarse = spaces.Level(mesh, system.matrix, u)
 
 
 def test_indefinite_panel_block_rejected():
@@ -202,31 +209,32 @@ def test_indefinite_panel_block_rejected():
     mats = bem.assemble_bem(boundary_loop(mesh))
     mats = dataclasses.replace(mats, V_ps=-mats.V_ps)
     with pytest.raises(NumericalError):
-        jn.assemble_jn(mesh, zero_data(), mats)
+        jn.assemble_jn(mesh, zero_data(), mats, None)
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_vertex_matrix_has_positive_definite_symmetric_part(domain):
-    # solver.direct_solve takes diagonal pivots, which is safe for a
-    # matrix whose symmetric part is positive definite
+    # restarted GMRES cannot stall on a matrix whose symmetric part is
+    # positive definite (Elman, 1982)
     data, _ = cli.manufacture_data(domain)
     for level, mesh in cli_meshes(domain, 4):
         A = jn.assemble_jn(mesh, data,
-                           _oracles.mesh_bem(mesh)).matrix.toarray()
+                           _oracles.mesh_bem(mesh), None).matrix.toarray()
         assert np.linalg.eigvalsh(0.5 * (A + A.T))[0] > 0.0, level
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_solve_jn_residual(domain):
+    # GMRES on the hierarchy of the CLI levels, in natural vertex order
     data, _ = cli.manufacture_data(domain)
+    coarse = None
     for level, mesh in cli_meshes(domain, 5):
-        system = jn.assemble_jn(mesh, data, _oracles.mesh_bem(mesh))
-        # the system and y are in elimination order, u in vertex order
-        y = solver.direct_solve(system.matrix, system.rhs)
-        res = np.linalg.norm(system.rhs - system.matrix @ y)
+        system = jn.assemble_jn(mesh, data, _oracles.mesh_bem(mesh), coarse)
+        u, phi = jn.solve_jn(system)
+        res = np.linalg.norm(system.rhs - system.matrix @ u)
         assert res <= 1e-10 * np.linalg.norm(system.rhs), level
-        assert np.array_equal(system.recover(y)[0],
-                              jn.solve_jn(system)[0]), level
+        assert np.array_equal(phi, system.recover(u)[1]), level
+        coarse = spaces.Level(mesh, system.matrix, u)
 
 
 def test_singular_vertex_system_rejected(monkeypatch):
@@ -235,6 +243,6 @@ def test_singular_vertex_system_rejected(monkeypatch):
     mesh = cli.initial_mesh("square")
     monkeypatch.setattr(jn, "_p1_stiffness",
                         lambda mesh: np.zeros((mesh.num_triangles, 3, 3)))
-    system = jn.assemble_jn(mesh, data, _oracles.mesh_bem(mesh))
+    system = jn.assemble_jn(mesh, data, _oracles.mesh_bem(mesh), None)
     with pytest.raises(NumericalError):
         jn.solve_jn(system)

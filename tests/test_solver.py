@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 import _oracles
 from dpgbem import (NumericalError, make_lshape_mesh, make_square_mesh,
@@ -12,7 +13,7 @@ from dpgbem import bem, cli, dpg_assembly, solver, spaces
 def smooth_square():
     data, exact = cli.manufacture_data("square")
     mesh = make_square_mesh(0.1, 4)
-    sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
+    sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
     return mesh, data, exact, sol, blocks
 
 
@@ -48,7 +49,7 @@ def test_constant_data_solved_exactly():
         phi0=lambda x, y, nx, ny: np.zeros_like(x + nx),
         singular_vertex=None)
     mesh = make_square_mesh(0.1, 2)
-    sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
+    sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
     assert np.abs(sol.u - 1.0).max() < 1e-9
     assert np.abs(sol.uhat - 1.0).max() < 1e-9
     assert np.abs(sol.sigma).max() < 1e-9
@@ -64,7 +65,7 @@ def test_energy_error_zero_problem():
         u0=lambda x, y: np.zeros_like(x),
         phi0=lambda x, y, nx, ny: np.zeros_like(x + nx),
         singular_vertex=None)
-    sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
+    sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
     assert solver.energy_error(blocks, sol.x) < 1e-13
     assert solver.energy_error(blocks, np.zeros_like(sol.x)) == 0.0
 
@@ -96,14 +97,15 @@ def test_least_squares_optimality_on_random_subspace(smooth_square):
 def test_energy_error_solution_below_interpolant():
     data, exact = cli.manufacture_data("square")
     for mesh in (make_square_mesh(0.1, 2), make_square_mesh(0.1, 4)):
-        sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
+        sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh),
+                                       None)
         c = _oracles.interpolate_trial(exact.u, exact.grad, exact.grad, mesh,
                                        spaces.TrialDofLayout.from_mesh(mesh))
         assert (solver.energy_error(blocks, sol.x)
                 <= solver.energy_error(blocks, c))
     data, exact = cli.manufacture_data("lshape")
     mesh = make_lshape_mesh(0.25, 2)
-    sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
+    sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
     c = _oracles.interpolate_trial(exact.u, exact.grad, exact.grad, mesh,
                                    spaces.TrialDofLayout.from_mesh(mesh))
     assert (solver.energy_error(blocks, sol.x)
@@ -219,7 +221,7 @@ def test_exterior_field_decay_under_refinement():
     pt = np.array([[1.1, 0.0]])
     from dpgbem.mesh import refine_uniform
     for _ in range(3):
-        sol, _ = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
+        sol, _ = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
         vals.append(abs(float(solver.eval_exterior_field(sol, pt)[0])))
         mesh = refine_uniform(mesh)
     assert vals[0] > vals[1] > vals[2]
@@ -267,7 +269,7 @@ def test_nonzero_exterior_solution_reconstructed():
     errs = []
     from dpgbem.mesh import refine_uniform
     for _ in range(3):
-        sol, _ = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
+        sol, _ = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
         rec = solver.eval_exterior_field(sol, probes)
         errs.append(np.abs(rec - exact).max())
         mesh = refine_uniform(mesh)
@@ -295,7 +297,7 @@ def test_condensed_solve_matches_full_solve(domain, level, monkeypatch):
         return full_solve(A, b)
 
     monkeypatch.setattr(solver, "solve_spd", spy)
-    sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
+    sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
     assert dims == [mesh.num_vertices + mesh.num_edges]
     A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
     x = full_solve(A, b)
@@ -308,9 +310,65 @@ def test_condensed_solve_rejects_indefinite_field_block():
     # later failure of the skeleton solve does not count
     mesh = make_square_mesh(0.1, 1)
     data, _ = cli.manufacture_data("square")
-    _, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh))
+    _, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
     blocks.B.local[blocks.B.cls[0], :, 0] = 0.0
     with pytest.raises(NumericalError, match="field block"):
         dpg_assembly.build_normal_equations(
-            blocks.B, blocks.G, blocks.ell,
-            np.concatenate([mesh.vertices, mesh.edge_midpoints()]))
+            blocks.B, blocks.G, blocks.ell, mesh, None)
+
+
+def solved_levels(domain, levels):
+    """The solved DPG skeleton system (a spaces.Level) of each of the
+    first CLI levels of a domain, each solved on the ones below."""
+    data, _ = cli.manufacture_data(domain)
+    mesh, coarse, out = cli.initial_mesh(domain), None, []
+    for _ in range(levels):
+        coarse = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh),
+                                  coarse)[0].level
+        out.append(coarse)
+        mesh = refine_uniform(mesh)
+    return out
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_dpg_vcycle_symmetric(domain):
+    # CG needs a symmetric positive definite preconditioner: the V-cycle
+    # over CLI levels 0-3, on random vectors
+    S = solved_levels(domain, 4)[-1].matrix
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, S.shape[0]))
+        xMy, yMx = x @ S.vcycle(y), y @ S.vcycle(x)
+        scale = np.sqrt((x @ S.vcycle(x)) * (y @ S.vcycle(y)))
+        assert abs(xMy - yMx) <= 1e-12 * scale
+        assert x @ S.vcycle(x) > 0.0
+
+
+def krylov_counts(monkeypatch, config):
+    """The iterations of every CG and every GMRES solve of a CLI study,
+    in level order."""
+    counts = {"cg": [], "gmres": []}
+    options = {"cg": {}, "gmres": {"callback_type": "pr_norm"}}
+    for name in counts:
+        def spy(*args, _method=getattr(scipy.sparse.linalg, name),
+                _count=counts[name], _options=options[name], **kwargs):
+            _count.append(0)
+
+            def step(_):
+                _count[-1] += 1
+            return _method(*args, callback=step, **_options, **kwargs)
+        monkeypatch.setattr(scipy.sparse.linalg, name, spy)
+    cli.run_convergence(config)
+    return counts
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_krylov_iterations_bounded_on_cli_levels(domain, monkeypatch):
+    # one iteration on level 0, whose V-cycle is the dense inverse; at
+    # most 30 CG and 25 GMRES iterations at levels 2-5, each solve on the
+    # hierarchy of the levels below (measured: CG 19-23, GMRES 13-16)
+    counts = krylov_counts(monkeypatch, cli.ExperimentConfig(
+        domain, 6, "both", None))
+    for name, bound in (("cg", 30), ("gmres", 25)):
+        assert len(counts[name]) == 6 and counts[name][0] == 1
+        assert max(counts[name][2:]) <= bound, counts

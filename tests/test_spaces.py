@@ -237,47 +237,41 @@ def test_projection_handles_endpoint_singularity():
 @pytest.mark.parametrize("dense", [False, True])
 def test_clique_matrix_sums_blocks_and_dense_block(dense):
     # random cliques with repeated dofs within and across elements and a
-    # zero block, against an entrywise accumulation in natural order,
-    # permuted by the nested-dissection order; the rhs is returned in that
-    # order, and recover puts a solution back in natural order
+    # zero block, against an entrywise accumulation in natural order; the
+    # dense block is added by a LevelOperator
     rng = np.random.default_rng(7)
     n, k = 60, 4
     cliques = rng.integers(0, n, size=(50, k))
     cliques[0, 1] = cliques[0, 0]
     blocks = rng.standard_normal((50, k, k))
     blocks[-1] = 0.0
-    coords = rng.random((n, 2))
     dofs = rng.choice(n, size=6, replace=False) if dense else []
     block = rng.standard_normal((len(dofs), len(dofs)))
-    rhs = rng.standard_normal(n)
-    got, got_rhs, recover = spaces.clique_matrix(cliques, blocks, dofs, block,
-                                                 coords, rhs)
-    order = spaces.nested_dissection(cliques, coords, dofs)
-    assert np.array_equal(got_rhs, rhs[order])
-    assert np.array_equal(recover(got_rhs), rhs)
+    got = spaces.clique_matrix(cliques, blocks, n)
+    op = spaces.LevelOperator(got, dofs, block, [], 0.0, None, None)
     want = np.zeros((n, n))
     covered = np.zeros((n, n), dtype=bool)
     rows = np.repeat(cliques[:, :, None], k, axis=2)
     cols = np.repeat(cliques[:, None, :], k, axis=1)
     np.add.at(want, (rows, cols), blocks)
     covered[rows, cols] = True
-    if dense:
-        np.add.at(want, np.ix_(dofs, dofs), block)
-        covered[np.ix_(dofs, dofs)] = True
     # explicit zeros are kept, so the stored entries are the natural-order
-    # sum's, which perfbench counts
-    natural = _oracles.clique_matrix(cliques, blocks, dofs, block, n)
+    # sum's; perfbench counts them and the dense block's
+    natural = _oracles.clique_matrix(cliques, blocks, [], [], n)
     assert np.any(got.data == 0.0)
     assert got.nnz == natural.nnz == covered.sum()
+    assert op.nnz == got.nnz + len(dofs) ** 2
+    assert got.format == "csr" and got.has_sorted_indices
+    assert np.array_equal(got.indptr, np.r_[0, np.cumsum(covered.sum(1))])
+    assert np.array_equal(got.indices, np.nonzero(covered)[1])
+    if dense:
+        np.add.at(want, np.ix_(dofs, dofs), block)
+    natural = _oracles.clique_matrix(cliques, blocks, dofs, block, n)
     # the entrywise bound below, carried through a product
     y = rng.standard_normal(n)
-    assert (np.abs(recover(got @ y) - natural @ recover(y)).max()
+    assert (np.abs(op @ y - natural @ y).max()
             <= 1e-15 * np.abs(want).max() * np.abs(y).sum())
-    want, covered = want[np.ix_(order, order)], covered[np.ix_(order, order)]
-    assert got.format == "csc" and got.has_sorted_indices
-    assert np.array_equal(got.indptr, np.r_[0, np.cumsum(covered.sum(0))])
-    assert np.array_equal(got.indices, np.nonzero(covered.T)[1])
-    assert np.abs(got.toarray() - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.abs(op.toarray() - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_clique_matrix_frees_a_temporary_blocks_argument():
@@ -286,7 +280,6 @@ def test_clique_matrix_frees_a_temporary_blocks_argument():
     rng = np.random.default_rng(8)
     t, k = 20000, 6
     cliques = rng.integers(0, t, size=(t, k))
-    coords, rhs = rng.random((t, 2)), rng.random(t)
 
     def peak(call):
         tracemalloc.start()
@@ -298,10 +291,10 @@ def test_clique_matrix_frees_a_temporary_blocks_argument():
 
     def named():
         blocks = np.ones((t, k, k))
-        return spaces.clique_matrix(cliques, blocks, [], [], coords, rhs)
+        return spaces.clique_matrix(cliques, blocks, t)
 
     temporary = peak(lambda: spaces.clique_matrix(
-        cliques, np.ones((t, k, k)), [], [], coords, rhs))
+        cliques, np.ones((t, k, k)), t))
     assert temporary <= peak(named) - 0.9 * 8 * t * k * k
 
 
@@ -342,3 +335,44 @@ def test_grouped_boundary_rule_matches_graded_rule(domain, order, levels):
         for g, w in zip(got, want):
             assert np.array_equal(g[graded], w[graded]), level
         mesh = refine_uniform(mesh)
+
+
+def jittered_levels(domain, seed):
+    """CLI levels 1 and 2 of a domain whose coarsest mesh has every
+    interior vertex moved by up to 20% of h in each coordinate, so that
+    no two elements share a geometry below level 1."""
+    mesh = cli.initial_mesh(domain)
+    rng = np.random.default_rng(seed)
+    move = rng.uniform(-0.2, 0.2, mesh.vertices.shape) * mesh.mesh_size()
+    move[mesh.boundary_tails] = 0.0
+    coarse = refine_uniform(build_mesh(mesh.vertices + move, mesh.triangles))
+    return coarse, refine_uniform(coarse)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_p1_prolongation_reproduces_coarse_p1(domain):
+    # random coarse vertex values, evaluated on each fine triangle's
+    # corners from the barycentrics in its coarse parent t (child 4t + j)
+    coarse, fine = jittered_levels(domain, 3)
+    u = np.random.default_rng(4).standard_normal(coarse.num_vertices)
+    got = spaces.p1_prolongation(coarse, fine) @ u
+    parent = np.repeat(np.arange(coarse.num_triangles), 4)
+    J, _, Jinv = coarse.element_map()
+    corners = coarse.triangle_vertices()[parent]
+    ref = np.einsum("tcd,tkd->tkc", Jinv[parent],
+                    fine.triangle_vertices() - corners[:, :1])
+    bary = np.concatenate([1.0 - ref.sum(axis=2, keepdims=True), ref], axis=2)
+    want = np.einsum("tki,ti->tk", bary, u[coarse.triangles[parent]])
+    assert np.abs(got[fine.triangles] - want).max() <= 1e-14 * np.abs(u).max()
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_flux_prolongation_reproduces_constant_field(domain):
+    # the fluxes of a constant vector field through the global edge
+    # normals, on the edge children and on the edges inside the parents
+    coarse, fine = jittered_levels(domain, 5)
+    field = np.array([0.7, -1.3])
+    got = spaces.flux_prolongation(coarse, fine) @ (coarse.edge_normals
+                                                    @ field)
+    want = fine.edge_normals @ field
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(field).max()
