@@ -16,11 +16,13 @@ ratio s (`_separation`):
   2 PANEL_ORDER Gauss outer rule;
 - the pairs with s >= FAR_RATIO: the FAR_ORDER x FAR_ORDER tensor Gauss
   rule with point kernels, once per unordered pair.
-Every pass runs over chunks of at most FAR_CHUNK_ENTRIES node pairs: the
-chunk size is a memory bound, not a tuning option, and no entry depends
-on it.  The tensor rule's node sums are plain einsum calls for that
-reason: they call no BLAS, whose products may round an entry
-differently with the size of the call.
+Every pass runs in batches of at most FAR_CHUNK_ENTRIES kernel
+evaluations: the far pass over square tiles of panel pairs on and above
+the diagonal, each tile writing both orientations, the others over
+chunks of their pair lists.  The batch size is a memory bound, not a
+tuning option, and no entry depends on it.  The tensor rule's node sums
+are plain einsum calls for that reason: they call no BLAS, whose
+products may round an entry differently with the size of the call.
 
 Convention: the double-layer operator K is the plain principal value
 integral (for x on a flat panel the own-panel kernel vanishes
@@ -31,6 +33,7 @@ for exterior harmonic fields with O(1/|x|) decay.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +46,8 @@ from .spaces import PANEL_ORDER
 TWO_PI = 2.0 * np.pi
 
 # kernel evaluations (pairs x outer nodes, or pairs x node pairs of the
-# tensor rule) in one chunk of the pair passes of assemble_bem
+# tensor rule) in one batch of the pair passes of assemble_bem: a chunk of
+# the near or neighbour pairs, or a square tile of the far pass
 FAR_CHUNK_ENTRIES = 1 << 15
 
 # panel pairs with separation ratio s >= FAR_RATIO get the FAR_ORDER x
@@ -278,16 +282,6 @@ def _inner_blocks(t, BW, loop, i, j):
     return out[..., :2] * (-1.0 / TWO_PI), out[..., 2:]
 
 
-def _mirror_upper(A):
-    """Copy the strict upper triangle of the square array A onto the
-    lower one, 128 rows at a time."""
-    for r0 in range(0, A.shape[0], 128):
-        r1 = min(r0 + 128, A.shape[0])
-        A[r0:r1, :r0] = A[:r0, r0:r1].T
-        lo, hi = np.tril_indices(r1 - r0, -1)
-        A[r0 + lo, r0 + hi] = A[r0 + hi, r0 + lo]
-
-
 def assemble_bem(loop):
     """Assemble all boundary matrices for a loop, each panel pair by the
     rule of its separation ratio (see the module docstring).
@@ -309,49 +303,49 @@ def assemble_bem(loop):
     G = np.empty((P, 2, P, 2))
     # the double layer goes straight into its hat columns: hat j collects
     # the tail end of panel j and the head end of panel j - 1, and the
-    # extra column P is hat 0 again.  Kt takes the terms of the targets
-    # below the diagonal, transposed, so that both are filled row by row.
-    # Every entry gets one term of each end.
+    # extra column P is hat 0 again.  Every entry gets one term of each end.
     K = np.zeros((P, 2, P + 1))
-    Kt = np.zeros((P + 1, 2, P))
 
-    # one pass over chunks of c target rows: the separation of every pair
-    # (i, j >= i), the near list, and the tensor rule on every such pair,
-    # each once with the lower index as target.  The single layer of the
+    # one pass over square tiles of c x c panel pairs on and above the
+    # diagonal: the separation of every pair (i, j >= i), the near list,
+    # and the tensor rule on every such pair, once with the lower index as
+    # target; each tile writes both orientations.  The single layer of the
     # pairs that are not separated is overwritten below; their double
     # layer is masked out here and added below.
     t, w = quadrature.gauss01(FAR_ORDER)
     BW = _basis_weights(t, w)
     nodes = pa.T[:, None] + t[:, None] * (pb - pa).T[:, None]
+    c = max(1, math.isqrt(FAR_CHUNK_ENTRIES // t.size ** 2))
     near = []
-    i0 = 0
-    while i0 < P:
-        c = min(P - i0, max(1, FAR_CHUNK_ENTRIES // (t.size ** 2 * (P - i0))))
-        i, i1, j = slice(i0, i0 + c), i0 + c, slice(i0, P)
-        rows, cols = idx[i, None], idx[j]
-        sep = _separation(mid, half, lengths, rows, cols) >= FAR_RATIO
-        upper = cols > rows
-        far = sep & upper
-        # the other pairs (i, j > i), bar each panel's neighbours, go to
-        # the near list in both orientations
-        ni, nj = np.nonzero(~sep & upper & (cols != prev[rows])
-                            & (cols != nxt[rows]))
-        near += [(ni + i0, nj + i0), (nj + i0, ni + i0)]
-        # the panel itself (log 0 at its nodes) is overwritten below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g, dij, dji = _far_blocks(nodes, BW, loop, i, j)
-        G[i, :, j] = g.transpose(2, 0, 3, 1)
-        dij = np.where(far, dij, 0.0)
-        K[i, :, j] += dij[:, 0].transpose(1, 0, 2)
-        K[i, :, i0 + 1:] += dij[:, 1].transpose(1, 0, 2)
-        dji = np.where(far, dji, 0.0)
-        Kt[i, :, j] += dji[0].transpose(1, 0, 2)
-        Kt[i0 + 1:i1 + 1, :, j] += dji[1].transpose(1, 0, 2)
-        i0 = i1
-    K += Kt.transpose(2, 1, 0)
-    del Kt
-    # the single layer below the diagonal is the mirror of the one above
-    _mirror_upper(G.reshape(2 * P, 2 * P))
+    for i0 in range(0, P, c):
+        i1 = min(i0 + c, P)
+        i = slice(i0, i1)
+        for j0 in range(i0, P, c):
+            j1 = min(j0 + c, P)
+            j = slice(j0, j1)
+            rows, cols = idx[i, None], idx[j]
+            sep = _separation(mid, half, lengths, rows, cols) >= FAR_RATIO
+            upper = cols > rows
+            far = sep & upper
+            # the other pairs (i, j > i), bar each panel's neighbours, go
+            # to the near list in both orientations
+            ni, nj = np.nonzero(~sep & upper & (cols != prev[rows])
+                                & (cols != nxt[rows]))
+            near += [(ni + i0, nj + j0), (nj + j0, ni + i0)]
+            # the panel itself (log 0 at its nodes) is overwritten below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g, dij, dji = _far_blocks(nodes, BW, loop, i, j)
+            G[i, :, j] = g.transpose(2, 0, 3, 1)
+            gt = g.transpose(3, 1, 2, 0)
+            # the lower orientation; on a diagonal tile only below the diagonal
+            G[j, :, i] = (np.where(upper.T[:, None, :, None], gt, G[j, :, i])
+                          if i0 == j0 else gt)
+            dij = np.where(far, dij, 0.0)
+            K[i, :, j] += dij[:, 0].transpose(1, 0, 2)
+            K[i, :, j0 + 1:j1 + 1] += dij[:, 1].transpose(1, 0, 2)
+            dji = np.where(far, dji, 0.0)
+            K[j, :, i] += dji[0].transpose(2, 0, 1)
+            K[j, :, i0 + 1:i1 + 1] += dji[1].transpose(2, 0, 1)
     I = np.concatenate([ni for ni, _ in near])
     J = np.concatenate([nj for _, nj in near])
 

@@ -339,12 +339,12 @@ def test_assemble_bem_matches_loop_oracle(domain, levels):
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_assemble_bem_independent_of_chunk_size(domain, monkeypatch):
-    # from about one target row per chunk of the far pass (256) to a
-    # single chunk (2**22): the chunk bookkeeping and the node sums give
-    # the same bits at any batch size
+    # from one panel pair per tile of the far pass (16) through 4 x 4
+    # (256) and 7 x 7 (1000) to one tile for P <= 512 (2**22): the tile
+    # bookkeeping and the node sums give the same bits at any batch size
     loops = level_loops(domain, 5)
     want = [bem.assemble_bem(loop) for loop in loops]
-    for entries in (256, 1000, 1 << 22):
+    for entries in (16, 256, 1000, 1 << 22):
         monkeypatch.setattr(bem, "FAR_CHUNK_ENTRIES", entries)
         for loop, ref in zip(loops, want):
             got = bem.assemble_bem(loop)
