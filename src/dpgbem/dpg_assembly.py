@@ -28,20 +28,13 @@ from . import bem, quadrature, spaces
 from .errors import NumericalError
 from .mesh import element_map
 
-# elements per chunk where _class_products gathers a class block per
-# element: a memory bound, not a tuning option
-ELEMENT_CHUNK = 4096
-
 
 def _class_products(M, cls, v):
     """M[cls[t]] @ v[t] (T, m) for the class matrices M (C, m, n) and the
-    per-element vectors v (T, n), the class blocks gathered ELEMENT_CHUNK
-    elements at a time."""
-    out = np.empty((cls.size, M.shape[1]))
-    for k in range(0, cls.size, ELEMENT_CHUNK):
-        e = slice(k, k + ELEMENT_CHUNK)
-        out[e] = np.einsum("tij,tj->ti", M[cls[e]], v[e])
-    return out
+    per-element vectors v (T, n), the class blocks gathered one batch of
+    elements at a time (spaces.batched)."""
+    return spaces.batched(
+        lambda e: np.einsum("tij,tj->ti", M[cls[e]], v[e]), cls.size)
 
 
 @dataclass

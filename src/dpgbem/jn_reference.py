@@ -127,8 +127,8 @@ def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex):
     uloc = u_nodal[mesh.triangles]
     grad_h = np.einsum("ti,tic->tc", uloc, mesh.hat_gradients())
     return field_errors(mesh, exact_u, exact_grad,
-                        lambda tri, bary: uloc[tri] @ bary.T, grad_h,
-                        singular_vertex)
+                        lambda t, b: np.einsum("ti,qi->tq", uloc[t], b),
+                        grad_h, singular_vertex)
 
 
 def jn_boundary_errors(loop, u_nodal, phi, data):

@@ -15,6 +15,7 @@ import scipy.sparse.linalg
 from . import bem as bem_mod
 from . import dpg_assembly, quadrature, spaces
 from .errors import NumericalError
+from .mesh import element_map
 
 # Krylov stopping rule of both couplings (GMRES: iterations per cycle)
 KRYLOV_RTOL, KRYLOV_MAXITER = 1e-12, 60
@@ -131,14 +132,11 @@ def _error_rules(singular_vertex, mesh):
     base = quadrature.triangle_duffy(4)  # degree 6
     if singular_vertex is None:
         return [(np.arange(mesh.num_triangles), base)]
-    d = mesh.triangle_vertices() - np.asarray(singular_vertex, dtype=float)
-    hit = np.hypot(d[..., 0], d[..., 1]) < 1e-13           # (T, 3)
-    groups = [(np.nonzero(~hit.any(axis=1))[0], base)]
-    for local in range(3):
-        groups.append((np.nonzero(hit[:, local])[0],
-                       quadrature.triangle_corner_rule(
-                           order=12, levels=20, collapse=local)))
-    return groups
+    d = mesh.vertices - np.asarray(singular_vertex, dtype=float)
+    hit = (np.hypot(d[:, 0], d[:, 1]) < 1e-13)[mesh.triangles]  # (T, 3)
+    return [(np.flatnonzero(~hit.any(axis=1)), base)] + [
+        (np.flatnonzero(hit[:, c]), quadrature.triangle_corner_rule(
+            order=12, levels=20, collapse=c)) for c in range(3)]
 
 
 def field_errors(mesh, exact_u, exact_grad, u_h, grad_h, singular_vertex):
@@ -147,19 +145,24 @@ def field_errors(mesh, exact_u, exact_grad, u_h, grad_h, singular_vertex):
 
     u_h(tri, bary) evaluates the discrete scalar on the triangles tri at
     barycentric points bary (q, 3) and returns shape (len(tri), q);
-    grad_h (T, 2) holds the vector field per element.
+    grad_h (T, 2) holds the vector field per element.  Each rule group
+    takes one batch of its elements at a time (spaces.batched); with no
+    BLAS product per element, here or in u_h, no batch size moves a bit.
     """
-    verts = mesh.triangle_vertices()
-    detJ = mesh.element_map()[1]
     err_u = err_g = 0.0
     for tri, (pts, w) in _error_rules(singular_vertex, mesh):
-        x, y = quadrature.map_to_physical(verts[tri], pts)
-        du = exact_u(x, y) - u_h(tri, quadrature.barycentric(pts))
-        gx, gy = exact_grad(x, y)
-        dgx = np.broadcast_to(gx, x.shape) - grad_h[tri, 0][:, None]
-        dgy = np.broadcast_to(gy, x.shape) - grad_h[tri, 1][:, None]
-        err_u += ((du ** 2) @ w * detJ[tri]).sum()
-        err_g += ((dgx ** 2 + dgy ** 2) @ w * detJ[tri]).sum()
+        def squared(e):
+            verts = np.take(mesh.vertices, mesh.triangles[tri[e]], axis=0)
+            x, y = quadrature.map_to_physical(verts, pts)
+            du = exact_u(x, y) - u_h(tri[e], quadrature.barycentric(pts))
+            gx, gy = exact_grad(x, y)
+            dgx = np.broadcast_to(gx, x.shape) - grad_h[tri[e], 0][:, None]
+            dgy = np.broadcast_to(gy, x.shape) - grad_h[tri[e], 1][:, None]
+            return np.einsum("ktq,q->tk", [du ** 2, dgx ** 2 + dgy ** 2],
+                             w) * element_map(verts)[1][:, None]
+        sq = spaces.batched(squared, tri.size)   # per-element squared errors
+        err_u += sq[:, 0].sum()
+        err_g += sq[:, 1].sum()
     return float(np.sqrt(err_u)), float(np.sqrt(err_g))
 
 
@@ -181,13 +184,8 @@ def trace_error(loop, rule, vertex_vals, exact_u):
 
 
 def l2_errors(solution, exact_u, exact_grad):
-    """L2(Omega) errors of the field variables: (err_u, err_sigma).
-
-    Elementwise quadrature of degree >= 6 on the solution's mesh;
-    elements touching its data's singular_vertex (a point, or None) use
-    a graded rule that resolves fractional-power gradient singularities
-    there.
-    """
+    """L2(Omega) errors of the field variables, (err_u, err_sigma):
+    field_errors on the solution's mesh and its data's singular_vertex."""
     u = solution.u
     return field_errors(solution.mesh, exact_u, exact_grad,
                         lambda tri, bary: u[tri, None], solution.sigma,

@@ -9,7 +9,7 @@ Test space: scalar P2 and vector P2 per element, plus discontinuous P1 on
 the boundary edges.
 
 Both couplings' systems, with the V-cycle over the refinement levels
-that preconditions their Krylov solves; the boundary rules.
+that preconditions their Krylov solves; the boundary rules; element batches.
 """
 
 import functools
@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 
 from . import quadrature
 from .errors import NumericalError
-from .mesh import REF_HAT_GRADS
+from .mesh import REF_HAT_GRADS, element_map
 
 
 @dataclass(frozen=True)
@@ -111,16 +111,33 @@ DATA_LEVELS = 30
 ERROR_ORDER, ERROR_LEVELS = 8, 24
 # the element rule of both solvers' volume loads (f, v)
 LOAD_PTS, LOAD_W = quadrature.triangle_duffy(5)
+ELEMENT_CHUNK = 4096  # elements per batch (batched): a memory bound
+
+
+def batched(fn, n):
+    """fn(e), an array (len(e), ...), on the consecutive ELEMENT_CHUNK
+    slices e of range(n) in order, written into one array (n, ...)
+    allocated from the first batch; n = 0 makes one empty batch."""
+    for k in range(0, max(n, 1), ELEMENT_CHUNK):
+        v = fn(slice(k, k + ELEMENT_CHUNK))
+        if k == 0:
+            out = np.empty((n,) + v.shape[1:], v.dtype)
+        out[k:k + ELEMENT_CHUNK] = v
+    return out
 
 
 def element_load(mesh, f, basis):
     """(f, v_i) on every element, shape (T, k), for a basis given by
-    basis(bary) -> (q, k), its values at barycentric points (q, 3)."""
-    detJ = mesh.element_map()[1]
-    x, y = quadrature.map_to_physical(mesh.triangle_vertices(), LOAD_PTS)
-    fv = np.broadcast_to(f(x, y), x.shape)
+    basis(bary) -> (q, k), its values at barycentric points (q, 3),
+    one batch of elements at a time."""
     vals = basis(quadrature.barycentric(LOAD_PTS))
-    return np.einsum("q,tq,qi->ti", LOAD_W, fv, vals) * detJ[:, None]
+
+    def load(e):
+        verts = np.take(mesh.vertices, mesh.triangles[e], axis=0)
+        x, y = quadrature.map_to_physical(verts, LOAD_PTS)
+        return np.einsum("q,tq,qi->ti", LOAD_W, np.broadcast_to(
+            f(x, y), x.shape), vals) * element_map(verts)[1][:, None]
+    return batched(load, mesh.num_triangles)
 
 
 class LinearSystem(NamedTuple):

@@ -295,9 +295,78 @@ def test_chunked_products_independent_of_chunk_size(monkeypatch):
     want = outputs()
     assert np.any(want[0] != 0.0)
     for chunk in (7, 1000):
-        monkeypatch.setattr(dpg_assembly, "ELEMENT_CHUNK", chunk)
+        monkeypatch.setattr(spaces, "ELEMENT_CHUNK", chunk)
         for got, ref in zip(outputs(), want):
             assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_element_passes_independent_of_chunk_size(domain, monkeypatch):
+    # both volume loads and both couplings' field errors give the same
+    # bits for any batch size, as every per-element value is an einsum
+    # or elementwise; CLI level 3 has 2048 (square) and 1536 (L-shape)
+    # elements, which neither 7 nor 1000 divides, and on the L-shape the
+    # graded corner groups hold 2, 2 and 1 elements.  With BLAS products
+    # in their place ((du ** 2) @ w, uloc[tri] @ bary.T), batches of 1, 2,
+    # 3 or 7 elements moved the errors by about 1e-16 relative for some
+    # inputs: BLAS rounds a matrix row by its position in the call
+    mesh = cli_level_mesh(domain, 3)
+    data, exact = cli.manufacture_data(domain)
+    rng = np.random.default_rng(6)
+    sol = solver.Solution(mesh=mesh, data=data, loop=boundary_loop(mesh),
+                          x=rng.standard_normal(
+                              spaces.TrialDofLayout.from_mesh(mesh).dim))
+    u_nodal = rng.standard_normal(mesh.num_vertices)
+
+    def outputs():
+        return (spaces.element_load(
+                    mesh, data.f, lambda b: spaces.eval_p2_basis(b)[0]),
+                spaces.element_load(mesh, data.f, lambda b: b),
+                solver.l2_errors(sol, exact.u, exact.grad),
+                jn_reference.jn_errors(mesh, u_nodal, exact.u, exact.grad,
+                                       data.singular_vertex))
+
+    monkeypatch.setattr(spaces, "ELEMENT_CHUNK", mesh.num_triangles)
+    want = outputs()
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(spaces, "ELEMENT_CHUNK", chunk)
+        for got, ref in zip(outputs(), want):
+            assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("pass_", ["element_load", "field_errors"])
+def test_element_passes_peak_memory_within_chunks(pass_):
+    # the volume load and the field errors map their rules (q points) onto
+    # ELEMENT_CHUNK elements at a time: above the returned array, the
+    # peak is a few (ELEMENT_CHUNK, q) arrays, plus for the field errors
+    # what they keep per element, a group index and two squared errors
+    # (24 bytes).  Mapping a rule onto all T = 32768 elements at once
+    # peaked at 31.5 (load) and 38.0 MiB (errors), one BLAS thread
+    mesh = cli_level_mesh("square", 5)
+    data, exact = cli.manufacture_data("square")
+    T = mesh.num_triangles
+    rng = np.random.default_rng(8)
+    u, sigma = rng.standard_normal(T), rng.standard_normal((T, 2))
+    if pass_ == "element_load":
+        q, kept = spaces.LOAD_W.size, 0
+
+        def run():
+            return spaces.element_load(
+                mesh, data.f, lambda b: spaces.eval_p2_basis(b)[0])
+    else:
+        q, kept = solver._error_rules(None, mesh)[0][1][1].size, 24 * T
+
+        def run():
+            return np.array(solver.field_errors(
+                mesh, exact.u, exact.grad, lambda t, b: u[t, None], sigma,
+                None))
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + kept + 16 * spaces.ELEMENT_CHUNK * q * 8
 
 
 def test_load_zero_data():

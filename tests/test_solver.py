@@ -155,6 +155,30 @@ def test_l2_errors_self_consistency(smooth_square):
     assert es == pytest.approx(es2, rel=1e-8)
 
 
+def test_field_errors_empty_rule_group_at_every_chunk_size(monkeypatch):
+    # on the square a singular vertex at the corner (-0.1, -0.1) is local
+    # vertex 0 of its elements only, so two graded corner groups are
+    # empty; each still makes one (empty) batch at every batch size
+    mesh = cli_level_mesh("square", 2)
+    data, exact = cli.manufacture_data("square")
+    corner = (-0.1, -0.1)
+    sizes = [tri.size for tri, _ in solver._error_rules(corner, mesh)]
+    assert sizes[1] > 0 and sizes[2:] == [0, 0]
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(mesh.num_triangles)
+    sigma = rng.standard_normal((mesh.num_triangles, 2))
+
+    def errors():
+        return solver.field_errors(mesh, exact.u, exact.grad,
+                                   lambda tri, bary: u[tri, None], sigma,
+                                   corner)
+
+    want = errors()
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(spaces, "ELEMENT_CHUNK", chunk)
+        assert errors() == want
+
+
 def _l2_with_rule(sol, exact, mesh, rule):
     from dpgbem import quadrature
     pts, w = rule
