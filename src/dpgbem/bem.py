@@ -181,9 +181,6 @@ class BemMatrices:
                 "single-layer Gram not positive definite; check that the "
                 "domain diameter is < 1") from exc
 
-    def solve_gpsi(self, rhs):
-        return scipy.linalg.cho_solve((self.G_psi_chol, True), rhs)
-
     def half_minus_k_load(self, u0, rule):
         """<(1/2 - K) u0, psi_i> for a function u0(x, y) on a
         spaces.boundary_quadrature rule: H y + (m - M y) / 2, with y the

@@ -63,10 +63,11 @@ class ExperimentConfig:
         for path in filter(None, (self.output_path, self.agreement_path)):
             out_dir = os.path.dirname(os.path.abspath(path))
             if (os.path.isdir(path) or not os.path.isdir(out_dir)
-                    or not os.access(out_dir, os.W_OK)):
+                    or not os.access(out_dir, os.W_OK)
+                    or os.path.exists(path) and not os.access(path, os.W_OK)):
                 raise ConfigError(
-                    "cannot write '{}': it is a directory, or its directory "
-                    "is missing or not writable".format(path))
+                    "cannot write '{}': it is a directory or read-only, or "
+                    "its directory is missing or not writable".format(path))
 
     @property
     def agreement_path(self):

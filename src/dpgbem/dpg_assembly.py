@@ -31,8 +31,8 @@ from .mesh import element_map
 
 def _class_products(M, cls, v):
     """M[cls[t]] @ v[t] (T, m) for the class matrices M (C, m, n) and the
-    per-element vectors v (T, n), the class blocks gathered one batch of
-    elements at a time (spaces.batched)."""
+    per-element vectors v (T, n) of build_normal_equations, the class
+    blocks gathered one batch of elements at a time (spaces.batched)."""
     return spaces.batched(
         lambda e: np.einsum("tij,tj->ti", M[cls[e]], v[e]), cls.size)
 
@@ -58,21 +58,18 @@ class ProblemData:
 
 
 class BlockGram:
-    """Block-diagonal test-space Gram matrix, applied and inverted blockwise.
+    """Block-diagonal test-space Gram matrix, kept block by block.
 
     Blocks: per element the H1 Gram on scalar P2 and the H(div) Gram on
     vector P2, then one global boundary block, the single-layer Gram of
     the bem module (realizing the H^{-1/2}(Gamma) inner product).  The
     element blocks are kept once per geometry class (Mesh.element_classes):
-    element t has the blocks Gv[cls[t]] and Gtau[cls[t]], whose inverses
-    Gv_inv and Gtau_inv are formed once per class.
+    element t has the blocks Gv[cls[t]] and Gtau[cls[t]]; their inverses
+    Gv_inv and Gtau_inv, for solver.energy_error, are formed once per class.
     """
 
     def __init__(self, Gv, Gtau, cls, bem_mats):
-        self.Gv = Gv
-        self.Gtau = Gtau
-        self.cls = cls
-        self.bem = bem_mats
+        self.Gv, self.Gtau, self.cls, self.bem = Gv, Gtau, cls, bem_mats
         self.n_tri = cls.size
         try:
             np.linalg.cholesky(Gv)
@@ -88,30 +85,18 @@ class BlockGram:
                 vec[6 * nt:18 * nt].reshape(nt, 12),
                 vec[18 * nt:])
 
-    def solve_vec(self, vec):
-        """G^{-1} @ vec, applied blockwise: the element blocks by products
-        with the class inverses."""
-        rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
-        return np.concatenate([
-            _class_products(self.Gv_inv, self.cls, rv).ravel(),
-            _class_products(self.Gtau_inv, self.cls, rt).ravel(),
-            self.bem.solve_gpsi(rp)])
-
-    def quadratic(self, vec):
-        """vec . G^{-1} vec (the dual-norm square of a residual)."""
-        return float(np.dot(vec, self.solve_vec(vec)))
-
 
 @dataclass
 class BlockOperator:
-    """The coupled operator B, kept per Gram block and geometry class:
-    element t maps its trial columns cols[t] (sigma_x, sigma_y, u, uhat
-    at its vertices, sighat on its edges) to its 6 H1 and 12 H(div) test
-    rows by local[cls[t]] (C, 18, 9) with column j times signs[t, j],
-    the edge sign on the sighat columns and +1 elsewhere.  The boundary
-    rows are V_ps (loop.signs * sighat) + H uhat of the BemMatrices bem,
-    on the trial columns gamma_cols (sighat on the loop edges, uhat at
-    the loop vertices).  shape is (test dim, trial dim)."""
+    """The coupled operator B, kept per Gram block and geometry class, as
+    build_normal_equations and solver.energy_error read it: element t maps
+    its trial columns cols[t] (sigma_x, sigma_y, u, uhat at its vertices,
+    sighat on its edges) to its 6 H1 and 12 H(div) test rows by
+    local[cls[t]] (C, 18, 9) with column j times signs[t, j], the edge
+    sign on the sighat columns and +1 elsewhere.  The boundary rows are
+    V_ps (loop.signs * sighat) + H uhat of the BemMatrices bem, on the
+    trial columns gamma_cols (sighat on the loop edges, uhat at the loop
+    vertices).  shape is (test dim, trial dim)."""
 
     local: np.ndarray
     cls: np.ndarray
@@ -126,14 +111,6 @@ class BlockOperator:
         """Entries of the element blocks and of the dense boundary block,
         explicit zeros included."""
         return self.cls.size * self.local[0].size + self.gamma_cols.size ** 2
-
-    def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        y = _class_products(self.local, self.cls, x[self.cols] * self.signs)
-        xs, xu = np.split(x[self.gamma_cols], 2)
-        return np.concatenate([y[:, :6].ravel(), y[:, 6:].ravel(),
-                               self.bem.V_ps @ (self.bem.loop.signs * xs)
-                               + self.bem.H @ xu])
 
 
 @dataclass

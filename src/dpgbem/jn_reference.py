@@ -124,11 +124,11 @@ def solve_jn(system):
 def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex):
     """L2 error of the P1 interior solution and of its elementwise
     gradient; companion of the coupled solver's field errors."""
-    uloc = u_nodal[mesh.triangles]
-    grad_h = np.einsum("ti,tic->tc", uloc, mesh.hat_gradients())
-    return field_errors(mesh, exact_u, exact_grad,
-                        lambda t, b: np.einsum("ti,qi->tq", uloc[t], b),
-                        grad_h, singular_vertex)
+    return field_errors(
+        mesh, exact_u, exact_grad,
+        lambda t, b: np.einsum("ti,qi->tq", u_nodal[mesh.triangles[t]], b),
+        lambda t: np.einsum("ti,tic->tc", u_nodal[mesh.triangles[t]],
+                            mesh.hat_gradients(t)), singular_vertex)
 
 
 def jn_boundary_errors(loop, u_nodal, phi, data):

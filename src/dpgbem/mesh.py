@@ -124,12 +124,13 @@ class Mesh:
                                 return_inverse=True)
         return cls, rep
 
-    def hat_gradients(self):
-        """Physical gradients of the three vertex hat functions of every
-        element, shape (T, 3, 2); row i belongs to local vertex i.  They
-        are the rows of REF_HAT_GRADS times Jinv: -(row 0 + row 1), row 0
-        and row 1 of Jinv."""
-        _, _, Jinv = self.element_map()
+    def hat_gradients(self, tri=slice(None)):
+        """Physical gradients of the three vertex hat functions of the
+        elements tri (all by default), shape (len(tri), 3, 2); row i
+        belongs to local vertex i.  They are the rows of REF_HAT_GRADS
+        times Jinv: -(row 0 + row 1), row 0 and row 1 of Jinv."""
+        _, _, Jinv = element_map(np.take(self.vertices, self.triangles[tri],
+                                         axis=0))
         return np.stack([-Jinv[:, 0] - Jinv[:, 1], Jinv[:, 0], Jinv[:, 1]],
                         axis=1)
 

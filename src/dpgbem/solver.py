@@ -10,6 +10,7 @@ solution are reported in L2(Gamma).
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from . import bem as bem_mod
@@ -118,10 +119,29 @@ def solve_spd(A, b):
 
 
 def energy_error(blocks, x):
-    """Dual-norm residual sqrt(r^T G^{-1} r), r = ell - B x, of a trial
-    vector x, measured in the enriched test space."""
-    r = blocks.ell - blocks.B @ x
-    return float(np.sqrt(max(blocks.G.quadratic(r), 0.0)))
+    """DPG error sqrt(r^T G^{-1} r), r = ell - B x, of a trial vector x: the
+    residual in the dual norm of the enriched test space.  G is block
+    diagonal: element t's residual r_t = ell_t - local[cls[t]] (signs[t]
+    x[cols[t]]) meets its class inverses one batch of elements at a time
+    (spaces.batched), its term the DPG error indicator, and the boundary
+    adds |L^{-1} r_G|^2, G_psi = L L^T."""
+    B, G = blocks.B, blocks.G
+    x = np.asarray(x, dtype=float)
+    ev, et, eg = G._parts(blocks.ell)
+
+    def indicators(e):
+        y = np.einsum("tij,tj->ti", B.local[B.cls[e]],
+                      x[B.cols[e]] * B.signs[e])
+        rv, rt = ev[e] - y[:, :6], et[e] - y[:, 6:]
+        return (np.einsum("ti,ti->t", rv, np.einsum(
+                    "tij,tj->ti", G.Gv_inv[G.cls[e]], rv))
+                + np.einsum("ti,ti->t", rt, np.einsum(
+                    "tij,tj->ti", G.Gtau_inv[G.cls[e]], rt)))
+    xs, xu = np.split(x[B.gamma_cols], 2)
+    w = scipy.linalg.solve_triangular(B.bem.G_psi_chol, eg - (
+        B.bem.V_ps @ (B.bem.loop.signs * xs) + B.bem.H @ xu), lower=True)
+    return float(np.sqrt(max(spaces.batched(indicators, G.n_tri).sum()
+                             + w @ w, 0.0)))
 
 
 def _error_rules(singular_vertex, mesh):
@@ -145,9 +165,10 @@ def field_errors(mesh, exact_u, exact_grad, u_h, grad_h, singular_vertex):
 
     u_h(tri, bary) evaluates the discrete scalar on the triangles tri at
     barycentric points bary (q, 3) and returns shape (len(tri), q);
-    grad_h (T, 2) holds the vector field per element.  Each rule group
-    takes one batch of its elements at a time (spaces.batched); with no
-    BLAS product per element, here or in u_h, no batch size moves a bit.
+    grad_h(tri) returns the vector field on them, (len(tri), 2).  Each
+    rule group takes one batch of its elements at a time
+    (spaces.batched); with no BLAS product per element, here or in u_h
+    and grad_h, no batch size moves a bit.
     """
     err_u = err_g = 0.0
     for tri, (pts, w) in _error_rules(singular_vertex, mesh):
@@ -156,8 +177,9 @@ def field_errors(mesh, exact_u, exact_grad, u_h, grad_h, singular_vertex):
             x, y = quadrature.map_to_physical(verts, pts)
             du = exact_u(x, y) - u_h(tri[e], quadrature.barycentric(pts))
             gx, gy = exact_grad(x, y)
-            dgx = np.broadcast_to(gx, x.shape) - grad_h[tri[e], 0][:, None]
-            dgy = np.broadcast_to(gy, x.shape) - grad_h[tri[e], 1][:, None]
+            g = grad_h(tri[e])
+            dgx = np.broadcast_to(gx, x.shape) - g[:, 0, None]
+            dgy = np.broadcast_to(gy, x.shape) - g[:, 1, None]
             return np.einsum("ktq,q->tk", [du ** 2, dgx ** 2 + dgy ** 2],
                              w) * element_map(verts)[1][:, None]
         sq = spaces.batched(squared, tri.size)   # per-element squared errors
@@ -186,10 +208,10 @@ def trace_error(loop, rule, vertex_vals, exact_u):
 def l2_errors(solution, exact_u, exact_grad):
     """L2(Omega) errors of the field variables, (err_u, err_sigma):
     field_errors on the solution's mesh and its data's singular_vertex."""
-    u = solution.u
+    u, sigma = solution.u, solution.sigma
     return field_errors(solution.mesh, exact_u, exact_grad,
-                        lambda tri, bary: u[tri, None], solution.sigma,
-                        solution.data.singular_vertex)
+                        lambda tri, bary: u[tri, None],
+                        lambda tri: sigma[tri], solution.data.singular_vertex)
 
 
 def boundary_cauchy_errors(solution):

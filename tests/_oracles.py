@@ -21,7 +21,8 @@ it; the per-block products and the condensed skeleton system of
 had before it took sparse systems only.
 
 `TestDofLayout` indexes the enriched test space, in the order of the
-rows of B, and `gram_apply` multiplies a vector by the block test Gram.
+rows of B; `gram_apply` multiplies a vector by the block test Gram and
+`gram_solve` solves with it, block by block.
 
 `dpg_assembly` forms the element blocks once per geometry class
 (`Mesh.element_classes`) and signs them per element.
@@ -337,6 +338,16 @@ def gram_apply(G, vec):
         G.bem.G_psi @ rp])
 
 
+def gram_solve(G, vec):
+    """G^{-1} @ vec for a dpg_assembly.BlockGram, block by block, each
+    element block by a dense solve with its class block."""
+    rv, rt, rp = G._parts(np.asarray(vec, dtype=float))
+    return np.concatenate([
+        np.linalg.solve(G.Gv[G.cls], rv[..., None]).ravel(),
+        np.linalg.solve(G.Gtau[G.cls], rt[..., None]).ravel(),
+        scipy.linalg.cho_solve((G.bem.G_psi_chol, True), rp)])
+
+
 def gram_solve_matrix(G, B):
     B = B.tocsr()
     nt = G.n_tri
@@ -361,7 +372,9 @@ def gram_solve_matrix(G, B):
     for t in range(nt):
         solve_block(lambda loc: np.linalg.solve(G.Gtau[G.cls[t]], loc),
                     6 * nt + 12 * t, 12)
-    solve_block(G.bem.solve_gpsi, 18 * nt, G.bem.G_psi.shape[0])
+    solve_block(lambda loc: scipy.linalg.cho_solve((G.bem.G_psi_chol, True),
+                                                   loc),
+                18 * nt, G.bem.G_psi.shape[0])
     W = scipy.sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=B.shape)
@@ -371,7 +384,8 @@ def gram_solve_matrix(G, B):
 def normal_equations(B, G, ell):
     """Full (A, b) of a BlockOperator B through the loop G^{-1} B."""
     Bs = sparse_B(B)
-    return (Bs.T @ gram_solve_matrix(G, Bs)).tocsr(), Bs.T @ G.solve_vec(ell)
+    return ((Bs.T @ gram_solve_matrix(G, Bs)).tocsr(),
+            Bs.T @ gram_solve(G, ell))
 
 
 def solve_spd_dense(A, b):
@@ -491,18 +505,17 @@ class ElementPipeline:
             self.bem.V_ps @ (self.bem.loop.signs * xg[:P])
             + self.bem.H @ xg[P:]])
 
-    def quadratic(self, vec):
-        """vec . G^{-1} vec, with the inverse of each element's own Gram
-        blocks."""
-        rv, rt, rp = self._parts(np.asarray(vec, dtype=float))
-        sv = np.einsum("tij,tj->ti", np.linalg.inv(self.Gv), rv)
-        st = np.einsum("tij,tj->ti", np.linalg.inv(self.Gtau), rt)
-        return float(np.dot(vec, np.concatenate([
-            sv.ravel(), st.ravel(), self.bem.solve_gpsi(rp)])))
-
     def energy_error(self, ell, x):
-        r = ell - self.apply_B(x)
-        return float(np.sqrt(max(self.quadratic(r), 0.0)))
+        """sqrt(r^T G^{-1} r), r = ell - B x, with the inverse of each
+        element's own Gram blocks; the per-element terms are summed as
+        `solver.energy_error` sums them."""
+        rv, rt, rg = self._parts(np.asarray(ell, float) - self.apply_B(x))
+        sq = (np.einsum("ti,ti->t", rv, np.einsum(
+                  "tij,tj->ti", np.linalg.inv(self.Gv), rv))
+              + np.einsum("ti,ti->t", rt, np.einsum(
+                  "tij,tj->ti", np.linalg.inv(self.Gtau), rt)))
+        w = scipy.linalg.solve_triangular(self.bem.G_psi_chol, rg, lower=True)
+        return float(np.sqrt(max(sq.sum() + w @ w, 0.0)))
 
     def gram_products(self, ell):
         """B_T^T G_T^{-1} B_T (T, 9, 9) and Z_T = G_v,T^{-1} B_v,T

@@ -218,6 +218,39 @@ def test_main_rejects_bad_out_before_first_level(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == [tmp_path / "x_agreement.csv"]
 
 
+def test_main_rejects_unwritable_existing_out(tmp_path, monkeypatch,
+                                              capsys):
+    # an existing main or agreement file that may not be written fails
+    # before the first level; os.access is patched, as root may write
+    # any file whatever its mode
+    def boom(*args, **kwargs):
+        raise AssertionError("a study started")
+
+    monkeypatch.setattr(cli.bem_mod, "assemble_bem", boom)
+    for name in ("r.csv", "r_agreement.csv"):
+        (tmp_path / name).write_text("kept\n")
+    real_access = os.access
+    for locked in ("r.csv", "r_agreement.csv"):
+        def access(path, mode, locked=str(tmp_path / locked)):
+            return path != locked and real_access(path, mode)
+
+        monkeypatch.setattr(cli.os, "access", access)
+        code = cli.main(["--domain", "square", "--levels", "3",
+                         "--solver", "both", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and locked in err
+        assert "Traceback" not in err
+    for name in ("r.csv", "r_agreement.csv"):
+        assert (tmp_path / name).read_text() == "kept\n"
+    # a new file in a writable directory, or a writable one, still passes
+    monkeypatch.setattr(cli.os, "access", real_access)
+    cli.ExperimentConfig("square", 5, "both",
+                         str(tmp_path / "r.csv")).validate()
+    cli.ExperimentConfig("square", 5, "both",
+                         str(tmp_path / "new.csv")).validate()
+
+
 def test_main_writes_stdout_when_no_out(capsys):
     for solver_name in ("jn", "both"):
         code = cli.main(["--domain", "square", "--levels", "2",

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -46,14 +47,14 @@ def test_constant_field_consistency():
     ones = lambda x, y: np.ones_like(x)
     zg = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
     c = _oracles.interpolate_trial(ones, zg, zg, mesh, trial)
-    res = blocks.B @ c - blocks.ell
+    res = _oracles.sparse_B(blocks.B) @ c - blocks.ell
     assert np.abs(res).max() < 1e-12
 
 
 def test_zero_trial_vector():
     mesh = make_square_mesh(0.1, 1)
     _, trial, _, blocks = assemble_all(mesh, constant_data())
-    assert np.all(blocks.B @ np.zeros(trial.dim) == 0.0)
+    assert np.all(_oracles.sparse_B(blocks.B) @ np.zeros(trial.dim) == 0.0)
 
 
 def test_sigma_column_spot_check():
@@ -109,13 +110,17 @@ def test_gram_structure_and_spd():
 
 
 def test_gram_apply_solve_roundtrip():
+    # the energy error of x = 0 against the load ell = G v is
+    # sqrt(v^T G v): its blockwise G^{-1} undoes gram_apply
     mesh = make_square_mesh(0.1, 1)
-    _, _, test, blocks = assemble_all(mesh, constant_data())
+    _, trial, test, blocks = assemble_all(mesh, constant_data())
     rng = np.random.default_rng(7)
     v = rng.standard_normal(test.dim)
     Gv = _oracles.gram_apply(blocks.G, v)
-    assert np.allclose(blocks.G.solve_vec(Gv), v, atol=1e-10)
-    assert blocks.G.quadratic(Gv) == pytest.approx(float(v @ Gv), rel=1e-10)
+    assert np.allclose(_oracles.gram_solve(blocks.G, Gv), v, atol=1e-10)
+    err = solver.energy_error(dataclasses.replace(blocks, ell=Gv),
+                              np.zeros(trial.dim))
+    assert err ** 2 == pytest.approx(float(v @ Gv), rel=1e-10)
 
 
 def test_gram_solve_matrix_matches_dense():
@@ -123,11 +128,10 @@ def test_gram_solve_matrix_matches_dense():
     _, _, test, blocks = assemble_all(mesh, constant_data())
     B = _oracles.sparse_B(blocks.B)
     W = _oracles.gram_solve_matrix(blocks.G, B).toarray()
-    Bd = B.toarray()
-    ref = np.empty_like(Bd)
-    for j in range(Bd.shape[1]):
-        ref[:, j] = blocks.G.solve_vec(Bd[:, j])
-    assert np.allclose(W, ref, atol=1e-12)
+    # the dense G, one gram_apply per column
+    G = np.column_stack([_oracles.gram_apply(blocks.G, e)
+                         for e in np.eye(test.dim)])
+    assert np.allclose(W, np.linalg.solve(G, B.toarray()), atol=1e-12)
 
 
 def cli_level_mesh(domain, level):
@@ -177,7 +181,6 @@ def check_against_element_oracle(mesh, domain):
     y = np.random.default_rng(5).standard_normal(c.size)
     x = recover(y)
     assert np.array_equal(x, recover0(y))
-    assert np.array_equal(B @ x, E.apply_B(x))
     assert solver.energy_error(blocks, x) == E.energy_error(ell, x)
 
 
@@ -220,14 +223,23 @@ def test_boundary_sighat_rows_are_classical_p0_rows(domain):
 
 
 def test_boundary_rows_of_B_match_dense_block():
+    # the boundary rows of the energy error's residual, V_ps (signs
+    # sighat) + H uhat, against the dense block B_G: with the load B x on
+    # the elements (exact, the ElementPipeline's rows) and B_G x on the
+    # boundary, only the rounding of the boundary rows is left
     mesh = cli_level_mesh("lshape", 2)
     data, _ = cli.manufacture_data("lshape")
     _, _, _, blocks = assemble_all(mesh, data)
     B = blocks.B
     x = np.random.default_rng(3).standard_normal(B.shape[1])
     ref = _oracles.boundary_block(B) @ x[B.gamma_cols]
-    got = (B @ x)[18 * mesh.num_triangles:]
-    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    Bx = _oracles.ElementPipeline.from_mesh(mesh, B, blocks.G).apply_B(x)
+    nt = 18 * mesh.num_triangles
+
+    def err(ell_gamma):
+        return solver.energy_error(
+            dataclasses.replace(blocks, ell=np.r_[Bx[:nt], ell_gamma]), x)
+    assert err(ref) <= 1e-14 * err(np.zeros_like(ref))
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])
@@ -256,10 +268,15 @@ def test_assemble_B_peak_memory_within_its_blocks():
     assert peak <= 2.5 * kept
 
 
-def test_energy_error_peak_memory_within_chunks():
-    # B @ x and the Gram solve gather their class blocks ELEMENT_CHUNK
-    # elements at a time; one gather over all T elements of the
-    # (12, 12) H(div) inverses alone is 144 T doubles
+def test_energy_error_peak_memory_within_chunks(monkeypatch):
+    # the residual and its Gram solve are formed ELEMENT_CHUNK elements
+    # at a time: above the indicators it returns (one double per
+    # element), the peak is the class blocks of a batch, (18, 9) of B
+    # and (6, 6) and (12, 12) of the inverse Grams, and a few vectors
+    # per element: 1.6 KB measured, 4 KB allowed.  The pass over
+    # all T elements that B @ x and the Gram solve made peaked at
+    # 13.5 MiB here (T = 32768), above the bound at batches of 512
+    monkeypatch.setattr(spaces, "ELEMENT_CHUNK", 512)
     mesh = cli_level_mesh("square", 5)
     data, _ = cli.manufacture_data("square")
     _, _, _, blocks = assemble_all(mesh, data)
@@ -271,12 +288,12 @@ def test_energy_error_peak_memory_within_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * 144 * 8 * mesh.num_triangles
+    assert peak <= 8 * mesh.num_triangles + 4096 * spaces.ELEMENT_CHUNK
 
 
 def test_chunked_products_independent_of_chunk_size(monkeypatch):
     # the chunked class products (the load map and the field recovery of
-    # the normal equations, B @ x and the Gram solve) give the same bits
+    # the normal equations, and the energy error) give the same bits
     # for any chunk size; square CLI level 3 has 2048 elements, so
     # ELEMENT_CHUNK takes them at once
     mesh = cli_level_mesh("square", 3)
@@ -290,7 +307,7 @@ def test_chunked_products_independent_of_chunk_size(monkeypatch):
     def outputs():
         _, c, recover = dpg_assembly.build_normal_equations(
             B, G, ell, mesh, None)
-        return c, recover(y), B @ x, G.solve_vec(ell)
+        return c, recover(y), solver.energy_error(blocks, x)
 
     want = outputs()
     assert np.any(want[0] != 0.0)
@@ -298,6 +315,23 @@ def test_chunked_products_independent_of_chunk_size(monkeypatch):
         monkeypatch.setattr(spaces, "ELEMENT_CHUNK", chunk)
         for got, ref in zip(outputs(), want):
             assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_energy_error_independent_of_chunk_size(domain, monkeypatch):
+    # every element's residual and Gram solve are einsums, so any batch
+    # size, down to one element, gives the same per-element terms and
+    # the same sum; CLI level 3 has 2048 (square) and 1536 (L-shape)
+    # elements, which neither 7 nor 1000 divides
+    mesh = cli_level_mesh(domain, 3)
+    data, _ = cli.manufacture_data(domain)
+    _, _, _, blocks = assemble_all(mesh, data)
+    x = np.random.default_rng(10).standard_normal(blocks.B.shape[1])
+    monkeypatch.setattr(spaces, "ELEMENT_CHUNK", mesh.num_triangles)
+    want = solver.energy_error(blocks, x)
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(spaces, "ELEMENT_CHUNK", chunk)
+        assert solver.energy_error(blocks, x) == want
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])
@@ -334,14 +368,19 @@ def test_element_passes_independent_of_chunk_size(domain, monkeypatch):
             assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("pass_", ["element_load", "field_errors"])
-def test_element_passes_peak_memory_within_chunks(pass_):
-    # the volume load and the field errors map their rules (q points) onto
-    # ELEMENT_CHUNK elements at a time: above the returned array, the
-    # peak is a few (ELEMENT_CHUNK, q) arrays, plus for the field errors
-    # what they keep per element, a group index and two squared errors
-    # (24 bytes).  Mapping a rule onto all T = 32768 elements at once
-    # peaked at 31.5 (load) and 38.0 MiB (errors), one BLAS thread
+@pytest.mark.parametrize("pass_", ["element_load", "field_errors",
+                                   "jn_errors"])
+def test_element_passes_peak_memory_within_chunks(pass_, monkeypatch):
+    # the volume load and both couplings' field errors map their rules
+    # (q points) onto ELEMENT_CHUNK elements at a time: above the
+    # returned array, the peak is a few (ELEMENT_CHUNK, q) arrays, plus
+    # for the field errors what they keep per element, a group index and
+    # two squared errors (24 bytes).  Mapping a rule onto all T = 32768
+    # elements at once peaked at 31.5 (load) and 38.0 MiB (errors), one
+    # BLAS thread; forming the P1 values and gradients of jn_errors on
+    # all elements before its batches peaked at 4.75 MiB, above the
+    # bound at batches of 1024 elements
+    monkeypatch.setattr(spaces, "ELEMENT_CHUNK", 1024)
     mesh = cli_level_mesh("square", 5)
     data, exact = cli.manufacture_data("square")
     T = mesh.num_triangles
@@ -353,13 +392,20 @@ def test_element_passes_peak_memory_within_chunks(pass_):
         def run():
             return spaces.element_load(
                 mesh, data.f, lambda b: spaces.eval_p2_basis(b)[0])
-    else:
+    elif pass_ == "field_errors":
         q, kept = solver._error_rules(None, mesh)[0][1][1].size, 24 * T
 
         def run():
             return np.array(solver.field_errors(
-                mesh, exact.u, exact.grad, lambda t, b: u[t, None], sigma,
-                None))
+                mesh, exact.u, exact.grad, lambda t, b: u[t, None],
+                lambda t: sigma[t], None))
+    else:
+        q, kept = solver._error_rules(None, mesh)[0][1][1].size, 24 * T
+        u_nodal = rng.standard_normal(mesh.num_vertices)
+
+        def run():
+            return np.array(jn_reference.jn_errors(
+                mesh, u_nodal, exact.u, exact.grad, None))
     tracemalloc.start()
     try:
         out = run()
@@ -491,6 +537,7 @@ def test_boundedness_surrogate_regression():
         trial = spaces.TrialDofLayout.from_mesh(mesh)
         test = _oracles.TestDofLayout.from_mesh(mesh)
         blocks = dpg_assembly.assemble_operator_blocks(mesh, mats, data)
+        B = _oracles.sparse_B(blocks.B)
         areas = 0.5 * mesh.element_map()[1]
         K1 = _oracles.clique_matrix(mesh.triangles,
                                     jn_reference._p1_stiffness(mesh), [], [],
@@ -518,7 +565,7 @@ def test_boundedness_surrogate_regression():
         for _ in range(20):
             uvec = rng.standard_normal(trial.dim)
             vvec = rng.standard_normal(test.dim)
-            num = abs(float(vvec @ (blocks.B @ uvec)))
+            num = abs(float(vvec @ (B @ uvec)))
             den = surrogate(uvec) * np.sqrt(
                 float(vvec @ _oracles.gram_apply(blocks.G, vvec)))
             worst = max(worst, num / den)
@@ -534,8 +581,7 @@ def test_consistency_decay_of_interpolant_residual():
     for lvl in range(3):
         _, trial, _, blocks = assemble_all(mesh, data)
         c = _oracles.interpolate_trial(u, gradf, gradf, mesh, trial)
-        r = blocks.ell - blocks.B @ c
-        res.append(np.sqrt(blocks.G.quadratic(r)))
+        res.append(solver.energy_error(blocks, c))
         mesh = refine_uniform(mesh)
     ratios = np.array(res[:-1]) / np.array(res[1:])
     # O(h) decay: halving h roughly halves the residual

@@ -170,8 +170,8 @@ def test_field_errors_empty_rule_group_at_every_chunk_size(monkeypatch):
 
     def errors():
         return solver.field_errors(mesh, exact.u, exact.grad,
-                                   lambda tri, bary: u[tri, None], sigma,
-                                   corner)
+                                   lambda tri, bary: u[tri, None],
+                                   lambda tri: sigma[tri], corner)
 
     want = errors()
     for chunk in (1, 7, 1000):
