@@ -188,9 +188,10 @@ def run_convergence(config, progress=None):
     data, exact = manufacture_data(config.domain)
     probes = probe_points(config.domain)
     mesh = initial_mesh(config.domain)
-    records = []
-    dpg_coarse = jn_coarse = None  # each coupling's previous level, solved
-    for level in range(config.levels):
+
+    def solve_level(level, mesh, dpg_coarse, jn_coarse):
+        """The record of the study's level on mesh and each coupling's
+        solved spaces.Level: all of the level's state that it returns."""
         loop = boundary_loop(mesh)
         bem_mats = bem_mod.assemble_bem(loop)
         rec = ConvergenceRecord(level, mesh.num_triangles, mesh.mesh_size())
@@ -226,6 +227,13 @@ def run_convergence(config, progress=None):
         rec.dim_trial, rec.dim_test = dims
         rec.err_u_l2_sq, rec.err_sigma_l2_sq = eu ** 2, es ** 2
         rec.err_trace_l2, rec.err_flux_l2 = etr, efl
+        return rec, dpg_coarse, jn_coarse
+
+    records = []
+    dpg_coarse = jn_coarse = None  # each coupling's previous level, solved
+    for level in range(config.levels):
+        rec, dpg_coarse, jn_coarse = solve_level(level, mesh, dpg_coarse,
+                                                 jn_coarse)
         records.append(rec)
         if progress is not None:
             progress("level {} done: N={}, h={:.4g}".format(

@@ -90,18 +90,17 @@ class BlockGram:
 class BlockOperator:
     """The coupled operator B, kept per Gram block and geometry class, as
     build_normal_equations and solver.energy_error read it: element t maps
-    its trial columns cols[t] (sigma_x, sigma_y, u, uhat at its vertices,
-    sighat on its edges) to its 6 H1 and 12 H(div) test rows by
-    local[cls[t]] (C, 18, 9) with column j times signs[t, j], the edge
-    sign on the sighat columns and +1 elsewhere.  The boundary rows are
-    V_ps (loop.signs * sighat) + H uhat of the BemMatrices bem, on the
-    trial columns gamma_cols (sighat on the loop edges, uhat at the loop
-    vertices).  shape is (test dim, trial dim)."""
+    its trial columns (sigma_x, sigma_y, u, then its skeleton dofs
+    spaces.element_skeleton of the mesh: uhat at its vertices, sighat on
+    its edges) to its 6 H1 and 12 H(div) test rows by local[cls[t]]
+    (C, 18, 9), with the sighat columns times its edge signs.  The
+    boundary rows are V_ps (loop.signs * sighat) + H uhat of the
+    BemMatrices bem, on the trial columns gamma_cols (sighat on the loop
+    edges, uhat at the loop vertices).  shape is (test dim, trial dim)."""
 
     local: np.ndarray
     cls: np.ndarray
-    signs: np.ndarray
-    cols: np.ndarray
+    mesh: object
     bem: object
     gamma_cols: np.ndarray
     shape: tuple
@@ -176,7 +175,7 @@ def _element_b_locals(mesh, rep):
     mom_hv = np.einsum("q,sqj,sqi->sji", _EDGE_W, _HAT_EDGE, _P2_EDGE)  # (3,3,6)
 
     # - <sighat, v>: column 6+s gets -h * int_e N_i (times the edge sign
-    # of each element, which BlockOperator.signs holds)
+    # of each element, applied by the readers of BlockOperator)
     loc[:, 0:6, 6:9] = -h_e[:, None, :] * mom_v.T[None]
 
     # - <uhat, tau.n>: column 3+j gets -sum_s h_s (n_out)_c int_e hat_j N_k
@@ -192,16 +191,9 @@ def assemble_B(mesh, bem_mats, classes):
     H(div) dofs per element and 2 per boundary panel, 18T + 2P in all."""
     trial = spaces.TrialDofLayout.from_mesh(mesh)
     loop = bem_mats.loop
-    tri = np.arange(mesh.num_triangles)
-    cols = np.column_stack([
-        trial.sigma(tri, 0), trial.sigma(tri, 1), trial.u(tri),
-        trial.uhat(mesh.triangles), trial.sighat(mesh.tri_edges)])
     cls, rep = classes
-    signs = np.ones((mesh.num_triangles, 9))
-    signs[:, 6:] = mesh.tri_edge_signs
     return BlockOperator(
-        local=_element_b_locals(mesh, rep), cls=cls, signs=signs, cols=cols,
-        bem=bem_mats,
+        local=_element_b_locals(mesh, rep), cls=cls, mesh=mesh, bem=bem_mats,
         gamma_cols=np.concatenate([trial.sighat(loop.edge_ids),
                                    trial.uhat(loop.vertex_ids)]),
         shape=(18 * mesh.num_triangles + 2 * loop.num_panels, trial.dim))
@@ -260,11 +252,12 @@ def _gram_products(B, G, ell):
     +1; Z = G_v^{-1} B_v (C, 6, 9) per class, the H1 block of G^{-1} B;
     and B_G^T G_G^{-1} [B_G | ell_G] (2P, 2P + 1) for the boundary.  The
     H(div) block of ell is zero, so element t's load column
-    B_T^T G_T^{-1} ell_T is signs[t] * (Z[cls[t]]^T ell_v,T), a class map
-    of its H1 load.  B_G = [V_ps D | H], D = diag(loop.signs), and
-    V_ps = G_G E with E^T = bem.p0_test_rows: so the sighat rows are
-    D p0(V_ps) D and D p0([H | ell_G]), with no solve, and the uhat rows
-    W^T W with W = L^{-1} [H | ell_G], G_G = L L^T."""
+    B_T^T G_T^{-1} ell_T is Z[cls[t]]^T ell_v,T with its sighat entries
+    times the edge signs, a class map of its H1 load.  B_G = [V_ps D | H],
+    D = diag(loop.signs), and V_ps = G_G E with E^T = bem.p0_test_rows:
+    so the sighat rows are D p0(V_ps) D and D p0([H | ell_G]), with no
+    solve, and the uhat rows W^T W with W = L^{-1} [H | ell_G],
+    G_G = L L^T."""
     eg = G._parts(np.asarray(ell, dtype=float))[2]
     bv, bt = B.local[:, :6], B.local[:, 6:]
     Z = np.linalg.solve(G.Gv, bv)
@@ -320,10 +313,9 @@ def build_normal_equations(B, G, ell, mesh, coarse):
     # A_sf = A_fs^T by symmetry
     Y = np.linalg.solve(a[:, :3, :3], a[:, :3, 3:])
     loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:], Y)
-    s = B.signs[:, 3:]
+    skel, s = spaces.element_skeleton(mesh)
     nf = 3 * G.n_tri
     ns = B.shape[1] - nf
-    skel = B.cols[:, 3:] - nf
     gcols = B.gamma_cols - nf
     # every element's field values and condensed load, from its H1 load;
     # yf is a copy and the (T, 9) load is freed before the sum, whose
@@ -346,12 +338,9 @@ def build_normal_equations(B, G, ell, mesh, coarse):
         None if coarse is None else scipy.sparse.block_diag(
             [spaces.p1_prolongation(coarse.mesh, mesh),
              spaces.flux_prolongation(coarse.mesh, mesh)], format="csr"))
-    fld = B.cols[:, :3]
 
     def recover(y):
-        x = np.empty(B.shape[1])
-        x[nf:] = y
-        x[fld] = yf - _class_products(Y, B.cls, x[nf + skel] * s)
-        return x
+        f = yf - _class_products(Y, B.cls, y[skel] * s)
+        return np.concatenate([f[:, :2].ravel(), f[:, 2], y])
 
     return spaces.LinearSystem(S, c, recover)

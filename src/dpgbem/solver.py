@@ -83,13 +83,8 @@ class Solution:
 def krylov_solve(method, A, b, **options):
     """Solve A x = b by scipy.sparse.linalg's cg or gmres (with the given
     options) to a relative residual of KRYLOV_RTOL, preconditioned by
-    one V-cycle of A, a spaces.LevelOperator (any other matrix is one
-    without a coarse level), and started from A.start.  A true relative
-    residual above 1e-10 raises NumericalError."""
-    b = np.asarray(b, dtype=float)
-    if not isinstance(A, spaces.LevelOperator):
-        A = spaces.LevelOperator(scipy.sparse.csr_array(A), [],
-                                 np.zeros((0, 0)), [], 0.0, None, None)
+    one V-cycle of A, a spaces.LevelOperator, and started from A.start.
+    A true relative residual above 1e-10 raises NumericalError."""
     M = scipy.sparse.linalg.LinearOperator(A.shape, A.vcycle, dtype=float)
     x, _ = method(A, b, x0=A.start, rtol=KRYLOV_RTOL, atol=0.0, M=M,
                   **options)
@@ -121,17 +116,21 @@ def solve_spd(A, b):
 def energy_error(blocks, x):
     """DPG error sqrt(r^T G^{-1} r), r = ell - B x, of a trial vector x: the
     residual in the dual norm of the enriched test space.  G is block
-    diagonal: element t's residual r_t = ell_t - local[cls[t]] (signs[t]
-    x[cols[t]]) meets its class inverses one batch of elements at a time
-    (spaces.batched), its term the DPG error indicator, and the boundary
-    adds |L^{-1} r_G|^2, G_psi = L L^T."""
+    diagonal: element t's residual r_t = ell_t - local[cls[t]] x_t, x_t
+    its fields and signed skeleton values (spaces.element_skeleton), meets
+    its class inverses one batch of elements at a time (spaces.batched),
+    its term the DPG error indicator, and the boundary adds
+    |L^{-1} r_G|^2, G_psi = L L^T."""
     B, G = blocks.B, blocks.G
     x = np.asarray(x, dtype=float)
     ev, et, eg = G._parts(blocks.ell)
+    nt = G.n_tri
+    sigma, u = x[:2 * nt].reshape(nt, 2), x[2 * nt:3 * nt, None]
 
     def indicators(e):
+        skel, s = spaces.element_skeleton(B.mesh, e)
         y = np.einsum("tij,tj->ti", B.local[B.cls[e]],
-                      x[B.cols[e]] * B.signs[e])
+                      np.hstack([sigma[e], u[e], x[3 * nt + skel] * s]))
         rv, rt = ev[e] - y[:, :6], et[e] - y[:, 6:]
         return (np.einsum("ti,ti->t", rv, np.einsum(
                     "tij,tj->ti", G.Gv_inv[G.cls[e]], rv))
@@ -254,7 +253,8 @@ def solve_dpg(mesh, data, bem_mats, coarse):
     unknowns condensed out element by element; coarse is the level of
     the Solution on the mesh that mesh refines, or None.
 
-    Returns (solution, blocks); blocks are needed for the energy error.
+    Returns (solution, blocks); blocks serve the energy error, and
+    solution.level is all that is kept of the skeleton system.
     """
     blocks = dpg_assembly.assemble_operator_blocks(mesh, bem_mats, data)
     S, c, recover = dpg_assembly.build_normal_equations(

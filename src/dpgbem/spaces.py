@@ -46,17 +46,20 @@ class TrialDofLayout:
     def dim(self):
         return 3 * self.n_tri + self.n_vert + self.n_edge
 
-    def sigma(self, tri, comp):
-        return 2 * tri + comp
-
-    def u(self, tri):
-        return 2 * self.n_tri + tri
-
     def uhat(self, vert):
         return 3 * self.n_tri + vert
 
     def sighat(self, edge):
         return 3 * self.n_tri + self.n_vert + edge
+
+
+def element_skeleton(mesh, e=slice(None)):
+    """The skeleton dofs (n, 6) of the elements e (a slice), uhat at their
+    vertices and sighat on their edges, numbered after the 3T field dofs
+    of TrialDofLayout; and their signs (n, 6), the edge signs on sighat."""
+    tri = mesh.triangles[e]
+    return (np.hstack([tri, mesh.num_vertices + mesh.tri_edges[e]]),
+            np.hstack([np.ones(tri.shape), mesh.tri_edge_signs[e]]))
 
 
 def eval_p2_basis(bary):

@@ -18,7 +18,11 @@ it; the per-block products and the condensed skeleton system of
 `dpg_assembly.build_normal_equations` must match it to rounding, and
 `scatter_products` puts those per-block products into a full A.
 `solve_spd_dense` is the dense Cholesky solve that `solver.solve_spd`
-had before it took sparse systems only.
+had before it took sparse systems only, and `level_operator` wraps a
+sparse matrix for `solver.solve_spd` as a level without a coarse level.
+`trial_columns` builds every element's trial columns and signs from
+`spaces.TrialDofLayout`, independently of `spaces.element_skeleton`; the
+oracles of the DPG operator read them.
 
 `TestDofLayout` indexes the enriched test space, in the order of the
 rows of B; `gram_apply` multiplies a vector by the block test Gram and
@@ -279,6 +283,22 @@ def boundary_block(B):
                             B.bem.H])
 
 
+def trial_columns(B):
+    """The trial columns (T, 9) of every element of a BlockOperator and
+    their signs (T, 9), the edge signs on the sighat columns and +1
+    elsewhere, built from spaces.TrialDofLayout as the BlockOperator
+    once stored them: sigma_x, sigma_y at 2t, 2t + 1 and u at 2T + t."""
+    mesh = B.mesh
+    trial = spaces.TrialDofLayout.from_mesh(mesh)
+    tri = np.arange(mesh.num_triangles)
+    cols = np.column_stack([
+        2 * tri, 2 * tri + 1, 2 * trial.n_tri + tri,
+        trial.uhat(mesh.triangles), trial.sighat(mesh.tri_edges)])
+    signs = np.ones((mesh.num_triangles, 9))
+    signs[:, 6:] = mesh.tri_edge_signs
+    return cols, signs
+
+
 def sparse_B(B):
     """The global CSR matrix of a BlockOperator (rows: test dofs,
     columns: trial dofs), explicit zeros included."""
@@ -289,7 +309,7 @@ def sparse_B(B):
     rows[:, 0:6] = 6 * tri[:, None] + np.arange(6)[None, :]
     rows[:, 6:18] = 6 * ntri + 12 * tri[:, None] + np.arange(12)[None, :]
     r = np.repeat(rows[:, :, None], 9, axis=2).ravel()
-    c = np.repeat(B.cols[:, None, :], 18, axis=1).ravel()
+    c = np.repeat(trial_columns(B)[0][:, None, :], 18, axis=1).ravel()
     n = B.gamma_cols.size
     rb = np.repeat(18 * ntri + np.arange(n), n)
     return scipy.sparse.coo_matrix(
@@ -402,18 +422,26 @@ def solve_spd_dense(A, b):
     return x + scipy.linalg.cho_solve(cho, b - A @ x)
 
 
+def level_operator(A):
+    """A sparse matrix as a spaces.LevelOperator without a coarse level,
+    which solver.krylov_solve takes: its V-cycle is the dense inverse."""
+    return spaces.LevelOperator(scipy.sparse.csr_array(A), [],
+                                np.zeros((0, 0)), [], 0.0, None, None)
+
+
 def scatter_products(B, a, g):
     """Full (A, b) from the per-element products a (T, 9, 10) and the
     boundary product g (2P, 2P + 1) of B^T G^{-1} [B | ell]."""
     n = B.shape[1]
     gc = B.gamma_cols
+    cols = trial_columns(B)[0]
     A = scipy.sparse.coo_matrix(
         (np.concatenate([a[..., :9].ravel(), g[:, :-1].ravel()]),
-         (np.concatenate([np.repeat(B.cols, 9, axis=1).ravel(),
+         (np.concatenate([np.repeat(cols, 9, axis=1).ravel(),
                           np.repeat(gc, gc.size)]),
-          np.concatenate([np.tile(B.cols, 9).ravel(), np.tile(gc, gc.size)]))),
+          np.concatenate([np.tile(cols, 9).ravel(), np.tile(gc, gc.size)]))),
         shape=(n, n)).tocsr()
-    b = np.bincount(np.concatenate([B.cols.ravel(), gc]), minlength=n,
+    b = np.bincount(np.concatenate([cols.ravel(), gc]), minlength=n,
                     weights=np.concatenate([a[..., 9].ravel(), g[:, -1]]))
     return A, b
 
@@ -421,13 +449,13 @@ def scatter_products(B, a, g):
 def signed_blocks(B):
     """The (T, 18, 9) B block of every element of a BlockOperator: its
     class block with the sighat columns times the element's edge signs."""
-    return B.local[B.cls] * B.signs[:, None, :]
+    return B.local[B.cls] * trial_columns(B)[1][:, None, :]
 
 
 def expand_products(B, a, b):
     """Per-element products (T, 9, 10) of B_T^T G_T^{-1} [B_T | ell_T]
     from the class products a (C, 9, 9) and the load columns b (T, 9)."""
-    s = B.signs
+    s = trial_columns(B)[1]
     return np.concatenate([a[B.cls] * s[:, :, None] * s[:, None, :],
                            b[..., None]], axis=2)
 
@@ -498,7 +526,8 @@ class ElementPipeline:
     def apply_B(self, x):
         """B @ x; the boundary rows as the BlockOperator forms them."""
         x = np.asarray(x, dtype=float)
-        y = np.einsum("tij,tj->ti", self.local, x[self.B.cols])
+        y = np.einsum("tij,tj->ti", self.local,
+                      x[trial_columns(self.B)[0]])
         xg, P = x[self.B.gamma_cols], self.bem.loop.num_panels
         return np.concatenate([
             y[:, :6].ravel(), y[:, 6:].ravel(),
@@ -553,7 +582,8 @@ class ElementPipeline:
             zT[:, 3:] - np.swapaxes(Y, 1, 2) @ zT[:, :3]], axis=1), ev)
         nf = 3 * self.local.shape[0]
         ns = B.shape[1] - nf
-        skel = B.cols[:, 3:] - nf
+        cols = trial_columns(B)[0]
+        skel = cols[:, 3:] - nf
         gcols = B.gamma_cols - nf
         S = scipy.sparse.coo_matrix(
             (loc.ravel(), (np.repeat(skel, 6, axis=1).ravel(),
@@ -562,7 +592,7 @@ class ElementPipeline:
         c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
                         weights=np.concatenate([load[:, 3:].ravel(),
                                                 g[:, -1]]))
-        fld = B.cols[:, :3]
+        fld = cols[:, :3]
 
         def recover(y):
             x = np.empty(B.shape[1])

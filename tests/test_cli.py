@@ -1,8 +1,11 @@
 import csv
+import gc
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import pytest
 import _oracles
 import dpgbem
 from dpgbem import ConfigError, NumericalError, boundary_loop, make_lshape_mesh
-from dpgbem import cli
+from dpgbem import cli, dpg_assembly
 
 
 def test_manufactured_square_values():
@@ -320,3 +323,59 @@ def test_csv_matches_golden_files_with_one_blas_thread(domain, tmp_path):
                     "--solver", "both", "--levels", "4", "--out", str(out)],
                    env=env, check=True)
     assert_matches_golden(tmp_path, domain)
+
+
+def test_each_level_drops_the_previous_levels_assembly(monkeypatch):
+    # only each coupling's solved spaces.Level passes from one level to
+    # the next: when a level's BEM assembly starts, the BemMatrices and
+    # OperatorBlocks of the levels before it are gone
+    refs, alive = [], []
+
+    def recorded(fn, check):
+        def wrapper(*args):
+            if check:
+                gc.collect()
+                alive.append([type(r()).__name__ for r in refs
+                              if r() is not None])
+            out = fn(*args)
+            refs.append(weakref.ref(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(cli.bem_mod, "assemble_bem",
+                        recorded(cli.bem_mod.assemble_bem, True))
+    monkeypatch.setattr(dpg_assembly, "assemble_operator_blocks", recorded(
+        dpg_assembly.assemble_operator_blocks, False))
+    cli.run_convergence(cli.ExperimentConfig("square", 4, "both", None))
+    assert len(refs) == 8
+    assert alive == [[]] * 4
+
+
+def study_peak(levels):
+    """The tracemalloc peak of a square --solver both study, in bytes."""
+    config = cli.ExperimentConfig("square", levels, "both", None)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cli.run_convergence(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_study_peak_memory_linear_in_elements():
+    """The tracemalloc peaks of square --solver both studies at CLI
+    --levels 5 and 6 (finest N = 8192 and 32768).  They count bytes, so
+    they are the same on any host and with any BLAS thread count.
+
+    Linear growth makes the ratio of the two peaks about 4; it may be
+    20% off (measured 3.59).  The peak per finest element at --levels 6
+    is a ratchet.  It was 3960 B (peaks 31.9 and 123.7 MiB) while
+    BlockOperator kept per-element columns and signs and each level's
+    assembly lived through the next level; it is 3528 B (30.7 and
+    110.2 MiB) without them.  A change that lowers it lowers the bound,
+    and none raises it."""
+    small, large = study_peak(5), study_peak(6)
+    assert 0.8 * 4 <= large / small <= 1.2 * 4
+    n = cli.initial_mesh("square").num_triangles * 4 ** 5
+    assert large / n <= 3600

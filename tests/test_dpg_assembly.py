@@ -82,7 +82,7 @@ def test_sigma_column_spot_check():
         dref = (basis_phys(i, x + eps, y)
                 - basis_phys(i, x - eps, y)) / (2 * eps)
         oracle = float(np.dot(w, dref) * area2)
-        got = B[test.v(t, i), trial.sigma(t, 0)]
+        got = B[test.v(t, i), 2 * t]   # sigma_x of element t
         assert got == pytest.approx(oracle, abs=5e-9)
 
 
@@ -252,19 +252,34 @@ def test_uniform_meshes_have_few_geometry_classes(domain):
     assert rep.size < mesh.num_triangles / 20
 
 
+def test_element_skeleton_matches_oracle_columns():
+    # the skeleton map read from the mesh, whole and per batch, against
+    # the oracle's per-element trial columns and signs
+    mesh = cli_level_mesh("lshape", 2)
+    _, _, _, blocks = assemble_all(mesh, cli.manufacture_data("lshape")[0])
+    cols, signs = _oracles.trial_columns(blocks.B)
+    nf = 3 * mesh.num_triangles
+    for e in (slice(None), slice(0, 7), slice(7, 100), slice(90, None)):
+        skel, s = spaces.element_skeleton(mesh, e)
+        assert np.array_equal(skel, cols[e, 3:] - nf)
+        assert np.array_equal(s, signs[e, 3:])
+
+
 def test_assemble_B_peak_memory_within_its_blocks():
     # the blocks are kept as computed, so building them needs no more
-    # than their element temporaries: no global scatter
+    # than their element temporaries: no global scatter and no
+    # per-element column map.  The classes are the caller's input, made
+    # before the trace: their T-sized key rows would set the peak
     mesh = cli_level_mesh("square", 3)
     mats = bem.assemble_bem(boundary_loop(mesh))
+    classes = mesh.element_classes()
     tracemalloc.start()
     try:
-        B = dpg_assembly.assemble_B(mesh, mats, mesh.element_classes())
+        B = dpg_assembly.assemble_B(mesh, mats, classes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(v.nbytes for v in (B.local, B.cls, B.signs, B.cols,
-                                  B.gamma_cols))
+    kept = sum(v.nbytes for v in (B.local, B.cls, B.gamma_cols))
     assert peak <= 2.5 * kept
 
 
@@ -483,7 +498,8 @@ def test_normal_equations_match_sparse_product_oracle(domain, level):
     # the H(div) block of ell is zero
     ev, et, _ = G._parts(blocks.ell)
     assert not et.any()
-    loads = B.signs * np.einsum("tji,tj->ti", Z[B.cls], ev)
+    loads = (_oracles.trial_columns(B)[1]
+             * np.einsum("tji,tj->ti", Z[B.cls], ev))
     A, b = _oracles.scatter_products(
         B, _oracles.expand_products(B, a, loads), g)
     A0, b0 = _oracles.normal_equations(B, G, blocks.ell)

