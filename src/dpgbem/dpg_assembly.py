@@ -57,35 +57,6 @@ class ProblemData:
     singular_vertex: Optional[tuple]
 
 
-class BlockGram:
-    """Block-diagonal test-space Gram matrix, kept block by block.
-
-    Blocks: per element the H1 Gram on scalar P2 and the H(div) Gram on
-    vector P2, then one global boundary block, the single-layer Gram of
-    the bem module (realizing the H^{-1/2}(Gamma) inner product).  The
-    element blocks are kept once per geometry class (Mesh.element_classes):
-    element t has the blocks Gv[cls[t]] and Gtau[cls[t]]; their inverses
-    Gv_inv and Gtau_inv, for solver.energy_error, are formed once per class.
-    """
-
-    def __init__(self, Gv, Gtau, cls, bem_mats):
-        self.Gv, self.Gtau, self.cls, self.bem = Gv, Gtau, cls, bem_mats
-        self.n_tri = cls.size
-        try:
-            np.linalg.cholesky(Gv)
-            np.linalg.cholesky(Gtau)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("test Gram block not SPD; assembly bug") from exc
-        self.Gv_inv = np.linalg.inv(Gv)
-        self.Gtau_inv = np.linalg.inv(Gtau)
-
-    def _parts(self, vec):
-        nt = self.n_tri
-        return (vec[:6 * nt].reshape(nt, 6),
-                vec[6 * nt:18 * nt].reshape(nt, 12),
-                vec[18 * nt:])
-
-
 @dataclass
 class BlockOperator:
     """The coupled operator B, kept per Gram block and geometry class, as
@@ -114,11 +85,23 @@ class BlockOperator:
 
 @dataclass
 class OperatorBlocks:
-    """Assembled trial-to-test operator B, test Gram G and load vector."""
+    """The assembled DPG operator: B, the element blocks of the test Gram
+    per geometry class, Gv (C, 6, 6) on scalar P2 and Gtau (C, 12, 12)
+    on vector P2 (element t has Gv[B.cls[t]] and Gtau[B.cls[t]]; the
+    boundary block is B.bem.G_psi), and the load ell, (f, v) per element
+    (6T) then the boundary rows (2P).  The H(div) rows of the load are
+    zero, as the second equation has none, and are not stored."""
 
     B: BlockOperator
-    G: BlockGram
+    Gv: np.ndarray
+    Gtau: np.ndarray
     ell: np.ndarray
+
+    @property
+    def loads(self):
+        """The load as (ell_v (T, 6), ell_G (2P,))."""
+        nt = self.B.cls.size
+        return self.ell[:6 * nt].reshape(nt, 6), self.ell[6 * nt:]
 
 
 # ----------------------------------------------------------------------
@@ -199,12 +182,12 @@ def assemble_B(mesh, bem_mats, classes):
         shape=(18 * mesh.num_triangles + 2 * loop.num_panels, trial.dim))
 
 
-def assemble_gram(mesh, bem_mats, classes):
-    """Assemble the block-diagonal test Gram: per geometry class
-    int grad v . grad v' + v v' and int tau . tau' + div tau div tau',
-    boundary block from the bem module; classes is
-    mesh.element_classes()."""
-    cls, rep = classes
+def assemble_gram(mesh, classes):
+    """The element blocks (Gv, Gtau) of the block-diagonal test Gram, per
+    geometry class int grad v . grad v' + v v' and int tau . tau' +
+    div tau div tau'; classes is mesh.element_classes().  The boundary
+    block is the bem module's G_psi."""
+    rep = classes[1]
     detJ, gphys = _p2_gradients(mesh, rep)
     w = _VOL_W
     mass = np.einsum("q,qi,qj->ij", w, _P2_VALS, _P2_VALS)
@@ -215,13 +198,18 @@ def assemble_gram(mesh, bem_mats, classes):
     div = gphys.reshape(rep.size, w.size, 12)
     Gtau = (np.kron(mass, np.eye(2))[None] * detJ[:, None, None]
             + np.einsum("q,tqa,tqb->tab", w, div, div) * detJ[:, None, None])
-    return BlockGram(Gv, Gtau, cls, bem_mats)
+    try:
+        np.linalg.cholesky(Gv)
+        np.linalg.cholesky(Gtau)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("test Gram block not SPD; assembly bug") from exc
+    return Gv, Gtau
 
 
 def assemble_load(mesh, data, bem_mats):
     """Assemble the load vector: (f, v) per element plus the boundary data
     term <(1/2 - K) u0 + V phi0, psi>, V applied to the panel means of
-    phi0."""
+    phi0 (OperatorBlocks.ell)."""
     ell_v = spaces.element_load(mesh, data.f,
                                 lambda bary: spaces.eval_p2_basis(bary)[0])
 
@@ -231,44 +219,42 @@ def assemble_load(mesh, data, bem_mats):
     phi0_p0 = spaces.panel_means(
         bem_mats.loop, rule, spaces.normal_flux(bem_mats.loop, data.phi0, rule))
 
-    # the H(div) block is zero: the second equation has no load
     return np.concatenate([
-        ell_v.ravel(), np.zeros(12 * mesh.num_triangles),
+        ell_v.ravel(),
         bem_mats.half_minus_k_load(data.u0, rule) + bem_mats.V_ps @ phi0_p0])
 
 
 def assemble_operator_blocks(mesh, bem_mats, data):
-    """Assemble B, G and ell together."""
+    """Assemble B, the test Gram and ell together."""
     classes = mesh.element_classes()
     B = assemble_B(mesh, bem_mats, classes)
-    G = assemble_gram(mesh, bem_mats, classes)
-    ell = assemble_load(mesh, data, bem_mats)
-    return OperatorBlocks(B=B, G=G, ell=ell)
+    Gv, Gtau = assemble_gram(mesh, classes)
+    return OperatorBlocks(B, Gv, Gtau, assemble_load(mesh, data, bem_mats))
 
 
-def _gram_products(B, G, ell):
+def _gram_products(blocks):
     """B_k^T G_k^{-1} B_k per Gram block k: (C, 9, 9) per geometry class,
     its H1 and H(div) blocks summed, with the sighat columns for edge sign
     +1; Z = G_v^{-1} B_v (C, 6, 9) per class, the H1 block of G^{-1} B;
-    and B_G^T G_G^{-1} [B_G | ell_G] (2P, 2P + 1) for the boundary.  The
-    H(div) block of ell is zero, so element t's load column
+    and B_G^T G_G^{-1} [B_G | ell_G] (2P, 2P + 1) for the boundary.  ell
+    has no H(div) rows, so element t's load column
     B_T^T G_T^{-1} ell_T is Z[cls[t]]^T ell_v,T with its sighat entries
     times the edge signs, a class map of its H1 load.  B_G = [V_ps D | H],
     D = diag(loop.signs), and V_ps = G_G E with E^T = bem.p0_test_rows:
     so the sighat rows are D p0(V_ps) D and D p0([H | ell_G]), with no
     solve, and the uhat rows W^T W with W = L^{-1} [H | ell_G],
     G_G = L L^T."""
-    eg = G._parts(np.asarray(ell, dtype=float))[2]
+    B = blocks.B
     bv, bt = B.local[:, :6], B.local[:, 6:]
-    Z = np.linalg.solve(G.Gv, bv)
+    Z = np.linalg.solve(blocks.Gv, bv)
     a = np.swapaxes(bv, 1, 2) @ Z
-    a += np.swapaxes(bt, 1, 2) @ np.linalg.solve(G.Gtau, bt)
+    a += np.swapaxes(bt, 1, 2) @ np.linalg.solve(blocks.Gtau, bt)
     s = B.bem.loop.signs[:, None]
     P = s.size
     # [H | ell_G] in the Fortran order of LAPACK, which solves it in place
     # into W; both products are written into g
     w = np.empty((2 * P, P + 1), order="F")
-    w[:, :P], w[:, P] = B.bem.H, eg
+    w[:, :P], w[:, P] = B.bem.H, blocks.loads[1]
     g = np.empty((2 * P, 2 * P + 1))
     np.multiply(s, bem.p0_test_rows(B.bem.V_ps), out=g[:P, :P])
     g[:P, :P] *= s.T
@@ -280,9 +266,10 @@ def _gram_products(B, G, ell):
     return a, Z, g
 
 
-def build_normal_equations(B, G, ell, mesh, coarse):
+def build_normal_equations(blocks, coarse):
     """Form the practical-DPG normal equations B^T G^{-1} B x =
-    B^T G^{-1} ell on a mesh, with the field unknowns condensed out.
+    B^T G^{-1} ell of the OperatorBlocks blocks on their mesh, with the
+    field unknowns condensed out.
 
     G is block diagonal, so they are a sum of dense products
     B_k^T G_k^{-1} B_k over the Gram blocks k, with G^{-1} applied
@@ -300,10 +287,11 @@ def build_normal_equations(B, G, ell, mesh, coarse):
     Returns the spaces.LinearSystem (S, c, recover), recover(y) the full
     trial vector: S is a spaces.LevelOperator in natural skeleton order,
     the element blocks summed sparse and the boundary block dense, over
-    the Level coarse of the mesh that mesh refines (or None), with
+    the Level coarse of the mesh that B.mesh refines (or None), with
     skeleton vertex patches damped by 0.3.
     """
-    a, Z, g = _gram_products(B, G, ell)
+    a, Z, g = _gram_products(blocks)
+    B, mesh = blocks.B, blocks.B.mesh
     try:
         np.linalg.cholesky(a[:, :3, :3])
     except np.linalg.LinAlgError as exc:
@@ -314,7 +302,7 @@ def build_normal_equations(B, G, ell, mesh, coarse):
     Y = np.linalg.solve(a[:, :3, :3], a[:, :3, 3:])
     loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:], Y)
     skel, s = spaces.element_skeleton(mesh)
-    nf = 3 * G.n_tri
+    nf = 3 * B.cls.size
     ns = B.shape[1] - nf
     gcols = B.gamma_cols - nf
     # every element's field values and condensed load, from its H1 load;
@@ -323,7 +311,7 @@ def build_normal_equations(B, G, ell, mesh, coarse):
     zT = np.swapaxes(Z, 1, 2)
     M = np.concatenate([np.linalg.solve(a[:, :3, :3], zT[:, :3]),
                         zT[:, 3:] - np.swapaxes(Y, 1, 2) @ zT[:, :3]], axis=1)
-    load = _class_products(M, B.cls, G._parts(np.asarray(ell, float))[0])
+    load = _class_products(M, B.cls, blocks.loads[0])
     yf = load[:, :3].copy()
     c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
                     weights=np.concatenate([(load[:, 3:] * s).ravel(),

@@ -104,21 +104,17 @@ class Mesh:
         return element_map(self.triangle_vertices())
 
     def element_classes(self):
-        """Group the elements by the bit patterns of their geometry: the
-        map J, the side lengths and the element-outward side normals.
-        Whatever is computed from these alone is the same, bit for bit,
-        on every element of a class.  -0.0 counts as 0.0: a normal
-        component of either zero gives the same element blocks.
+        """Group the elements by the bit patterns of their side vectors
+        v1 - v0, v2 - v1 and v0 - v2.  These fix the map J (v2 - v0 is
+        -(v0 - v2) exactly), the side lengths and the element-outward
+        side normals bit for bit, so whatever is computed from these
+        alone is the same on every element of a class.
 
         Returns (cls, rep): the class of each element (T,) and one
         element of each class (C,).
         """
-        n_out = (self.tri_edge_signs[:, :, None]
-                 * self.edge_normals[self.tri_edges])
-        key = np.concatenate([
-            self.element_map()[0].reshape(-1, 4),
-            self.edge_lengths[self.tri_edges], n_out.reshape(-1, 6)], axis=1)
-        key += 0.0
+        v = self.triangle_vertices()
+        key = (np.roll(v, -1, axis=1) - v).reshape(-1, 6)
         rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))
         _, rep, cls = np.unique(rows.ravel(), return_index=True,
                                 return_inverse=True)

@@ -38,7 +38,7 @@ class Solution:
     data: object
     loop: object
     x: np.ndarray
-    level: object = field(default=None, repr=False)
+    level: object = field(repr=False)
     trial_layout: object = field(init=False, repr=False)
     trace_c: np.ndarray = field(init=False, repr=False)
     flux_c: np.ndarray = field(init=False, repr=False)
@@ -118,28 +118,29 @@ def energy_error(blocks, x):
     residual in the dual norm of the enriched test space.  G is block
     diagonal: element t's residual r_t = ell_t - local[cls[t]] x_t, x_t
     its fields and signed skeleton values (spaces.element_skeleton), meets
-    its class inverses one batch of elements at a time (spaces.batched),
-    its term the DPG error indicator, and the boundary adds
-    |L^{-1} r_G|^2, G_psi = L L^T."""
-    B, G = blocks.B, blocks.G
+    its class inverses, formed per call, one batch of elements at a time
+    (spaces.batched), its term the DPG error indicator; its H(div) load
+    is zero.  The boundary adds |L^{-1} r_G|^2, G_psi = L L^T."""
+    B, cls = blocks.B, blocks.B.cls
     x = np.asarray(x, dtype=float)
-    ev, et, eg = G._parts(blocks.ell)
-    nt = G.n_tri
+    ev, eg = blocks.loads
+    Gv_inv, Gtau_inv = np.linalg.inv(blocks.Gv), np.linalg.inv(blocks.Gtau)
+    nt = cls.size
     sigma, u = x[:2 * nt].reshape(nt, 2), x[2 * nt:3 * nt, None]
 
     def indicators(e):
         skel, s = spaces.element_skeleton(B.mesh, e)
-        y = np.einsum("tij,tj->ti", B.local[B.cls[e]],
+        y = np.einsum("tij,tj->ti", B.local[cls[e]],
                       np.hstack([sigma[e], u[e], x[3 * nt + skel] * s]))
-        rv, rt = ev[e] - y[:, :6], et[e] - y[:, 6:]
+        rv, rt = ev[e] - y[:, :6], -y[:, 6:]
         return (np.einsum("ti,ti->t", rv, np.einsum(
-                    "tij,tj->ti", G.Gv_inv[G.cls[e]], rv))
+                    "tij,tj->ti", Gv_inv[cls[e]], rv))
                 + np.einsum("ti,ti->t", rt, np.einsum(
-                    "tij,tj->ti", G.Gtau_inv[G.cls[e]], rt)))
+                    "tij,tj->ti", Gtau_inv[cls[e]], rt)))
     xs, xu = np.split(x[B.gamma_cols], 2)
     w = scipy.linalg.solve_triangular(B.bem.G_psi_chol, eg - (
         B.bem.V_ps @ (B.bem.loop.signs * xs) + B.bem.H @ xu), lower=True)
-    return float(np.sqrt(max(spaces.batched(indicators, G.n_tri).sum()
+    return float(np.sqrt(max(spaces.batched(indicators, nt).sum()
                              + w @ w, 0.0)))
 
 
@@ -257,8 +258,7 @@ def solve_dpg(mesh, data, bem_mats, coarse):
     solution.level is all that is kept of the skeleton system.
     """
     blocks = dpg_assembly.assemble_operator_blocks(mesh, bem_mats, data)
-    S, c, recover = dpg_assembly.build_normal_equations(
-        blocks.B, blocks.G, blocks.ell, mesh, coarse)
+    S, c, recover = dpg_assembly.build_normal_equations(blocks, coarse)
     y = solve_spd(S, c)
     return Solution(mesh=mesh, data=data, loop=bem_mats.loop, x=recover(y),
                     level=spaces.Level(mesh, S, y)), blocks

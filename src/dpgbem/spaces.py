@@ -165,13 +165,10 @@ def clique_matrix(cliques, blocks, n):
     """CSR matrix of order n in natural dof order: element t adds
     blocks[t] (k, k) on its dofs cliques[t] (k,); explicit zeros kept."""
     k = cliques.shape[1]
-    # int32 indices, kept by coo_array without a copy; the values are a
-    # copy, so blocks passed as a temporary are freed before tocsr
+    # int32 indices, kept by coo_array without a copy
     cliques = np.asarray(cliques, dtype=np.int32)
-    values = blocks.ravel().copy()
-    del blocks
     return scipy.sparse.coo_array(
-        (values, (np.repeat(cliques, k, axis=1).ravel(),
+        (blocks.ravel(), (np.repeat(cliques, k, axis=1).ravel(),
                   np.tile(cliques, k).ravel())), shape=(n, n)).tocsr()
 
 

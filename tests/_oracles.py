@@ -25,8 +25,13 @@ sparse matrix for `solver.solve_spd` as a level without a coarse level.
 oracles of the DPG operator read them.
 
 `TestDofLayout` indexes the enriched test space, in the order of the
-rows of B; `gram_apply` multiplies a vector by the block test Gram and
-`gram_solve` solves with it, block by block.
+rows of B; `gram_apply` multiplies a vector by the block test Gram of a
+`dpg_assembly.OperatorBlocks` and `gram_solve` solves with it, block by
+block.  `full_load` puts the load of an OperatorBlocks, which holds no
+H(div) rows, into that order, its zero H(div) block included.
+`element_classes` groups the elements by the 16-float key (J, side
+lengths, outward normals) that `Mesh.element_classes` used before it
+keyed on the side vectors.
 
 `dpg_assembly` forms the element blocks once per geometry class
 (`Mesh.element_classes`) and signs them per element.
@@ -255,6 +260,21 @@ def refine_uniform(mesh):
                       np.array(tris, dtype=int))
 
 
+def element_classes(mesh):
+    """(cls, rep) of `Mesh.element_classes` by the key of 16 floats per
+    element: the map J, the side lengths and the element-outward side
+    normals, -0.0 counted as 0.0."""
+    n_out = mesh.tri_edge_signs[:, :, None] * mesh.edge_normals[mesh.tri_edges]
+    key = np.concatenate([
+        mesh.element_map()[0].reshape(-1, 4),
+        mesh.edge_lengths[mesh.tri_edges], n_out.reshape(-1, 6)], axis=1)
+    key += 0.0
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))
+    _, rep, cls = np.unique(rows.ravel(), return_index=True,
+                            return_inverse=True)
+    return cls, rep
+
+
 def mesh_bem(mesh):
     """The boundary matrices of the mesh's boundary loop, which the solve
     and assembly stages take; the CLI assembles them once per level."""
@@ -349,28 +369,45 @@ class TestDofLayout:
         return 18 * self.n_tri + 2 * panel + node
 
 
-def gram_apply(G, vec):
-    """G @ vec for a dpg_assembly.BlockGram."""
-    rv, rt, rp = G._parts(np.asarray(vec, dtype=float))
+def split_test_vector(vec, nt):
+    """A test-space vector (18T + 2P) split into its H1 (T, 6), H(div)
+    (T, 12) and boundary (2P,) blocks."""
+    return (vec[:6 * nt].reshape(nt, 6), vec[6 * nt:18 * nt].reshape(nt, 12),
+            vec[18 * nt:])
+
+
+def full_load(blocks):
+    """The load of an OperatorBlocks in the test-space order (18T + 2P),
+    its zero H(div) block included."""
+    ev, eg = blocks.loads
+    return np.concatenate([ev.ravel(), np.zeros(12 * ev.shape[0]), eg])
+
+
+def gram_apply(blocks, vec):
+    """G @ vec for the test Gram of an OperatorBlocks."""
+    cls, bem_mats = blocks.B.cls, blocks.B.bem
+    rv, rt, rp = split_test_vector(np.asarray(vec, dtype=float), cls.size)
     return np.concatenate([
-        np.einsum("tij,tj->ti", G.Gv[G.cls], rv).ravel(),
-        np.einsum("tij,tj->ti", G.Gtau[G.cls], rt).ravel(),
-        G.bem.G_psi @ rp])
+        np.einsum("tij,tj->ti", blocks.Gv[cls], rv).ravel(),
+        np.einsum("tij,tj->ti", blocks.Gtau[cls], rt).ravel(),
+        bem_mats.G_psi @ rp])
 
 
-def gram_solve(G, vec):
-    """G^{-1} @ vec for a dpg_assembly.BlockGram, block by block, each
-    element block by a dense solve with its class block."""
-    rv, rt, rp = G._parts(np.asarray(vec, dtype=float))
+def gram_solve(blocks, vec):
+    """G^{-1} @ vec for the test Gram of an OperatorBlocks, block by
+    block, each element block by a dense solve with its class block."""
+    cls, bem_mats = blocks.B.cls, blocks.B.bem
+    rv, rt, rp = split_test_vector(np.asarray(vec, dtype=float), cls.size)
     return np.concatenate([
-        np.linalg.solve(G.Gv[G.cls], rv[..., None]).ravel(),
-        np.linalg.solve(G.Gtau[G.cls], rt[..., None]).ravel(),
-        scipy.linalg.cho_solve((G.bem.G_psi_chol, True), rp)])
+        np.linalg.solve(blocks.Gv[cls], rv[..., None]).ravel(),
+        np.linalg.solve(blocks.Gtau[cls], rt[..., None]).ravel(),
+        scipy.linalg.cho_solve((bem_mats.G_psi_chol, True), rp)])
 
 
-def gram_solve_matrix(G, B):
+def gram_solve_matrix(blocks, B):
     B = B.tocsr()
-    nt = G.n_tri
+    cls, bem_mats = blocks.B.cls, blocks.B.bem
+    nt = cls.size
     rows, cols, data = [], [], []
 
     def solve_block(solve, r0, bs):
@@ -387,25 +424,25 @@ def gram_solve_matrix(G, B):
         data.append(solve(loc).ravel())
 
     for t in range(nt):
-        solve_block(lambda loc: np.linalg.solve(G.Gv[G.cls[t]], loc),
+        solve_block(lambda loc: np.linalg.solve(blocks.Gv[cls[t]], loc),
                     6 * t, 6)
     for t in range(nt):
-        solve_block(lambda loc: np.linalg.solve(G.Gtau[G.cls[t]], loc),
+        solve_block(lambda loc: np.linalg.solve(blocks.Gtau[cls[t]], loc),
                     6 * nt + 12 * t, 12)
-    solve_block(lambda loc: scipy.linalg.cho_solve((G.bem.G_psi_chol, True),
+    solve_block(lambda loc: scipy.linalg.cho_solve((bem_mats.G_psi_chol, True),
                                                    loc),
-                18 * nt, G.bem.G_psi.shape[0])
+                18 * nt, bem_mats.G_psi.shape[0])
     W = scipy.sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=B.shape)
     return W.tocsr()
 
 
-def normal_equations(B, G, ell):
-    """Full (A, b) of a BlockOperator B through the loop G^{-1} B."""
-    Bs = sparse_B(B)
-    return ((Bs.T @ gram_solve_matrix(G, Bs)).tocsr(),
-            Bs.T @ gram_solve(G, ell))
+def normal_equations(blocks):
+    """Full (A, b) of an OperatorBlocks through the loop G^{-1} B."""
+    Bs = sparse_B(blocks.B)
+    return ((Bs.T @ gram_solve_matrix(blocks, Bs)).tocsr(),
+            Bs.T @ gram_solve(blocks, full_load(blocks)))
 
 
 def solve_spd_dense(A, b):
@@ -470,7 +507,8 @@ class ElementPipeline:
     before it grouped the elements into geometry classes: the signed B
     block of every element (T, 18, 9), its test Grams (T, 6, 6) and
     (T, 12, 12), and the trial columns and boundary block of the
-    BlockOperator B it stands for."""
+    BlockOperator B it stands for.  Its methods take the load ell in the
+    test-space order (18T + 2P, `full_load`)."""
 
     local: np.ndarray
     Gv: np.ndarray
@@ -479,7 +517,7 @@ class ElementPipeline:
     bem: object
 
     @classmethod
-    def from_mesh(cls, mesh, B, G):
+    def from_mesh(cls, mesh, blocks):
         detJ, Jinv = mesh.element_map()[1:]
         gphys = np.einsum("qid,tdc->tqic", da._P2_GRADS, Jinv)
         ntri = mesh.num_triangles
@@ -515,13 +553,10 @@ class ElementPipeline:
         Gtau = (np.kron(mass, np.eye(2))[None] * detJ[:, None, None]
                 + np.einsum("q,tqa,tqb->tab", w, div, div)
                 * detJ[:, None, None])
-        return cls(local=loc, Gv=Gv, Gtau=Gtau, B=B, bem=G.bem)
+        return cls(local=loc, Gv=Gv, Gtau=Gtau, B=blocks.B, bem=blocks.B.bem)
 
     def _parts(self, vec):
-        nt = self.local.shape[0]
-        return (vec[:6 * nt].reshape(nt, 6),
-                vec[6 * nt:18 * nt].reshape(nt, 12),
-                vec[18 * nt:])
+        return split_test_vector(vec, self.local.shape[0])
 
     def apply_B(self, x):
         """B @ x; the boundary rows as the BlockOperator forms them."""

@@ -125,13 +125,14 @@ def test_criterion_6_dpg_algebra_suite():
         trial = spaces.TrialDofLayout.from_mesh(mesh)
         mats = bem.assemble_bem(boundary_loop(mesh))
         blocks = dpg_assembly.assemble_operator_blocks(mesh, mats, data_i)
-        A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
+        A, b = _oracles.normal_equations(blocks)
         Ad = A.toarray()
         assert np.abs(Ad - Ad.T).max() <= 1e-12 * np.abs(Ad).max()
         assert np.linalg.eigvalsh(0.5 * (Ad + Ad.T)).min() > 0.0
         x = solver.solve_spd(_oracles.level_operator(A), b)
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
-        sol = solver.Solution(mesh=mesh, data=data_i, loop=mats.loop, x=x)
+        sol = solver.Solution(mesh=mesh, data=data_i, loop=mats.loop, x=x,
+                               level=None)
         c = _oracles.interpolate_trial(exact_i.u, exact_i.grad,
                                        exact_i.grad, mesh, trial)
         assert (solver.energy_error(blocks, sol.x)

@@ -369,13 +369,28 @@ def test_study_peak_memory_linear_in_elements():
     they are the same on any host and with any BLAS thread count.
 
     Linear growth makes the ratio of the two peaks about 4; it may be
-    20% off (measured 3.59).  The peak per finest element at --levels 6
+    20% off (measured 3.60).  The peak per finest element at --levels 6
     is a ratchet.  It was 3960 B (peaks 31.9 and 123.7 MiB) while
     BlockOperator kept per-element columns and signs and each level's
-    assembly lived through the next level; it is 3528 B (30.7 and
-    110.2 MiB) without them.  A change that lowers it lowers the bound,
-    and none raises it."""
+    assembly lived through the next level; it was 3528 B (30.7 and
+    110.2 MiB) without them, with a bound of 3600 B.  It is 3423 B
+    (107.0 MiB) since the load keeps no H(div) zeros and the geometry
+    classes are keyed on the side vectors, bound 3500 B.  A change that
+    lowers it lowers the bound, and none raises it."""
     small, large = study_peak(5), study_peak(6)
     assert 0.8 * 4 <= large / small <= 1.2 * 4
     n = cli.initial_mesh("square").num_triangles * 4 ** 5
-    assert large / n <= 3600
+    assert large / n <= 3500
+
+
+def test_stage_peaks_reports_every_stage(monkeypatch):
+    # tests/stage_peaks.py prints a line for every stage that a
+    # --solver both study fires
+    here = os.path.dirname(os.path.abspath(__file__))
+    monkeypatch.syspath_prepend(os.path.join(here, os.pardir, "perfbench"))
+    import spans
+    out = subprocess.run([sys.executable, os.path.join(here, "stage_peaks.py"),
+                          "square", "3", "both"],
+                         capture_output=True, text=True, check=True).stdout
+    reported = {line.split()[0] for line in out.splitlines()[1:]}
+    assert set(spans.expected_spans("both")) <= reported

@@ -8,6 +8,7 @@ import scipy.sparse
 import _oracles
 from dpgbem import boundary_loop, make_lshape_mesh, make_square_mesh, refine_uniform
 from dpgbem import bem, cli, dpg_assembly, jn_reference, solver, spaces
+from dpgbem.errors import NumericalError
 from dpgbem.mesh import build_mesh
 from dpgbem.dpg_assembly import ProblemData
 
@@ -47,7 +48,7 @@ def test_constant_field_consistency():
     ones = lambda x, y: np.ones_like(x)
     zg = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
     c = _oracles.interpolate_trial(ones, zg, zg, mesh, trial)
-    res = _oracles.sparse_B(blocks.B) @ c - blocks.ell
+    res = _oracles.sparse_B(blocks.B) @ c - _oracles.full_load(blocks)
     assert np.abs(res).max() < 1e-12
 
 
@@ -89,37 +90,50 @@ def test_sigma_column_spot_check():
 def test_gram_structure_and_spd():
     mesh = make_square_mesh(0.1, 2)
     mats, _, test, blocks = assemble_all(mesh, constant_data())
-    G = blocks.G
+    cls, bem_mats = blocks.B.cls, blocks.B.bem
     # one H1 and one H(div) block per element, one boundary block
-    assert G.cls.size == mesh.num_triangles
-    assert G.Gv.shape[1:] == (6, 6) and G.Gtau.shape[1:] == (12, 12)
-    assert G.bem.G_psi.shape[0] == 2 * mesh.num_boundary_edges
-    assert 18 * G.cls.size + G.bem.G_psi.shape[0] == test.dim
+    assert cls.size == mesh.num_triangles
+    assert blocks.Gv.shape[1:] == (6, 6) and blocks.Gtau.shape[1:] == (12, 12)
+    assert bem_mats.G_psi.shape[0] == 2 * mesh.num_boundary_edges
+    assert 18 * cls.size + bem_mats.G_psi.shape[0] == test.dim
     # constant function in the scalar block: energy = area of the element
     ones = np.ones(6)
     areas = 0.5 * mesh.element_map()[1]
     for t in (0, 5):
-        assert ones @ G.Gv[G.cls[t]] @ ones == pytest.approx(areas[t],
-                                                             rel=1e-12)
+        assert ones @ blocks.Gv[cls[t]] @ ones == pytest.approx(areas[t],
+                                                                rel=1e-12)
     # SPD of every block
-    assert min(np.linalg.eigvalsh(G.Gv).min(),
-               np.linalg.eigvalsh(G.Gtau).min()) > 0.0
+    assert min(np.linalg.eigvalsh(blocks.Gv).min(),
+               np.linalg.eigvalsh(blocks.Gtau).min()) > 0.0
     assert np.linalg.eigvalsh(0.5 * (mats.G_psi + mats.G_psi.T)).min() > 0.0
     # boundary block is exactly the bem Gram
-    assert G.bem is mats
+    assert bem_mats is mats
+
+
+def test_gram_not_spd_raises(monkeypatch):
+    # negative volume weights make every element Gram block negative
+    # definite, which the Cholesky check of assemble_gram rejects
+    mesh = make_square_mesh(0.1, 1)
+    monkeypatch.setattr(dpg_assembly, "_VOL_W", -dpg_assembly._VOL_W)
+    with pytest.raises(NumericalError, match="test Gram block not SPD"):
+        dpg_assembly.assemble_gram(mesh, mesh.element_classes())
 
 
 def test_gram_apply_solve_roundtrip():
     # the energy error of x = 0 against the load ell = G v is
-    # sqrt(v^T G v): its blockwise G^{-1} undoes gram_apply
+    # sqrt(v^T G v): its blockwise G^{-1} undoes gram_apply.  A load has
+    # no H(div) rows, so v has a zero tau block, and so has G v
     mesh = make_square_mesh(0.1, 1)
     _, trial, test, blocks = assemble_all(mesh, constant_data())
     rng = np.random.default_rng(7)
     v = rng.standard_normal(test.dim)
-    Gv = _oracles.gram_apply(blocks.G, v)
-    assert np.allclose(_oracles.gram_solve(blocks.G, Gv), v, atol=1e-10)
-    err = solver.energy_error(dataclasses.replace(blocks, ell=Gv),
-                              np.zeros(trial.dim))
+    nt = mesh.num_triangles
+    v[6 * nt:18 * nt] = 0.0
+    Gv = _oracles.gram_apply(blocks, v)
+    assert np.allclose(_oracles.gram_solve(blocks, Gv), v, atol=1e-10)
+    err = solver.energy_error(
+        dataclasses.replace(blocks, ell=np.r_[Gv[:6 * nt], Gv[18 * nt:]]),
+        np.zeros(trial.dim))
     assert err ** 2 == pytest.approx(float(v @ Gv), rel=1e-10)
 
 
@@ -127,9 +141,9 @@ def test_gram_solve_matrix_matches_dense():
     mesh = make_square_mesh(0.1, 1)
     _, _, test, blocks = assemble_all(mesh, constant_data())
     B = _oracles.sparse_B(blocks.B)
-    W = _oracles.gram_solve_matrix(blocks.G, B).toarray()
+    W = _oracles.gram_solve_matrix(blocks, B).toarray()
     # the dense G, one gram_apply per column
-    G = np.column_stack([_oracles.gram_apply(blocks.G, e)
+    G = np.column_stack([_oracles.gram_apply(blocks, e)
                          for e in np.eye(test.dim)])
     assert np.allclose(W, np.linalg.solve(G, B.toarray()), atol=1e-12)
 
@@ -157,19 +171,18 @@ def check_against_element_oracle(mesh, domain):
     # element by element, and every output of the operator stages
     data, _ = cli.manufacture_data(domain)
     _, _, _, blocks = assemble_all(mesh, data)
-    B, G, ell = blocks.B, blocks.G, blocks.ell
-    E = _oracles.ElementPipeline.from_mesh(mesh, B, G)
+    B, ell = blocks.B, _oracles.full_load(blocks)
+    E = _oracles.ElementPipeline.from_mesh(mesh, blocks)
     assert np.array_equal(_oracles.signed_blocks(B), E.local)
-    assert np.array_equal(G.Gv[G.cls], E.Gv)
-    assert np.array_equal(G.Gtau[G.cls], E.Gtau)
+    assert np.array_equal(blocks.Gv[B.cls], E.Gv)
+    assert np.array_equal(blocks.Gtau[B.cls], E.Gtau)
     assert B.nnz == 162 * mesh.num_triangles + B.gamma_cols.size ** 2
     # the boundary block from the P0 rows against the W formula; the rest
     # of the pipeline is compared exactly, on the production block
-    g = dpg_assembly._gram_products(B, G, ell)[2]
+    g = dpg_assembly._gram_products(blocks)[2]
     g0 = E.gram_products(ell)[2]
     assert np.abs(g - g0).max() <= 1e-15 * np.abs(g0).max()
-    S, c, recover = dpg_assembly.build_normal_equations(B, G, ell, mesh,
-                                                        None)
+    S, c, recover = dpg_assembly.build_normal_equations(blocks, None)
     S0, c0, recover0 = E.normal_equations(ell, g)
     assert S.sparse.format == "csr"
     assert np.array_equal(S.sparse.indptr, S0.indptr)
@@ -210,7 +223,7 @@ def test_boundary_sighat_rows_are_classical_p0_rows(domain):
     mesh = cli_level_mesh(domain, 2)
     data, _ = cli.manufacture_data(domain)
     mats, _, _, blocks = assemble_all(mesh, data)
-    g = dpg_assembly._gram_products(blocks.B, blocks.G, blocks.ell)[2]
+    g = dpg_assembly._gram_products(blocks)[2]
     jn = _oracles.jn_full_system(mesh, data, stabilized=False,
                                  bem_mats=mats).matrix.toarray()
     nv, P = mesh.num_vertices, mats.loop.num_panels
@@ -225,20 +238,23 @@ def test_boundary_sighat_rows_are_classical_p0_rows(domain):
 def test_boundary_rows_of_B_match_dense_block():
     # the boundary rows of the energy error's residual, V_ps (signs
     # sighat) + H uhat, against the dense block B_G: with the load B x on
-    # the elements (exact, the ElementPipeline's rows) and B_G x on the
-    # boundary, only the rounding of the boundary rows is left
+    # the H1 rows (exact, the ElementPipeline's rows) and B_G x on the
+    # boundary, only the rounding of the boundary rows is left.  A load
+    # has no H(div) rows, so their residual, -B x there, is weighted by
+    # 2^-200 through the Gram blocks 2^200 Gtau: below 1e-29 of err(0)
     mesh = cli_level_mesh("lshape", 2)
     data, _ = cli.manufacture_data("lshape")
     _, _, _, blocks = assemble_all(mesh, data)
     B = blocks.B
     x = np.random.default_rng(3).standard_normal(B.shape[1])
     ref = _oracles.boundary_block(B) @ x[B.gamma_cols]
-    Bx = _oracles.ElementPipeline.from_mesh(mesh, B, blocks.G).apply_B(x)
-    nt = 18 * mesh.num_triangles
+    Bx = _oracles.ElementPipeline.from_mesh(mesh, blocks).apply_B(x)
+    nt = 6 * mesh.num_triangles
 
     def err(ell_gamma):
-        return solver.energy_error(
-            dataclasses.replace(blocks, ell=np.r_[Bx[:nt], ell_gamma]), x)
+        return solver.energy_error(dataclasses.replace(
+            blocks, Gtau=2.0 ** 200 * blocks.Gtau,
+            ell=np.r_[Bx[:nt], ell_gamma]), x)
     assert err(ref) <= 1e-14 * err(np.zeros_like(ref))
 
 
@@ -250,6 +266,19 @@ def test_uniform_meshes_have_few_geometry_classes(domain):
     cls, rep = mesh.element_classes()
     assert np.array_equal(cls[rep], np.arange(rep.size))
     assert rep.size < mesh.num_triangles / 20
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_element_classes_match_sixteen_float_key(domain):
+    # the side vectors partition the elements as J, the side lengths and
+    # the outward normals did, on CLI levels 0-4 and a jittered mesh: cls
+    # is a relabelling of the oracle's
+    for mesh in [*(cli_level_mesh(domain, lvl) for lvl in range(5)),
+                 jittered_mesh(domain, 2)]:
+        cls, rep = mesh.element_classes()
+        cls0, rep0 = _oracles.element_classes(mesh)
+        assert rep.size == rep0.size
+        assert np.array_equal(cls, cls[rep0][cls0])
 
 
 def test_element_skeleton_matches_oracle_columns():
@@ -296,7 +325,7 @@ def test_energy_error_peak_memory_within_chunks(monkeypatch):
     data, _ = cli.manufacture_data("square")
     _, _, _, blocks = assemble_all(mesh, data)
     x = np.random.default_rng(9).standard_normal(blocks.B.shape[1])
-    blocks.G.bem.G_psi_chol
+    blocks.B.bem.G_psi_chol
     tracemalloc.start()
     try:
         solver.energy_error(blocks, x)
@@ -314,14 +343,13 @@ def test_chunked_products_independent_of_chunk_size(monkeypatch):
     mesh = cli_level_mesh("square", 3)
     data, _ = cli.manufacture_data("square")
     _, _, _, blocks = assemble_all(mesh, data)
-    B, G, ell = blocks.B, blocks.G, blocks.ell
+    B = blocks.B
     rng = np.random.default_rng(4)
     x = rng.standard_normal(B.shape[1])
     y = rng.standard_normal(B.shape[1] - 3 * mesh.num_triangles)
 
     def outputs():
-        _, c, recover = dpg_assembly.build_normal_equations(
-            B, G, ell, mesh, None)
+        _, c, recover = dpg_assembly.build_normal_equations(blocks, None)
         return c, recover(y), solver.energy_error(blocks, x)
 
     want = outputs()
@@ -364,7 +392,8 @@ def test_element_passes_independent_of_chunk_size(domain, monkeypatch):
     rng = np.random.default_rng(6)
     sol = solver.Solution(mesh=mesh, data=data, loop=boundary_loop(mesh),
                           x=rng.standard_normal(
-                              spaces.TrialDofLayout.from_mesh(mesh).dim))
+                              spaces.TrialDofLayout.from_mesh(mesh).dim),
+                          level=None)
     u_nodal = rng.standard_normal(mesh.num_vertices)
 
     def outputs():
@@ -467,7 +496,7 @@ def test_load_constant_u0_linearity():
     c = 2.5
     mesh = make_square_mesh(0.1, 2)
     mats, _, test, blocks = assemble_all(mesh, constant_data(c))
-    psi_rows = blocks.ell[18 * mesh.num_triangles:]
+    psi_rows = blocks.loads[1]
     expected = c * (mats.H @ np.ones(mats.loop.num_panels))
     assert np.allclose(psi_rows, expected, atol=1e-13)
 
@@ -475,13 +504,12 @@ def test_load_constant_u0_linearity():
 def test_normal_equations_symmetric_spd_and_size():
     mesh = make_square_mesh(0.1, 1)
     _, trial, _, blocks = assemble_all(mesh, constant_data())
-    A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
+    A, b = _oracles.normal_equations(blocks)
     assert A.shape == (15, 15)  # 3*2 + 4 + 5
     Ad = A.toarray()
     assert np.abs(Ad - Ad.T).max() <= 1e-12 * np.abs(Ad).max()
     assert np.linalg.eigvalsh(0.5 * (Ad + Ad.T)).min() > 0.0
-    S, c, _ = dpg_assembly.build_normal_equations(
-        blocks.B, blocks.G, blocks.ell, mesh, None)
+    S, c, _ = dpg_assembly.build_normal_equations(blocks, None)
     assert S.shape == (9, 9) and c.shape == (9,)  # 4 + 5
 
 
@@ -492,17 +520,17 @@ def test_normal_equations_match_sparse_product_oracle(domain, level):
     # full A, against the sparse product through the loop G^{-1} B
     data, _ = cli.manufacture_data(domain)
     _, _, _, blocks = assemble_all(cli_level_mesh(domain, level), data)
-    B, G = blocks.B, blocks.G
-    a, Z, g = dpg_assembly._gram_products(B, G, blocks.ell)
+    B = blocks.B
+    a, Z, g = dpg_assembly._gram_products(blocks)
     # the load columns B_T^T G_T^{-1} ell_T = signs * Z^T ell_v,T, since
-    # the H(div) block of ell is zero
-    ev, et, _ = G._parts(blocks.ell)
-    assert not et.any()
+    # ell has no H(div) rows: 6 per element and 2 per panel
+    ev, eg = blocks.loads
+    assert blocks.ell.size == ev.size + eg.size == B.shape[0] - 12 * B.cls.size
     loads = (_oracles.trial_columns(B)[1]
              * np.einsum("tji,tj->ti", Z[B.cls], ev))
     A, b = _oracles.scatter_products(
         B, _oracles.expand_products(B, a, loads), g)
-    A0, b0 = _oracles.normal_equations(B, G, blocks.ell)
+    A0, b0 = _oracles.normal_equations(blocks)
     assert abs(A - A0).max() <= 1e-13 * abs(A0).max()
     assert np.abs(b - b0).max() <= 1e-13 * np.abs(b0).max()
 
@@ -515,9 +543,8 @@ def test_skeleton_system_matches_oracle(domain, level):
     mesh = cli_level_mesh(domain, level)
     data, _ = cli.manufacture_data(domain)
     _, _, _, blocks = assemble_all(mesh, data)
-    S, c, _ = dpg_assembly.build_normal_equations(
-        blocks.B, blocks.G, blocks.ell, mesh, None)
-    A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
+    S, c, _ = dpg_assembly.build_normal_equations(blocks, None)
+    A, b = _oracles.normal_equations(blocks)
     A = A.toarray()
     nf = 3 * mesh.num_triangles
     Y = np.linalg.solve(A[:nf, :nf], np.column_stack([A[:nf, nf:], b[:nf]]))
@@ -534,7 +561,7 @@ def test_normal_equations_spd_both_domains(make, args):
     mesh = make(*args)
     data, _, _ = smooth_data()
     _, _, _, blocks = assemble_all(mesh, data)
-    A, _ = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
+    A, _ = _oracles.normal_equations(blocks)
     assert np.linalg.eigvalsh(A.toarray()).min() > 0.0
 
 
@@ -583,7 +610,7 @@ def test_boundedness_surrogate_regression():
             vvec = rng.standard_normal(test.dim)
             num = abs(float(vvec @ (B @ uvec)))
             den = surrogate(uvec) * np.sqrt(
-                float(vvec @ _oracles.gram_apply(blocks.G, vvec)))
+                float(vvec @ _oracles.gram_apply(blocks, vvec)))
             worst = max(worst, num / den)
         mesh = refine_uniform(mesh)
     assert worst <= 1.0  # measured ~0.05 and decreasing; guard non-explosion

@@ -33,8 +33,7 @@ def test_dpg_solve_matches_mmd_order(level3):
     mesh, data, coarse, _ = level3
     mats = bem.assemble_bem(boundary_loop(mesh))
     blocks = dpg_assembly.assemble_operator_blocks(mesh, mats, data)
-    S, c, recover = dpg_assembly.build_normal_equations(
-        blocks.B, blocks.G, blocks.ell, mesh, None)
+    S, c, recover = dpg_assembly.build_normal_equations(blocks, None)
     A = scipy.sparse.csc_matrix(S.toarray())
     lu = scipy.sparse.linalg.splu(
         A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,

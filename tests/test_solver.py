@@ -86,7 +86,7 @@ def test_least_squares_optimality_on_random_subspace(smooth_square):
     _, _, _, sol, blocks = smooth_square
     rng = np.random.default_rng(11)
     Z = rng.standard_normal((len(sol.x), 5))
-    A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
+    A, b = _oracles.normal_equations(blocks)
     A = A.toarray()
     r0 = b - A @ sol.x
     grad_c = Z.T @ r0  # gradient of the quadratic at the solution (up to sign)
@@ -134,7 +134,7 @@ def test_l2_errors_fixed_points(smooth_square):
     # err_u = sqrt(|Omega|); matching gradients give err_sigma = 0
     mesh, data, exact, sol, blocks = smooth_square
     zero_sol = solver.Solution(mesh=mesh, data=data, loop=sol.loop,
-                               x=np.zeros_like(sol.x))
+                               x=np.zeros_like(sol.x), level=None)
     area = 0.2 * 0.2
     eu, es = solver.l2_errors(
         zero_sol, lambda x, y: np.ones_like(x),
@@ -203,7 +203,7 @@ def test_boundary_cauchy_errors_shift(smooth_square):
         f=data.f, u0=lambda x, y: data.u0(x, y) + c, phi0=data.phi0,
         singular_vertex=data.singular_vertex)
     sol2 = solver.Solution(mesh=mesh, data=shifted, loop=sol.loop,
-                           x=sol.x.copy())
+                           x=sol.x.copy(), level=None)
     et1, _ = solver.boundary_cauchy_errors(sol2)
     glen = sol.loop.lengths.sum()
     assert et1 == pytest.approx(c * np.sqrt(glen), rel=1e-3)
@@ -217,7 +217,7 @@ def test_eval_exterior_field_validation_and_zero(smooth_square):
         phi0=lambda x, y, nx, ny: np.zeros_like(x + nx),
         singular_vertex=None)
     zero_sol = solver.Solution(mesh=mesh, data=zero_data, loop=sol.loop,
-                               x=np.zeros_like(sol.x))
+                               x=np.zeros_like(sol.x), level=None)
     pts = np.array([[1.1, 0.0], [0.0, -2.0]])
     assert np.all(solver.eval_exterior_field(zero_sol, pts) == 0.0)
     with pytest.raises(ValueError):
@@ -254,7 +254,7 @@ def test_exterior_field_decay_under_refinement():
 
 def test_galerkin_orthogonality(smooth_square):
     _, _, _, sol, blocks = smooth_square
-    A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
+    A, b = _oracles.normal_equations(blocks)
     r = b - A @ sol.x
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
 
@@ -324,7 +324,7 @@ def test_condensed_solve_matches_full_solve(domain, level, monkeypatch):
     monkeypatch.setattr(solver, "solve_spd", spy)
     sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
     assert dims == [mesh.num_vertices + mesh.num_edges]
-    A, b = _oracles.normal_equations(blocks.B, blocks.G, blocks.ell)
+    A, b = _oracles.normal_equations(blocks)
     x = full_solve(_oracles.level_operator(A), b)
     assert np.abs(sol.x - x).max() <= 1e-10 * np.abs(x).max()
 
@@ -338,8 +338,7 @@ def test_condensed_solve_rejects_indefinite_field_block():
     _, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
     blocks.B.local[blocks.B.cls[0], :, 0] = 0.0
     with pytest.raises(NumericalError, match="field block"):
-        dpg_assembly.build_normal_equations(
-            blocks.B, blocks.G, blocks.ell, mesh, None)
+        dpg_assembly.build_normal_equations(blocks, None)
 
 
 def solved_levels(domain, levels):

@@ -275,12 +275,16 @@ def test_clique_matrix_sums_blocks_and_dense_block(dense):
     assert np.abs(op.toarray() - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_clique_matrix_frees_a_temporary_blocks_argument():
-    # blocks is copied into the COO values and then dropped, so a block
-    # array that only the call holds is freed before the scatter
+def test_clique_matrix_peak_memory_within_its_blocks():
+    # the COO values are a view of blocks, so whether the caller holds
+    # blocks or passes a temporary, the peak above the blocks is the int32
+    # indices, SciPy's sum into CSR and the result: 3.60 times the blocks
+    # measured either way (t = 20000, k = 6), 4.60 for a held blocks while
+    # the values were a copy
     rng = np.random.default_rng(8)
     t, k = 20000, 6
     cliques = rng.integers(0, t, size=(t, k))
+    nbytes = 8 * t * k * k
 
     def peak(call):
         tracemalloc.start()
@@ -294,9 +298,9 @@ def test_clique_matrix_frees_a_temporary_blocks_argument():
         blocks = np.ones((t, k, k))
         return spaces.clique_matrix(cliques, blocks, t)
 
-    temporary = peak(lambda: spaces.clique_matrix(
-        cliques, np.ones((t, k, k)), t))
-    assert temporary <= peak(named) - 0.9 * 8 * t * k * k
+    assert peak(named) <= 3.7 * nbytes
+    assert peak(lambda: spaces.clique_matrix(
+        cliques, np.ones((t, k, k)), t)) <= 3.7 * nbytes
 
 
 def rule_moments(loop, rule, data):
