@@ -204,7 +204,7 @@ def run_convergence(config, progress=None):
             etr, efl = solver.boundary_cauchy_errors(sol)
             rec.probe_values = tuple(float(v) for v in
                                      solver.eval_exterior_field(sol, probes))
-            dims = (sol.trial_layout.dim, blocks.B.shape[0])
+            dims = (sol.x.size, blocks.B.shape[0])
         if config.solver != "dpg":
             system = jn_reference.assemble_jn(mesh, data, bem_mats, jn_coarse)
             u_n, phi = jn_reference.solve_jn(system)

@@ -66,8 +66,9 @@ class BlockOperator:
     its edges) to its 6 H1 and 12 H(div) test rows by local[cls[t]]
     (C, 18, 9), with the sighat columns times its edge signs.  The
     boundary rows are V_ps (loop.signs * sighat) + H uhat of the
-    BemMatrices bem, on the trial columns gamma_cols (sighat on the loop
-    edges, uhat at the loop vertices).  shape is (test dim, trial dim)."""
+    BemMatrices bem, on the skeleton dofs gamma_cols (sighat on the loop
+    edges, then uhat at the loop vertices), numbered as element_skeleton
+    numbers them.  shape is (test dim, trial dim)."""
 
     local: np.ndarray
     cls: np.ndarray
@@ -172,14 +173,13 @@ def assemble_B(mesh, bem_mats, classes):
     dofs) per Gram block and per geometry class, as a BlockOperator;
     classes is mesh.element_classes().  The test space has 6 H1 and 12
     H(div) dofs per element and 2 per boundary panel, 18T + 2P in all."""
-    trial = spaces.TrialDofLayout.from_mesh(mesh)
-    loop = bem_mats.loop
+    loop, nv = bem_mats.loop, mesh.num_vertices
     cls, rep = classes
     return BlockOperator(
         local=_element_b_locals(mesh, rep), cls=cls, mesh=mesh, bem=bem_mats,
-        gamma_cols=np.concatenate([trial.sighat(loop.edge_ids),
-                                   trial.uhat(loop.vertex_ids)]),
-        shape=(18 * mesh.num_triangles + 2 * loop.num_panels, trial.dim))
+        gamma_cols=np.concatenate([nv + loop.edge_ids, loop.vertex_ids]),
+        shape=(18 * mesh.num_triangles + 2 * loop.num_panels,
+               3 * mesh.num_triangles + nv + mesh.num_edges))
 
 
 def assemble_gram(mesh, classes):
@@ -214,8 +214,8 @@ def assemble_load(mesh, data, bem_mats):
                                 lambda bary: spaces.eval_p2_basis(bary)[0])
 
     # u0 and phi0 on one boundary rule
-    rule = spaces.boundary_quadrature(bem_mats.loop, spaces.PANEL_ORDER,
-                                      spaces.DATA_LEVELS, data.singular_vertex)
+    rule = spaces.boundary_quadrature(bem_mats.loop, spaces.DATA_LEVELS,
+                                      data.singular_vertex)
     phi0_p0 = spaces.panel_means(
         bem_mats.loop, rule, spaces.normal_flux(bem_mats.loop, data.phi0, rule))
 
@@ -285,9 +285,10 @@ def build_normal_equations(blocks, coarse):
     then signed.
 
     Returns the spaces.LinearSystem (S, c, recover), recover(y) the full
-    trial vector: S is a spaces.LevelOperator in natural skeleton order,
-    the element blocks summed sparse and the boundary block dense, over
-    the Level coarse of the mesh that B.mesh refines (or None), with
+    trial vector, whose skeleton part (spaces.trial_parts) is y: S is a
+    spaces.LevelOperator in natural skeleton order, the element blocks
+    summed sparse and the boundary block dense on B.gamma_cols, over the
+    Level coarse of the mesh that B.mesh refines (or None), with
     skeleton vertex patches damped by 0.3.
     """
     a, Z, g = _gram_products(blocks)
@@ -302,9 +303,7 @@ def build_normal_equations(blocks, coarse):
     Y = np.linalg.solve(a[:, :3, :3], a[:, :3, 3:])
     loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:], Y)
     skel, s = spaces.element_skeleton(mesh)
-    nf = 3 * B.cls.size
-    ns = B.shape[1] - nf
-    gcols = B.gamma_cols - nf
+    ns, gcols = mesh.num_vertices + mesh.num_edges, B.gamma_cols
     # every element's field values and condensed load, from its H1 load;
     # yf is a copy and the (T, 9) load is freed before the sum, whose
     # triplets set the peak

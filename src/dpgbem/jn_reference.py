@@ -73,8 +73,8 @@ def assemble_jn(mesh, data, bem_mats, coarse):
     W = bem_mod.p0_test_rows(bem_mats.V_ps)          # (P, P)
 
     rhs = _p1_load(mesh, data.f)
-    rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
-                                      spaces.DATA_LEVELS, data.singular_vertex)
+    rule = spaces.boundary_quadrature(loop, spaces.DATA_LEVELS,
+                                      data.singular_vertex)
     # <phi0, v>_Gamma against the boundary hats
     tail, head = spaces.hat_moments(rule,
                                     spaces.normal_flux(loop, data.phi0, rule))
@@ -135,7 +135,7 @@ def jn_boundary_errors(loop, u_nodal, phi, data):
     """L2(Gamma) norms of the exterior Cauchy data of a coupling solution:
     (u|_Gamma - u0, phi).  Both vanish for data with u^c = 0."""
     err_trace = trace_error(loop, spaces.boundary_quadrature(
-        loop, spaces.ERROR_ORDER, spaces.ERROR_LEVELS, data.singular_vertex),
+        loop, spaces.ERROR_LEVELS, data.singular_vertex),
         u_nodal[loop.vertex_ids], data.u0)
     err_flux = float(np.sqrt((loop.lengths * phi ** 2).sum()))
     return err_trace, err_flux

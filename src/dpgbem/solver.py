@@ -27,6 +27,7 @@ class Solution:
     """Coefficient vectors of a coupled solve plus the derived exterior
     Cauchy data on the boundary.
 
+    sigma, u, uhat and sighat are views of x (spaces.trial_parts).
     trace_c holds (uhat - u0) at the loop vertices and flux_c the
     panelwise (outward sighat - phi0 mean); with exact transmission data
     u^c = 0 both must vanish under refinement.  rule is the boundary
@@ -39,45 +40,26 @@ class Solution:
     loop: object
     x: np.ndarray
     level: object = field(repr=False)
-    trial_layout: object = field(init=False, repr=False)
+    sigma: np.ndarray = field(init=False, repr=False)
+    u: np.ndarray = field(init=False, repr=False)
+    uhat: np.ndarray = field(init=False, repr=False)
+    sighat: np.ndarray = field(init=False, repr=False)
     trace_c: np.ndarray = field(init=False, repr=False)
     flux_c: np.ndarray = field(init=False, repr=False)
     rule: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.trial_layout = spaces.TrialDofLayout.from_mesh(self.mesh)
-        if self.x.shape != (self.trial_layout.dim,):
-            raise ValueError("coefficient vector does not match layout")
+        self.sigma, self.u, skeleton = spaces.trial_parts(self.mesh, self.x)
+        self.uhat, self.sighat = np.split(skeleton, [self.mesh.num_vertices])
         loop = self.loop
         verts = self.mesh.vertices[loop.vertex_ids]
         self.trace_c = (self.uhat[loop.vertex_ids]
                         - self.data.u0(verts[:, 0], verts[:, 1]))
         self.rule = spaces.boundary_quadrature(
-            loop, spaces.ERROR_ORDER, spaces.ERROR_LEVELS,
-            self.data.singular_vertex)
+            loop, spaces.ERROR_LEVELS, self.data.singular_vertex)
         self.flux_c = (loop.signs * self.sighat[loop.edge_ids]
                        - spaces.panel_means(loop, self.rule, spaces.normal_flux(
                            loop, self.data.phi0, self.rule)))
-
-    @property
-    def sigma(self):
-        nt = self.trial_layout.n_tri
-        return self.x[:2 * nt].reshape(nt, 2)
-
-    @property
-    def u(self):
-        nt = self.trial_layout.n_tri
-        return self.x[2 * nt:3 * nt]
-
-    @property
-    def uhat(self):
-        nt = self.trial_layout.n_tri
-        return self.x[3 * nt:3 * nt + self.trial_layout.n_vert]
-
-    @property
-    def sighat(self):
-        off = 3 * self.trial_layout.n_tri + self.trial_layout.n_vert
-        return self.x[off:]
 
 
 def krylov_solve(method, A, b, **options):
@@ -117,30 +99,30 @@ def energy_error(blocks, x):
     """DPG error sqrt(r^T G^{-1} r), r = ell - B x, of a trial vector x: the
     residual in the dual norm of the enriched test space.  G is block
     diagonal: element t's residual r_t = ell_t - local[cls[t]] x_t, x_t
-    its fields and signed skeleton values (spaces.element_skeleton), meets
-    its class inverses, formed per call, one batch of elements at a time
-    (spaces.batched), its term the DPG error indicator; its H(div) load
-    is zero.  The boundary adds |L^{-1} r_G|^2, G_psi = L L^T."""
+    its fields and signed skeleton values (spaces.trial_parts,
+    spaces.element_skeleton), meets its class inverses, formed per call,
+    one batch of elements at a time (spaces.batched), its term the DPG
+    error indicator; its H(div) load is zero.  The boundary adds
+    |L^{-1} r_G|^2, G_psi = L L^T, r_G on the skeleton dofs B.gamma_cols."""
     B, cls = blocks.B, blocks.B.cls
     x = np.asarray(x, dtype=float)
     ev, eg = blocks.loads
     Gv_inv, Gtau_inv = np.linalg.inv(blocks.Gv), np.linalg.inv(blocks.Gtau)
-    nt = cls.size
-    sigma, u = x[:2 * nt].reshape(nt, 2), x[2 * nt:3 * nt, None]
+    sigma, u, skeleton = spaces.trial_parts(B.mesh, x)
 
     def indicators(e):
         skel, s = spaces.element_skeleton(B.mesh, e)
-        y = np.einsum("tij,tj->ti", B.local[cls[e]],
-                      np.hstack([sigma[e], u[e], x[3 * nt + skel] * s]))
+        y = np.einsum("tij,tj->ti", B.local[cls[e]], np.hstack(
+            [sigma[e], u[e, None], skeleton[skel] * s]))
         rv, rt = ev[e] - y[:, :6], -y[:, 6:]
         return (np.einsum("ti,ti->t", rv, np.einsum(
                     "tij,tj->ti", Gv_inv[cls[e]], rv))
                 + np.einsum("ti,ti->t", rt, np.einsum(
                     "tij,tj->ti", Gtau_inv[cls[e]], rt)))
-    xs, xu = np.split(x[B.gamma_cols], 2)
+    xs, xu = np.split(skeleton[B.gamma_cols], 2)
     w = scipy.linalg.solve_triangular(B.bem.G_psi_chol, eg - (
         B.bem.V_ps @ (B.bem.loop.signs * xs) + B.bem.H @ xu), lower=True)
-    return float(np.sqrt(max(spaces.batched(indicators, nt).sum()
+    return float(np.sqrt(max(spaces.batched(indicators, cls.size).sum()
                              + w @ w, 0.0)))
 
 

@@ -14,7 +14,6 @@ that preconditions their Krylov solves; the boundary rules; element batches.
 
 import functools
 import operator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,37 +25,22 @@ from .errors import NumericalError
 from .mesh import REF_HAT_GRADS, element_map
 
 
-@dataclass(frozen=True)
-class TrialDofLayout:
-    """Index map for the trial unknowns (sigma, u, uhat, sighat).
-
-    Global ordering: 2 sigma components per triangle (interleaved), then u
-    per triangle, then one uhat per mesh vertex, then one sighat per edge.
-    """
-
-    n_tri: int
-    n_vert: int
-    n_edge: int
-
-    @classmethod
-    def from_mesh(cls, mesh):
-        return cls(mesh.num_triangles, mesh.num_vertices, mesh.num_edges)
-
-    @property
-    def dim(self):
-        return 3 * self.n_tri + self.n_vert + self.n_edge
-
-    def uhat(self, vert):
-        return 3 * self.n_tri + vert
-
-    def sighat(self, edge):
-        return 3 * self.n_tri + self.n_vert + edge
+def trial_parts(mesh, x):
+    """The parts of a trial vector x = [sigma (2T) | u (T) | uhat (V) |
+    sighat (E)] of the mesh, as views of x: sigma (T, 2), its components
+    interleaved per element, u (T,) and the skeleton values (V + E,),
+    numbered as element_skeleton numbers them."""
+    nt = mesh.num_triangles
+    if x.shape != (3 * nt + mesh.num_vertices + mesh.num_edges,):
+        raise ValueError("trial vector does not match the mesh")
+    return x[:2 * nt].reshape(nt, 2), x[2 * nt:3 * nt], x[3 * nt:]
 
 
 def element_skeleton(mesh, e=slice(None)):
     """The skeleton dofs (n, 6) of the elements e (a slice), uhat at their
-    vertices and sighat on their edges, numbered after the 3T field dofs
-    of TrialDofLayout; and their signs (n, 6), the edge signs on sighat."""
+    vertices and sighat on their edges, in the numbering of the skeleton
+    part of trial_parts (uhat at the V vertices, then sighat on the
+    edges); and their signs (n, 6), the edge signs on sighat."""
     tri = mesh.triangles[e]
     return (np.hstack([tri, mesh.num_vertices + mesh.tri_edges[e]]),
             np.hstack([np.ones(tri.shape), mesh.tri_edge_signs[e]]))
@@ -103,15 +87,15 @@ def side_bary(side, t):
     return np.stack(cols, axis=-1)
 
 
-# Gauss order of the panel rules of the boundary matrices and of both
-# solvers' load vectors; the graded levels of the rule that integrates the
-# transmission data into the load vectors; and the rule of the boundary
-# error norms and of the exterior flux of a coupled solution.  The graded
-# rules serve only the panels near the data's singular vertex
-# (boundary_quadrature)
+# Gauss order of the panel rules: of the boundary matrices and of every
+# boundary_quadrature rule; the graded levels of the rule that integrates
+# the transmission data into both solvers' load vectors, and of the rule
+# of the boundary error norms and of the exterior flux of a coupled
+# solution.  The graded rules serve only the panels near the data's
+# singular vertex (boundary_quadrature)
 PANEL_ORDER = 8
 DATA_LEVELS = 30
-ERROR_ORDER, ERROR_LEVELS = 8, 24
+ERROR_LEVELS = 24
 # the element rule of both solvers' volume loads (f, v)
 LOAD_PTS, LOAD_W = quadrature.triangle_duffy(5)
 ELEMENT_CHUNK = 4096  # elements per batch (batched): a memory bound
@@ -292,7 +276,7 @@ class LevelOperator(scipy.sparse.linalg.LinearOperator):
         return x + self.smoother @ (r - self._matvec(x))
 
 
-def boundary_quadrature(loop, order, levels, singular_vertex):
+def boundary_quadrature(loop, levels, singular_vertex):
     """Quadrature on all panels of a boundary loop, as one node set
     (panel, x, y, w, t) of 1-D arrays: per node its panel index, its
     coordinates, its arc-length weight and its panel parameter t, at
@@ -300,11 +284,11 @@ def boundary_quadrature(loop, order, levels, singular_vertex):
     and t.  Each panel's nodes are contiguous, in panel order.
 
     A panel whose distance to singular_vertex (a point, or None) is at
-    most its own length takes the composite Gauss rule of the given
-    order graded toward both panel ends over the given levels (> 0),
-    which integrates data with a singularity at the vertex accurately.
-    Every other panel takes the plain Gauss rule of that order, which
-    integrates the data, smooth there, to rounding.
+    most its own length takes the composite Gauss rule of order
+    PANEL_ORDER graded toward both panel ends over the given levels
+    (> 0), which integrates data with a singularity at the vertex
+    accurately.  Every other panel takes the plain Gauss rule of that
+    order, which integrates the data, smooth there, to rounding.
     """
     near = np.zeros(loop.num_panels, dtype=bool)
     if singular_vertex is not None:
@@ -313,12 +297,13 @@ def boundary_quadrature(loop, order, levels, singular_vertex):
         s = np.clip((r * d).sum(axis=1) / loop.lengths ** 2, 0.0, 1.0)
         near = np.hypot(*(r - s[:, None] * d).T) <= loop.lengths
     # node i is node ref[i] of the Gauss and graded rules laid end to end
-    rules = (quadrature.gauss01(order), quadrature.graded01_both(order, levels))
+    rules = (quadrature.gauss01(PANEL_ORDER),
+             quadrature.graded01_both(PANEL_ORDER, levels))
     t_ref, w_ref = (np.concatenate(a) for a in zip(*rules))
-    counts = np.where(near, rules[1][0].size, order)
+    counts = np.where(near, rules[1][0].size, PANEL_ORDER)
     panel = np.repeat(np.arange(loop.num_panels), counts)
     ref = np.arange(panel.size) - np.repeat(
-        np.cumsum(counts) - counts - order * near, counts)
+        np.cumsum(counts) - counts - PANEL_ORDER * near, counts)
     t = t_ref[ref]
     # the panel ends by np.take, many times faster than fancy indexing
     a, b = np.stack([loop.points_a.T, loop.points_b.T]).take(panel, axis=2)

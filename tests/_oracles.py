@@ -20,9 +20,14 @@ it; the per-block products and the condensed skeleton system of
 `solve_spd_dense` is the dense Cholesky solve that `solver.solve_spd`
 had before it took sparse systems only, and `level_operator` wraps a
 sparse matrix for `solver.solve_spd` as a level without a coarse level.
-`trial_columns` builds every element's trial columns and signs from
-`spaces.TrialDofLayout`, independently of `spaces.element_skeleton`; the
-oracles of the DPG operator read them.
+`TrialDofLayout` numbers the trial unknowns written out, as
+`dpgbem.spaces` once did, independently of `spaces.trial_parts`: sigma
+at 2t and 2t + 1, u at 2T + t, uhat at 3T + v and sighat at 3T + V + e.
+`trial_columns` builds every element's trial columns and signs from it,
+independently of `spaces.element_skeleton`, and `boundary_columns`
+gives the columns of B's boundary block in that numbering (the
+BlockOperator numbers them in the skeleton); the oracles of the DPG
+operator read them.
 
 `TestDofLayout` indexes the enriched test space, in the order of the
 rows of B; `gram_apply` multiplies a vector by the block test Gram of a
@@ -79,7 +84,7 @@ assembles the stabilized system only.
 
 `compatibility_residual` checks that manufactured data satisfy the
 compatibility condition int_Omega f + int_Gamma phi0 = 0, with its own
-boundary rule (`COMPAT_ORDER`, `COMPAT_LEVELS`).
+boundary rule (`COMPAT_LEVELS` on the panels near the singular vertex).
 
 `map_to_physical` is the reference-to-physical map with the coordinates
 on the last axis, (..., q, 2), as `dpgbem.quadrature.map_to_physical`
@@ -295,6 +300,47 @@ def tangent_loop_geometry(mesh):
     return pb, lengths, np.stack([tang[:, 1], -tang[:, 0]], axis=1)
 
 
+@dataclass(frozen=True)
+class TrialDofLayout:
+    """Index map for the trial unknowns (sigma, u, uhat, sighat): 2 sigma
+    components per triangle (interleaved), then u per triangle, then one
+    uhat per mesh vertex, then one sighat per edge."""
+
+    n_tri: int
+    n_vert: int
+    n_edge: int
+
+    @classmethod
+    def from_mesh(cls, mesh):
+        return cls(mesh.num_triangles, mesh.num_vertices, mesh.num_edges)
+
+    @property
+    def dim(self):
+        return 3 * self.n_tri + self.n_vert + self.n_edge
+
+    def sigma(self, tri):
+        """The (sigma_x, sigma_y) dofs (..., 2) of the triangles tri."""
+        return np.stack([2 * tri, 2 * tri + 1], axis=-1)
+
+    def u(self, tri):
+        return 2 * self.n_tri + tri
+
+    def uhat(self, vert):
+        return 3 * self.n_tri + vert
+
+    def sighat(self, edge):
+        return 3 * self.n_tri + self.n_vert + edge
+
+
+def boundary_columns(B):
+    """The trial columns of the boundary block of a BlockOperator in the
+    numbering of TrialDofLayout: sighat on the loop edges, then uhat at
+    the loop vertices."""
+    trial, loop = TrialDofLayout.from_mesh(B.mesh), B.bem.loop
+    return np.concatenate([trial.sighat(loop.edge_ids),
+                           trial.uhat(loop.vertex_ids)])
+
+
 def boundary_block(B):
     """The dense boundary block [V_ps D | H] (2P, 2P) of a BlockOperator
     on its gamma_cols, D = diag(loop.signs): a global flux dof s_e
@@ -306,13 +352,13 @@ def boundary_block(B):
 def trial_columns(B):
     """The trial columns (T, 9) of every element of a BlockOperator and
     their signs (T, 9), the edge signs on the sighat columns and +1
-    elsewhere, built from spaces.TrialDofLayout as the BlockOperator
-    once stored them: sigma_x, sigma_y at 2t, 2t + 1 and u at 2T + t."""
+    elsewhere, built from TrialDofLayout as the BlockOperator once
+    stored them."""
     mesh = B.mesh
-    trial = spaces.TrialDofLayout.from_mesh(mesh)
+    trial = TrialDofLayout.from_mesh(mesh)
     tri = np.arange(mesh.num_triangles)
     cols = np.column_stack([
-        2 * tri, 2 * tri + 1, 2 * trial.n_tri + tri,
+        trial.sigma(tri), trial.u(tri),
         trial.uhat(mesh.triangles), trial.sighat(mesh.tri_edges)])
     signs = np.ones((mesh.num_triangles, 9))
     signs[:, 6:] = mesh.tri_edge_signs
@@ -330,12 +376,12 @@ def sparse_B(B):
     rows[:, 6:18] = 6 * ntri + 12 * tri[:, None] + np.arange(12)[None, :]
     r = np.repeat(rows[:, :, None], 9, axis=2).ravel()
     c = np.repeat(trial_columns(B)[0][:, None, :], 18, axis=1).ravel()
-    n = B.gamma_cols.size
-    rb = np.repeat(18 * ntri + np.arange(n), n)
+    gc = boundary_columns(B)
+    rb = np.repeat(18 * ntri + np.arange(gc.size), gc.size)
     return scipy.sparse.coo_matrix(
         (np.concatenate([local.ravel(), boundary_block(B).ravel()]),
          (np.concatenate([r, rb]),
-          np.concatenate([c, np.tile(B.gamma_cols, n)]))),
+          np.concatenate([c, np.tile(gc, gc.size)]))),
         shape=B.shape).tocsr()
 
 
@@ -470,7 +516,7 @@ def scatter_products(B, a, g):
     """Full (A, b) from the per-element products a (T, 9, 10) and the
     boundary product g (2P, 2P + 1) of B^T G^{-1} [B | ell]."""
     n = B.shape[1]
-    gc = B.gamma_cols
+    gc = boundary_columns(B)
     cols = trial_columns(B)[0]
     A = scipy.sparse.coo_matrix(
         (np.concatenate([a[..., :9].ravel(), g[:, :-1].ravel()]),
@@ -563,7 +609,7 @@ class ElementPipeline:
         x = np.asarray(x, dtype=float)
         y = np.einsum("tij,tj->ti", self.local,
                       x[trial_columns(self.B)[0]])
-        xg, P = x[self.B.gamma_cols], self.bem.loop.num_panels
+        xg, P = x[boundary_columns(self.B)], self.bem.loop.num_panels
         return np.concatenate([
             y[:, :6].ravel(), y[:, 6:].ravel(),
             self.bem.V_ps @ (self.bem.loop.signs * xg[:P])
@@ -619,7 +665,7 @@ class ElementPipeline:
         ns = B.shape[1] - nf
         cols = trial_columns(B)[0]
         skel = cols[:, 3:] - nf
-        gcols = B.gamma_cols - nf
+        gcols = boundary_columns(B) - nf
         S = scipy.sparse.coo_matrix(
             (loc.ravel(), (np.repeat(skel, 6, axis=1).ravel(),
                            np.tile(skel, 6).ravel())),
@@ -1228,8 +1274,8 @@ def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
     rhs = np.zeros(nv + P)
     rhs[:nv] = jn._p1_load(mesh, data.f)
     # <phi0, v>_Gamma against the boundary hats
-    rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
-                                      spaces.DATA_LEVELS, data.singular_vertex)
+    rule = spaces.boundary_quadrature(loop, spaces.DATA_LEVELS,
+                                      data.singular_vertex)
     tail, head = spaces.hat_moments(rule, spaces.normal_flux(
         loop, data.phi0, rule))
     np.add.at(rhs[:nv], loop.vertex_ids, tail)
@@ -1260,8 +1306,8 @@ def jn_full_system(mesh, data, stabilized=True, bem_mats=None):
                         vertices=mesh.vertices, loop=loop)
 
 
-# boundary rule of the data-compatibility residual
-COMPAT_ORDER, COMPAT_LEVELS = 8, 40
+# graded levels of the boundary rule of the data-compatibility residual
+COMPAT_LEVELS = 40
 
 
 def compatibility_residual(mesh, data):
@@ -1271,7 +1317,7 @@ def compatibility_residual(mesh, data):
     fv = np.broadcast_to(data.f(x, y), x.shape)
     vol = float((fv @ w * mesh.element_map()[1]).sum())
     loop = boundary_loop(mesh)
-    rule = spaces.boundary_quadrature(loop, COMPAT_ORDER, COMPAT_LEVELS,
+    rule = spaces.boundary_quadrature(loop, COMPAT_LEVELS,
                                       data.singular_vertex)
     bnd = float(np.dot(loop.lengths, spaces.panel_means(
         loop, rule, spaces.normal_flux(loop, data.phi0, rule))))

@@ -363,8 +363,7 @@ def test_half_minus_k_load_matches_definition(domain):
     for loop in level_loops(domain, 6):
         got = bem.assemble_bem(loop)
         _, K = _oracles.assemble_bem(loop)
-        rule = spaces.boundary_quadrature(loop, spaces.PANEL_ORDER,
-                                          spaces.DATA_LEVELS,
+        rule = spaces.boundary_quadrature(loop, spaces.DATA_LEVELS,
                                           data.singular_vertex)
         tail, head = spaces.hat_moments(rule, spaces.point_values(
             rule, lambda x, y, t: data.u0(x, y)))
@@ -514,8 +513,7 @@ def dipole(x0, d):
 def dipole_residual_norm(loop, value, gradient):
     """L2(Gamma) norm of V(P0 flux) + (1/2 - K)(P1 trace) for projected
     dipole Cauchy data."""
-    rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                      spaces.ERROR_LEVELS, None)
+    rule = spaces.boundary_quadrature(loop, spaces.ERROR_LEVELS, None)
     flux = spaces.panel_means(loop, rule, spaces.normal_flux(
         loop, lambda x, y, nx, ny: sum(g * n for g, n in
                                        zip(gradient(x, y), (nx, ny))), rule))

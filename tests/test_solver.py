@@ -4,8 +4,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import _oracles
-from dpgbem import (NumericalError, make_lshape_mesh, make_square_mesh,
-                    refine_uniform)
+from dpgbem import (NumericalError, boundary_loop, make_lshape_mesh,
+                    make_square_mesh, refine_uniform)
 from dpgbem import bem, cli, dpg_assembly, solver, spaces
 
 
@@ -41,6 +41,26 @@ def test_solve_spd_rejects_indefinite():
         solver.solve_spd(_oracles.level_operator(
             scipy.sparse.csr_matrix([[1.0, 2.0], [2.0, 1.0]])),
             np.array([1.0, 0.0]))
+
+
+def test_solution_parts_are_views_of_x():
+    # sigma, u, uhat and sighat share x's memory, at the oracle's
+    # positions; x is not copied
+    mesh = make_lshape_mesh(0.25, 1)
+    data, _ = cli.manufacture_data("lshape")
+    trial = _oracles.TrialDofLayout.from_mesh(mesh)
+    x = np.random.default_rng(2).standard_normal(trial.dim)
+    sol = solver.Solution(mesh=mesh, data=data, loop=boundary_loop(mesh), x=x,
+                          level=None)
+    assert sol.x is x
+    for part in (sol.sigma, sol.u, sol.uhat, sol.sighat):
+        assert np.shares_memory(part, x)
+    tri = np.arange(trial.n_tri)
+    assert np.array_equal(sol.sigma, x[trial.sigma(tri)])
+    assert np.array_equal(sol.u, x[trial.u(tri)])
+    assert np.array_equal(sol.uhat, x[trial.uhat(np.arange(trial.n_vert))])
+    assert np.array_equal(sol.sighat,
+                          x[trial.sighat(np.arange(trial.n_edge))])
 
 
 def test_constant_data_solved_exactly():
@@ -101,14 +121,14 @@ def test_energy_error_solution_below_interpolant():
         sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh),
                                        None)
         c = _oracles.interpolate_trial(exact.u, exact.grad, exact.grad, mesh,
-                                       spaces.TrialDofLayout.from_mesh(mesh))
+                                       _oracles.TrialDofLayout.from_mesh(mesh))
         assert (solver.energy_error(blocks, sol.x)
                 <= solver.energy_error(blocks, c))
     data, exact = cli.manufacture_data("lshape")
     mesh = make_lshape_mesh(0.25, 2)
     sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
     c = _oracles.interpolate_trial(exact.u, exact.grad, exact.grad, mesh,
-                                   spaces.TrialDofLayout.from_mesh(mesh))
+                                   _oracles.TrialDofLayout.from_mesh(mesh))
     assert (solver.energy_error(blocks, sol.x)
             <= solver.energy_error(blocks, c))
 

@@ -13,27 +13,47 @@ from dpgbem import mesh as mesh_mod
 
 
 def test_layout_dimensions():
+    # the parts of spaces.trial_parts against the oracle's dimensions, and
+    # B's shape; a vector of another length is refused
     for mesh in (make_square_mesh(0.1, 2), make_lshape_mesh(0.25, 2)):
-        trial = spaces.TrialDofLayout.from_mesh(mesh)
+        trial = _oracles.TrialDofLayout.from_mesh(mesh)
         B = dpg_assembly.assemble_B(mesh, bem.assemble_bem(boundary_loop(mesh)),
                                     mesh.element_classes())
         test_dim = B.shape[0]
         assert trial.dim == 3 * mesh.num_triangles + mesh.num_vertices + mesh.num_edges
+        sigma, u, skeleton = spaces.trial_parts(mesh, np.zeros(trial.dim))
+        assert sigma.shape == (mesh.num_triangles, 2)
+        assert u.shape == (mesh.num_triangles,)
+        assert skeleton.shape == (mesh.num_vertices + mesh.num_edges,)
         assert test_dim == 18 * mesh.num_triangles + 2 * mesh.num_boundary_edges
         assert test_dim >= trial.dim
         assert B.shape[1] == trial.dim
+        with pytest.raises(ValueError):
+            spaces.trial_parts(mesh, np.zeros(trial.dim + 1))
 
 
 def test_layout_indices_disjoint_and_complete():
-    mesh = make_square_mesh(0.1, 1)
-    trial = spaces.TrialDofLayout.from_mesh(mesh)
-    seen = set()
-    # sigma_x, sigma_y at 2t, 2t + 1 and u at 2T + t: the 3T field dofs
-    for t in range(trial.n_tri):
-        seen.update({2 * t, 2 * t + 1, 2 * trial.n_tri + t})
-    seen.update(trial.uhat(v) for v in range(trial.n_vert))
-    seen.update(trial.sighat(e) for e in range(trial.n_edge))
-    assert seen == set(range(trial.dim))
+    # the parts of the trial positions np.arange(dim) are disjoint and
+    # complete and agree with the written-out oracle; the skeleton map of
+    # the elements and the boundary columns of B, numbered in the
+    # skeleton part, land on the oracle's uhat and sighat positions
+    mesh = make_lshape_mesh(0.25, 1)
+    trial = _oracles.TrialDofLayout.from_mesh(mesh)
+    sigma, u, skeleton = spaces.trial_parts(mesh, np.arange(trial.dim))
+    seen = np.concatenate([sigma.ravel(), u, skeleton])
+    assert np.array_equal(np.sort(seen), np.arange(trial.dim))
+    tri = np.arange(trial.n_tri)
+    assert np.array_equal(sigma, trial.sigma(tri))
+    assert np.array_equal(u, trial.u(tri))
+    assert np.array_equal(skeleton, np.r_[trial.uhat(np.arange(trial.n_vert)),
+                                          trial.sighat(np.arange(trial.n_edge))])
+    skel, _ = spaces.element_skeleton(mesh)
+    assert np.array_equal(skeleton[skel], np.column_stack([
+        trial.uhat(mesh.triangles), trial.sighat(mesh.tri_edges)]))
+    B = dpg_assembly.assemble_B(mesh, bem.assemble_bem(boundary_loop(mesh)),
+                                mesh.element_classes())
+    assert np.array_equal(skeleton[B.gamma_cols],
+                          _oracles.boundary_columns(B))
 
 
 def test_p2_basis_lagrange_property():
@@ -75,7 +95,7 @@ def zero_grad(x, y):
 
 def test_interpolate_constant():
     mesh = make_square_mesh(0.1, 2)
-    layout = spaces.TrialDofLayout.from_mesh(mesh)
+    layout = _oracles.TrialDofLayout.from_mesh(mesh)
     c = _oracles.interpolate_trial(constant_one, zero_grad, zero_grad, mesh,
                                    layout)
     nt = layout.n_tri
@@ -87,7 +107,7 @@ def test_interpolate_constant():
 
 def test_interpolate_linear_exact():
     mesh = make_square_mesh(0.1, 2)
-    layout = spaces.TrialDofLayout.from_mesh(mesh)
+    layout = _oracles.TrialDofLayout.from_mesh(mesh)
     u = lambda x, y: x
     grad = lambda x, y: (np.ones_like(x), np.zeros_like(x))
     c = _oracles.interpolate_trial(u, grad, grad, mesh, layout)
@@ -102,7 +122,7 @@ def test_interpolate_linear_exact():
 
 def test_interpolate_constant_vector_field_flux():
     mesh = make_lshape_mesh(0.25, 1)
-    layout = spaces.TrialDofLayout.from_mesh(mesh)
+    layout = _oracles.TrialDofLayout.from_mesh(mesh)
     q = np.array([0.3, -0.7])
     grad = lambda x, y: (np.full_like(x, q[0]), np.full_like(x, q[1]))
     c = _oracles.interpolate_trial(lambda x, y: q[0] * x + q[1] * y, grad,
@@ -115,7 +135,7 @@ def test_element_means_match_adaptive_quadrature():
     # mean of sin(pi x) sin(pi y) on a few elements, oracle via scipy dblquad
     # on the Duffy-parametrized reference square
     mesh = make_square_mesh(0.1, 2)
-    layout = spaces.TrialDofLayout.from_mesh(mesh)
+    layout = _oracles.TrialDofLayout.from_mesh(mesh)
     u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     c = _oracles.interpolate_trial(u, zero_grad, zero_grad, mesh, layout)
     means = c[2 * layout.n_tri:3 * layout.n_tri]
@@ -138,8 +158,7 @@ def test_projection_p1_reproduces_piecewise_linear():
     mesh = make_square_mesh(0.1, 2)
     loop = boundary_loop(mesh)
     fn = lambda x, y: 2.0 * x - 3.0 * y + 0.5
-    rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                      spaces.ERROR_LEVELS, None)
+    rule = spaces.boundary_quadrature(loop, spaces.ERROR_LEVELS, None)
     coefs = spaces.project_boundary_p1(loop, *spaces.hat_moments(
         rule, spaces.point_values(rule, lambda x, y, t: fn(x, y))))
     verts = mesh.vertices[loop.vertex_ids]
@@ -194,8 +213,7 @@ def test_projection_p1_solves_mass_system_with_unequal_panels():
 def project_boundary_p0(loop, fn, singular_vertex=None,
                         levels=spaces.ERROR_LEVELS):
     """Panelwise means of a scalar boundary function fn(x, y)."""
-    rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER, levels,
-                                      singular_vertex)
+    rule = spaces.boundary_quadrature(loop, levels, singular_vertex)
     return spaces.panel_means(loop, rule, spaces.point_values(
         rule, lambda x, y, t: fn(x, y)))
 
@@ -214,8 +232,7 @@ def test_projection_p0_flux_constant_field():
     mesh = make_square_mesh(0.1, 1)
     loop = boundary_loop(mesh)
     fn = lambda x, y, nx, ny: 2.0 * nx - 1.0 * ny
-    rule = spaces.boundary_quadrature(loop, spaces.ERROR_ORDER,
-                                      spaces.ERROR_LEVELS, None)
+    rule = spaces.boundary_quadrature(loop, spaces.ERROR_LEVELS, None)
     means = spaces.panel_means(loop, rule, spaces.normal_flux(loop, fn, rule))
     assert np.allclose(means, 2.0 * loop.normals[:, 0] - loop.normals[:, 1],
                        atol=1e-13)
@@ -316,7 +333,7 @@ def rule_moments(loop, rule, data):
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 @pytest.mark.parametrize("order, levels", [
     (spaces.PANEL_ORDER, spaces.DATA_LEVELS),
-    (spaces.ERROR_ORDER, spaces.ERROR_LEVELS)])
+    (spaces.PANEL_ORDER, spaces.ERROR_LEVELS)])
 def test_grouped_boundary_rule_matches_graded_rule(domain, order, levels):
     # Gauss on the panels farther than their own length from the data's
     # singular vertex, graded near it, against the graded rule on every
@@ -325,8 +342,7 @@ def test_grouped_boundary_rule_matches_graded_rule(domain, order, levels):
     mesh = cli.initial_mesh(domain)
     for level in range(6):
         loop = boundary_loop(mesh)
-        rule = spaces.boundary_quadrature(loop, order, levels,
-                                          data.singular_vertex)
+        rule = spaces.boundary_quadrature(loop, levels, data.singular_vertex)
         ref = _oracles.graded_boundary_rule(loop, order, levels)
         got, want = rule_moments(loop, rule, data), rule_moments(loop, ref,
                                                                  data)
