@@ -103,24 +103,17 @@ class ConvergenceRecord:
         return self.err_trace_l2
 
 
-@dataclass
-class ExactSolution:
-    u: callable
-    grad: callable
-
-
 def manufacture_data(domain):
-    """Problem data and exact solution callables for a domain tag."""
+    """Problem data and the exact solution of a domain tag, one callable
+    exact(x, y) -> (u, du/dx, du/dy)."""
     if domain == "square":
         pi = np.pi
         corner = None
 
-        def u(x, y):
-            return np.sin(pi * x) * np.sin(pi * y)
-
-        def grad(x, y):
-            return (pi * np.cos(pi * x) * np.sin(pi * y),
-                    pi * np.sin(pi * x) * np.cos(pi * y))
+        def exact(x, y):
+            sx, sy = np.sin(pi * x), np.sin(pi * y)
+            return (sx * sy, pi * np.cos(pi * x) * sy,
+                    pi * sx * np.cos(pi * y))
 
         def f(x, y):
             return 2.0 * pi ** 2 * np.sin(pi * x) * np.sin(pi * y)
@@ -128,24 +121,14 @@ def manufacture_data(domain):
     elif domain == "lshape":
         corner = (0.0, 0.0)  # the reentrant corner
 
-        def _polar(x, y):
+        def exact(x, y):
             r = np.hypot(x, y)
             phi = np.arctan2(y, x)
             phi = np.where(phi < 0.0, phi + 2.0 * np.pi, phi)
-            return r, phi
-
-        def u(x, y):
-            r, phi = _polar(x, y)
-            return np.where(r > 0.0, r ** (2.0 / 3.0) * np.sin(2.0 * phi / 3.0),
-                            0.0)
-
-        def grad(x, y):
-            r, phi = _polar(x, y)
-            rs = np.where(r > 0.0, r, 1.0)
-            c = (2.0 / 3.0) * rs ** (-1.0 / 3.0)
-            gx = np.where(r > 0.0, -c * np.sin(phi / 3.0), 0.0)
-            gy = np.where(r > 0.0, c * np.cos(phi / 3.0), 0.0)
-            return gx, gy
+            c = (2.0 / 3.0) * np.where(r > 0.0, r, 1.0) ** (-1.0 / 3.0)
+            return tuple(np.where(r > 0.0, v, 0.0) for v in (
+                r ** (2.0 / 3.0) * np.sin(2.0 * phi / 3.0),
+                -c * np.sin(phi / 3.0), c * np.cos(phi / 3.0)))
 
         def f(x, y):
             return np.zeros_like(np.asarray(x, dtype=float))
@@ -154,11 +137,12 @@ def manufacture_data(domain):
         raise ConfigError("unknown domain '{}'".format(domain))
 
     def phi0(x, y, nx, ny):
-        gx, gy = grad(x, y)
+        _, gx, gy = exact(x, y)
         return gx * nx + gy * ny
 
-    data = ProblemData(f=f, u0=u, phi0=phi0, singular_vertex=corner)
-    return data, ExactSolution(u=u, grad=grad)
+    data = ProblemData(f=f, u0=lambda x, y: exact(x, y)[0], phi0=phi0,
+                       singular_vertex=corner)
+    return data, exact
 
 
 def initial_mesh(domain):
@@ -200,7 +184,7 @@ def run_convergence(config, progress=None):
             sol, blocks = solver.solve_dpg(mesh, data, bem_mats, dpg_coarse)
             dpg_coarse = sol.level
             rec.err_energy_sq = solver.energy_error(blocks, sol.x) ** 2
-            eu, es = solver.l2_errors(sol, exact.u, exact.grad)
+            eu, es = solver.l2_errors(sol, exact)
             etr, efl = solver.boundary_cauchy_errors(sol)
             rec.probe_values = tuple(float(v) for v in
                                      solver.eval_exterior_field(sol, probes))
@@ -209,7 +193,7 @@ def run_convergence(config, progress=None):
             system = jn_reference.assemble_jn(mesh, data, bem_mats, jn_coarse)
             u_n, phi = jn_reference.solve_jn(system)
             jn_coarse = spaces.Level(mesh, system.matrix, u_n)
-            eu_j, es_j = jn_reference.jn_errors(mesh, u_n, exact.u, exact.grad,
+            eu_j, es_j = jn_reference.jn_errors(mesh, u_n, exact,
                                                 data.singular_vertex)
             etr_j, efl_j = jn_reference.jn_boundary_errors(loop, u_n, phi,
                                                            data)

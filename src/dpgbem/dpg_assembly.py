@@ -207,21 +207,23 @@ def assemble_gram(mesh, classes):
 
 
 def assemble_load(mesh, data, bem_mats):
-    """Assemble the load vector: (f, v) per element plus the boundary data
-    term <(1/2 - K) u0 + V phi0, psi>, V applied to the panel means of
-    phi0 (OperatorBlocks.ell)."""
-    ell_v = spaces.element_load(mesh, data.f,
-                                lambda bary: spaces.eval_p2_basis(bary)[0])
+    """Assemble the load vector: (f, v) per element, written straight into
+    it, plus the boundary data term <(1/2 - K) u0 + V phi0, psi>, V
+    applied to the panel means of phi0 (OperatorBlocks.ell)."""
+    nt, loop = mesh.num_triangles, bem_mats.loop
+    ell = np.empty(6 * nt + 2 * loop.num_panels)
+    spaces.element_load(mesh, data.f,
+                        lambda bary: spaces.eval_p2_basis(bary)[0],
+                        ell[:6 * nt].reshape(nt, 6))
 
     # u0 and phi0 on one boundary rule
-    rule = spaces.boundary_quadrature(bem_mats.loop, spaces.DATA_LEVELS,
+    rule = spaces.boundary_quadrature(loop, spaces.DATA_LEVELS,
                                       data.singular_vertex)
-    phi0_p0 = spaces.panel_means(
-        bem_mats.loop, rule, spaces.normal_flux(bem_mats.loop, data.phi0, rule))
-
-    return np.concatenate([
-        ell_v.ravel(),
-        bem_mats.half_minus_k_load(data.u0, rule) + bem_mats.V_ps @ phi0_p0])
+    phi0_p0 = spaces.panel_means(loop, rule,
+                                 spaces.normal_flux(loop, data.phi0, rule))
+    ell[6 * nt:] = (bem_mats.half_minus_k_load(data.u0, rule)
+                    + bem_mats.V_ps @ phi0_p0)
+    return ell
 
 
 def assemble_operator_blocks(mesh, bem_mats, data):

@@ -33,13 +33,15 @@ import scipy.sparse.linalg
 from . import bem as bem_mod
 from . import spaces
 from .errors import NumericalError
+from .mesh import hat_gradients
 from .solver import KRYLOV_MAXITER, field_errors, krylov_solve, trace_error
 
 
 def _p1_stiffness(mesh):
-    """P1 stiffness blocks (T, 3, 3) on mesh.triangles."""
-    g = mesh.hat_gradients()
-    detJ = mesh.element_map()[1]
+    """P1 stiffness blocks (T, 3, 3) on mesh.triangles, from one
+    element_map."""
+    _, detJ, Jinv = mesh.element_map()
+    g = hat_gradients(Jinv)
     return np.einsum("tic,tjc->tij", g, g) * (0.5 * detJ)[:, None, None]
 
 
@@ -121,14 +123,15 @@ def solve_jn(system):
         restart=KRYLOV_MAXITER, maxiter=3))
 
 
-def jn_errors(mesh, u_nodal, exact_u, exact_grad, singular_vertex):
+def jn_errors(mesh, u_nodal, exact, singular_vertex):
     """L2 error of the P1 interior solution and of its elementwise
-    gradient; companion of the coupled solver's field errors."""
+    gradient against exact(x, y) -> (u, grad u); companion of the
+    coupled solver's field errors."""
     return field_errors(
-        mesh, exact_u, exact_grad,
+        mesh, exact,
         lambda t, b: np.einsum("ti,qi->tq", u_nodal[mesh.triangles[t]], b),
-        lambda t: np.einsum("ti,tic->tc", u_nodal[mesh.triangles[t]],
-                            mesh.hat_gradients(t)), singular_vertex)
+        lambda t, Jinv: np.einsum("ti,tic->tc", u_nodal[mesh.triangles[t]],
+                                  hat_gradients(Jinv)), singular_vertex)
 
 
 def jn_boundary_errors(loop, u_nodal, phi, data):

@@ -8,6 +8,7 @@ boundary edges are kept in counterclockwise loop order with outward
 normals.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,15 @@ def element_map(verts):
     Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
     Jinv[:, 1, 1] = J[:, 0, 0] / detJ
     return J, detJ, Jinv
+
+
+def hat_gradients(Jinv):
+    """Physical gradients (T, 3, 2) of the three vertex hat functions on
+    the elements with inverse maps Jinv (element_map); row i belongs to
+    local vertex i.  They are the rows of REF_HAT_GRADS times Jinv:
+    -(row 0 + row 1), row 0 and row 1 of Jinv."""
+    return np.stack([-Jinv[:, 0] - Jinv[:, 1], Jinv[:, 0], Jinv[:, 1]],
+                    axis=1)
 
 
 @dataclass(frozen=True)
@@ -119,16 +129,6 @@ class Mesh:
         _, rep, cls = np.unique(rows.ravel(), return_index=True,
                                 return_inverse=True)
         return cls, rep
-
-    def hat_gradients(self, tri=slice(None)):
-        """Physical gradients of the three vertex hat functions of the
-        elements tri (all by default), shape (len(tri), 3, 2); row i
-        belongs to local vertex i.  They are the rows of REF_HAT_GRADS
-        times Jinv: -(row 0 + row 1), row 0 and row 1 of Jinv."""
-        _, _, Jinv = element_map(np.take(self.vertices, self.triangles[tri],
-                                         axis=0))
-        return np.stack([-Jinv[:, 0] - Jinv[:, 1], Jinv[:, 0], Jinv[:, 1]],
-                        axis=1)
 
     def edge_midpoints(self):
         """Midpoint of every edge, shape (E, 2)."""
@@ -242,9 +242,11 @@ def _walk_boundary(bnd, tails, heads, signs):
 
 
 def _check_grid(domain, name, size, n):
-    if not (np.isfinite(n) and n >= 1 and int(n) == n):
+    def real(v):  # a bool is an int, but not a size or a count
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    if not (real(n) and np.isfinite(n) and n >= 1 and int(n) == n):
         raise MeshError("n must be a positive integer")
-    if not size > 0.0:
+    if not (real(size) and size > 0.0):
         raise MeshError("{} must be positive".format(name))
     if 2.0 * np.sqrt(2.0) * size >= 1.0:
         raise MeshError("{} with {} {:.6g} has diameter >= 1"

@@ -141,29 +141,33 @@ def _error_rules(singular_vertex, mesh):
             order=12, levels=20, collapse=c)) for c in range(3)]
 
 
-def field_errors(mesh, exact_u, exact_grad, u_h, grad_h, singular_vertex):
+def field_errors(mesh, exact, u_h, grad_h, singular_vertex):
     """L2(Omega) errors (err_u, err_grad) of a discrete scalar field and a
-    piecewise-constant vector field against an exact solution.
+    piecewise-constant vector field against an exact solution, given as
+    exact(x, y) -> (u, du/dx, du/dy).
 
     u_h(tri, bary) evaluates the discrete scalar on the triangles tri at
     barycentric points bary (q, 3) and returns shape (len(tri), q);
-    grad_h(tri) returns the vector field on them, (len(tri), 2).  Each
+    grad_h(tri, Jinv) returns the vector field on them, (len(tri), 2),
+    given their inverse element maps Jinv (mesh.element_map).  Each
     rule group takes one batch of its elements at a time
-    (spaces.batched); with no BLAS product per element, here or in u_h
-    and grad_h, no batch size moves a bit.
+    (spaces.batched), and exact is called once per batch; with no BLAS
+    product per element, here or in u_h and grad_h, no batch size moves
+    a bit.
     """
     err_u = err_g = 0.0
     for tri, (pts, w) in _error_rules(singular_vertex, mesh):
         def squared(e):
             verts = np.take(mesh.vertices, mesh.triangles[tri[e]], axis=0)
+            _, detJ, Jinv = element_map(verts)
             x, y = quadrature.map_to_physical(verts, pts)
-            du = exact_u(x, y) - u_h(tri[e], quadrature.barycentric(pts))
-            gx, gy = exact_grad(x, y)
-            g = grad_h(tri[e])
+            u, gx, gy = exact(x, y)
+            du = u - u_h(tri[e], quadrature.barycentric(pts))
+            g = grad_h(tri[e], Jinv)
             dgx = np.broadcast_to(gx, x.shape) - g[:, 0, None]
             dgy = np.broadcast_to(gy, x.shape) - g[:, 1, None]
             return np.einsum("ktq,q->tk", [du ** 2, dgx ** 2 + dgy ** 2],
-                             w) * element_map(verts)[1][:, None]
+                             w) * detJ[:, None]
         sq = spaces.batched(squared, tri.size)   # per-element squared errors
         err_u += sq[:, 0].sum()
         err_g += sq[:, 1].sum()
@@ -187,13 +191,14 @@ def trace_error(loop, rule, vertex_vals, exact_u):
     return boundary_norm(rule, spaces.point_values(rule, sq, *ends.T))
 
 
-def l2_errors(solution, exact_u, exact_grad):
-    """L2(Omega) errors of the field variables, (err_u, err_sigma):
-    field_errors on the solution's mesh and its data's singular_vertex."""
+def l2_errors(solution, exact):
+    """L2(Omega) errors of the field variables, (err_u, err_sigma), against
+    exact(x, y) -> (u, grad u): field_errors on the solution's mesh and
+    its data's singular_vertex."""
     u, sigma = solution.u, solution.sigma
-    return field_errors(solution.mesh, exact_u, exact_grad,
-                        lambda tri, bary: u[tri, None],
-                        lambda tri: sigma[tri], solution.data.singular_vertex)
+    return field_errors(solution.mesh, exact, lambda tri, bary: u[tri, None],
+                        lambda tri, Jinv: sigma[tri],
+                        solution.data.singular_vertex)
 
 
 def boundary_cauchy_errors(solution):

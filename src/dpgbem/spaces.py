@@ -101,22 +101,23 @@ LOAD_PTS, LOAD_W = quadrature.triangle_duffy(5)
 ELEMENT_CHUNK = 4096  # elements per batch (batched): a memory bound
 
 
-def batched(fn, n):
+def batched(fn, n, out=None):
     """fn(e), an array (len(e), ...), on the consecutive ELEMENT_CHUNK
-    slices e of range(n) in order, written into one array (n, ...)
-    allocated from the first batch; n = 0 makes one empty batch."""
+    slices e of range(n) in order, written into out (n, ...), or into one
+    array allocated from the first batch if out is None; n = 0 makes one
+    empty batch."""
     for k in range(0, max(n, 1), ELEMENT_CHUNK):
         v = fn(slice(k, k + ELEMENT_CHUNK))
-        if k == 0:
+        if out is None:
             out = np.empty((n,) + v.shape[1:], v.dtype)
         out[k:k + ELEMENT_CHUNK] = v
     return out
 
 
-def element_load(mesh, f, basis):
+def element_load(mesh, f, basis, out=None):
     """(f, v_i) on every element, shape (T, k), for a basis given by
     basis(bary) -> (q, k), its values at barycentric points (q, 3),
-    one batch of elements at a time."""
+    one batch of elements at a time, written into out if given."""
     vals = basis(quadrature.barycentric(LOAD_PTS))
 
     def load(e):
@@ -124,7 +125,7 @@ def element_load(mesh, f, basis):
         x, y = quadrature.map_to_physical(verts, LOAD_PTS)
         return np.einsum("q,tq,qi->ti", LOAD_W, np.broadcast_to(
             f(x, y), x.shape), vals) * element_map(verts)[1][:, None]
-    return batched(load, mesh.num_triangles)
+    return batched(load, mesh.num_triangles, out)
 
 
 class LinearSystem(NamedTuple):

@@ -95,8 +95,9 @@ toward both panel ends: the rule graded only near the data's singular
 vertex must match it to rounding, and bit for bit on its graded panels.
 
 `interpolate_trial` puts an exact solution into the trial space
-(element means, vertex values, edge-mean fluxes), and `eval_trace_p1` is
-the linear Lagrange basis on an edge.
+(element means, vertex values, edge-mean fluxes), `exact_parts` splits
+an exact callable of `cli.manufacture_data` into the two it takes, and
+`eval_trace_p1` is the linear Lagrange basis on an edge.
 
 `dump_mesh` writes a mesh as plain text.  `mesh_bem` assembles the
 boundary matrices of a mesh, which the stage functions take, and
@@ -113,7 +114,7 @@ import scipy.sparse
 from dpgbem import bem, dpg_assembly as da, quadrature, spaces
 from dpgbem import jn_reference as jn
 from dpgbem.errors import MeshError, NumericalError
-from dpgbem.mesh import Mesh, boundary_loop
+from dpgbem.mesh import Mesh, boundary_loop, hat_gradients
 
 
 def build_mesh(vertices, triangles):
@@ -703,7 +704,7 @@ def clique_matrix(cliques, blocks, dense_dofs, dense, n):
 def p1_stiffness(mesh):
     """P1 stiffness blocks (T, 3, 3) formed element by element, as
     `jn_reference._p1_stiffness` did before the geometry classes."""
-    g = mesh.hat_gradients()
+    g = hat_gradients(mesh.element_map()[2])
     return (np.einsum("tic,tjc->tij", g, g)
             * (0.5 * mesh.element_map()[1])[:, None, None])
 
@@ -1177,6 +1178,12 @@ def graded_boundary_rule(loop, order, levels):
     pa, pb = loop.points_a.T[:, panel], loop.points_b.T[:, panel]
     x, y = pa + t * (pb - pa)
     return panel, x, y, loop.lengths[panel] * np.tile(w, loop.num_panels), t
+
+
+def exact_parts(exact):
+    """The callables (u, grad) of an exact solution exact(x, y) ->
+    (u, du/dx, du/dy): u(x, y) and grad(x, y) -> (du/dx, du/dy)."""
+    return (lambda x, y: exact(x, y)[0]), (lambda x, y: exact(x, y)[1:])
 
 
 def interpolate_trial(exact_u, exact_grad_u, exact_flux, mesh, layout,

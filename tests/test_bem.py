@@ -242,8 +242,7 @@ def test_jn_level_never_factors_gpsi():
     mats = bem.assemble_bem(boundary_loop(mesh))
     u, phi = jn_reference.solve_jn(jn_reference.assemble_jn(mesh, data,
                                                             mats, None))
-    jn_reference.jn_errors(mesh, u, exact.u, exact.grad,
-                           data.singular_vertex)
+    jn_reference.jn_errors(mesh, u, exact, data.singular_vertex)
     jn_reference.jn_boundary_errors(mats.loop, u, phi, data)
     assert "G_psi_chol" not in vars(mats)
 

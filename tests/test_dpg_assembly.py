@@ -401,8 +401,8 @@ def test_element_passes_independent_of_chunk_size(domain, monkeypatch):
         return (spaces.element_load(
                     mesh, data.f, lambda b: spaces.eval_p2_basis(b)[0]),
                 spaces.element_load(mesh, data.f, lambda b: b),
-                solver.l2_errors(sol, exact.u, exact.grad),
-                jn_reference.jn_errors(mesh, u_nodal, exact.u, exact.grad,
+                solver.l2_errors(sol, exact),
+                jn_reference.jn_errors(mesh, u_nodal, exact,
                                        data.singular_vertex))
 
     monkeypatch.setattr(spaces, "ELEMENT_CHUNK", mesh.num_triangles)
@@ -442,15 +442,15 @@ def test_element_passes_peak_memory_within_chunks(pass_, monkeypatch):
 
         def run():
             return np.array(solver.field_errors(
-                mesh, exact.u, exact.grad, lambda t, b: u[t, None],
-                lambda t: sigma[t], None))
+                mesh, exact, lambda t, b: u[t, None],
+                lambda t, Jinv: sigma[t], None))
     else:
         q, kept = solver._error_rules(None, mesh)[0][1][1].size, 24 * T
         u_nodal = rng.standard_normal(mesh.num_vertices)
 
         def run():
             return np.array(jn_reference.jn_errors(
-                mesh, u_nodal, exact.u, exact.grad, None))
+                mesh, u_nodal, exact, None))
     tracemalloc.start()
     try:
         out = run()

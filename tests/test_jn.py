@@ -115,7 +115,7 @@ def test_smooth_convergence_rate_h1():
     for _ in range(3):
         u_n, _ = jn.solve_jn(jn.assemble_jn(mesh, data,
                                             _oracles.mesh_bem(mesh), None))
-        errs.append(jn.jn_errors(mesh, u_n, exact.u, exact.grad, None)[1])
+        errs.append(jn.jn_errors(mesh, u_n, exact, None)[1])
         mesh = refine_uniform(mesh)
     rates = np.log(np.array(errs[:-1]) / np.array(errs[1:])) / np.log(2.0)
     assert np.all(rates > 0.8) and np.all(rates < 1.2)

@@ -255,6 +255,27 @@ def test_invalid_mesh_input_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("make", [make_square_mesh, make_lshape_mesh])
+@pytest.mark.parametrize("size, n", [
+    (0.1, "4"), (0.1, None), ("0.1", 2), (0.1, True), (0.1, np.True_),
+    (True, 2), (None, 2), (0.1, [2]), (0.1, 2.5)],
+    ids=["str-cells", "none-cells", "str-size", "bool-cells",
+         "numpy-bool-cells", "bool-size", "none-size", "list-cells",
+         "fractional-cells"])
+def test_grid_rejects_non_numeric_and_boolean_arguments(make, size, n):
+    # a size or a count that is not a real number, or is a boolean,
+    # raises MeshError, not a TypeError from the comparisons
+    with pytest.raises(MeshError):
+        make(size, n)
+
+
+@pytest.mark.parametrize("make", [make_square_mesh, make_lshape_mesh])
+def test_grid_accepts_numpy_and_integral_float_arguments(make):
+    want = make(0.1, 2).triangles
+    assert np.array_equal(make(np.float64(0.1), np.int64(2)).triangles, want)
+    assert np.array_equal(make(0.1, 2.0).triangles, want)
+
+
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_boundary_loop_geometry_matches_tangent_formula(domain):
     # the panel data read from the mesh's edges against pb - pa, on the

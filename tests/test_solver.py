@@ -6,7 +6,7 @@ import scipy.sparse.linalg
 import _oracles
 from dpgbem import (NumericalError, boundary_loop, make_lshape_mesh,
                     make_square_mesh, refine_uniform)
-from dpgbem import bem, cli, dpg_assembly, solver, spaces
+from dpgbem import bem, cli, dpg_assembly, jn_reference, solver, spaces
 
 
 @pytest.fixture(scope="module")
@@ -117,17 +117,19 @@ def test_least_squares_optimality_on_random_subspace(smooth_square):
 
 def test_energy_error_solution_below_interpolant():
     data, exact = cli.manufacture_data("square")
+    u, grad = _oracles.exact_parts(exact)
     for mesh in (make_square_mesh(0.1, 2), make_square_mesh(0.1, 4)):
         sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh),
                                        None)
-        c = _oracles.interpolate_trial(exact.u, exact.grad, exact.grad, mesh,
+        c = _oracles.interpolate_trial(u, grad, grad, mesh,
                                        _oracles.TrialDofLayout.from_mesh(mesh))
         assert (solver.energy_error(blocks, sol.x)
                 <= solver.energy_error(blocks, c))
     data, exact = cli.manufacture_data("lshape")
+    u, grad = _oracles.exact_parts(exact)
     mesh = make_lshape_mesh(0.25, 2)
     sol, blocks = solver.solve_dpg(mesh, data, _oracles.mesh_bem(mesh), None)
-    c = _oracles.interpolate_trial(exact.u, exact.grad, exact.grad, mesh,
+    c = _oracles.interpolate_trial(u, grad, grad, mesh,
                                    _oracles.TrialDofLayout.from_mesh(mesh))
     assert (solver.energy_error(blocks, sol.x)
             <= solver.energy_error(blocks, c))
@@ -156,9 +158,8 @@ def test_l2_errors_fixed_points(smooth_square):
     zero_sol = solver.Solution(mesh=mesh, data=data, loop=sol.loop,
                                x=np.zeros_like(sol.x), level=None)
     area = 0.2 * 0.2
-    eu, es = solver.l2_errors(
-        zero_sol, lambda x, y: np.ones_like(x),
-        lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
+    eu, es = solver.l2_errors(zero_sol, lambda x, y: (
+        np.ones_like(x), np.zeros_like(x), np.zeros_like(x)))
     assert eu == pytest.approx(np.sqrt(area), rel=1e-12)
     assert es == 0.0
 
@@ -167,7 +168,7 @@ def test_l2_errors_self_consistency(smooth_square):
     # evaluating against elementwise-constant callables equal to the
     # discrete solution gives zero
     mesh, data, exact, sol, blocks = smooth_square
-    eu, es = solver.l2_errors(sol, exact.u, exact.grad)
+    eu, es = solver.l2_errors(sol, exact)
     # compare the default degree-6 rule against a refined-quadrature oracle
     base = solver.quadrature.triangle_duffy
     pts_hi = base(10)
@@ -190,9 +191,9 @@ def test_field_errors_empty_rule_group_at_every_chunk_size(monkeypatch):
     sigma = rng.standard_normal((mesh.num_triangles, 2))
 
     def errors():
-        return solver.field_errors(mesh, exact.u, exact.grad,
+        return solver.field_errors(mesh, exact,
                                    lambda tri, bary: u[tri, None],
-                                   lambda tri: sigma[tri], corner)
+                                   lambda tri, Jinv: sigma[tri], corner)
 
     want = errors()
     for chunk in (1, 7, 1000):
@@ -200,13 +201,46 @@ def test_field_errors_empty_rule_group_at_every_chunk_size(monkeypatch):
         assert errors() == want
 
 
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_field_errors_call_exact_once_per_group_and_batch(domain,
+                                                         monkeypatch):
+    # one call of exact per batch of each rule group (an empty group
+    # makes one empty batch), for the DPG and the P1 field errors alike;
+    # at CLI level 2 the L-shape's graded corner groups hold 2, 2 and 1
+    # elements
+    monkeypatch.setattr(spaces, "ELEMENT_CHUNK", 7)
+    mesh = cli_level_mesh(domain, 2)
+    data, exact = cli.manufacture_data(domain)
+    groups = solver._error_rules(data.singular_vertex, mesh)
+    want = sum(max(1, -(-tri.size // 7)) for tri, _ in groups)
+    calls = []
+
+    def counted(x, y):
+        calls.append(x.shape)
+        return exact(x, y)
+    rng = np.random.default_rng(4)
+    sol = solver.Solution(mesh=mesh, data=data, loop=boundary_loop(mesh),
+                          x=rng.standard_normal(
+                              _oracles.TrialDofLayout.from_mesh(mesh).dim),
+                          level=None)
+    for run in (lambda: solver.l2_errors(sol, counted),
+                lambda: jn_reference.jn_errors(
+                    mesh, rng.standard_normal(mesh.num_vertices), counted,
+                    data.singular_vertex)):
+        calls.clear()
+        run()
+        assert len(calls) == want
+        assert sum(s[0] for s in calls) == mesh.num_triangles
+    assert want > len(groups)
+
+
 def _l2_with_rule(sol, exact, mesh, rule):
     from dpgbem import quadrature
     pts, w = rule
     verts = mesh.triangle_vertices()
     x, y = quadrature.map_to_physical(verts, pts)
-    du = exact.u(x, y) - sol.u[:, None]
-    gx, gy = exact.grad(x, y)
+    u, gx, gy = exact(x, y)
+    du = u - sol.u[:, None]
     dgx = gx - sol.sigma[:, 0][:, None]
     dgy = gy - sol.sigma[:, 1][:, None]
     a2 = mesh.element_map()[1]
