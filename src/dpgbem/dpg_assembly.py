@@ -283,8 +283,8 @@ def build_normal_equations(blocks, coarse):
     and their condensation are formed once per geometry class and
     signed per element, and so is the load: with Z = G_v^{-1} B_v and
     Y = A_ff^{-1} A_fs, element t's field values and condensed load are
-    the class map [A_ff^{-1} Z_f^T ; Z_s^T - Y^T Z_f^T] of its H1 load,
-    then signed.
+    the class maps Mf = A_ff^{-1} Z_f^T and Ms = Z_s^T - Y^T Z_f^T of its
+    H1 load, then signed.
 
     Returns the spaces.LinearSystem (S, c, recover), recover(y) the full
     trial vector, whose skeleton part (spaces.trial_parts) is y: S is a
@@ -306,20 +306,15 @@ def build_normal_equations(blocks, coarse):
     loc = a[:, 3:, 3:] - np.einsum("tfi,tfj->tij", a[:, :3, 3:], Y)
     skel, s = spaces.element_skeleton(mesh)
     ns, gcols = mesh.num_vertices + mesh.num_edges, B.gamma_cols
-    # every element's field values and condensed load, from its H1 load;
-    # yf is a copy and the (T, 9) load is freed before the sum, whose
-    # triplets set the peak
     zT = np.swapaxes(Z, 1, 2)
-    M = np.concatenate([np.linalg.solve(a[:, :3, :3], zT[:, :3]),
-                        zT[:, 3:] - np.swapaxes(Y, 1, 2) @ zT[:, :3]], axis=1)
-    load = _class_products(M, B.cls, blocks.loads[0])
-    yf = load[:, :3].copy()
+    Mf = np.linalg.solve(a[:, :3, :3], zT[:, :3])
+    Ms = zT[:, 3:] - np.swapaxes(Y, 1, 2) @ zT[:, :3]
     c = np.bincount(np.concatenate([skel.ravel(), gcols]), minlength=ns,
-                    weights=np.concatenate([(load[:, 3:] * s).ravel(),
-                                            g[:, -1]]))
-    del load
+                    weights=np.concatenate([(_class_products(
+                        Ms, B.cls, blocks.loads[0]) * s).ravel(), g[:, -1]]))
     K = spaces.clique_matrix(
         skel, loc[B.cls] * s[:, :, None] * s[:, None, :], ns)
+    K = K.copy()  # at its nnz: the sum leaves K in its 36T-entry buffers
     if np.any(K.diagonal() + np.bincount(gcols, np.diagonal(g), ns) <= 0.0):
         raise NumericalError("normal equations indefinite: B rank deficient")
     S = spaces.LevelOperator(
@@ -329,7 +324,9 @@ def build_normal_equations(blocks, coarse):
              spaces.flux_prolongation(coarse.mesh, mesh)], format="csr"))
 
     def recover(y):
-        f = yf - _class_products(Y, B.cls, y[skel] * s)
+        skel, s = spaces.element_skeleton(B.mesh)
+        f = (_class_products(Mf, B.cls, blocks.loads[0])
+             - _class_products(Y, B.cls, y[skel] * s))
         return np.concatenate([f[:, :2].ravel(), f[:, 2], y])
 
     return spaces.LinearSystem(S, c, recover)

@@ -127,11 +127,11 @@ def jn_errors(mesh, u_nodal, exact, singular_vertex):
     """L2 error of the P1 interior solution and of its elementwise
     gradient against exact(x, y) -> (u, grad u); companion of the
     coupled solver's field errors."""
-    return field_errors(
-        mesh, exact,
-        lambda t, b: np.einsum("ti,qi->tq", u_nodal[mesh.triangles[t]], b),
-        lambda t, Jinv: np.einsum("ti,tic->tc", u_nodal[mesh.triangles[t]],
-                                  hat_gradients(Jinv)), singular_vertex)
+    def p1(t, b, Jinv):
+        loc = u_nodal[mesh.triangles[t]]
+        return (np.einsum("ti,qi->tq", loc, b),
+                np.einsum("ti,tic->tc", loc, hat_gradients(Jinv)))
+    return field_errors(mesh, exact, p1, singular_vertex)
 
 
 def jn_boundary_errors(loop, u_nodal, phi, data):

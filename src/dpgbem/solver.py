@@ -141,19 +141,18 @@ def _error_rules(singular_vertex, mesh):
             order=12, levels=20, collapse=c)) for c in range(3)]
 
 
-def field_errors(mesh, exact, u_h, grad_h, singular_vertex):
+def field_errors(mesh, exact, discrete, singular_vertex):
     """L2(Omega) errors (err_u, err_grad) of a discrete scalar field and a
     piecewise-constant vector field against an exact solution, given as
     exact(x, y) -> (u, du/dx, du/dy).
 
-    u_h(tri, bary) evaluates the discrete scalar on the triangles tri at
-    barycentric points bary (q, 3) and returns shape (len(tri), q);
-    grad_h(tri, Jinv) returns the vector field on them, (len(tri), 2),
-    given their inverse element maps Jinv (mesh.element_map).  Each
-    rule group takes one batch of its elements at a time
-    (spaces.batched), and exact is called once per batch; with no BLAS
-    product per element, here or in u_h and grad_h, no batch size moves
-    a bit.
+    discrete(tri, bary, Jinv) -> (u_h, grad_h) evaluates both on the
+    triangles tri, given barycentric points bary (q, 3) and their inverse
+    element maps Jinv (mesh.element_map): the scalar at the points,
+    (len(tri), q), and the vector field, (len(tri), 2).  Each rule group
+    takes one batch of its elements at a time (spaces.batched), and
+    exact and discrete are called once per batch; with no BLAS product
+    per element, here or in discrete, no batch size moves a bit.
     """
     err_u = err_g = 0.0
     for tri, (pts, w) in _error_rules(singular_vertex, mesh):
@@ -162,8 +161,8 @@ def field_errors(mesh, exact, u_h, grad_h, singular_vertex):
             _, detJ, Jinv = element_map(verts)
             x, y = quadrature.map_to_physical(verts, pts)
             u, gx, gy = exact(x, y)
-            du = u - u_h(tri[e], quadrature.barycentric(pts))
-            g = grad_h(tri[e], Jinv)
+            u_h, g = discrete(tri[e], quadrature.barycentric(pts), Jinv)
+            du = u - u_h
             dgx = np.broadcast_to(gx, x.shape) - g[:, 0, None]
             dgy = np.broadcast_to(gy, x.shape) - g[:, 1, None]
             return np.einsum("ktq,q->tk", [du ** 2, dgx ** 2 + dgy ** 2],
@@ -196,8 +195,8 @@ def l2_errors(solution, exact):
     exact(x, y) -> (u, grad u): field_errors on the solution's mesh and
     its data's singular_vertex."""
     u, sigma = solution.u, solution.sigma
-    return field_errors(solution.mesh, exact, lambda tri, bary: u[tri, None],
-                        lambda tri, Jinv: sigma[tri],
+    return field_errors(solution.mesh, exact,
+                        lambda tri, bary, Jinv: (u[tri, None], sigma[tri]),
                         solution.data.singular_vertex)
 
 

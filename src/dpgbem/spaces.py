@@ -216,10 +216,11 @@ class LevelOperator(scipy.sparse.linalg.LinearOperator):
     block dense on the dofs dense_dofs (nnz counts both), with a V-cycle
     over its levels.  coarse is the next coarser Level, or None: then the
     V-cycle is the dense inverse.  Otherwise start = prolong @ coarse.x,
-    and the V-cycle smooths, corrects by the coarse V-cycle and smooths
-    again, by one CSR smoother: the damped sum of the inverse blocks of
-    the patches (index arrays (n, k), a patch per row).  It is symmetric
-    if the matrix is."""
+    the restriction is prolong.T (a view, no copy), and the V-cycle
+    smooths, corrects by the coarse V-cycle and smooths again, by one
+    CSR smoother: the damped sum of the inverse blocks of the patches
+    (index arrays (n, k), a patch per row).  It is symmetric if the
+    matrix is."""
 
     def __init__(self, sparse, dense_dofs, dense, patches, damping, coarse,
                  prolong):
@@ -229,7 +230,7 @@ class LevelOperator(scipy.sparse.linalg.LinearOperator):
             self.coarse, self.start = None, np.zeros(self.shape[0])
             return
         self.coarse, self.prolong = coarse.matrix, prolong
-        self.restrict, self.start = prolong.T.tocsr(), prolong @ coarse.x
+        self.restrict, self.start = prolong.T, prolong @ coarse.x
         # each patch block from the sparse part, plus the dense block on
         # the patches that touch it (at: a dof's position in the block)
         at = np.full(self.shape[0], -1)

@@ -191,9 +191,9 @@ def test_field_errors_empty_rule_group_at_every_chunk_size(monkeypatch):
     sigma = rng.standard_normal((mesh.num_triangles, 2))
 
     def errors():
-        return solver.field_errors(mesh, exact,
-                                   lambda tri, bary: u[tri, None],
-                                   lambda tri, Jinv: sigma[tri], corner)
+        return solver.field_errors(
+            mesh, exact, lambda tri, bary, Jinv: (u[tri, None], sigma[tri]),
+            corner)
 
     want = errors()
     for chunk in (1, 7, 1000):
@@ -204,20 +204,31 @@ def test_field_errors_empty_rule_group_at_every_chunk_size(monkeypatch):
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_field_errors_call_exact_once_per_group_and_batch(domain,
                                                          monkeypatch):
-    # one call of exact per batch of each rule group (an empty group
-    # makes one empty batch), for the DPG and the P1 field errors alike;
-    # at CLI level 2 the L-shape's graded corner groups hold 2, 2 and 1
-    # elements
+    # one call of exact and one of the discrete field per batch of each
+    # rule group (an empty group makes one empty batch), for the DPG and
+    # the P1 field errors alike; at CLI level 2 the L-shape's graded
+    # corner groups hold 2, 2 and 1 elements
     monkeypatch.setattr(spaces, "ELEMENT_CHUNK", 7)
     mesh = cli_level_mesh(domain, 2)
     data, exact = cli.manufacture_data(domain)
     groups = solver._error_rules(data.singular_vertex, mesh)
     want = sum(max(1, -(-tri.size // 7)) for tri, _ in groups)
-    calls = []
+    calls, discrete_calls = [], []
 
     def counted(x, y):
         calls.append(x.shape)
         return exact(x, y)
+
+    real_field_errors = solver.field_errors
+
+    def field_errors(mesh, exact, discrete, singular_vertex):
+        def counted_discrete(tri, bary, Jinv):
+            discrete_calls.append(tri.size)
+            return discrete(tri, bary, Jinv)
+        return real_field_errors(mesh, exact, counted_discrete,
+                                 singular_vertex)
+    monkeypatch.setattr(solver, "field_errors", field_errors)
+    monkeypatch.setattr(jn_reference, "field_errors", field_errors)
     rng = np.random.default_rng(4)
     sol = solver.Solution(mesh=mesh, data=data, loop=boundary_loop(mesh),
                           x=rng.standard_normal(
@@ -228,9 +239,11 @@ def test_field_errors_call_exact_once_per_group_and_batch(domain,
                     mesh, rng.standard_normal(mesh.num_vertices), counted,
                     data.singular_vertex)):
         calls.clear()
+        discrete_calls.clear()
         run()
-        assert len(calls) == want
+        assert len(calls) == len(discrete_calls) == want
         assert sum(s[0] for s in calls) == mesh.num_triangles
+        assert sum(discrete_calls) == mesh.num_triangles
     assert want > len(groups)
 
 
